@@ -41,6 +41,7 @@ from coxeter_l2.nerve import (
     SphereKind,
     build_nerve,
     full_subcomplex,
+    induced_nerve,
     has_right_angled_complement,
     link,
     is_full_subcomplex,
@@ -115,6 +116,7 @@ __all__ = [
     "SphereKind",
     "build_nerve",
     "full_subcomplex",
+    "induced_nerve",
     "has_right_angled_complement",
     "link",
     "is_full_subcomplex",

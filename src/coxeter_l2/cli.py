@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from coxeter_l2.invariants import (
     UNKNOWN,
     RuleContext,
+    _rational,
     betti,
     chi_orb,
     chi_orb_chain_sum,
@@ -61,10 +61,6 @@ def _emit(args, text_lines: list[str], document: dict) -> None:
     else:
         for line in text_lines:
             print(line)
-
-
-def _rational(q: Fraction) -> str:
-    return str(q)
 
 
 def _cmd_validate(args) -> int:
@@ -121,8 +117,8 @@ def _cmd_classify(args) -> int:
 def _cmd_chi(args) -> int:
     nerve = build_nerve(_load_spec(args.spec))
     value = chi_orb(nerve)
-    lines = [_rational(value)]
-    doc = {"chi_orb": f"{value.numerator}/{value.denominator}"}
+    lines = [str(value)]
+    doc = {"chi_orb": _rational(value)}
     if args.chain_oracle:
         oracle = chi_orb_chain_sum(nerve)
         if oracle != value:
@@ -130,7 +126,7 @@ def _cmd_chi(args) -> int:
                 f"chain oracle mismatch: collapsed {value} vs chains {oracle}"
             )
         lines.append("chain-oracle: agrees")
-        doc["chain_oracle"] = f"{oracle.numerator}/{oracle.denominator}"
+        doc["chain_oracle"] = _rational(oracle)
     _emit(args, lines, doc)
     return 0
 
@@ -159,7 +155,7 @@ def _cmd_betti(args) -> int:
     lines = [repr(vector)]
     for i in range(vector.top + 1):
         entry = vector.get(i)
-        shown = "?" if entry is UNKNOWN else _rational(entry)
+        shown = "?" if entry is UNKNOWN else str(entry)
         lines.append(f"beta_{i} = {shown}  [{vector.provenance_for(i)}]")
     _emit(args, lines, vector.to_document())
     return 0
@@ -257,13 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["text", "structured"],
         default="text",
         help="text (default) or structured JSON output",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="reserved; current computations are single-threaded",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -108,8 +108,8 @@ def enumerate_order(spec: CoxeterSpec, subset, cap: int = 10 ** 6) -> int | None
     T = spec.check_subset(subset)
     if len(T) > 8:
         raise ValueError("enumeration is limited to subsets of at most 8 vertices")
-    if cap > 10 ** 6:
-        raise ValueError("cap must be at most 10^6")
+    if not 1 <= cap <= 10 ** 6:
+        raise ValueError(f"cap must be between 1 and 10^6, got {cap}")
     if not T:
         return 1
     for i, u in enumerate(T):

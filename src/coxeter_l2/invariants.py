@@ -12,6 +12,7 @@ vector.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -22,11 +23,16 @@ from coxeter_l2.nerve import (
     Nerve,
     SphereKind,
     SubcomplexWitness,
-    build_nerve,
     detect_join2,
+    induced_nerve,
     recognize_sphere,
 )
 from coxeter_l2.spherical import classify
+
+
+def _rational(q: Fraction) -> str:
+    """A rational in document form, always as p/q."""
+    return f"{q.numerator}/{q.denominator}"
 
 
 class _Unknown:
@@ -70,13 +76,14 @@ def chi_orb(nerve: Nerve) -> Fraction:
     """Orbihedral Euler characteristic, as the collapsed sum over spherical subsets.
 
     Each spherical subset T (the empty set included) contributes
-    (-1)^|T| / |W_T|; the empty set contributes +1.  Equality with the
-    literal chain-level sum is the job of chi_orb_chain_sum.
+    (-1)^|T| / |W_T|; the empty set contributes +1.  Signs are tallied per
+    order first, so there is one exact division per distinct order.
+    Equality with the literal chain-level sum is the job of chi_orb_chain_sum.
     """
-    total = Fraction(1)
+    weight: Counter[int] = Counter()
     for s in nerve.simplices():
-        total += Fraction((-1) ** len(s), nerve.order(s))
-    return total
+        weight[nerve.order(s)] += -1 if len(s) % 2 else 1
+    return sum((Fraction(w, order) for order, w in weight.items()), Fraction(1))
 
 
 def chi_orb_chain_sum(nerve: Nerve, *, chain_cap: int = 10 ** 7) -> Fraction:
@@ -176,7 +183,7 @@ class BettiVector:
     def to_document(self) -> dict:
         return {
             "entries": {
-                str(i): (None if e is UNKNOWN else f"{e.numerator}/{e.denominator}")
+                str(i): (None if e is UNKNOWN else _rational(e))
                 for i, e in enumerate(self._entries)
             },
             "provenance": {str(i): self.provenance_for(i) for i in range(self.top + 1)},
@@ -307,10 +314,7 @@ def betti(nerve: Nerve, ctx: RuleContext | None = None) -> BettiVector:
     else:
         factors = detect_join2(nerve)
     if factors is not None:
-        factor_vectors = []
-        for f in factors:
-            sub = build_nerve(induced_subspec(nerve.spec, f))
-            factor_vectors.append(betti(sub))
+        factor_vectors = [betti(induced_nerve(nerve, f)) for f in factors]
         if all(v.fully_known for v in factor_vectors):
             conv = [Fraction(1)]
             for v in factor_vectors:

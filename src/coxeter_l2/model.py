@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 INFINITY = math.inf
 
@@ -56,7 +56,7 @@ class CoxeterSpec:
     subsets, components and serialization.
     """
 
-    __slots__ = ("vertices", "_labels", "_vertex_set")
+    __slots__ = ("vertices", "_labels", "_vertex_set", "_commuting", "_hash", "__weakref__")
 
     def __init__(self, vertices: Iterable[str], labels: Mapping[tuple[str, str], int] | None = None):
         vertices = tuple(vertices)
@@ -83,7 +83,13 @@ class CoxeterSpec:
             finite[key] = m
         self.vertices = vertices
         self._vertex_set = frozenset(vertices)
-        self._labels = finite
+        self._labels = dict(sorted(finite.items()))
+        self._commuting: dict[str, set[str]] = {v: set() for v in vertices}
+        for (u, v), m in finite.items():
+            if m == 2:
+                self._commuting[u].add(v)
+                self._commuting[v].add(u)
+        self._hash = hash((vertices, tuple(self._labels.items())))
 
     def label(self, u: str, v: str) -> Label:
         if u not in self._vertex_set or v not in self._vertex_set:
@@ -94,10 +100,11 @@ class CoxeterSpec:
 
     def finite_edges(self) -> list[tuple[str, str, int]]:
         """All pairs with a finite label, sorted by (u, v)."""
-        return [(u, v, self._labels[(u, v)]) for (u, v) in sorted(self._labels)]
+        return [(u, v, m) for (u, v), m in self._labels.items()]
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self._vertex_set
+    def commuting(self, v: str) -> set[str]:
+        """The vertices whose label with v is 2 (not to be mutated)."""
+        return self._commuting[v]
 
     def check_subset(self, subset: Iterable[str]) -> VertexSubset:
         """Canonicalize a vertex subset (sorted, deduplicated), validating membership."""
@@ -116,7 +123,7 @@ class CoxeterSpec:
         return self.vertices == other.vertices and self._labels == other._labels
 
     def __hash__(self) -> int:
-        return hash((self.vertices, tuple(sorted(self._labels.items()))))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"CoxeterSpec({len(self.vertices)} vertices, {len(self._labels)} finite labels)"
@@ -164,6 +171,8 @@ def parse_spec(document) -> CoxeterSpec:
         if not isinstance(rec, Mapping) or not {"u", "v", "m"} <= set(rec):
             raise MalformedDocument(f"edge record {rec!r} must have fields u, v, m")
         u, v, m = rec["u"], rec["v"], rec["m"]
+        if not isinstance(u, str) or not isinstance(v, str):
+            raise MalformedDocument(f"edge endpoints {u!r}, {v!r} must be vertex strings")
         if u == v:
             raise MalformedDocument(f"edge ({u!r}, {v!r}) is a self-loop")
         if u not in vertex_set or v not in vertex_set:
@@ -191,9 +200,30 @@ def induced_subspec(spec: CoxeterSpec, subset: Iterable[str]) -> CoxeterSpec:
     """Restrict a system to a vertex subset, preserving labels and vertex order."""
     keep = set(spec.check_subset(subset))
     vertices = [v for v in spec.vertices if v in keep]
-    labels = {
-        (u, v): m
-        for u, v, m in spec.finite_edges()
-        if u in keep and v in keep
-    }
+    labels = {(u, v): m for (u, v), m in spec._labels.items() if u in keep and v in keep}
     return CoxeterSpec(vertices, labels)
+
+
+def components(
+    vertices: Iterable[str], adjacent: Callable[[str], Iterable[str]], *, complement: bool = False
+) -> list[VertexSubset]:
+    """Connected components of a graph given by its neighbor function, or of its complement.
+
+    Breadth-first search over the unvisited vertices; with ``complement`` the neighbors of u
+    are those outside ``adjacent(u)``, so both cases run in O(V + E).  Components are sorted
+    tuples, listed by least vertex.
+    """
+    remaining = set(vertices)
+    comps = []
+    for start in sorted(remaining):
+        if start not in remaining:
+            continue
+        remaining.discard(start)
+        comp = [start]
+        for u in comp:  # comp grows while it is scanned: a breadth-first queue
+            near = adjacent(u)
+            found = remaining.difference(near) if complement else remaining.intersection(near)
+            remaining -= found
+            comp += found
+        comps.append(tuple(sorted(comp)))
+    return comps

@@ -10,12 +10,14 @@ sphere recognition, and detection of right-angled join factorizations.
 
 from __future__ import annotations
 
+import bisect
 import enum
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from coxeter_l2.model import INFINITY, CoxeterSpec, VertexSubset, induced_subspec
-from coxeter_l2.spherical import classify
+from coxeter_l2.model import INFINITY, CoxeterSpec, VertexSubset, components
+from coxeter_l2.spherical import classify, diagram_components
 
 Simplex = tuple[str, ...]
 
@@ -28,7 +30,11 @@ class SimplicialComplex:
     """Abstract simplicial complex: a vertex tuple plus simplices by dimension.
 
     Simplices are stored as sorted vertex tuples, listed in canonical
-    (dimension, lexicographic) order so iteration is deterministic.
+    (dimension, lexicographic) order so iteration is deterministic.  The
+    constructor also indexes the complex once: a neighbor map (the 1-skeleton
+    adjacency) and a star map (the simplices containing each vertex), so
+    neighbors, links, connectivity and restrictions to a vertex subset cost
+    time proportional to the simplices they touch, not to the whole complex.
     """
 
     def __init__(self, vertices: Iterable[str], simplices: Iterable[Simplex]):
@@ -45,6 +51,14 @@ class SimplicialComplex:
             d: tuple(sorted(index[d])) for d in sorted(index)
         }
         self._simplex_set = seen
+        self._star: dict[str, list[Simplex]] = {v: [] for v in self.vertices}
+        for s in self.simplices():
+            for v in s:
+                self._star.setdefault(v, []).append(s)
+        self._neighbors: dict[str, tuple[str, ...]] = {
+            v: tuple(sorted(x for e in star if len(e) == 2 for x in e if x != v))
+            for v, star in self._star.items()
+        }
 
     @property
     def dimension(self) -> int:
@@ -71,45 +85,21 @@ class SimplicialComplex:
         return self._by_dim.get(2, ())
 
     def neighbors(self, v: str) -> tuple[str, ...]:
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return tuple(sorted(out))
+        return self._neighbors.get(v, ())
+
+    def simplices_within(self, vertices: set[str]) -> list[Simplex]:
+        """The simplices whose vertices all lie in a set, read off the star map."""
+        return [
+            s for v in vertices for s in self._star.get(v, ())
+            if s[0] == v and vertices.issuperset(s)
+        ]
 
     def is_connected(self) -> bool:
         """Connectivity of the 1-skeleton (a complex with one vertex is connected)."""
-        if not self.vertices:
-            return True
-        seen = {self.vertices[0]}
-        frontier = [self.vertices[0]]
-        while frontier:
-            u = frontier.pop()
-            for w in self.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == len(self.vertices)
+        return len(self.skeleton_components()) <= 1
 
     def skeleton_components(self) -> list[tuple[str, ...]]:
-        remaining = set(self.vertices)
-        comps = []
-        while remaining:
-            start = min(remaining)
-            comp = {start}
-            frontier = [start]
-            while frontier:
-                u = frontier.pop()
-                for w in self.neighbors(u):
-                    if w in remaining and w not in comp:
-                        comp.add(w)
-                        frontier.append(w)
-            remaining -= comp
-            comps.append(tuple(sorted(comp)))
-        comps.sort(key=lambda c: c[0])
-        return comps
+        return components(self.vertices, self.neighbors)
 
     def counts(self) -> tuple[int, ...]:
         """Number of simplices per dimension 0..dim."""
@@ -143,9 +133,6 @@ class Nerve(SimplicialComplex):
         if s not in self._simplex_set:
             raise KeyError(f"{s} is not a simplex of this nerve")
         return self._orders[s]
-
-    def label(self, u: str, v: str):
-        return self.spec.label(u, v)
 
     def to_document(self) -> dict:
         return {
@@ -233,34 +220,69 @@ def has_right_angled_complement(nerve: Nerve, subset) -> bool:
     )
 
 
+def _straddling_pairs(spec: CoxeterSpec, A: set[str]):
+    """Yield the infinite pairs with an endpoint outside A, in lexicographic order.
+
+    From each u the scan walks the later vertices (only those outside A when
+    u is in A); every vertex passed over is a finite pair, so producing the
+    first k pairs costs O(V log V + E + k).
+    """
+    verts = sorted(spec.vertices)
+    outside = [v for v in verts if v not in A]
+    for u in verts:
+        pool = outside if u in A else verts
+        for i in range(bisect.bisect_right(pool, u), len(pool)):
+            if spec.label(u, pool[i]) == INFINITY:
+                yield u, pool[i]
+
+
 def infinite_pairs_outside(nerve: Nerve, subset) -> list[tuple[str, str]]:
     """Infinite-label pairs with an endpoint outside the subset (reported, permitted)."""
-    A = set(nerve.spec.check_subset(subset))
-    out = []
-    verts = sorted(nerve.vertices)
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            if nerve.spec.label(u, v) == INFINITY and not (u in A and v in A):
-                out.append((u, v))
-    return out
+    return list(_straddling_pairs(nerve.spec, set(nerve.spec.check_subset(subset))))
+
+
+def induced_nerve(nerve: Nerve, subset) -> Nerve:
+    """The nerve of the induced subsystem, filtered from the ambient nerve.
+
+    Sphericity depends only on the induced labels, so the ambient simplices
+    and orders inside the subset are exactly those of
+    build_nerve(induced_subspec(nerve.spec, subset)); nothing is classified
+    again.  Every finite label is an edge of the nerve, so the induced labels
+    are read off the kept edges.
+    """
+    keep = set(nerve.spec.check_subset(subset))
+    simplices = nerve.simplices_within(keep)
+    spec = CoxeterSpec(
+        [v for v in nerve.spec.vertices if v in keep],
+        {s: nerve.spec.label(*s) for s in simplices if len(s) == 2},
+    )
+    return Nerve(spec, simplices, {s: nerve._orders[s] for s in simplices})
 
 
 def full_subcomplex(nerve: Nerve, subset) -> tuple[Nerve, SubcomplexWitness]:
     """The induced nerve on a vertex subset, with its fullness witness.
 
-    Induced subcomplexes of a nerve are automatically full because
-    sphericity depends only on the induced labels.
+    The subcomplex is filtered from the ambient simplices and orders by
+    induced_nerve, not rebuilt; it is automatically full because sphericity
+    depends only on the induced labels.  Straddling infinite pairs are
+    counted in closed form (all pairs not inside the subset, minus the
+    finite ones), and only the first four are enumerated for the note.
     """
     A = nerve.spec.check_subset(subset)
-    sub = build_nerve(induced_subspec(nerve.spec, A))
+    keep = set(A)
+    sub = induced_nerve(nerve, A)
     rac = has_right_angled_complement(nerve, A)
     notes = ()
-    straddling = infinite_pairs_outside(nerve, A)
-    if straddling:
-        shown = ", ".join(f"({u},{v})" for u, v in straddling[:4])
-        more = "" if len(straddling) <= 4 else f" and {len(straddling) - 4} more"
+    n, a = len(nerve.vertices), len(A)
+    finite_outside = sum(1 for u, v, _ in nerve.spec.finite_edges() if u not in keep or v not in keep)
+    count = n * (n - 1) // 2 - a * (a - 1) // 2 - finite_outside
+    if count:
+        shown = ", ".join(
+            f"({u},{v})" for u, v in itertools.islice(_straddling_pairs(nerve.spec, keep), 4)
+        )
+        more = "" if count <= 4 else f" and {count - 4} more"
         notes = (
-            f"{len(straddling)} infinite-label pair(s) not contained in the "
+            f"{count} infinite-label pair(s) not contained in the "
             f"subcomplex: {shown}{more} (permitted: infinite pairs are not edges)",
         )
     return sub, SubcomplexWitness(nerve, A, True, rac, notes)
@@ -268,27 +290,20 @@ def full_subcomplex(nerve: Nerve, subset) -> tuple[Nerve, SubcomplexWitness]:
 
 def link(complex_: SimplicialComplex, v: str) -> SimplicialComplex:
     """The link of a vertex: all simplices T with v not in T and T + {v} a simplex."""
-    if v not in complex_.vertices:
+    if v not in complex_._star:
         raise KeyError(f"{v!r} is not a vertex")
-    simplices = []
-    for s in complex_.simplices():
-        if v in s and len(s) > 1:
-            simplices.append(tuple(x for x in s if x != v))
-    return SimplicialComplex(sorted(complex_.neighbors(v)), simplices)
+    simplices = [tuple(x for x in s if x != v) for s in complex_._star[v] if len(s) > 1]
+    return SimplicialComplex(complex_.neighbors(v), simplices)
 
 
 def is_full_subcomplex(ambient: SimplicialComplex, sub: SimplicialComplex) -> bool:
     """Does the subcomplex contain every ambient simplex spanned by its vertices?"""
     verts = set(sub.vertices)
-    if not verts <= set(ambient.vertices):
-        return False
-    for s in sub.simplices():
-        if not ambient.has_simplex(s):
-            return False
-    for s in ambient.simplices():
-        if set(s) <= verts and not sub.has_simplex(s):
-            return False
-    return True
+    return (
+        all(v in ambient._star for v in verts)
+        and all(ambient.has_simplex(s) for s in sub.simplices())
+        and all(sub.has_simplex(s) for s in ambient.simplices_within(verts))
+    )
 
 
 def _disjoint_rename(taken: set[str], name: str) -> str:
@@ -389,24 +404,5 @@ def detect_join2(nerve: Nerve) -> list[VertexSubset] | None:
     grouping of two or more components is a valid join; the finest one is
     returned, sorted by least vertex.  None when indecomposable.
     """
-    verts = sorted(nerve.vertices)
-    if len(verts) < 2:
-        return None
-    remaining = set(verts)
-    factors = []
-    while remaining:
-        start = min(remaining)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for v in list(remaining - comp):
-                if nerve.spec.label(u, v) != 2:
-                    comp.add(v)
-                    frontier.append(v)
-        remaining -= comp
-        factors.append(tuple(sorted(comp)))
-    if len(factors) < 2:
-        return None
-    factors.sort(key=lambda c: c[0])
-    return factors
+    factors = diagram_components(nerve.spec, nerve.vertices)
+    return factors if len(factors) >= 2 else None

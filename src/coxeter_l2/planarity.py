@@ -16,20 +16,22 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from coxeter_l2.model import INFINITY, CoxeterSpec, VertexSubset, induced_subspec
+from coxeter_l2.model import CoxeterSpec, VertexSubset
 from coxeter_l2.nerve import (
     Nerve,
     SimplicialComplex,
     SphereKind,
     SubcomplexWitness,
+    _disjoint_rename,
     build_nerve,
     full_subcomplex,
     has_right_angled_complement,
+    induced_nerve,
     is_full_subcomplex,
     link,
     recognize_sphere,
 )
-from coxeter_l2.invariants import Beta2Bound, betti_lower_bound_dim2, chi_orb
+from coxeter_l2.invariants import Beta2Bound, _rational, betti_lower_bound_dim2, chi_orb
 from coxeter_l2.spherical import classify
 
 # Stable statement identifiers cited by certificates and proof traces.
@@ -102,12 +104,14 @@ class RotationSystem:
     def restrict(self, vertices: Iterable[str]) -> "RotationSystem":
         keep = set(vertices)
         return RotationSystem(
-            {v: [u for u in ns if u in keep] for v, ns in self._rot.items() if v in keep}
+            {v: [u for u in self._rot[v] if u in keep] for v in keep if v in self._rot}
         )
 
     @classmethod
     def from_document(cls, document: Mapping) -> "RotationSystem":
-        if not isinstance(document, Mapping):
+        if not isinstance(document, Mapping) or not all(
+            isinstance(ns, (list, tuple)) for ns in document.values()
+        ):
             raise ValueError("rotation document must map vertex -> cyclic neighbor list")
         return cls({str(v): [str(u) for u in ns] for v, ns in document.items()})
 
@@ -205,9 +209,7 @@ def validate_embedding(
     rot.check_against(complex_)
     out = []
     for comp in complex_.skeleton_components():
-        sub = SimplicialComplex(
-            comp, [s for s in complex_.simplices() if set(s) <= set(comp)]
-        )
+        sub = SimplicialComplex(comp, complex_.simplices_within(set(comp)))
         faceset = faces_from_rotation(sub, rot.restrict(comp))
         triangles = _triangle_faces(faceset)
         for t in sub.triangles:
@@ -255,9 +257,7 @@ def cone_construction(
     vertices = list(nerve.spec.vertices)
     labels = {(u, v): m for u, v, m in nerve.spec.finite_edges()}
     for i, face in enumerate(to_cone):
-        name = f"{cone_prefix}{i}"
-        while name in taken:
-            name = name + "'"
+        name = _disjoint_rename(taken, f"{cone_prefix}{i}")
         taken.add(name)
         vertices.append(name)
         for u, _ in face:
@@ -300,17 +300,13 @@ class Certificate:
         doc = {
             "verdict": self.verdict,
             "subject": self.subject.to_document(),
-            "bound": f"{self.bound.numerator}/{self.bound.denominator}",
+            "bound": _rational(self.bound),
             "chain": [step.to_document() for step in self.chain],
             "notes": list(self.notes),
         }
         if self.reason is not None:
             doc["reason"] = self.reason
         return doc
-
-
-def _rational(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _certify_connected(spec: CoxeterSpec, nerve: Nerve) -> Certificate:
@@ -356,10 +352,15 @@ def certify_nonplanar(spec: CoxeterSpec) -> Certificate:
 
     The verdict is one-directional: NotPlanar when a positive lower bound
     for the dimension-2 Betti entry is derived, Inconclusive otherwise
-    (never "Planar").  Disconnected subjects are certified per component;
-    one non-planar component suffices.
+    (never "Planar").  Disconnected subjects are certified per component,
+    each on its sub-nerve filtered from the subject's nerve; one non-planar
+    component suffices.
     """
-    nerve = build_nerve(spec)
+    return _certify(build_nerve(spec))
+
+
+def _certify(nerve: Nerve) -> Certificate:
+    spec = nerve.spec
     if nerve.dimension > 2:
         return Certificate(
             "Inconclusive", spec, Fraction(0), (), reason="DimensionTooHigh"
@@ -374,7 +375,7 @@ def certify_nonplanar(spec: CoxeterSpec) -> Certificate:
             "a non-planar component makes the whole non-planar"
         ]
         for comp in components:
-            sub_cert = certify_nonplanar(induced_subspec(spec, comp))
+            sub_cert = _certify(induced_nerve(nerve, comp))
             if sub_cert.verdict == "NotPlanar":
                 return Certificate(
                     "NotPlanar",
@@ -455,22 +456,24 @@ def trace_vanishing(ambient: Nerve, target) -> ProofTrace:
 
     _, witness = full_subcomplex(ambient, A)
     removal = sorted(set(ambient.vertices) - set(A))
-    current = list(ambient.vertices)
+    current = set(ambient.vertices)
     steps = []
     for v in removal:
         before = tuple(sorted(current))
-        b_nerve = build_nerve(induced_subspec(ambient.spec, current))
-        for u in current:
-            if u != v and ambient.spec.label(v, u) not in (2, INFINITY):
+        # Only the closed star of v in B matters for its link, so the
+        # induced sub-nerve on v and its remaining neighbors suffices.
+        near = [u for u in ambient.neighbors(v) if u in current]
+        for u in near:
+            if ambient.spec.label(v, u) != 2:  # infinite pairs are not edges
                 raise HypothesisViolated(
                     f"removed vertex {v} has a non-commuting edge to {u}"
                 )
-        b_v = link(b_nerve, v)
+        b_v = link(induced_nerve(ambient, [v, *near]), v)
         if not is_full_subcomplex(ambient, b_v):
             raise HypothesisViolated(
                 f"link of {v} is not a full subcomplex of the ambient nerve"
             )
-        current = [u for u in current if u != v]
+        current.discard(v)
         after = tuple(sorted(current))
         steps.append(
             TraceStep(

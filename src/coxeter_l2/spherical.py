@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from coxeter_l2.model import INFINITY, CoxeterSpec, VertexSubset
+from coxeter_l2.model import INFINITY, CoxeterSpec, VertexSubset, components
 
 _E_ORDERS = {6: 51840, 7: 2903040, 8: 696729600}
 
@@ -67,32 +66,16 @@ def diagram_components(spec: CoxeterSpec, subset) -> list[VertexSubset]:
     (label 2 means the generators commute).  Components are canonically
     ordered and sorted by least vertex.
     """
-    T = spec.check_subset(subset)
-    remaining = set(T)
-    components = []
-    while remaining:
-        start = min(remaining)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for v in list(remaining - comp):
-                if spec.label(u, v) != 2:
-                    comp.add(v)
-                    frontier.append(v)
-        remaining -= comp
-        components.append(tuple(sorted(comp)))
-    components.sort(key=lambda c: c[0])
-    return components
-
-
-def _factorial(n: int) -> int:
-    return math.factorial(n)
+    return components(spec.check_subset(subset), spec.commuting, complement=True)
 
 
 def _match_component(spec: CoxeterSpec, comp: VertexSubset) -> FiniteTypeComponent | None:
     """Match one diagram-connected component against the finite-type templates."""
     n = len(comp)
+    members = set(comp)
+    commuting_pairs = sum(len(spec.commuting(u) & members) for u in comp) // 2
+    if n * (n - 1) // 2 - commuting_pairs != n - 1:
+        return None  # the diagram (infinite pairs included) is not a tree
     pairs = [(u, v) for i, u in enumerate(comp) for v in comp[i + 1:]]
     if any(spec.label(u, v) == INFINITY for u, v in pairs):
         return None
@@ -106,11 +89,9 @@ def _match_component(spec: CoxeterSpec, comp: VertexSubset) -> FiniteTypeCompone
             return FiniteTypeComponent("B", 2, 8, comp)
         return FiniteTypeComponent("I2", 2, 2 * m, comp, m=m)
 
-    # Rank >= 3: the diagram (label >= 3 edges) must be a tree, in fact a
-    # path or a single 3-valent branch; anything else is infinite.
+    # Rank >= 3: the diagram is a tree, which must be a path or have a
+    # single 3-valent branch; anything else is infinite.
     edges = [(u, v, int(spec.label(u, v))) for u, v in pairs if spec.label(u, v) >= 3]
-    if len(edges) != n - 1:
-        return None  # connected with a cycle, or (impossible here) disconnected
     adj: dict[str, list[tuple[str, int]]] = {v: [] for v in comp}
     for u, v, m in edges:
         adj[u].append((v, m))
@@ -135,7 +116,7 @@ def _match_component(spec: CoxeterSpec, comp: VertexSubset) -> FiniteTypeCompone
             arms.append(length)
         arms.sort()
         if arms[:2] == [1, 1]:
-            return FiniteTypeComponent("D", n, 2 ** (n - 1) * _factorial(n), comp)
+            return FiniteTypeComponent("D", n, 2 ** (n - 1) * math.factorial(n), comp)
         if arms == [1, 2, 2]:
             return FiniteTypeComponent("E6", 6, _E_ORDERS[6], comp)
         if arms == [1, 2, 3]:
@@ -157,14 +138,14 @@ def _match_component(spec: CoxeterSpec, comp: VertexSubset) -> FiniteTypeCompone
         prev, cur = cur, w
     big = [m for m in seq if m >= 4]
     if not big:
-        return FiniteTypeComponent("A", n, _factorial(n + 1), comp)
+        return FiniteTypeComponent("A", n, math.factorial(n + 1), comp)
     if len(big) > 1:
         return None
     m, pos = big[0], seq.index(big[0])
     at_end = pos in (0, len(seq) - 1)
     if m == 4:
         if at_end:
-            return FiniteTypeComponent("B", n, 2 ** n * _factorial(n), comp)
+            return FiniteTypeComponent("B", n, 2 ** n * math.factorial(n), comp)
         if n == 4 and pos == 1:
             return FiniteTypeComponent("F4", 4, 1152, comp)
         return None
@@ -176,26 +157,21 @@ def _match_component(spec: CoxeterSpec, comp: VertexSubset) -> FiniteTypeCompone
     return None
 
 
-@lru_cache(maxsize=65536)
-def _classify_cached(spec: CoxeterSpec, T: VertexSubset) -> SphericalVerdict:
-    comps = []
-    order = 1
-    for comp in diagram_components(spec, T):
-        match = _match_component(spec, comp)
-        if match is None:
-            return SphericalVerdict(False, (), 0)
-        comps.append(match)
-        order *= match.order
-    return SphericalVerdict(True, tuple(comps), order)
-
-
 def classify(spec: CoxeterSpec, subset) -> SphericalVerdict:
     """Decide whether a subset is spherical and compute the subgroup order.
 
     The empty subset is spherical with order 1.  A non-spherical verdict
     carries no components and order 0.
     """
-    return _classify_cached(spec, spec.check_subset(subset))
+    comps = []
+    order = 1
+    for comp in diagram_components(spec, subset):
+        match = _match_component(spec, comp)
+        if match is None:
+            return SphericalVerdict(False, (), 0)
+        comps.append(match)
+        order *= match.order
+    return SphericalVerdict(True, tuple(comps), order)
 
 
 def cosine_matrix_test(spec: CoxeterSpec, subset, *, eps: float = 1e-9, max_rank: int = 12) -> bool:

@@ -196,7 +196,30 @@ def test_output_reproducible(docs, capsys):
     assert first == second
 
 
-def test_threads_flag_accepted(docs, capsys):
-    code, out, _ = run(capsys, ["--threads", "4", "chi", docs["k5.json"]])
-    assert code == 0
-    assert out.strip() == "1/6"
+def _one_line_error(code, err):
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["betti", "cone"])
+def test_rotation_with_non_list_entry_is_an_error(docs, capsys, tmp_path, command):
+    rot = tmp_path / "rot.json"
+    rot.write_text(json.dumps({"a": 5}))
+    code, _, err = run(capsys, [command, docs["hexagon.json"], "--embedding", str(rot)])
+    _one_line_error(code, err)
+
+
+def test_edge_with_list_endpoint_is_an_error(capsys, tmp_path):
+    doc = tmp_path / "listu.json"
+    doc.write_text(json.dumps({"vertices": ["a", "b"], "edges": [{"u": ["a"], "v": "b", "m": 3}]}))
+    code, _, err = run(capsys, ["validate", str(doc)])
+    _one_line_error(code, err)
+
+
+def test_enumerate_rejects_negative_cap(docs, capsys):
+    code, out, err = run(
+        capsys, ["enumerate", docs["k5.json"], "--subset", "v0,v1", "--cap", "-5"]
+    )
+    _one_line_error(code, err)
+    assert "ExceedsCap" not in out
