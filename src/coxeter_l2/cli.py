@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=10 ** 6)
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("planar-oracle", help="exhaustive planarity check of the 1-skeleton")
+    p = sub.add_parser("planar-oracle", help="left-right planarity test of the 1-skeleton")
     p.add_argument("spec")
     p.set_defaults(func=_cmd_planar_oracle)
 

@@ -4,14 +4,15 @@ Embeddings are witnessed combinatorially by rotation systems (a cyclic
 neighbor order at each vertex) and certified by face tracing plus Euler's
 formula; no coordinates anywhere.  The non-planarity certificate derives a
 positive lower bound for the dimension-2 l2-Betti entry of a labelled
-complex and cites the vanishing statement it contradicts.  A classical
-exhaustive rotation-system search acts as an independent planarity oracle
-for cross-validation.
+complex and cites the vanishing statement it contradicts.  The left-right
+planarity test (de Fraysseix and Rosenstiehl, as written up by Brandes)
+acts as an independent planarity oracle for cross-validation; it returns a
+rotation system checked by face tracing, and a Kuratowski subgraph can be
+extracted for the non-planar answer.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -56,10 +57,6 @@ class NonSimpleFaceBoundary(ValueError):
 
 class HypothesisViolated(RuntimeError):
     """A vanishing-trace hypothesis failed."""
-
-
-class TooLarge(ValueError):
-    """Input beyond the exhaustive oracle's desk scale."""
 
 
 class RotationSystem:
@@ -122,11 +119,6 @@ class RotationSystem:
 Walk = tuple[tuple[str, str], ...]
 
 
-def _canonical_walk(walk: Walk) -> Walk:
-    rotations = [walk[i:] + walk[:i] for i in range(len(walk))]
-    return min(rotations)
-
-
 @dataclass(frozen=True)
 class FaceSet:
     """Closed walks bounding the complementary regions of an embedding."""
@@ -154,26 +146,27 @@ def faces_from_rotation(skeleton: SimplicialComplex, rot: RotationSystem) -> Fac
         if len(skeleton.vertices) != 1:
             raise ValueError("edgeless skeleton with several vertices is disconnected")
         return FaceSet(((),))  # a lone vertex bounds the single spherical region
-    remaining = set()
-    for a, b in skeleton.edges:
-        remaining.add((a, b))
-        remaining.add((b, a))
+    directed = sorted([(a, b) for a, b in skeleton.edges] + [(b, a) for a, b in skeleton.edges])
+    used = set()
     E = len(skeleton.edges)
     V = len(skeleton.vertices)
     faces = []
-    while remaining:
-        start = min(remaining)
+    # Each walk starts at the least directed edge not yet used, which is the
+    # least edge of its walk, so walks come out rotated to their minimum and
+    # in sorted order.
+    for start in directed:
+        if start in used:
+            continue
         walk = []
         cur = start
         while True:
             walk.append(cur)
-            remaining.discard(cur)
+            used.add(cur)
             u, v = cur
             cur = (v, rot.next_after(v, u))
             if cur == start:
                 break
-        faces.append(_canonical_walk(tuple(walk)))
-    faces.sort()
+        faces.append(tuple(walk))
     if V - E + len(faces) != 2:
         raise NotSpherical(
             f"V - E + F = {V} - {E} + {len(faces)} != 2: rotation has positive genus"
@@ -499,58 +492,313 @@ def trace_vanishing(ambient: Nerve, target) -> ProofTrace:
     return ProofTrace(ambient, A, tuple(steps), conclusion, witness.notes)
 
 
-def _rotation_options(neighbors: tuple[str, ...]):
-    """All cyclic orders of a neighbor set, first element pinned."""
-    if len(neighbors) <= 2:
-        return [tuple(neighbors)]
-    first, rest = neighbors[0], neighbors[1:]
-    return [(first, *perm) for perm in itertools.permutations(rest)]
+def _by_depth(n: int, src: list[int], depth: list[int]) -> list[list[int]]:
+    """Each vertex's out-edges in order of nesting depth, by one counting sort."""
+    low = min(depth, default=0)
+    buckets: list[list[int]] = [[] for _ in range(max(depth, default=0) - low + 1)]
+    for e, d in enumerate(depth):
+        buckets[d - low].append(e)
+    ordered: list[list[int]] = [[] for _ in range(n)]
+    for bucket in buckets:
+        for e in bucket:
+            ordered[src[e]].append(e)
+    return ordered
 
 
-def _count_systems(skeleton: SimplicialComplex) -> int:
-    total = 1
-    for v in skeleton.vertices:
-        d = len(skeleton.neighbors(v))
-        for k in range(2, d):
-            total *= k
-    return total
+def _lr_rotation(vertices: tuple[str, ...], neighbors) -> dict[str, list[str]] | None:
+    """The left-right planarity test on one connected graph, with its embedding phase.
+
+    Follows U. Brandes, "The Left-Right Planarity Test" (2009).  An
+    orientation DFS gives heights, lowpoints and nesting depths; a testing
+    DFS merges the return edges below each tree edge into conflict pairs of
+    left and right intervals and fails when two intervals must share a side;
+    the embedding phase resolves each edge's side and places every back edge
+    beside the tree edge it returns through.  All three run on explicit
+    stacks in time linear in the edges.  Returns the cyclic neighbor order at
+    each vertex, or None when the graph is not planar.
+    """
+    index = {v: i for i, v in enumerate(vertices)}
+    adj = [[index[u] for u in neighbors(v)] for v in vertices]
+    n = len(vertices)
+    height = [-1] * n
+    parent_edge = [-1] * n  # the tree edge into each vertex; -1 at the root
+    # Oriented edges by id: tree edges point away from the root, back edges towards it.
+    src: list[int] = []
+    dst: list[int] = []
+    lowpt: list[int] = []
+    lowpt2: list[int] = []
+
+    def orient(v: int, w: int, low: int) -> int:
+        src.append(v)
+        dst.append(w)
+        lowpt.append(low)
+        lowpt2.append(height[v])
+        return len(src) - 1
+
+    def settle(e: int) -> None:
+        # e's lowpoints are final: pass them up to the tree edge above it.
+        p = parent_edge[src[e]]
+        if p < 0:
+            return
+        if lowpt[e] < lowpt[p]:
+            lowpt2[p] = min(lowpt[p], lowpt2[e])
+            lowpt[p] = lowpt[e]
+        elif lowpt[e] > lowpt[p]:
+            lowpt2[p] = min(lowpt2[p], lowpt[e])
+        else:
+            lowpt2[p] = min(lowpt2[p], lowpt2[e])
+
+    # Phase 1: orientation.
+    height[0] = 0
+    stack = [0]
+    nxt = [0] * n
+    while stack:
+        v = stack[-1]
+        if nxt[v] == len(adj[v]):
+            stack.pop()
+            if parent_edge[v] >= 0:
+                settle(parent_edge[v])
+            continue
+        w = adj[v][nxt[v]]
+        nxt[v] += 1
+        if height[w] < 0:
+            parent_edge[w] = orient(v, w, height[v])
+            height[w] = height[v] + 1
+            stack.append(w)
+        elif height[w] < height[v] and src[parent_edge[v]] != w:  # never at the root
+            settle(orient(v, w, height[w]))
+    m = len(src)
+    depth = [2 * lowpt[e] + (lowpt2[e] < height[src[e]]) for e in range(m)]
+    ordered = _by_depth(n, src, depth)
+
+    # Phase 2: testing.  A conflict pair is [L.low, L.high, R.low, R.high]: two
+    # intervals of return edges, each given by its lowest and highest edge and
+    # chained through ref, that must lie on different sides.
+    ref: list[int | None] = [None] * m
+    side = [1] * m
+    lowpt_edge: list[int | None] = [None] * m
+    bottom: list[list | None] = [None] * m  # the top of S when each edge was reached
+    S: list[list] = []
+
+    def conflicting(high: int | None, b: int) -> bool:
+        return high is not None and lowpt[high] > lowpt[b]
+
+    def lowest(P: list) -> int:
+        if P[0] is None and P[1] is None:
+            return lowpt[P[2]]
+        if P[2] is None and P[3] is None:
+            return lowpt[P[0]]
+        return min(lowpt[P[0]], lowpt[P[2]])
+
+    def add_constraints(ei: int, e: int) -> bool:
+        P: list = [None, None, None, None]
+        while True:  # merge the return edges of ei into P.R
+            Q = S.pop()
+            if Q[0] is not None or Q[1] is not None:
+                Q[:] = Q[2:] + Q[:2]
+            if Q[0] is not None or Q[1] is not None:
+                return False
+            if lowpt[Q[2]] > lowpt[e]:
+                if P[2] is None and P[3] is None:
+                    P[3] = Q[3]
+                else:
+                    ref[P[2]] = Q[3]
+                P[2] = Q[2]
+            else:
+                ref[Q[2]] = lowpt_edge[e]
+            if (S[-1] if S else None) is bottom[ei]:
+                break
+        # merge the return edges of earlier siblings that conflict with ei into P.L
+        while S and (conflicting(S[-1][1], ei) or conflicting(S[-1][3], ei)):
+            Q = S.pop()
+            if conflicting(Q[3], ei):
+                Q[:] = Q[2:] + Q[:2]
+            if conflicting(Q[3], ei):
+                return False
+            if P[2] is not None:
+                ref[P[2]] = Q[3]
+            if Q[2] is not None:
+                P[2] = Q[2]
+            if P[0] is None and P[1] is None:
+                P[1] = Q[1]
+            else:
+                ref[P[0]] = Q[1]
+            P[0] = Q[0]
+        if any(x is not None for x in P):
+            S.append(P)
+        return True
+
+    def remove_back_edges(e: int) -> None:
+        u = src[e]
+        while S and lowest(S[-1]) == height[u]:  # pairs returning only to u
+            P = S.pop()
+            if P[0] is not None:
+                side[P[0]] = -1
+        if S:  # trim the back edges ending at u off the next pair
+            P = S[-1]
+            while P[1] is not None and dst[P[1]] == u:
+                P[1] = ref[P[1]]
+            if P[1] is None and P[0] is not None:
+                ref[P[0]] = P[2]
+                side[P[0]] = -1
+                P[0] = None
+            while P[3] is not None and dst[P[3]] == u:
+                P[3] = ref[P[3]]
+            if P[3] is None and P[2] is not None:
+                ref[P[2]] = P[0]
+                side[P[2]] = -1
+                P[2] = None
+        if lowpt[e] < height[u]:  # e takes the side of its highest return edge
+            hl, hr = S[-1][1], S[-1][3]
+            ref[e] = hl if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]) else hr
+
+    nxt = [0] * n
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        if nxt[v] < len(ordered[v]):
+            ei = ordered[v][nxt[v]]
+            bottom[ei] = S[-1] if S else None
+            if parent_edge[dst[ei]] == ei:
+                stack.append(dst[ei])
+                continue
+            lowpt_edge[ei] = ei
+            S.append([None, None, ei, ei])
+        else:
+            stack.pop()
+            ei = parent_edge[v]
+            if ei < 0:
+                continue
+            remove_back_edges(ei)
+            v = src[ei]
+        if lowpt[ei] < height[v]:  # ei has return edges: constrain them at v
+            if ei == ordered[v][0]:
+                lowpt_edge[parent_edge[v]] = lowpt_edge[ei]
+            elif not add_constraints(ei, parent_edge[v]):
+                return None
+        nxt[v] += 1
+
+    # Phase 3: embedding.  Resolve each side along its ref chain, then reorder.
+    for e in range(m):
+        chain = []
+        while ref[e] is not None:
+            chain.append(e)
+            e = ref[e]
+        for f in reversed(chain):
+            side[f] *= side[ref[f]]
+            ref[f] = None
+    ordered = _by_depth(n, src, [side[e] * depth[e] for e in range(m)])
+    # The rotation at w is its parent, then its out-edges in that order; a back
+    # edge returning to w through the child edge c sits beside c, before it
+    # when on the left and after it when on the right, the later found nearer.
+    left: list[list[int]] = [[] for _ in range(m)]
+    right: list[list[int]] = [[] for _ in range(m)]
+    through = [-1] * n  # the child edge of each vertex the DFS is below
+    nxt = [0] * n
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        if nxt[v] == len(ordered[v]):
+            stack.pop()
+            continue
+        ei = ordered[v][nxt[v]]
+        nxt[v] += 1
+        if parent_edge[dst[ei]] == ei:
+            through[v] = ei
+            stack.append(dst[ei])
+        else:
+            (right if side[ei] == 1 else left)[through[dst[ei]]].append(v)
+    rotation = {}
+    for v in range(n):
+        order = [] if parent_edge[v] < 0 else [src[parent_edge[v]]]
+        for e in ordered[v]:
+            order += left[e][::-1] + [dst[e]] + right[e][::-1]
+        rotation[vertices[v]] = [vertices[x] for x in order]
+    return rotation
 
 
-def brute_force_planar(
-    graph: SimplicialComplex, *, max_systems: int = 10 ** 6
-) -> bool:
-    """Exhaustive planarity oracle for 1-complexes at desk scale.
+def planar_rotation(graph: SimplicialComplex) -> RotationSystem | None:
+    """A rotation system embedding the 1-skeleton in the 2-sphere, or None if it is not planar.
 
-    True iff some rotation system of each connected component passes the
-    spherical Euler check.  Graphs over 10 vertices, or whose rotation
-    search space exceeds ``max_systems``, are refused with TooLarge; graphs
-    beyond the planar edge bound are rejected immediately.
+    Runs the left-right test on each connected component after the
+    3V - 6 edge bound.  Face tracing must accept every component's rotation
+    (V - E + F = 2) before it is returned, so a faulty embedding raises
+    NotSpherical and never passes as planar.
     """
     V = len(graph.vertices)
-    if V > 10:
-        raise TooLarge(f"{V} vertices exceeds the oracle bound of 10")
     if V >= 3 and len(graph.edges) > 3 * V - 6:
-        return False
-    for comp in graph.skeleton_components():
-        sub = SimplicialComplex(comp, [e for e in graph.edges if set(e) <= set(comp)])
-        if len(sub.vertices) == 1:
-            continue
-        if _count_systems(sub) > max_systems:
-            raise TooLarge(
-                f"component {comp} has more than {max_systems} rotation systems"
-            )
-        options = [
-            _rotation_options(sub.neighbors(v)) for v in sub.vertices
-        ]
-        found = False
-        for choice in itertools.product(*options):
-            rot = RotationSystem(dict(zip(sub.vertices, choice)))
-            try:
-                faces_from_rotation(sub, rot)
-            except NotSpherical:
-                continue
-            found = True
-            break
-        if not found:
-            return False
-    return True
+        return None
+    components = graph.skeleton_components()
+    rotations: dict[str, list[str]] = {}
+    for comp in components:
+        order = _lr_rotation(comp, graph.neighbors)
+        if order is None:
+            return None
+        rotations.update(order)
+    rot = RotationSystem(rotations)
+    for comp in components:
+        sub = SimplicialComplex(comp, graph.simplices_within(set(comp)))
+        faces_from_rotation(sub, rot.restrict(comp))
+    return rot
+
+
+def brute_force_planar(graph: SimplicialComplex) -> bool:
+    """Planarity of the 1-skeleton by the left-right test (see planar_rotation).
+
+    The name is kept from the exhaustive rotation search this replaced,
+    because existing callers import it.
+    """
+    return planar_rotation(graph) is not None
+
+
+def kuratowski_subgraph(graph: SimplicialComplex) -> SimplicialComplex | None:
+    """A minimal non-planar subgraph of the 1-skeleton, or None when it is planar.
+
+    Each edge in turn is deleted when the graph without it is still
+    non-planar.  Every proper subgraph of what remains is planar, so by
+    Kuratowski's theorem it subdivides K5 or K3,3 (see kuratowski_type).
+    Costs one left-right test per edge.
+    """
+    if planar_rotation(graph) is not None:
+        return None
+    edges = list(graph.edges)
+    kept: list[tuple[str, ...]] = []
+    for i, e in enumerate(edges):
+        if planar_rotation(SimplicialComplex(graph.vertices, kept + edges[i + 1:])) is not None:
+            kept.append(e)
+    vertices = sorted({v for e in kept for v in e})
+    return SimplicialComplex(vertices, [(v,) for v in vertices] + kept)
+
+
+def kuratowski_type(graph: SimplicialComplex) -> str | None:
+    """Which of K5 and K3,3 the graph subdivides, isolated vertices aside; None if neither.
+
+    Smoothing replaces each path through degree-2 vertices by one edge
+    between its end vertices; the smoothed graph must be simple and equal
+    to K5 or K3,3.
+    """
+    degree = {v: len(graph.neighbors(v)) for v in graph.vertices if graph.neighbors(v)}
+    branch = [v for v, d in degree.items() if d != 2]
+    smoothed = set()
+    walked = 0
+    for b in branch:
+        for step in graph.neighbors(b):
+            prev, cur = b, step
+            walked += 1
+            while degree[cur] == 2:
+                prev, cur = cur, next(x for x in graph.neighbors(cur) if x != prev)
+                walked += 1
+            if cur == b:
+                return None
+            smoothed.add(frozenset((b, cur)))
+    # Each path is walked once from each end: no parallel paths, and no cycle
+    # of degree-2 vertices left untouched.
+    if 2 * len(smoothed) != sum(degree[b] for b in branch) or walked != 2 * len(graph.edges):
+        return None
+    if len(branch) == 5 and len(smoothed) == 10:
+        return "K5"
+    if len(branch) == 6 and len(smoothed) == 9 and all(degree[b] == 3 for b in branch):
+        near = {v for e in smoothed if branch[0] in e for v in e} - {branch[0]}
+        if all(len(e & near) == 1 for e in smoothed):
+            return "K3,3"
+    return None

@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coxeter_l2
 from coxeter_l2.cli import main
 from coxeter_l2.catalog import (
     complete_bipartite_spec,
     complete_graph_spec,
     cycle_spec,
+    icosahedron_spec,
     octahedron_spec,
 )
 
@@ -188,6 +194,28 @@ def test_planar_oracle(docs, capsys):
     assert "planar: false" in out
     code, out, _ = run(capsys, ["planar-oracle", docs["hexagon.json"]])
     assert "planar: true" in out
+
+
+def test_planar_oracle_beyond_ten_vertices(capsys, tmp_path):
+    doc = tmp_path / "icosahedron.json"
+    doc.write_text(json.dumps(icosahedron_spec().to_document()))
+    code, out, err = run(capsys, ["planar-oracle", str(doc)])
+    assert (code, out, err) == (0, "planar: true\n", "")
+
+
+def test_planar_oracle_does_not_import_networkx():
+    k33 = Path(__file__).resolve().parent.parent / "demos" / "data" / "k33.json"
+    script = (
+        "import sys\n"
+        "from coxeter_l2 import cli\n"
+        f"code = cli.main(['planar-oracle', {str(k33)!r}])\n"
+        "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(coxeter_l2.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "planar: false\n"
 
 
 def test_output_reproducible(docs, capsys):

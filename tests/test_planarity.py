@@ -1,10 +1,11 @@
 import itertools
 import random
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
 
-from coxeter_l2.model import CoxeterSpec
+from coxeter_l2.model import CoxeterSpec, parse_spec
 from coxeter_l2.catalog import (
     complete_bipartite_spec,
     complete_graph_spec,
@@ -14,6 +15,7 @@ from coxeter_l2.catalog import (
 )
 from coxeter_l2.nerve import (
     SimplicialComplex,
+    join_spec,
     SphereKind,
     build_nerve,
     full_subcomplex,
@@ -28,16 +30,20 @@ from coxeter_l2.planarity import (
     NonSimpleFaceBoundary,
     NotSpherical,
     RotationSystem,
-    TooLarge,
     brute_force_planar,
     certify_nonplanar,
     cone_construction,
     faces_from_rotation,
+    kuratowski_subgraph,
+    kuratowski_type,
+    planar_rotation,
     trace_vanishing,
     validate_embedding,
 )
 
 from conftest import random_planar_spec
+
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 K4_ROT = {
     "v0": ["v1", "v3", "v2"],
@@ -156,9 +162,76 @@ def test_brute_force_edge_bound_shortcut():
     assert not brute_force_planar(skeleton_of(complete_graph_spec(6, 3)))
 
 
-def test_brute_force_too_large():
-    with pytest.raises(TooLarge):
-        brute_force_planar(skeleton_of(complete_graph_spec(11, 3)))
+def test_oracle_rejects_k11():
+    assert not brute_force_planar(skeleton_of(complete_graph_spec(11, 3)))
+
+
+def test_oracle_embeds_suspension_of_c400():
+    suspension = join_spec(cycle_spec(400, 2, prefix="c"), CoxeterSpec(["n", "s"], {}))
+    skel = skeleton_of(suspension)
+    assert len(skel.vertices) == 402
+    assert brute_force_planar(skel)
+    ((_, faceset),) = validate_embedding(skel, planar_rotation(skel))
+    assert len(faceset) == 800  # F = 2 - V + E = 2 - 402 + 1200
+
+
+def subdivide(spec, edges, chords=()):
+    """The skeleton of spec with the given edges subdivided, plus chords between new vertices."""
+    pairs = [(u, v) for u, v, _ in spec.finite_edges()]
+    vertices = list(spec.vertices)
+    for i, (u, v) in enumerate(edges):
+        vertices.append(f"s{i}")
+        pairs.remove((u, v))
+        pairs += [(u, f"s{i}"), (f"s{i}", v)]
+    pairs += [(f"s{i}", f"s{j}") for i, j in chords]
+    return SimplicialComplex(vertices, [(v,) for v in vertices] + pairs)
+
+
+def assert_minimal_nonplanar(graph, sub):
+    assert set(sub.edges) <= set(graph.edges)
+    assert not brute_force_planar(sub)
+    for e in sub.edges:
+        rest = [s for s in sub.simplices() if s != e]
+        assert brute_force_planar(SimplicialComplex(sub.vertices, rest))
+
+
+def test_kuratowski_witness_on_paper_examples():
+    for name, kind in (("k5.json", "K5"), ("k33.json", "K3,3")):
+        spec = parse_spec((DATA / name).read_text())
+        skel = skeleton_of(spec)
+        sub = kuratowski_subgraph(skel)
+        assert sub == skel and kuratowski_type(sub) == kind
+    assert kuratowski_subgraph(skeleton_of(octahedron_spec())) is None
+
+
+def test_kuratowski_witness_on_subdivisions_with_chords():
+    k5, k33 = complete_graph_spec(5, 3), complete_bipartite_spec(3, 3)
+    cases = [
+        (subdivide(k5, [("v0", "v1"), ("v2", "v3")]), "K5"),
+        (subdivide(k33, [("a0", "b0"), ("a1", "b1"), ("a2", "b2")]), "K3,3"),
+        (subdivide(k5, [("v0", "v1"), ("v2", "v3"), ("v1", "v4")], [(0, 1), (1, 2)]), None),
+        (subdivide(k33, [("a0", "b0"), ("a1", "b1"), ("a0", "b2")], [(0, 1), (0, 2)]), None),
+    ]
+    for graph, kind in cases:
+        if kind is not None:
+            assert kuratowski_type(graph) == kind
+        sub = kuratowski_subgraph(graph)
+        assert_minimal_nonplanar(graph, sub)
+        assert kuratowski_type(sub) in ("K5", "K3,3")
+
+
+def test_kuratowski_type_rejects_other_graphs():
+    for spec in (complete_graph_spec(4, 3), complete_graph_spec(6, 3), cycle_spec(5, 2),
+                 octahedron_spec(), complete_bipartite_spec(3, 4)):
+        assert kuratowski_type(skeleton_of(spec)) is None
+    # two K3,3 subdivisions glued at a vertex are not one subdivision
+    k33 = complete_bipartite_spec(3, 3)
+    twice = CoxeterSpec(
+        k33.vertices + ("w1", "w2", "w3", "w4", "w5"),
+        {**{(u, v): 2 for u, v, _ in k33.finite_edges()},
+         **{(u, v): 2 for u in ("a0", "w1", "w2") for v in ("w3", "w4", "w5")}},
+    )
+    assert kuratowski_type(skeleton_of(twice)) is None
 
 
 def test_cone_hexagon_is_bipyramid():
@@ -207,8 +280,7 @@ def test_cone_leaves_filled_triangles_alone():
 
 def test_cone_already_sphere_adds_nothing():
     nerve = build_nerve(octahedron_spec())
-    rot = _find_planar_rotation(nerve)
-    sphere, _ = cone_construction(nerve, rot)
+    sphere, _ = cone_construction(nerve, planar_rotation(nerve))
     assert sphere == nerve  # every region is already a 2-simplex
 
 
@@ -357,11 +429,7 @@ def test_link_fullness_on_cone_outputs():
             continue
         skel = skeleton_of(spec)
         try:
-            rot = _find_planar_rotation(skel)
-        except LookupError:
-            continue
-        try:
-            sphere, witness = cone_construction(nerve, rot)
+            sphere, witness = cone_construction(nerve, planar_rotation(skel))
         except (NotSpherical, NonSimpleFaceBoundary):
             continue
         checked += 1
@@ -373,24 +441,6 @@ def test_link_fullness_on_cone_outputs():
         for v in mid:
             assert is_full_subcomplex(sphere, link(b_nerve, v))
     assert checked >= 10
-
-
-def _find_planar_rotation(skel):
-    options = []
-    for v in skel.vertices:
-        ns = skel.neighbors(v)
-        if not ns:
-            options.append([()])
-        else:
-            options.append([(ns[0], *p) for p in itertools.permutations(ns[1:])])
-    for choice in itertools.product(*options):
-        rot = RotationSystem(dict(zip(skel.vertices, choice)))
-        try:
-            faces_from_rotation(skel, rot)
-            return rot
-        except NotSpherical:
-            continue
-    raise LookupError("no spherical rotation found")
 
 
 def test_contrapositive_soundness_sample():

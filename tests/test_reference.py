@@ -1,15 +1,19 @@
-"""The indexed core against the direct constructions it replaces.
+"""Fast paths against the direct constructions they replace.
 
 Each test keeps the old, slower path as a reference: rebuilding a nerve
 from the induced subsystem, pairwise-label component finding, straddling
-pairs by enumerating every vertex pair, and the per-simplex Euler sum.
+pairs by enumerating every vertex pair, the per-simplex Euler sum, the
+exhaustive rotation-system search for planarity, and face tracing that
+restarts from the least unused directed edge.
 """
 
 import gc
+import random
 import weakref
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxeter_l2.catalog import complete_graph_spec, cycle_spec, icosahedron_spec, octahedron_spec
@@ -23,8 +27,18 @@ from coxeter_l2.nerve import (
     infinite_pairs_outside,
     join_spec,
     link,
+    SimplicialComplex,
 )
-from coxeter_l2.planarity import trace_vanishing
+from coxeter_l2.planarity import (
+    FaceSet,
+    NotSpherical,
+    RotationSystem,
+    brute_force_planar,
+    faces_from_rotation,
+    planar_rotation,
+    trace_vanishing,
+    validate_embedding,
+)
 from coxeter_l2.spherical import classify, diagram_components
 
 LABELS = st.sampled_from([2, 3, 4, 5, 6, INFINITY])
@@ -154,3 +168,175 @@ def test_classified_spec_is_not_kept_alive():
     del spec
     gc.collect()
     assert ref() is None
+
+
+def _exhaustive_planar(graph) -> bool:
+    """Planarity by trying every rotation system: one per component must have V - E + F = 2."""
+    V = len(graph.vertices)
+    if V >= 3 and len(graph.edges) > 3 * V - 6:
+        return False
+    for comp in graph.skeleton_components():
+        E = sum(len(graph.neighbors(v)) for v in comp) // 2
+        options = [
+            [(ns[0], *rest) for rest in permutations(ns[1:])] if ns else [()]
+            for ns in map(graph.neighbors, comp)
+        ]
+        if not any(_face_count(comp, choice) == 2 - len(comp) + E for choice in product(*options)):
+            return False
+    return True
+
+
+def _face_count(vertices, rotations) -> int:
+    follow = {}
+    for v, order in zip(vertices, rotations):
+        for i, u in enumerate(order):
+            follow[(v, u)] = order[(i + 1) % len(order)]
+    seen = set()
+    faces = 1 if not follow else 0  # a lone vertex bounds one region
+    for dart in follow:
+        if dart in seen:
+            continue
+        faces += 1
+        u, v = dart
+        while (u, v) not in seen:
+            seen.add((u, v))
+            u, v = v, follow[(v, u)]
+    return faces
+
+
+def _systems(edges) -> int:
+    degree = {}
+    for e in edges:
+        for v in e:
+            degree[v] = degree.get(v, 0) + 1
+    total = 1
+    for d in degree.values():
+        for k in range(2, d):
+            total *= k
+    return total
+
+
+SEARCH_LIMIT = 8000  # rotation systems the exhaustive reference may try per graph
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on at most 8 vertices, each small enough for the exhaustive search.
+
+    A base shape (random, tree, two disjoint pieces, two pieces sharing a cut
+    vertex, or a subdivided K5 or K3,3) gets extra edges, each kept only
+    while the rotation search space stays within SEARCH_LIMIT.
+    """
+    kind = draw(st.sampled_from(["random", "tree", "disjoint", "cut", "K5", "K3,3"]))
+    n = draw(st.integers(0 if kind == "random" else 2, 8))
+    vertices = [f"v{i}" for i in range(n)]
+    base = []
+    if kind == "tree":
+        base = [(f"v{draw(st.integers(0, i - 1))}", f"v{i}") for i in range(1, n)]
+    elif kind in ("disjoint", "cut"):
+        k = draw(st.integers(1, n - 1))
+        glue = 1 if kind == "cut" else 0
+        pieces = [vertices[: k + glue], vertices[k:]]
+        pairs = [p for piece in pieces for p in combinations(piece, 2)]
+        base = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    elif kind in ("K5", "K3,3"):
+        branch = 5 if kind == "K5" else 6
+        n = max(n, branch)
+        vertices = [f"v{i}" for i in range(n)]
+        if kind == "K5":
+            base = list(combinations(vertices[:5], 2))
+        else:
+            base = [(u, v) for u in vertices[:3] for v in vertices[3:6]]
+        for w in vertices[branch : draw(st.integers(branch, n))]:  # subdivide edges
+            u, v = base.pop(draw(st.integers(0, len(base) - 1)))
+            base += [(u, w), (w, v)]
+    edges = []
+    for e in base:
+        if _systems(edges + [e]) <= SEARCH_LIMIT or kind in ("K5", "K3,3"):
+            edges.append(e)
+    all_pairs = list(combinations(vertices, 2))
+    extra = draw(st.lists(st.sampled_from(all_pairs), max_size=6)) if all_pairs else []
+    for e in extra:
+        if e not in edges and (e[1], e[0]) not in edges and _systems(edges + [e]) <= SEARCH_LIMIT:
+            edges.append(e)
+    return SimplicialComplex(vertices, [(v,) for v in vertices] + edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_lr_oracle_equals_exhaustive_search(graph):
+    assert brute_force_planar(graph) == _exhaustive_planar(graph)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_planar_rotation_passes_validate_embedding(graph):
+    rot = planar_rotation(graph)
+    if rot is not None:
+        out = validate_embedding(graph, rot)
+        assert sorted(v for comp, _ in out for v in comp) == sorted(graph.vertices)
+
+
+def _planar_graph(rng: random.Random, n: int, keep: float):
+    """A random stacked triangulation on n >= 3 vertices with each edge kept at rate keep."""
+    faces = [(0, 1, 2), (0, 2, 1)]
+    edges = {(0, 1), (1, 2), (0, 2)}
+    for w in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        faces += [(a, b, w), (b, c, w), (c, a, w)]
+        edges |= {(a, w), (b, w), (c, w)}
+    return [e for e in sorted(edges) if rng.random() < keep]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 200), st.floats(0.6, 1.0), st.booleans(), st.integers(0, 2 ** 32))
+def test_lr_oracle_agrees_with_networkx(n, keep, extra, seed):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    pairs = _planar_graph(rng, n, keep)
+    if extra:
+        u, v = rng.sample(range(n), 2)
+        pairs.append((min(u, v), max(u, v)))
+    vertices = [f"x{i}" for i in range(n)]
+    graph = SimplicialComplex(vertices, [(f"x{u}", f"x{v}") for u, v in set(pairs)])
+    rot = planar_rotation(graph)
+    assert (rot is not None) == nx.check_planarity(nx.Graph(pairs))[0]
+    if rot is not None:
+        validate_embedding(graph, rot)
+
+
+def _reference_faces(skeleton, rot):
+    """Face walks restarted from min(remaining), each rotated to its least edge by trying all rotations."""
+    remaining = {(a, b) for a, b in skeleton.edges} | {(b, a) for a, b in skeleton.edges}
+    faces = []
+    while remaining:
+        start = min(remaining)
+        walk = []
+        cur = start
+        while True:
+            walk.append(cur)
+            remaining.discard(cur)
+            u, v = cur
+            cur = (v, rot.next_after(v, u))
+            if cur == start:
+                break
+        faces.append(min(tuple(walk[i:] + walk[:i]) for i in range(len(walk))))
+    return sorted(faces)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.randoms(use_true_random=False), st.booleans())
+def test_face_tracing_equals_restarting_reference(graph, rnd, embedded):
+    comp = max(graph.skeleton_components(), key=len, default=())
+    if len(comp) < 2:
+        return
+    sub = SimplicialComplex(comp, graph.simplices_within(set(comp)))
+    rot = planar_rotation(sub) if embedded else None
+    if rot is None:
+        rot = RotationSystem({v: rnd.sample(sub.neighbors(v), len(sub.neighbors(v))) for v in comp})
+    faces = _reference_faces(sub, rot)
+    if len(sub.vertices) - len(sub.edges) + len(faces) == 2:
+        assert faces_from_rotation(sub, rot) == FaceSet(tuple(faces))
+    else:
+        with pytest.raises(NotSpherical):
+            faces_from_rotation(sub, rot)
