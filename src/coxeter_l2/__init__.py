@@ -49,6 +49,10 @@ from coxeter_l2.nerve import (
     cone2,
     recognize_sphere,
     detect_join2,
+    RotationSystem,
+    FaceSet,
+    NotSpherical,
+    faces_from_rotation,
 )
 from coxeter_l2.invariants import (
     UNKNOWN,
@@ -57,25 +61,17 @@ from coxeter_l2.invariants import (
     InvalidWitness,
     ContradictoryRules,
     UnknownEntries,
-    FiniteGroup,
-    DimensionTooHigh,
-    Beta2Bound,
     chi_orb,
     chi_orb_chain_sum,
     betti,
     atiyah_check,
-    betti_lower_bound_dim2,
 )
 from coxeter_l2.planarity import (
-    RotationSystem,
-    FaceSet,
     Certificate,
     ProofTrace,
     TraceStep,
-    NotSpherical,
     NonSimpleFaceBoundary,
     HypothesisViolated,
-    faces_from_rotation,
     cone_construction,
     certify_nonplanar,
     trace_vanishing,
@@ -126,29 +122,25 @@ __all__ = [
     "cone2",
     "recognize_sphere",
     "detect_join2",
+    "RotationSystem",
+    "FaceSet",
+    "NotSpherical",
+    "faces_from_rotation",
     "UNKNOWN",
     "BettiVector",
     "RuleContext",
     "InvalidWitness",
     "ContradictoryRules",
     "UnknownEntries",
-    "FiniteGroup",
-    "DimensionTooHigh",
-    "Beta2Bound",
     "chi_orb",
     "chi_orb_chain_sum",
     "betti",
     "atiyah_check",
-    "betti_lower_bound_dim2",
-    "RotationSystem",
-    "FaceSet",
     "Certificate",
     "ProofTrace",
     "TraceStep",
-    "NotSpherical",
     "NonSimpleFaceBoundary",
     "HypothesisViolated",
-    "faces_from_rotation",
     "cone_construction",
     "certify_nonplanar",
     "trace_vanishing",

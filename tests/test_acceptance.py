@@ -25,6 +25,7 @@ from coxeter_l2.nerve import (
     SphereKind,
     build_nerve,
     cone2,
+    is_full_subcomplex,
     join2,
     recognize_sphere,
 )
@@ -216,13 +217,13 @@ def test_criterion_8_cone_and_trace():
     for nerve, rot in ((hexn, hex_rot), (k4, K4_ROTATION)):
         sphere, witness = cone_construction(nerve, rot)
         assert recognize_sphere(sphere) is SphereKind.TWO_SPHERE
-        assert witness.full and witness.right_angled_complement
+        assert is_full_subcomplex(sphere, nerve) and witness.right_angled_complement
         assert chi_orb(sphere) == 0
         cones = set(sphere.vertices) - set(nerve.vertices)
         trace = trace_vanishing(sphere, nerve.vertices)
         assert len(trace.steps) == len(cones)
         assert {s.removed for s in trace.steps} == cones
-        assert all(s.link_full for s in trace.steps)
+        assert all(step["link_full"] is True for step in trace.to_document()["steps"])
     print("\nPASS criterion 8: cone construction and vanishing traces on hexagon@2, K4@3")
 
 

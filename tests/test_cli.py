@@ -163,6 +163,7 @@ def test_cone_hexagon(docs, capsys):
     )
     assert code == 0
     assert "TwoSphere" in out
+    assert "full: True" in out
     assert "right_angled_complement: True" in out
 
 
@@ -172,7 +173,8 @@ def test_trace(docs, capsys):
     )
     assert code == 0
     assert "steps: 2" in out
-    assert "remove z0" in out and "remove z1" in out
+    assert "remove z0: link {x0,x1,y0,y1} full=True" in out
+    assert "remove z1: link {x0,x1,y0,y1} full=True" in out
 
 
 def test_enumerate(docs, capsys):

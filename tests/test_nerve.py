@@ -90,7 +90,7 @@ def test_induced_equals_full_subcomplex():
         subset = [v for v in spec.vertices if rng.random() < 0.5]
         sub, witness = full_subcomplex(nerve, subset)
         assert sub == build_nerve(induced_subspec(spec, subset))
-        assert witness.full
+        assert witness.vertex_set == tuple(subset)
         assert is_full_subcomplex(nerve, sub)
 
 
@@ -99,21 +99,21 @@ def test_full_subcomplex_of_cone_recovers_base():
     coned = cone2(k5)
     sub, witness = full_subcomplex(coned, k5.vertices)
     assert sub == k5
-    assert witness.full and witness.right_angled_complement
+    assert is_full_subcomplex(coned, sub) and witness.right_angled_complement
 
 
 def test_full_subcomplex_whole_vertex_set():
     nerve = build_nerve(complete_graph_spec(4, 3))
     sub, witness = full_subcomplex(nerve, nerve.vertices)
     assert sub == nerve
-    assert witness.full and witness.right_angled_complement  # vacuous
+    assert is_full_subcomplex(nerve, sub) and witness.right_angled_complement  # vacuous
 
 
 def test_full_subcomplex_side_of_k33():
     nerve = build_nerve(complete_bipartite_spec(3, 3))
     side, witness = full_subcomplex(nerve, ["a0", "a1", "a2"])
     assert side.counts() == (3,)  # three disjoint points
-    assert witness.full
+    assert is_full_subcomplex(nerve, side)
     # the infinite pairs within the other side straddle: flagged, permitted
     assert witness.right_angled_complement
     assert witness.notes

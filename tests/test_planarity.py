@@ -14,31 +14,31 @@ from coxeter_l2.catalog import (
     points_spec,
 )
 from coxeter_l2.nerve import (
+    NotSpherical,
+    RotationSystem,
     SimplicialComplex,
     join_spec,
     SphereKind,
     build_nerve,
+    faces_from_rotation,
     full_subcomplex,
     is_full_subcomplex,
     link,
     recognize_sphere,
+    validate_embedding,
 )
 from coxeter_l2.invariants import chi_orb
 from coxeter_l2.planarity import (
     Certificate,
     HypothesisViolated,
     NonSimpleFaceBoundary,
-    NotSpherical,
-    RotationSystem,
     brute_force_planar,
     certify_nonplanar,
     cone_construction,
-    faces_from_rotation,
     kuratowski_subgraph,
     kuratowski_type,
     planar_rotation,
     trace_vanishing,
-    validate_embedding,
 )
 
 from conftest import random_planar_spec
@@ -239,7 +239,7 @@ def test_cone_hexagon_is_bipyramid():
     sphere, witness = cone_construction(nerve, cycle_rotation(nerve))
     assert sphere.counts() == (8, 18, 12)
     assert recognize_sphere(sphere) is SphereKind.TWO_SPHERE
-    assert witness.full and witness.right_angled_complement
+    assert is_full_subcomplex(sphere, nerve) and witness.right_angled_complement
     assert chi_orb(sphere) == 0
     added = set(sphere.vertices) - set(nerve.vertices)
     assert len(added) == 2
@@ -252,7 +252,7 @@ def test_cone_k4_at_3_is_octahedral():
     # 8 - 18 + 12 = 2
     assert sphere.counts() == (8, 18, 12)
     assert recognize_sphere(sphere) is SphereKind.TWO_SPHERE
-    assert witness.full and witness.right_angled_complement
+    assert is_full_subcomplex(sphere, nerve) and witness.right_angled_complement
     assert chi_orb(sphere) == 0
 
 
@@ -275,7 +275,7 @@ def test_cone_leaves_filled_triangles_alone():
     assert len(set(sphere.vertices) - set(nerve.vertices)) == 1
     assert sphere.counts() == (7, 15, 10)
     assert recognize_sphere(sphere) is SphereKind.TWO_SPHERE
-    assert witness.full and witness.right_angled_complement
+    assert is_full_subcomplex(sphere, nerve) and witness.right_angled_complement
 
 
 def test_cone_already_sphere_adds_nothing():
@@ -385,7 +385,7 @@ def test_trace_octahedron_poles():
     nerve = build_nerve(octahedron_spec())
     trace = trace_vanishing(nerve, ["x0", "x1", "y0", "y1"])
     assert [s.removed for s in trace.steps] == ["z0", "z1"]
-    assert all(s.link_full for s in trace.steps)
+    assert all(step["link_full"] is True for step in trace.to_document()["steps"])
     assert "i > 1" in trace.conclusion
 
 
@@ -401,7 +401,7 @@ def test_trace_coned_k4():
     sphere, _ = cone_construction(nerve, K4_ROT)
     trace = trace_vanishing(sphere, nerve.vertices)
     assert len(trace.steps) == 4  # one per cone vertex
-    assert all(s.link_full for s in trace.steps)
+    assert all(step["link_full"] is True for step in trace.to_document()["steps"])
     removed = {s.removed for s in trace.steps}
     assert removed == set(sphere.vertices) - set(nerve.vertices)
 

@@ -3,41 +3,62 @@
 Each test keeps the old, slower path as a reference: rebuilding a nerve
 from the induced subsystem, pairwise-label component finding, straddling
 pairs by enumerating every vertex pair, the per-simplex Euler sum, the
-exhaustive rotation-system search for planarity, and face tracing that
-restarts from the least unused directed edge.
+exhaustive rotation-system search for planarity, face tracing that
+restarts from the least unused directed edge, and the non-planarity
+certificate derived through a separate dimension-2 lower bound whose
+provenance text is parsed.
 """
 
 import gc
 import random
 import weakref
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxeter_l2.catalog import complete_graph_spec, cycle_spec, icosahedron_spec, octahedron_spec
-from coxeter_l2.invariants import chi_orb, chi_orb_chain_sum
+from coxeter_l2 import invariants, nerve as nerve_module, planarity
+from coxeter_l2.catalog import (
+    complete_bipartite_spec,
+    complete_graph_spec,
+    cycle_spec,
+    icosahedron_spec,
+    octahedron_spec,
+)
+from coxeter_l2.invariants import (
+    UNKNOWN,
+    BettiVector,
+    _rational,
+    betti,
+    chi_orb,
+    chi_orb_chain_sum,
+)
 from coxeter_l2.model import INFINITY, CoxeterSpec, components, induced_subspec
 from coxeter_l2.nerve import (
+    FaceSet,
+    NotSpherical,
+    RotationSystem,
     build_nerve,
     detect_join2,
+    faces_from_rotation,
     full_subcomplex,
     induced_nerve,
     infinite_pairs_outside,
     join_spec,
     link,
     SimplicialComplex,
+    validate_embedding,
 )
 from coxeter_l2.planarity import (
-    FaceSet,
-    NotSpherical,
-    RotationSystem,
+    Certificate,
+    CitedStep,
     brute_force_planar,
-    faces_from_rotation,
+    certify_nonplanar,
     planar_rotation,
     trace_vanishing,
-    validate_embedding,
 )
 from coxeter_l2.spherical import classify, diagram_components
 
@@ -340,3 +361,170 @@ def test_face_tracing_equals_restarting_reference(graph, rnd, embedded):
     else:
         with pytest.raises(NotSpherical):
             faces_from_rotation(sub, rot)
+
+
+class FiniteGroup(ValueError):
+    pass
+
+
+class DimensionTooHigh(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class Beta2Bound:
+    value: Fraction
+    provenance: str
+    vector: BettiVector
+
+
+def betti_lower_bound_dim2(nerve) -> Beta2Bound:
+    """Certified lower bound for the dimension-2 entry, for nerves of dim <= 2.
+
+    With W infinite and no chains above dimension 3, the alternating-sum
+    identity gives chi_orb <= beta_2; an exact entry from the rule engine
+    can only improve the bound.
+    """
+    if nerve.dimension > 2:
+        raise DimensionTooHigh(f"nerve dimension {nerve.dimension} > 2")
+    if classify(nerve.spec, nerve.vertices).spherical:
+        raise FiniteGroup("the full vertex set is spherical, so W is finite")
+    chi = chi_orb(nerve)
+    vector = betti(nerve)
+    value = Fraction(0)
+    provenance = "trivial: entries are nonnegative"
+    if chi > value:
+        value = chi
+        provenance = f"alternating-sum bound: chi_orb = {chi} <= beta_2"
+    exact = vector.get(2)
+    if exact is not UNKNOWN and exact >= value:
+        value = exact
+        provenance = f"exact entry: {vector.provenance_for(2)}"
+    return Beta2Bound(value, provenance, vector)
+
+
+def reference_certify(nerve) -> Certificate:
+    """The certificate derived through the bound, choosing its step from the provenance text."""
+    spec = nerve.spec
+    if nerve.dimension > 2:
+        return Certificate("Inconclusive", spec, Fraction(0), (), reason="DimensionTooHigh")
+    if classify(spec, spec.vertices).spherical:
+        return Certificate("Inconclusive", spec, Fraction(0), (), reason="FiniteGroup")
+    components = nerve.skeleton_components()
+    if len(components) > 1:
+        notes = [
+            f"subject has {len(components)} components; certified per component, "
+            "a non-planar component makes the whole non-planar"
+        ]
+        for comp in components:
+            sub_cert = reference_certify(build_nerve(induced_subspec(spec, comp)))
+            if sub_cert.verdict == "NotPlanar":
+                notes.append(f"witnessing component: {{{','.join(comp)}}}")
+                return Certificate(
+                    "NotPlanar", spec, sub_cert.bound, sub_cert.chain, notes=tuple(notes)
+                )
+            notes.append(
+                f"component {{{','.join(comp)}}}: {sub_cert.reason or 'ObstructionSilent'}"
+            )
+        return Certificate(
+            "Inconclusive", spec, Fraction(0), (), reason="ObstructionSilent", notes=tuple(notes)
+        )
+    chi = chi_orb(nerve)
+    chain = [
+        CitedStep("chi-orb", f"nerve on {len(nerve.vertices)} vertices", {"chi_orb": _rational(chi)}),
+        CitedStep("R-b0", "W infinite", {"beta_0": "0/1"}),
+    ]
+    bound = betti_lower_bound_dim2(nerve)
+    value = _rational(bound.value)
+    if bound.provenance.startswith("exact entry") and "R-join" in bound.provenance:
+        factors = bound.vector.provenance_for(2).removeprefix("R-join: ")
+        chain.append(CitedStep("R-join", factors, {"beta_2": value}))
+    else:
+        chain.append(
+            CitedStep(
+                "atiyah-bound",
+                "alternating Betti sum equals chi_orb; dimension <= 2",
+                {"beta_2_lower_bound": value},
+            )
+        )
+    if bound.value > 0:
+        chain.append(
+            CitedStep(
+                "planar-vanishing",
+                "a complex of dimension <= 2 embeddable in the 2-sphere has beta_2 = 0",
+                {"contradiction": f"beta_2 >= {value} > 0"},
+            )
+        )
+        return Certificate("NotPlanar", spec, bound.value, tuple(chain))
+    return Certificate("Inconclusive", spec, Fraction(0), tuple(chain), reason="ObstructionSilent")
+
+
+def disjoint_union(a: CoxeterSpec, b: CoxeterSpec) -> CoxeterSpec:
+    """Two systems side by side with every cross pair infinite; b's vertices gain a w prefix."""
+    rename = {v: f"w{v}" for v in b.vertices}
+    labels = {(u, v): m for u, v, m in a.finite_edges()}
+    labels.update({(rename[u], rename[v]): m for u, v, m in b.finite_edges()})
+    return CoxeterSpec(list(a.vertices) + list(rename.values()), labels)
+
+
+PLANTED = st.sampled_from([complete_graph_spec(5, 3), complete_bipartite_spec(3, 3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        specs(max_vertices=7),
+        st.builds(disjoint_union, specs(max_vertices=4), specs(max_vertices=4)),
+        st.builds(join_spec, specs(max_vertices=3), specs(max_vertices=3)),
+        PLANTED,
+        st.builds(disjoint_union, specs(max_vertices=3), PLANTED),
+        st.builds(join_spec, PLANTED, specs(max_vertices=1)),
+    )
+)
+def test_certificate_equals_bound_derivation(spec):
+    expected = reference_certify(build_nerve(spec)).to_document()
+    assert certify_nonplanar(spec).to_document() == expected
+
+
+def test_beta2_bound_k5():
+    bound = betti_lower_bound_dim2(build_nerve(complete_graph_spec(5, 3)))
+    assert bound.value == Fraction(1, 6)
+    assert "chi_orb" in bound.provenance
+
+
+def test_beta2_bound_k33_prefers_join():
+    bound = betti_lower_bound_dim2(build_nerve(complete_bipartite_spec(3, 3)))
+    assert bound.value == Fraction(1, 4)
+    assert "R-join" in bound.provenance
+
+
+def test_beta2_bound_hexagon_trivial():
+    bound = betti_lower_bound_dim2(build_nerve(cycle_spec(6, 2)))
+    assert bound.value == 0
+
+
+def test_beta2_bound_errors():
+    with pytest.raises(FiniteGroup):
+        betti_lower_bound_dim2(build_nerve(complete_graph_spec(3, 2)))
+    deep = build_nerve(complete_graph_spec(4, 2))  # a 3-simplex
+    with pytest.raises(DimensionTooHigh):
+        betti_lower_bound_dim2(deep)
+
+
+def test_certify_k5_computes_chi_and_full_classification_once(monkeypatch):
+    spec = complete_graph_spec(5, 3)
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            if name == "chi_orb" or set(args[1]) == set(spec.vertices):
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (nerve_module, invariants, planarity):
+        for name in ("chi_orb", "classify"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    assert certify_nonplanar(spec).verdict == "NotPlanar"
+    assert calls == {"chi_orb": 1, "classify": 1}
