@@ -56,7 +56,7 @@ class CoxeterSpec:
     subsets, components and serialization.
     """
 
-    __slots__ = ("vertices", "_labels", "_vertex_set", "_commuting", "_hash", "__weakref__")
+    __slots__ = ("vertices", "_labels", "_vertex_set", "_commuting", "_hash", "_nerve", "__weakref__")
 
     def __init__(self, vertices: Iterable[str], labels: Mapping[tuple[str, str], int] | None = None):
         vertices = tuple(vertices)
@@ -90,6 +90,7 @@ class CoxeterSpec:
                 self._commuting[u].add(v)
                 self._commuting[v].add(u)
         self._hash = hash((vertices, tuple(self._labels.items())))
+        self._nerve = None  # a weak reference to the nerve built last, set by build_nerve
 
     def label(self, u: str, v: str) -> Label:
         if u not in self._vertex_set or v not in self._vertex_set:

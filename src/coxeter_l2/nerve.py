@@ -17,11 +17,12 @@ from __future__ import annotations
 import bisect
 import enum
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from coxeter_l2.model import INFINITY, CoxeterSpec, VertexSubset, components
-from coxeter_l2.spherical import classify, diagram_components
+from coxeter_l2.spherical import _match_component, diagram_components
 
 Simplex = tuple[str, ...]
 
@@ -338,10 +339,20 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
     """Enumerate all nonempty spherical subsets by incremental clique extension.
 
     Extension happens over the finite-label graph only, growing each
-    spherical set by vertices above its maximum; since subsets of spherical
-    sets are spherical, this pruning is exhaustive.  Raises CapExceeded
-    past ``simplex_cap`` simplices.
+    spherical set s by a common finite neighbor w above its maximum; since
+    subsets of spherical sets are spherical, this pruning is exhaustive.
+    Each frontier set carries its diagram components with their orders, so
+    s + w is classified by matching one component: w merged with the
+    components of s it does not commute with (w alone doubles the order).
+    Raises CapExceeded past ``simplex_cap`` simplices.
+
+    The spec keeps a weak reference to the nerve built last, so while a
+    caller holds that nerve, building it again (as certify_nonplanar does)
+    returns it instead, unless it has more than ``simplex_cap`` simplices.
     """
+    held = spec._nerve and spec._nerve()
+    if held is not None and len(held._simplex_set) <= simplex_cap:
+        return held
     simplices: list[Simplex] = []
     orders: dict[Simplex, int] = {}
     finite_adj: dict[str, set[str]] = {v: set() for v in spec.vertices}
@@ -355,26 +366,39 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
         if len(simplices) > simplex_cap:
             raise CapExceeded(f"nerve exceeds {simplex_cap} simplices")
 
-    frontier: list[Simplex] = []
+    # A frontier entry: the simplex, its common finite neighbors above its
+    # maximum (sorted), and its diagram components as (vertices, order).
+    frontier = []
     for v in sorted(spec.vertices):
-        s = (v,)
-        add(s, 2)
-        frontier.append(s)
+        add((v,), 2)
+        frontier.append(((v,), sorted(w for w in finite_adj[v] if w > v), (((v,), 2),)))
     while frontier:
-        nxt: list[Simplex] = []
-        for s in frontier:
-            last = s[-1]
-            candidates = set.intersection(*(finite_adj[v] for v in s)) if s else set()
-            for w in sorted(candidates):
-                if w <= last:
-                    continue
+        nxt = []
+        for s, candidates, comps in frontier:
+            for i, w in enumerate(candidates):
+                commuting = spec.commuting(w)
+                merged, kept, order = [w], [], 1
+                for comp in comps:
+                    if commuting.issuperset(comp[0]):
+                        kept.append(comp)
+                        order *= comp[1]
+                    else:
+                        merged += comp[0]
+                if len(merged) == 1:
+                    comp = ((w,), 2)
+                else:
+                    match = _match_component(spec, tuple(sorted(merged)))
+                    if match is None:
+                        continue
+                    comp = (match.vertices, match.order)
                 t = s + (w,)
-                verdict = classify(spec, t)
-                if verdict.spherical:
-                    add(t, verdict.order)
-                    nxt.append(t)
+                add(t, order * comp[1])
+                near = finite_adj[w]
+                nxt.append((t, [x for x in candidates[i + 1:] if x in near], (*kept, comp)))
         frontier = nxt
-    return Nerve(spec, simplices, orders)
+    nerve = Nerve(spec, simplices, orders)
+    spec._nerve = weakref.ref(nerve)
+    return nerve
 
 
 def has_right_angled_complement(nerve: Nerve, subset) -> bool:
@@ -536,6 +560,9 @@ def recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
     Circle: connected, pure 1-dimensional, every vertex of degree 2 (a
     single cycle).  TwoSphere: connected, pure 2-dimensional, every edge in
     exactly two triangles, every vertex link a circle, and V - E + F = 2.
+    Once every edge lies in two triangles, each vertex link is a 2-regular
+    graph, so it is a circle exactly when it is connected; that is checked
+    on the star triangles, with no link complex built.
     """
     dim = complex_.dimension
     if dim == 1:
@@ -559,8 +586,15 @@ def recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
                 per_edge[e] = per_edge.get(e, 0) + 1
         if any(count != 2 for count in per_edge.values()):
             return SphereKind.NEITHER
+        # The link of v: its neighbors, joined by the opposite edges of its star triangles.
         for v in complex_.vertices:
-            if recognize_sphere(link(complex_, v)) is not SphereKind.CIRCLE:
+            opposite: dict[str, list[str]] = {}
+            for s in complex_._star[v]:
+                if len(s) == 3:
+                    a, b = (x for x in s if x != v)
+                    opposite.setdefault(a, []).append(b)
+                    opposite.setdefault(b, []).append(a)
+            if len(components(complex_.neighbors(v), opposite.__getitem__)) != 1:
                 return SphereKind.NEITHER
         return SphereKind.TWO_SPHERE
     return SphereKind.NEITHER

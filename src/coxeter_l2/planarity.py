@@ -35,7 +35,7 @@ from coxeter_l2.nerve import (
     recognize_sphere,
     validate_embedding,
 )
-from coxeter_l2.invariants import UNKNOWN, BettiVector, _rational, betti
+from coxeter_l2.invariants import BettiVector, _rational, betti
 
 # Stable statement identifiers cited by certificates and proof traces.
 STMT_CHI = "chi-orb"
@@ -151,9 +151,10 @@ def _certify_connected(nerve: Nerve, vector: BettiVector) -> Certificate:
     """Certify a connected nerve of dimension <= 2 with W infinite from its Betti vector.
 
     With beta_0 = 0 and no chains above dimension 3, the alternating-sum
-    identity gives chi_orb <= beta_2, and an exact entry can only improve
-    that bound.  An R-join entry is exact on a fully known vector, so it is
-    at least chi_orb and is cited in place of the alternating-sum bound.
+    identity gives chi_orb <= beta_2, so max(chi_orb, 0) bounds beta_2.  An
+    R-join entry is exact on a fully known vector, so it is at least chi_orb
+    and is cited in place of that bound.  Without a rule context no other
+    rule sets a positive entry 2: it is 0 (R-S0/S1, R-S2) or Unknown.
     """
     chi = vector.chi
     chain = [
@@ -164,12 +165,11 @@ def _certify_connected(nerve: Nerve, vector: BettiVector) -> Certificate:
         ),
         CitedStep(STMT_B0, "W infinite", {"beta_0": "0/1"}),
     ]
-    exact = vector.get(2)
     if vector.rule_for(2) == "R-join":
-        bound = exact
+        bound = vector.get(2)
         chain.append(CitedStep(STMT_JOIN, vector.detail_for(2), {"beta_2": _rational(bound)}))
     else:
-        bound = max(chi, Fraction(0), Fraction(0) if exact is UNKNOWN else exact)
+        bound = max(chi, Fraction(0))
         chain.append(
             CitedStep(
                 STMT_ATIYAH_BOUND,
@@ -198,7 +198,8 @@ def certify_nonplanar(spec: CoxeterSpec) -> Certificate:
     for the dimension-2 Betti entry is derived, Inconclusive otherwise
     (never "Planar").  Disconnected subjects are certified per component,
     each on its sub-nerve filtered from the subject's nerve; one non-planar
-    component suffices.
+    component suffices.  While the caller holds the nerve of this spec,
+    build_nerve hands it back, so nothing is built again.
     """
     return _certify(build_nerve(spec))
 

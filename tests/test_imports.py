@@ -1,8 +1,9 @@
-"""Module structure: every import in the library sits at module level.
+"""Module structure: every import in the library sits at module level, and no memo is global.
 
 An import inside a function usually hides an import cycle between library
 modules; keeping imports at the top keeps the module graph acyclic and
-visible.
+visible.  A functools cache keeps every key it has seen alive for the life
+of the process; reuse belongs on the objects that own it, held weakly.
 """
 
 import ast
@@ -22,4 +23,26 @@ def test_no_import_inside_a_function():
                     for node in ast.walk(func)
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
+    assert found == []
+
+
+def test_no_functools_cache():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        aliases = {
+            alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.name == "functools"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [
+                    f"{path.name}:{node.lineno} imports {alias.name}"
+                    for alias in node.names if alias.name in ("cache", "lru_cache")
+                ]
+            if (
+                isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache")
+                and isinstance(node.value, ast.Name) and node.value.id in aliases
+            ):
+                found.append(f"{path.name}:{node.lineno} uses functools.{node.attr}")
     assert found == []

@@ -20,7 +20,7 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxeter_l2 import invariants, nerve as nerve_module, planarity
+from coxeter_l2 import invariants, nerve as nerve_module, planarity, spherical as spherical_module
 from coxeter_l2.catalog import (
     complete_bipartite_spec,
     complete_graph_spec,
@@ -38,9 +38,11 @@ from coxeter_l2.invariants import (
 )
 from coxeter_l2.model import INFINITY, CoxeterSpec, components, induced_subspec
 from coxeter_l2.nerve import (
+    CapExceeded,
     FaceSet,
     NotSpherical,
     RotationSystem,
+    SphereKind,
     build_nerve,
     detect_join2,
     faces_from_rotation,
@@ -49,6 +51,7 @@ from coxeter_l2.nerve import (
     infinite_pairs_outside,
     join_spec,
     link,
+    recognize_sphere,
     SimplicialComplex,
     validate_embedding,
 )
@@ -184,11 +187,270 @@ def test_classified_spec_is_not_kept_alive():
     for k in range(1, 4):
         for subset in combinations(spec.vertices, k):
             classify(spec, subset)
-    build_nerve(spec)
-    ref = weakref.ref(spec)
+    nerve = build_nerve(spec)
+    refs = (weakref.ref(spec), weakref.ref(nerve))
     del spec
     gc.collect()
-    assert ref() is None
+    assert refs[0]() is not None  # the held nerve keeps its spec
+    del nerve
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+# Irreducible finite types as (rank, diagram edges with labels >= 3, order).
+FINITE_TYPES = {
+    "A4": (4, [(0, 1, 3), (1, 2, 3), (2, 3, 3)], 120),
+    "B3": (3, [(0, 1, 4), (1, 2, 3)], 48),
+    "D4": (4, [(0, 1, 3), (1, 2, 3), (1, 3, 3)], 192),
+    "D5": (5, [(0, 1, 3), (1, 2, 3), (2, 3, 3), (2, 4, 3)], 1920),
+    "E6": (6, [(0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3), (2, 5, 3)], 51840),
+    "E7": (7, [(0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (2, 6, 3)], 2903040),
+    "F4": (4, [(0, 1, 3), (1, 2, 4), (2, 3, 3)], 1152),
+    "H3": (3, [(0, 1, 5), (1, 2, 3)], 120),
+    "H4": (4, [(0, 1, 5), (1, 2, 3), (2, 3, 3)], 14400),
+    "I2(6)": (2, [(0, 1, 6)], 12),
+    "A1": (1, [], 2),
+}
+
+
+def product_spec(types, vertices) -> CoxeterSpec:
+    """A product of finite types laid out on the vertices in turn; cross pairs commute."""
+    labels = dict.fromkeys(combinations(vertices, 2), 2)
+    n = 0
+    for name in types:
+        rank, edges, _ = FINITE_TYPES[name]
+        labels.update({(vertices[n + i], vertices[n + j]): m for i, j, m in edges})
+        n += rank
+    return CoxeterSpec(vertices, labels)
+
+
+@st.composite
+def finite_type_specs(draw, max_vertices=7):
+    """Products of finite types under a random naming, sometimes with a few labels redrawn."""
+    types, n = [], 0
+    for name in draw(st.lists(st.sampled_from(sorted(FINITE_TYPES)), min_size=1, max_size=3)):
+        if n + FINITE_TYPES[name][0] <= max_vertices:
+            types.append(name)
+            n += FINITE_TYPES[name][0]
+    vertices = draw(st.permutations([f"v{i}" for i in range(n)]))
+    spec = product_spec(types, vertices)
+    labels = {(u, v): m for u, v, m in spec.finite_edges()}
+    for _ in range(draw(st.integers(0, 2)) if n >= 2 else 0):
+        u, v = sorted(draw(st.permutations(vertices))[:2])
+        labels[(u, v)] = draw(LABELS)
+    return CoxeterSpec(vertices, {pair: m for pair, m in labels.items() if m != INFINITY})
+
+
+def brute_force_nerve(spec) -> dict:
+    """Every nonempty spherical subset with its order, each classified on its own."""
+    out = {}
+    for k in range(1, len(spec.vertices) + 1):
+        for subset in combinations(sorted(spec.vertices), k):
+            verdict = classify(spec, subset)
+            if verdict.spherical:
+                out[subset] = verdict.order
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(specs(max_vertices=7), finite_type_specs()))
+def test_nerve_equals_brute_force_classification(spec):
+    nerve = build_nerve(spec)
+    assert {s: nerve.order(s) for s in nerve.simplices()} == brute_force_nerve(spec)
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_TYPES))
+def test_nerve_orders_finite_types(name):
+    rank, _, order = FINITE_TYPES[name]
+    # Vertex 0 of the diagram gets the greatest name, so the nerve adds it last;
+    # at the D and E branch points the vertex added merges two components.
+    spec = product_spec([name], [f"v{i}" for i in reversed(range(rank))])
+    nerve = build_nerve(spec)
+    assert nerve.order(spec.vertices) == order
+    assert {s: nerve.order(s) for s in nerve.simplices()} == brute_force_nerve(spec)
+
+
+def test_build_nerve_classifies_nothing(monkeypatch):
+    calls = Counter()
+    original = spherical_module.diagram_components
+
+    def counting(*args):  # every classify call splits its subset into components first
+        calls["classify"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(spherical_module, "diagram_components", counting)
+    e6_beside_i2 = product_spec(["E6", "I2(6)"], ["v5", "v0", "v3", "v1", "v4", "v2", "w0", "w1"])
+    for spec in (icosahedron_spec(), complete_graph_spec(5, 3), e6_beside_i2):
+        build_nerve(spec)
+    assert calls == Counter()
+    classify(e6_beside_i2, ["v0"])
+    assert calls == {"classify": 1}  # the counter does see classification
+
+
+def reference_recognize_sphere(complex_) -> SphereKind:
+    """Sphere recognition that builds every vertex link and recognizes it as a circle."""
+    dim = complex_.dimension
+    if dim == 1:
+        if not complex_.is_connected() or len(complex_.vertices) < 3:
+            return SphereKind.NEITHER
+        if all(len(complex_.neighbors(v)) == 2 for v in complex_.vertices):
+            return SphereKind.CIRCLE
+        return SphereKind.NEITHER
+    if dim == 2:
+        if not complex_.is_connected():
+            return SphereKind.NEITHER
+        V, E, F = len(complex_.vertices), len(complex_.edges), len(complex_.triangles)
+        if V - E + F != 2:
+            return SphereKind.NEITHER
+        per_edge = Counter({e: 0 for e in complex_.edges})
+        for a, b, c in complex_.triangles:
+            per_edge.update([(a, b), (a, c), (b, c)])
+        if any(count != 2 for count in per_edge.values()):
+            return SphereKind.NEITHER
+        for v in complex_.vertices:
+            if reference_recognize_sphere(link(complex_, v)) is not SphereKind.CIRCLE:
+                return SphereKind.NEITHER
+        return SphereKind.TWO_SPHERE
+    return SphereKind.NEITHER
+
+
+def closure(vertices, triangles) -> SimplicialComplex:
+    """The complex generated by some triangles, with every vertex as a 0-simplex."""
+    faces = {tuple(sorted(f)) for t in triangles for k in (1, 2, 3) for f in combinations(t, k)}
+    return SimplicialComplex(vertices, faces | {(v,) for v in vertices})
+
+
+@st.composite
+def subdivided_spheres(draw):
+    """A tetrahedron boundary under random stellar subdivisions of triangles and edges."""
+    triangles = {frozenset(t) for t in combinations("abcd", 3)}
+    for i in range(draw(st.integers(0, 8))):
+        x = f"x{i}"
+        t = draw(st.sampled_from(sorted(sorted(t) for t in triangles)))
+        if draw(st.booleans()):
+            triangles.remove(frozenset(t))
+            triangles |= {frozenset((p, q, x)) for p, q in combinations(t, 2)}
+        else:
+            p, q = t[:2]
+            for old in [s for s in triangles if {p, q} <= s]:
+                (r,) = old - {p, q}
+                triangles.remove(old)
+                triangles |= {frozenset((p, r, x)), frozenset((q, r, x))}
+    vertices = sorted(set().union(*triangles))
+    return vertices, sorted(tuple(sorted(t)) for t in triangles)
+
+
+@st.composite
+def sphere_like_complexes(draw):
+    """Subdivided spheres, sometimes damaged: a triangle dropped or added, a vertex pair glued,
+    or two vertices glued to two of a second sphere (which keeps V - E + F = 2)."""
+    vertices, triangles = draw(subdivided_spheres())
+    damage = draw(st.sampled_from(["none", "drop", "add", "glue", "pinch"]))
+    if damage == "drop":
+        triangles.remove(draw(st.sampled_from(triangles)))
+    elif damage == "add":
+        triangles.append(tuple(sorted(draw(st.permutations(vertices))[:3])))
+    elif damage == "glue":
+        u, v = draw(st.permutations(vertices))[:2]
+        triangles = [tuple(sorted(u if x == v else x for x in t)) for t in triangles]
+        triangles = [t for t in triangles if len(set(t)) == 3]
+        vertices = [x for x in vertices if x != v]
+    elif damage == "pinch":
+        other_vertices, other_triangles = draw(subdivided_spheres())
+        a, b = draw(st.permutations(vertices))[:2]
+        c, d = draw(st.permutations(other_vertices))[:2]
+        rename = {x: {c: a, d: b}.get(x, f"y{x}") for x in other_vertices}
+        vertices += [rename[x] for x in other_vertices if x not in (c, d)]
+        triangles += [tuple(rename[x] for x in t) for t in other_triangles]
+    return closure(vertices, triangles)
+
+
+def two_octahedra_glued_at_both_poles() -> SimplicialComplex:
+    triangles = [
+        (pole, f"{side}{i}", f"{side}{(i + 1) % 4}")
+        for side in "ab" for pole in "ns" for i in range(4)
+    ]
+    return closure(["n", "s"] + [f"{side}{i}" for side in "ab" for i in range(4)], triangles)
+
+
+SPHERE_FIXTURES = [
+    octahedron_spec(),
+    icosahedron_spec(),
+    join_spec(cycle_spec(9, 2, prefix="c"), CoxeterSpec(["n", "s"], {})),
+    cycle_spec(6, 2),
+    complete_graph_spec(5, 3),
+    complete_bipartite_spec(3, 3),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.builds(build_nerve, specs(max_vertices=8)),
+        sphere_like_complexes(),
+        st.sampled_from([build_nerve(spec) for spec in SPHERE_FIXTURES]),
+    )
+)
+def test_recognize_sphere_equals_link_reference(complex_):
+    assert recognize_sphere(complex_) is reference_recognize_sphere(complex_)
+
+
+def test_recognize_sphere_rejects_pinched_octahedra():
+    pinched = two_octahedra_glued_at_both_poles()
+    V, E, F = len(pinched.vertices), len(pinched.edges), len(pinched.triangles)
+    assert pinched.is_connected() and V - E + F == 2
+    assert len(link(pinched, "n").skeleton_components()) == 2
+    assert recognize_sphere(pinched) is SphereKind.NEITHER
+    assert reference_recognize_sphere(pinched) is SphereKind.NEITHER
+
+
+def test_recognize_sphere_builds_no_complex(monkeypatch):
+    nerve = build_nerve(join_spec(cycle_spec(400, 2, prefix="c"), CoxeterSpec(["n", "s"], {})))
+    built = Counter()
+    original = SimplicialComplex.__init__
+
+    def counting(self, *args, **kwargs):
+        built[type(self).__name__] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", counting)
+    assert recognize_sphere(nerve) is SphereKind.TWO_SPHERE
+    assert built == Counter()
+
+
+def test_held_nerve_is_reused(monkeypatch):
+    spec = complete_graph_spec(5, 3)
+    nerve = build_nerve(spec)
+    assert build_nerve(spec) is nerve
+    assert build_nerve(complete_graph_spec(5, 3)) is not nerve  # an equal spec is another object
+    calls = Counter()
+    original_match, original_init = nerve_module._match_component, SimplicialComplex.__init__
+
+    def counting_match(*args):
+        calls["match"] += 1
+        return original_match(*args)
+
+    def counting_init(self, *args, **kwargs):
+        calls["complex"] += 1
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(nerve_module, "_match_component", counting_match)
+    monkeypatch.setattr(SimplicialComplex, "__init__", counting_init)
+    assert certify_nonplanar(spec).verdict == "NotPlanar"
+    assert calls == Counter()
+    del nerve
+    gc.collect()
+    assert certify_nonplanar(spec).verdict == "NotPlanar"
+    assert calls["match"] > 0 and calls["complex"] == 1  # with no nerve held, it is rebuilt
+
+
+def test_cap_below_held_nerve_still_raises():
+    spec = complete_graph_spec(5, 3)
+    nerve = build_nerve(spec)
+    size = len(nerve.simplices())
+    with pytest.raises(CapExceeded):
+        build_nerve(spec, simplex_cap=size - 1)
+    assert build_nerve(spec, simplex_cap=size) is nerve
 
 
 def _exhaustive_planar(graph) -> bool:
