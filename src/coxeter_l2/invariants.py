@@ -23,7 +23,6 @@ from coxeter_l2.nerve import (
     Nerve,
     SphereKind,
     SubcomplexWitness,
-    detect_join2,
     induced_nerve,
     recognize_sphere,
     validate_embedding,
@@ -70,13 +69,16 @@ def chi_orb(nerve: Nerve) -> Fraction:
 
     Each spherical subset T (the empty set included) contributes
     (-1)^|T| / |W_T|; the empty set contributes +1.  Signs are tallied per
-    order first, so there is one exact division per distinct order.
-    Equality with the literal chain-level sum is the job of chi_orb_chain_sum.
+    order first, so there is one exact division per distinct order; the
+    nerve holds the value.  Equality with the literal chain-level sum is the
+    job of chi_orb_chain_sum.
     """
-    weight: Counter[int] = Counter()
-    for s in nerve.simplices():
-        weight[nerve.order(s)] += -1 if len(s) % 2 else 1
-    return sum((Fraction(w, order) for order, w in weight.items()), Fraction(1))
+    if nerve._chi is None:
+        weight: Counter[int] = Counter()
+        for s, order in nerve._orders.items():
+            weight[order] += -1 if len(s) % 2 else 1
+        nerve._chi = sum((Fraction(w, order) for order, w in weight.items()), Fraction(1))
+    return nerve._chi
 
 
 def chi_orb_chain_sum(nerve: Nerve, *, chain_cap: int = 10 ** 7) -> Fraction:
@@ -264,12 +266,14 @@ def betti(nerve: Nerve, ctx: RuleContext | None = None) -> BettiVector:
     under an embedding witness, then the Kunneth product over a
     right-angled join); a final completion step fills a single missing
     entry from the Euler characteristic.  Conflicting assignments raise
-    ContradictoryRules.
+    ContradictoryRules.  R-fin and R-join read the nerve's held verdict.
     """
     top = nerve.dimension + 1
     b = _Builder(top)
     chi = chi_orb(nerve)
-    full_verdict = classify(nerve.spec, nerve.vertices)
+    if nerve._verdict is None:
+        nerve._verdict = classify(nerve.spec, nerve.vertices)
+    full_verdict = nerve._verdict
 
     # R-fin / R-b0: a finite group has compact contractible group complex.
     if full_verdict.spherical:
@@ -316,8 +320,8 @@ def betti(nerve: Nerve, ctx: RuleContext | None = None) -> BettiVector:
     factors = ctx.join_factors if ctx is not None and ctx.join_factors else None
     if factors is not None:
         _validate_join_factors(nerve, factors)
-    else:
-        factors = detect_join2(nerve)
+    elif len(full_verdict.diagram) >= 2:
+        factors = full_verdict.diagram
     if factors is not None:
         factor_vectors = [betti(induced_nerve(nerve, f)) for f in factors]
         if all(v.fully_known for v in factor_vectors):

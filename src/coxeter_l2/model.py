@@ -92,6 +92,15 @@ class CoxeterSpec:
         self._hash = hash((vertices, tuple(self._labels.items())))
         self._nerve = None  # a weak reference to the nerve built last, set by build_nerve
 
+    def _restrict(self, vertices: tuple[str, ...], keep: set[str], pairs) -> CoxeterSpec:
+        """The subsystem on keep (listed as vertices) with its sorted pairs, filtered, not validated."""
+        sub = object.__new__(CoxeterSpec)
+        sub.vertices, sub._vertex_set, sub._nerve = vertices, frozenset(vertices), None
+        sub._labels = {p: self._labels[p] for p in pairs}
+        sub._commuting = {v: self._commuting[v] & keep for v in vertices}
+        sub._hash = hash((vertices, tuple(sub._labels.items())))
+        return sub
+
     def label(self, u: str, v: str) -> Label:
         if u not in self._vertex_set or v not in self._vertex_set:
             raise UnknownVertex(f"({u!r}, {v!r}) is not a vertex pair of this system")
@@ -200,9 +209,8 @@ def parse_spec(document) -> CoxeterSpec:
 def induced_subspec(spec: CoxeterSpec, subset: Iterable[str]) -> CoxeterSpec:
     """Restrict a system to a vertex subset, preserving labels and vertex order."""
     keep = set(spec.check_subset(subset))
-    vertices = [v for v in spec.vertices if v in keep]
-    labels = {(u, v): m for (u, v), m in spec._labels.items() if u in keep and v in keep}
-    return CoxeterSpec(vertices, labels)
+    pairs = [p for p in spec._labels if keep.issuperset(p)]
+    return spec._restrict(tuple(v for v in spec.vertices if v in keep), keep, pairs)
 
 
 def components(

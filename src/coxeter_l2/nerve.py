@@ -36,34 +36,54 @@ class SimplicialComplex:
 
     Simplices are stored as sorted vertex tuples, listed in canonical
     (dimension, lexicographic) order so iteration is deterministic.  The
-    constructor also indexes the complex once: a neighbor map (the 1-skeleton
-    adjacency) and a star map (the simplices containing each vertex), so
+    complex is indexed once: a neighbor map (the 1-skeleton adjacency) and a
+    star map (the simplices containing each vertex, in that order), so
     neighbors, links, connectivity and restrictions to a vertex subset cost
     time proportional to the simplices they touch, not to the whole complex.
+    A full subcomplex is a view filtered in order from these maps (_view).
     """
 
     def __init__(self, vertices: Iterable[str], simplices: Iterable[Simplex]):
-        self.vertices: tuple[str, ...] = tuple(vertices)
         index: dict[int, list[Simplex]] = {}
-        seen: set[Simplex] = set()
-        for s in simplices:
-            s = tuple(sorted(s))
-            if not s or s in seen:
-                continue
-            seen.add(s)
+        for s in sorted({tuple(sorted(s)) for s in simplices} - {()}):
             index.setdefault(len(s) - 1, []).append(s)
-        self._by_dim: dict[int, tuple[Simplex, ...]] = {
-            d: tuple(sorted(index[d])) for d in sorted(index)
-        }
-        self._simplex_set = seen
-        self._star: dict[str, list[Simplex]] = {v: [] for v in self.vertices}
-        for s in self.simplices():
-            for v in s:
-                self._star.setdefault(v, []).append(s)
-        self._neighbors: dict[str, tuple[str, ...]] = {
-            v: tuple(sorted(x for e in star if len(e) == 2 for x in e if x != v))
-            for v, star in self._star.items()
-        }
+        self._index(tuple(vertices), {d: tuple(index[d]) for d in sorted(index)})
+
+    @classmethod
+    def _presorted(cls, vertices: tuple[str, ...], by_dim: dict, maps=None):
+        """The private constructor: simplices distinct, sorted, and lexicographic per dimension."""
+        complex_ = cls.__new__(cls)
+        complex_._index(vertices, by_dim, maps)
+        return complex_
+
+    def _index(self, vertices, by_dim, maps=None) -> None:
+        """Store the simplices, then build the star and neighbor maps unless they are given."""
+        self.vertices: tuple[str, ...] = vertices
+        self._by_dim: dict[int, tuple[Simplex, ...]] = by_dim
+        self._simplex_set = {s for group in by_dim.values() for s in group}
+        if maps is None:
+            star: dict[str, list[Simplex]] = {v: [] for v in vertices}
+            for s in self.simplices():
+                for v in s:
+                    star.setdefault(v, []).append(s)
+            # The edges at v come in lexicographic order, so its neighbors come out sorted.
+            near = {v: tuple(x for e in ss if len(e) == 2 for x in e if x != v) for v, ss in star.items()}
+            maps = star, near
+        self._star, self._neighbors = maps
+        self._sphere = None  # held by recognize_sphere
+
+    def _view(self, vertices: tuple[str, ...], cls: type | None = None):
+        """The full subcomplex on some vertices, its maps filtered in order from their stars."""
+        keep = set(vertices)
+        star = {v: [s for s in self._star[v] if keep.issuperset(s)] for v in vertices}
+        by_dim: dict[int, list[Simplex]] = {}
+        for v in sorted(keep):  # a simplex is listed once, at its least vertex
+            for s in star[v]:
+                if s[0] == v:
+                    by_dim.setdefault(len(s) - 1, []).append(s)
+        neighbors = {v: tuple(u for u in self._neighbors[v] if u in keep) for v in vertices}
+        by_dim = {d: tuple(by_dim[d]) for d in sorted(by_dim)}
+        return (cls or SimplicialComplex)._presorted(vertices, by_dim, (star, neighbors))
 
     @property
     def dimension(self) -> int:
@@ -73,10 +93,7 @@ class SimplicialComplex:
     def simplices(self, dim: int | None = None) -> tuple[Simplex, ...]:
         if dim is not None:
             return self._by_dim.get(dim, ())
-        out = []
-        for d in sorted(self._by_dim):
-            out.extend(self._by_dim[d])
-        return tuple(out)
+        return tuple(s for group in self._by_dim.values() for s in group)  # dimensions ascend
 
     def has_simplex(self, s: Iterable[str]) -> bool:
         return tuple(sorted(s)) in self._simplex_set
@@ -91,13 +108,6 @@ class SimplicialComplex:
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         return self._neighbors.get(v, ())
-
-    def simplices_within(self, vertices: set[str]) -> list[Simplex]:
-        """The simplices whose vertices all lie in a set, read off the star map."""
-        return [
-            s for v in vertices for s in self._star.get(v, ())
-            if s[0] == v and vertices.issuperset(s)
-        ]
 
     def is_connected(self) -> bool:
         """Connectivity of the 1-skeleton (a complex with one vertex is connected)."""
@@ -125,19 +135,16 @@ class SimplicialComplex:
 class Nerve(SimplicialComplex):
     """The nerve of a Coxeter system, with subgroup orders per simplex."""
 
+    _chi = _verdict = None  # held on the object by invariants.chi_orb and invariants.betti
+
     def __init__(self, spec: CoxeterSpec, simplices: Iterable[Simplex], orders: dict[Simplex, int]):
         super().__init__(spec.vertices, simplices)
-        self.spec = spec
-        self._orders = dict(orders)
+        self.spec, self._orders = spec, dict(orders)
 
     def order(self, simplex: Iterable[str]) -> int:
         """|W_T| for a simplex T; the empty simplex has order 1."""
         s = tuple(sorted(simplex))
-        if not s:
-            return 1
-        if s not in self._simplex_set:
-            raise KeyError(f"{s} is not a simplex of this nerve")
-        return self._orders[s]
+        return self._orders[s] if s else 1  # KeyError for a non-simplex
 
     def to_document(self) -> dict:
         return {
@@ -191,14 +198,8 @@ class RotationSystem:
         verts = set(skeleton.vertices)
         if set(self._rot) != verts:
             raise ValueError("rotation system must list every vertex exactly once")
-        declared = {
-            (v, u) for v, ns in self._rot.items() for u in ns
-        }
-        expected = set()
-        for a, b in skeleton.edges:
-            expected.add((a, b))
-            expected.add((b, a))
-        if declared != expected:
+        declared = {(v, u) for v, ns in self._rot.items() for u in ns}
+        if declared != {(v, u) for v in skeleton.vertices for u in skeleton.neighbors(v)}:
             raise ValueError("rotations do not match the edge set of the complex")
 
     def restrict(self, vertices: Iterable[str]) -> "RotationSystem":
@@ -292,7 +293,7 @@ def _triangle_faces(faceset: FaceSet) -> set[frozenset[str]]:
 def _component_faces(complex_: SimplicialComplex, rot: RotationSystem):
     """Yield (component, its subcomplex, its face set) per component, tracing each in turn."""
     for comp in complex_.skeleton_components():
-        sub = SimplicialComplex(comp, complex_.simplices_within(set(comp)))
+        sub = complex_._view(comp)
         yield comp, sub, faces_from_rotation(sub, rot.restrict(comp))
 
 
@@ -353,17 +354,18 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
     held = spec._nerve and spec._nerve()
     if held is not None and len(held._simplex_set) <= simplex_cap:
         return held
-    simplices: list[Simplex] = []
+    by_dim: dict[int, list[Simplex]] = {}
     orders: dict[Simplex, int] = {}
     finite_adj: dict[str, set[str]] = {v: set() for v in spec.vertices}
     for u, v, _ in spec.finite_edges():
         finite_adj[u].add(v)
         finite_adj[v].add(u)
 
+    # Level by level, the frontier yields each dimension in lexicographic order.
     def add(s: Simplex, order: int):
-        simplices.append(s)
+        by_dim.setdefault(len(s) - 1, []).append(s)
         orders[s] = order
-        if len(simplices) > simplex_cap:
+        if len(orders) > simplex_cap:
             raise CapExceeded(f"nerve exceeds {simplex_cap} simplices")
 
     # A frontier entry: the simplex, its common finite neighbors above its
@@ -396,7 +398,8 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
                 near = finite_adj[w]
                 nxt.append((t, [x for x in candidates[i + 1:] if x in near], (*kept, comp)))
         frontier = nxt
-    nerve = Nerve(spec, simplices, orders)
+    nerve = Nerve._presorted(spec.vertices, {d: tuple(group) for d, group in by_dim.items()})
+    nerve.spec, nerve._orders = spec, orders
     spec._nerve = weakref.ref(nerve)
     return nerve
 
@@ -441,16 +444,16 @@ def induced_nerve(nerve: Nerve, subset) -> Nerve:
     Sphericity depends only on the induced labels, so the ambient simplices
     and orders inside the subset are exactly those of
     build_nerve(induced_subspec(nerve.spec, subset)); nothing is classified
-    again.  Every finite label is an edge of the nerve, so the induced labels
-    are read off the kept edges.
+    again.  The result is a view, filtered in order from the ambient maps at
+    the cost of the kept vertices' stars; every finite label is an edge of
+    the nerve, so the restricted spec takes its labels from the kept edges.
     """
     keep = set(nerve.spec.check_subset(subset))
-    simplices = nerve.simplices_within(keep)
-    spec = CoxeterSpec(
-        [v for v in nerve.spec.vertices if v in keep],
-        {s: nerve.spec.label(*s) for s in simplices if len(s) == 2},
-    )
-    return Nerve(spec, simplices, {s: nerve._orders[s] for s in simplices})
+    vertices = tuple(v for v in nerve.vertices if v in keep)
+    sub = nerve._view(vertices, Nerve)
+    sub.spec = nerve.spec._restrict(vertices, keep, sub.edges)
+    sub._orders = {s: nerve._orders[s] for s in sub.simplices()}
+    return sub
 
 
 def full_subcomplex(nerve: Nerve, subset) -> tuple[Nerve, SubcomplexWitness]:
@@ -492,12 +495,7 @@ def link(complex_: SimplicialComplex, v: str) -> SimplicialComplex:
 
 def is_full_subcomplex(ambient: SimplicialComplex, sub: SimplicialComplex) -> bool:
     """Does the subcomplex contain every ambient simplex spanned by its vertices?"""
-    verts = set(sub.vertices)
-    return (
-        all(v in ambient._star for v in verts)
-        and all(ambient.has_simplex(s) for s in sub.simplices())
-        and all(sub.has_simplex(s) for s in ambient.simplices_within(verts))
-    )
+    return all(v in ambient._star for v in sub.vertices) and sub == ambient._view(sub.vertices)
 
 
 def _disjoint_rename(taken: set[str], name: str) -> str:
@@ -561,17 +559,21 @@ def recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
     single cycle).  TwoSphere: connected, pure 2-dimensional, every edge in
     exactly two triangles, every vertex link a circle, and V - E + F = 2.
     Once every edge lies in two triangles, each vertex link is a 2-regular
-    graph, so it is a circle exactly when it is connected; that is checked
-    on the star triangles, with no link complex built.
+    graph, and it is a circle exactly when the walk round it from one
+    neighbor takes as many steps as the vertex has neighbors; no link complex
+    is built.  The kind is held on the complex, so each is recognized once.
     """
+    if complex_._sphere is None:
+        complex_._sphere = _recognize_sphere(complex_)
+    return complex_._sphere
+
+
+def _recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
     dim = complex_.dimension
     if dim == 1:
-        if not complex_.is_connected() or len(complex_.vertices) < 3:
-            return SphereKind.NEITHER
-        degs = [len(complex_.neighbors(v)) for v in complex_.vertices]
-        if all(d == 2 for d in degs):
-            return SphereKind.CIRCLE
-        return SphereKind.NEITHER
+        degrees = [len(complex_.neighbors(v)) for v in complex_.vertices]
+        circle = complex_.is_connected() and len(degrees) >= 3 and set(degrees) == {2}
+        return SphereKind.CIRCLE if circle else SphereKind.NEITHER
     if dim == 2:
         if not complex_.is_connected():
             return SphereKind.NEITHER
@@ -580,21 +582,23 @@ def recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
         F = len(complex_.triangles)
         if V - E + F != 2:
             return SphereKind.NEITHER
-        per_edge: dict[Simplex, int] = {e: 0 for e in complex_.edges}
-        for (a, b, c) in complex_.triangles:
-            for e in ((a, b), (a, c), (b, c)):
-                per_edge[e] = per_edge.get(e, 0) + 1
-        if any(count != 2 for count in per_edge.values()):
-            return SphereKind.NEITHER
-        # The link of v: its neighbors, joined by the opposite edges of its star triangles.
+        # The link of v: its neighbors, joined by the opposite edges of its star
+        # triangles.  The edge from v to a lies in two triangles exactly when a
+        # has two link neighbors; once all do, the link is 2-regular.
         for v in complex_.vertices:
+            near = complex_.neighbors(v)
             opposite: dict[str, list[str]] = {}
             for s in complex_._star[v]:
                 if len(s) == 3:
                     a, b = (x for x in s if x != v)
                     opposite.setdefault(a, []).append(b)
                     opposite.setdefault(b, []).append(a)
-            if len(components(complex_.neighbors(v), opposite.__getitem__)) != 1:
+            if len(opposite) != len(near) or any(len(o) != 2 for o in opposite.values()):
+                return SphereKind.NEITHER
+            prev, cur, steps = near[0], opposite[near[0]][0], 1
+            while cur != near[0]:  # step on to the link neighbor of cur that is not prev
+                prev, cur, steps = cur, opposite[cur][opposite[cur][0] == prev], steps + 1
+            if steps != len(near):
                 return SphereKind.NEITHER
         return SphereKind.TWO_SPHERE
     return SphereKind.NEITHER

@@ -50,6 +50,7 @@ class SphericalVerdict:
     spherical: bool
     components: tuple[FiniteTypeComponent, ...]
     order: int  # product of component orders; 1 for the empty subset
+    diagram: tuple[VertexSubset, ...] = ()  # the diagram components, finite or not
 
     def __bool__(self) -> bool:
         return self.spherical
@@ -161,17 +162,18 @@ def classify(spec: CoxeterSpec, subset) -> SphericalVerdict:
     """Decide whether a subset is spherical and compute the subgroup order.
 
     The empty subset is spherical with order 1.  A non-spherical verdict
-    carries no components and order 0.
+    carries no finite-type components and order 0, but still its diagram.
     """
+    diagram = tuple(diagram_components(spec, subset))
     comps = []
     order = 1
-    for comp in diagram_components(spec, subset):
+    for comp in diagram:
         match = _match_component(spec, comp)
         if match is None:
-            return SphericalVerdict(False, (), 0)
+            return SphericalVerdict(False, (), 0, diagram)
         comps.append(match)
         order *= match.order
-    return SphericalVerdict(True, tuple(comps), order)
+    return SphericalVerdict(True, tuple(comps), order, diagram)
 
 
 def cosine_matrix_test(spec: CoxeterSpec, subset, *, eps: float = 1e-9, max_rank: int = 12) -> bool:

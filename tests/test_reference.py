@@ -31,6 +31,7 @@ from coxeter_l2.catalog import (
 from coxeter_l2.invariants import (
     UNKNOWN,
     BettiVector,
+    RuleContext,
     _rational,
     betti,
     chi_orb,
@@ -107,6 +108,50 @@ def test_induced_nerve_equals_rebuilt_nerve(case):
     assert sub.spec == ref.spec and sub.spec.vertices == ref.spec.vertices
     assert sub.simplices() == ref.simplices()
     assert [sub.order(s) for s in sub.simplices()] == [ref.order(s) for s in ref.simplices()]
+
+
+def suspension_spec(n: int) -> CoxeterSpec:
+    return join_spec(cycle_spec(n, 2, prefix="c"), CoxeterSpec(["n", "s"], {}))
+
+
+@st.composite
+def spheres_with_subset(draw):
+    spec = draw(st.sampled_from([octahedron_spec(), icosahedron_spec(), suspension_spec(5)]))
+    some = st.lists(st.sampled_from(spec.vertices), unique=True)
+    subset = draw(st.one_of(st.just(list(spec.vertices)), some))
+    return spec, subset
+
+
+def assert_same_spec(spec: CoxeterSpec, ref: CoxeterSpec):
+    assert spec == ref and hash(spec) == hash(ref) and spec.vertices == ref.vertices
+    assert spec.finite_edges() == ref.finite_edges()
+    assert all(spec.commuting(v) == ref.commuting(v) for v in ref.vertices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(specs_with_subset(), spheres_with_subset()))
+def test_induced_nerve_view_equals_rebuilds(case):
+    spec, subset = case
+    ambient = build_nerve(spec)
+    keep = set(subset)
+    vertices = [v for v in spec.vertices if v in keep]
+    validated = CoxeterSpec(vertices, {(u, v): m for u, v, m in spec.finite_edges() if {u, v} <= keep})
+    view = induced_nerve(ambient, subset)
+    assert_same_spec(view.spec, validated)
+    assert_same_spec(induced_subspec(spec, subset), validated)
+    rebuilt = build_nerve(induced_subspec(spec, subset))
+    plain = SimplicialComplex(vertices, [s[::-1] for s in ambient.simplices() if keep.issuperset(s)])
+    for other in (rebuilt, plain):
+        assert view.vertices == other.vertices and view.counts() == other.counts()
+        assert all(view.simplices(d) == other.simplices(d) for d in range(view.dimension + 1))
+        assert all(view.neighbors(v) == other.neighbors(v) for v in vertices)
+        assert all(view._star[v] == other._star[v] for v in vertices)
+        assert view.is_connected() == other.is_connected()
+        assert recognize_sphere(view) is recognize_sphere(other)
+    assert [view.order(s) for s in view.simplices()] == [rebuilt.order(s) for s in rebuilt.simplices()]
+    assert chi_orb(view) == chi_orb(rebuilt)
+    assert repr(betti(view)) == repr(betti(rebuilt))
+    assert view._verdict == rebuilt._verdict == classify(spec, subset)
 
 
 @settings(max_examples=150)
@@ -404,6 +449,25 @@ def test_recognize_sphere_rejects_pinched_octahedra():
     assert reference_recognize_sphere(pinched) is SphereKind.NEITHER
 
 
+def test_recognize_sphere_rejects_spheres_with_pendant_pieces():
+    # Each keeps V - E + F = 2 and connectivity; only the edge and link checks can reject it.
+    octahedron = build_nerve(octahedron_spec())
+    triangles = list(octahedron.triangles)
+    cases = [
+        ([], [("x0", "p")]),  # a pendant edge
+        ([("x0", "a", "b")], []),  # a pendant triangle on one vertex
+        ([("x0", "y0", "q")], []),  # a flap on an edge, which then lies in three triangles
+    ]
+    for extra_triangles, extra_edges in cases:
+        pieces = closure(list(octahedron.vertices), triangles + extra_triangles)
+        vertices = sorted({v for s in pieces.simplices() for v in s} | {v for e in extra_edges for v in e})
+        complex_ = SimplicialComplex(vertices, list(pieces.simplices()) + extra_edges + [(v,) for v in vertices])
+        V, E, F = len(complex_.vertices), len(complex_.edges), len(complex_.triangles)
+        assert complex_.is_connected() and V - E + F == 2
+        assert recognize_sphere(complex_) is SphereKind.NEITHER
+        assert reference_recognize_sphere(complex_) is SphereKind.NEITHER
+
+
 def test_recognize_sphere_builds_no_complex(monkeypatch):
     nerve = build_nerve(join_spec(cycle_spec(400, 2, prefix="c"), CoxeterSpec(["n", "s"], {})))
     built = Counter()
@@ -424,24 +488,57 @@ def test_held_nerve_is_reused(monkeypatch):
     assert build_nerve(spec) is nerve
     assert build_nerve(complete_graph_spec(5, 3)) is not nerve  # an equal spec is another object
     calls = Counter()
-    original_match, original_init = nerve_module._match_component, SimplicialComplex.__init__
+    original_match, original_index = nerve_module._match_component, SimplicialComplex._index
 
     def counting_match(*args):
         calls["match"] += 1
         return original_match(*args)
 
-    def counting_init(self, *args, **kwargs):
+    def counting_index(self, *args, **kwargs):  # every complex, view or not, is indexed here
         calls["complex"] += 1
-        original_init(self, *args, **kwargs)
+        original_index(self, *args, **kwargs)
 
     monkeypatch.setattr(nerve_module, "_match_component", counting_match)
-    monkeypatch.setattr(SimplicialComplex, "__init__", counting_init)
+    monkeypatch.setattr(SimplicialComplex, "_index", counting_index)
     assert certify_nonplanar(spec).verdict == "NotPlanar"
     assert calls == Counter()
     del nerve
     gc.collect()
     assert certify_nonplanar(spec).verdict == "NotPlanar"
     assert calls["match"] > 0 and calls["complex"] == 1  # with no nerve held, it is rebuilt
+
+
+def test_suspension_is_recognized_and_summed_once(monkeypatch):
+    nerve = build_nerve(suspension_spec(400))
+    calls = Counter()
+    recognize, classify_ = nerve_module._recognize_sphere, invariants.classify
+
+    def counting_recognize(complex_):
+        calls["recognize"] += complex_ is nerve
+        return recognize(complex_)
+
+    def counting_classify(spec, subset):
+        calls["classify"] += spec is nerve.spec and set(subset) == set(nerve.vertices)
+        return classify_(spec, subset)
+
+    class CountingOrders(dict):
+        def items(self):  # chi_orb sums the simplices through their orders
+            calls["chi_sum"] += 1
+            return super().items()
+
+    monkeypatch.setattr(nerve_module, "_recognize_sphere", counting_recognize)
+    monkeypatch.setattr(invariants, "classify", counting_classify)
+    nerve._orders = CountingOrders(nerve._orders)
+    assert recognize_sphere(nerve) is SphereKind.TWO_SPHERE
+    assert chi_orb(nerve) == 0
+    assert betti(nerve).as_tuple() == (0, 0, 0, 0)
+    half = ["n"] + [f"c{i}" for i in range(200)]
+    sub, witness = full_subcomplex(nerve, half)
+    assert betti(sub, RuleContext(witness=witness)).as_tuple()[2:] == (0, 0)
+    target = [v for v in nerve.vertices if v not in ("c397", "c398", "c399")]
+    assert len(trace_vanishing(nerve, target).steps) == 3
+    assert betti(nerve).as_tuple() == (0, 0, 0, 0)  # a second call reads the held verdict
+    assert calls == {"recognize": 1, "chi_sum": 1, "classify": 1}
 
 
 def test_cap_below_held_nerve_still_raises():
@@ -613,7 +710,7 @@ def test_face_tracing_equals_restarting_reference(graph, rnd, embedded):
     comp = max(graph.skeleton_components(), key=len, default=())
     if len(comp) < 2:
         return
-    sub = SimplicialComplex(comp, graph.simplices_within(set(comp)))
+    sub = SimplicialComplex(comp, [s for s in graph.simplices() if set(s) <= set(comp)])
     rot = planar_rotation(sub) if embedded else None
     if rot is None:
         rot = RotationSystem({v: rnd.sample(sub.neighbors(v), len(sub.neighbors(v))) for v in comp})
