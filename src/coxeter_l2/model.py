@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 INFINITY = math.inf
 
@@ -53,39 +53,51 @@ class CoxeterSpec:
     Only finite labels are stored; ``label(u, v)`` returns ``INFINITY`` for
     any unstored pair and 1 on the diagonal.  Vertex identifiers are opaque
     strings; lexicographic order on them is the canonical order used for
-    subsets, components and serialization.
+    subsets, components and serialization.  The constructor and parse_spec
+    share one validator (_fill): both take a label as an integer >= 2,
+    INFINITY or "inf", and both reject the same labels, conflicting pairs
+    such as 2 against INFINITY included, with the same first error.
     """
 
     __slots__ = ("vertices", "_labels", "_vertex_set", "_commuting", "_hash", "_nerve", "__weakref__")
 
     def __init__(self, vertices: Iterable[str], labels: Mapping[tuple[str, str], int] | None = None):
-        vertices = tuple(vertices)
-        seen = set()
+        self._fill(tuple(vertices), ((u, v, m) for (u, v), m in (labels or {}).items()))
+
+    def _fill(self, vertices: tuple[str, ...], triples: Iterable[tuple[str, str, Label]]) -> None:
+        """Validate the vertices and the (u, v, m) label triples once, then store them."""
         for v in vertices:
-            if not isinstance(v, str) or not v:
+            if not isinstance(v, str):
+                raise MalformedDocument(f"vertex {v!r} is not a string")
+        vertex_set = frozenset(vertices)
+        given: dict[tuple[str, str], Label] = {}  # INFINITY is kept until the end, for conflicts
+        for u, v, m in triples:
+            if u == v:
+                raise MalformedDocument(f"edge ({u!r}, {v!r}) is a self-loop")
+            if u not in vertex_set or v not in vertex_set:
+                raise UnknownVertex(f"edge ({u!r}, {v!r}) mentions a non-vertex")
+            if m == "inf":  # the document spelling, accepted by both entry points
+                m = INFINITY
+            elif m != INFINITY:
+                if not isinstance(m, int) or isinstance(m, bool):
+                    raise LabelOutOfRange(f"label m({u},{v}) = {m!r} is neither an integer nor 'inf'")
+                if m < 2:
+                    raise LabelOutOfRange(f"label m({u},{v}) = {m} is below 2")
+            key = _pair(u, v)
+            if given.setdefault(key, m) != m:  # INFINITY prints as inf
+                raise ConflictingLabel(f"edge {key} listed with labels {given[key]} and {m}")
+        seen = set()  # empty and repeated names come after any label fault, as parse_spec always had
+        for v in vertices:
+            if not v:
                 raise MalformedDocument(f"vertex identifier must be a non-empty string, got {v!r}")
             if v in seen:
                 raise DuplicateVertex(f"duplicate vertex {v!r}")
             seen.add(v)
-        finite: dict[tuple[str, str], int] = {}
-        for (u, v), m in (labels or {}).items():
-            if u == v:
-                raise MalformedDocument(f"diagonal label for {u!r} cannot be set")
-            if u not in seen or v not in seen:
-                raise UnknownVertex(f"edge ({u!r}, {v!r}) mentions a non-vertex")
-            if m == INFINITY:
-                continue  # equivalent to omission
-            if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-                raise LabelOutOfRange(f"label m({u},{v}) = {m!r} must be an integer >= 2 or infinity")
-            key = _pair(u, v)
-            if key in finite and finite[key] != m:
-                raise ConflictingLabel(f"edge {key} listed with labels {finite[key]} and {m}")
-            finite[key] = m
         self.vertices = vertices
-        self._vertex_set = frozenset(vertices)
-        self._labels = dict(sorted(finite.items()))
+        self._vertex_set = vertex_set
+        self._labels = dict(sorted((key, m) for key, m in given.items() if m != INFINITY))
         self._commuting: dict[str, set[str]] = {v: set() for v in vertices}
-        for (u, v), m in finite.items():
+        for (u, v), m in self._labels.items():
             if m == 2:
                 self._commuting[u].add(v)
                 self._commuting[v].add(u)
@@ -152,7 +164,10 @@ def parse_spec(document) -> CoxeterSpec:
     The document has two fields: ``vertices``, a list of strings, and
     ``edges``, a list of ``{"u":, "v":, "m":}`` records where ``m`` is an
     integer >= 2 or the string ``"inf"``.  An ``"inf"`` edge is equivalent
-    to omitting the pair.
+    to omitting the pair.  Only the document's shape is checked here; each
+    record, once its shape is checked, goes to the label validator of
+    CoxeterSpec, so every label is checked once and faults are reported in
+    record order.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -169,41 +184,20 @@ def parse_spec(document) -> CoxeterSpec:
     edges = document.get("edges", [])
     if not isinstance(edges, list):
         raise MalformedDocument("'edges' must be a list of {u, v, m} records")
+    spec = CoxeterSpec.__new__(CoxeterSpec)
+    spec._fill(tuple(vertices), _edge_triples(edges))
+    return spec
 
-    labels: dict[tuple[str, str], int] = {}
-    infinite_pairs: set[tuple[str, str]] = set()
-    vertex_set = set()
-    for v in vertices:
-        if not isinstance(v, str):
-            raise MalformedDocument(f"vertex {v!r} is not a string")
-        vertex_set.add(v)
+
+def _edge_triples(edges: list):
+    """Yield (u, v, m) per edge record, checking only its shape."""
     for rec in edges:
-        if not isinstance(rec, Mapping) or not {"u", "v", "m"} <= set(rec):
+        if not isinstance(rec, Mapping) or "u" not in rec or "v" not in rec or "m" not in rec:
             raise MalformedDocument(f"edge record {rec!r} must have fields u, v, m")
         u, v, m = rec["u"], rec["v"], rec["m"]
         if not isinstance(u, str) or not isinstance(v, str):
             raise MalformedDocument(f"edge endpoints {u!r}, {v!r} must be vertex strings")
-        if u == v:
-            raise MalformedDocument(f"edge ({u!r}, {v!r}) is a self-loop")
-        if u not in vertex_set or v not in vertex_set:
-            raise UnknownVertex(f"edge ({u!r}, {v!r}) mentions a non-vertex")
-        if m == "inf" or m == INFINITY:
-            key = _pair(u, v)
-            if key in labels:
-                raise ConflictingLabel(f"edge {key} listed with labels {labels[key]} and inf")
-            infinite_pairs.add(key)
-            continue
-        if not isinstance(m, int) or isinstance(m, bool):
-            raise LabelOutOfRange(f"label m({u},{v}) = {m!r} is neither an integer nor 'inf'")
-        if m < 2:
-            raise LabelOutOfRange(f"label m({u},{v}) = {m} is below 2")
-        key = _pair(u, v)
-        if key in infinite_pairs:
-            raise ConflictingLabel(f"edge {key} listed with labels inf and {m}")
-        if key in labels and labels[key] != m:
-            raise ConflictingLabel(f"edge {key} listed with labels {labels[key]} and {m}")
-        labels[key] = m
-    return CoxeterSpec(vertices, labels)
+        yield u, v, m
 
 
 def induced_subspec(spec: CoxeterSpec, subset: Iterable[str]) -> CoxeterSpec:

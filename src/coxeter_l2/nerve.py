@@ -141,6 +141,14 @@ class Nerve(SimplicialComplex):
         super().__init__(spec.vertices, simplices)
         self.spec, self._orders = spec, dict(orders)
 
+    @classmethod
+    def _assembled(cls, spec: CoxeterSpec, by_dim: dict, orders: dict[Simplex, int]) -> "Nerve":
+        """The nerve from simplices distinct and sorted per dimension; the spec holds it weakly."""
+        nerve = cls._presorted(spec.vertices, by_dim)
+        nerve.spec, nerve._orders = spec, orders
+        spec._nerve = weakref.ref(nerve)
+        return nerve
+
     def order(self, simplex: Iterable[str]) -> int:
         """|W_T| for a simplex T; the empty simplex has order 1."""
         s = tuple(sorted(simplex))
@@ -345,7 +353,9 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
     Each frontier set carries its diagram components with their orders, so
     s + w is classified by matching one component: w merged with the
     components of s it does not commute with (w alone doubles the order).
-    Raises CapExceeded past ``simplex_cap`` simplices.
+    The matcher hands back plain (kind, rank, order, m) fields and only the
+    order is kept, so no component record is made per merge.  Raises
+    CapExceeded past ``simplex_cap`` simplices.
 
     The spec keeps a weak reference to the nerve built last, so while a
     caller holds that nerve, building it again (as certify_nonplanar does)
@@ -389,19 +399,17 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
                 if len(merged) == 1:
                     comp = ((w,), 2)
                 else:
-                    match = _match_component(spec, tuple(sorted(merged)))
+                    key = tuple(sorted(merged))
+                    match = _match_component(spec, key)
                     if match is None:
                         continue
-                    comp = (match.vertices, match.order)
+                    comp = (key, match[2])
                 t = s + (w,)
                 add(t, order * comp[1])
                 near = finite_adj[w]
                 nxt.append((t, [x for x in candidates[i + 1:] if x in near], (*kept, comp)))
         frontier = nxt
-    nerve = Nerve._presorted(spec.vertices, {d: tuple(group) for d, group in by_dim.items()})
-    nerve.spec, nerve._orders = spec, orders
-    spec._nerve = weakref.ref(nerve)
-    return nerve
+    return Nerve._assembled(spec, {d: tuple(group) for d, group in by_dim.items()}, orders)
 
 
 def has_right_angled_complement(nerve: Nerve, subset) -> bool:

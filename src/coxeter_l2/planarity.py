@@ -35,7 +35,7 @@ from coxeter_l2.nerve import (
     recognize_sphere,
     validate_embedding,
 )
-from coxeter_l2.invariants import BettiVector, _rational, betti
+from coxeter_l2.invariants import _rational, betti
 
 # Stable statement identifiers cited by certificates and proof traces.
 STMT_CHI = "chi-orb"
@@ -69,7 +69,10 @@ def cone_construction(
     walk; empty 3-cycles (triangles of the skeleton that are not
     simplices) count as regions and are coned.  The input complex becomes
     a full subcomplex with right-angled complement of the resulting
-    2-sphere nerve.
+    2-sphere nerve.  That nerve is assembled from the input nerve, not
+    rebuilt: a cone vertex adds itself (order 2) and itself joined to each
+    simplex T on its boundary (order 2|W_T|), and nothing is classified.
+    The result is still checked to be a 2-sphere containing the input.
     """
     if not isinstance(rot, RotationSystem):
         rot = RotationSystem.from_document(rot)
@@ -94,13 +97,24 @@ def cone_construction(
     taken = set(nerve.spec.vertices)
     vertices = list(nerve.spec.vertices)
     labels = {(u, v): m for u, v, m in nerve.spec.finite_edges()}
+    by_dim = {d: list(group) for d, group in nerve._by_dim.items()}
+    orders = dict(nerve._orders)
     for i, face in enumerate(to_cone):
         name = _disjoint_rename(taken, f"{CONE_PREFIX}{i}")
         taken.add(name)
         vertices.append(name)
-        for u, _ in face:
+        boundary = tuple(u for u, _ in face)
+        for u in boundary:
             labels[(name, u)] = 2
-    coned = build_nerve(CoxeterSpec(vertices, labels))
+        # The apex commutes with its face and has infinite labels elsewhere, so
+        # its simplices are the apex alone and the apex with each face simplex.
+        for s in ((), *nerve._view(boundary).simplices()):
+            t = tuple(sorted((*s, name)))
+            by_dim.setdefault(len(s), []).append(t)
+            orders[t] = 2 * orders.get(s, 1)
+    coned = Nerve._assembled(
+        CoxeterSpec(vertices, labels), {d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)}, orders
+    )
 
     if recognize_sphere(coned) is not SphereKind.TWO_SPHERE:
         raise NotSpherical(
@@ -147,8 +161,8 @@ class Certificate:
         return doc
 
 
-def _certify_connected(nerve: Nerve, vector: BettiVector) -> Certificate:
-    """Certify a connected nerve of dimension <= 2 with W infinite from its Betti vector.
+def _certify_connected(nerve: Nerve) -> Certificate:
+    """Certify a connected nerve of dimension <= 2 from its Betti vector (W finite: inconclusive).
 
     With beta_0 = 0 and no chains above dimension 3, the alternating-sum
     identity gives chi_orb <= beta_2, so max(chi_orb, 0) bounds beta_2.  An
@@ -156,6 +170,9 @@ def _certify_connected(nerve: Nerve, vector: BettiVector) -> Certificate:
     and is cited in place of that bound.  Without a rule context no other
     rule sets a positive entry 2: it is 0 (R-S0/S1, R-S2) or Unknown.
     """
+    vector = betti(nerve)
+    if vector.rule_for(0) == "R-fin":
+        return Certificate("Inconclusive", nerve.spec, Fraction(0), (), reason="FiniteGroup")
     chi = vector.chi
     chain = [
         CitedStep(
@@ -199,13 +216,10 @@ def certify_nonplanar(spec: CoxeterSpec) -> Certificate:
     (never "Planar").  Disconnected subjects are certified per component,
     each on its sub-nerve filtered from the subject's nerve; one non-planar
     component suffices.  While the caller holds the nerve of this spec,
-    build_nerve hands it back, so nothing is built again.
+    build_nerve hands it back, so nothing is built again.  Each component
+    goes straight to the connected path, without being split again.
     """
-    return _certify(build_nerve(spec))
-
-
-def _certify(nerve: Nerve) -> Certificate:
-    spec = nerve.spec
+    nerve = build_nerve(spec)
     if nerve.dimension > 2:
         return Certificate(
             "Inconclusive", spec, Fraction(0), (), reason="DimensionTooHigh"
@@ -220,7 +234,7 @@ def _certify(nerve: Nerve) -> Certificate:
             "a non-planar component makes the whole non-planar"
         ]
         for comp in components:
-            sub_cert = _certify(induced_nerve(nerve, comp))
+            sub_cert = _certify_connected(induced_nerve(nerve, comp))
             if sub_cert.verdict == "NotPlanar":
                 return Certificate(
                     "NotPlanar",
@@ -240,10 +254,7 @@ def _certify(nerve: Nerve) -> Certificate:
             reason="ObstructionSilent",
             notes=tuple(notes),
         )
-    vector = betti(nerve)
-    if vector.rule_for(0) == "R-fin":
-        return Certificate("Inconclusive", spec, Fraction(0), (), reason="FiniteGroup")
-    return _certify_connected(nerve, vector)
+    return _certify_connected(nerve)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ import numpy as np
 from coxeter_l2.model import INFINITY, CoxeterSpec, VertexSubset, components
 
 _E_ORDERS = {6: 51840, 7: 2903040, 8: 696729600}
+_H_ORDERS = {3: 120, 4: 14400}
 
 
 @dataclass(frozen=True)
@@ -70,29 +71,35 @@ def diagram_components(spec: CoxeterSpec, subset) -> list[VertexSubset]:
     return components(spec.check_subset(subset), spec.commuting, complement=True)
 
 
-def _match_component(spec: CoxeterSpec, comp: VertexSubset) -> FiniteTypeComponent | None:
-    """Match one diagram-connected component against the finite-type templates."""
+def _match_component(spec: CoxeterSpec, comp: VertexSubset) -> tuple | None:
+    """Match one diagram-connected component, a sorted tuple, against the finite-type templates.
+
+    Returns the (kind, rank, order, m) fields of its FiniteTypeComponent, m
+    being the dihedral label for kind "I2" and None otherwise, or None when
+    the component is infinite.  Labels are read from the spec's validated
+    label dict: a sorted pair has a finite label exactly when it is stored.
+    """
     n = len(comp)
+    labels = spec._labels
+    if n == 1:
+        return ("A", 1, 2, None)
+    if n == 2:  # diagram-connected, so the label is not 2
+        m = labels.get(comp)
+        if m is None:
+            return None  # an infinite pair
+        return ("A", 2, 6, None) if m == 3 else ("B", 2, 8, None) if m == 4 else ("I2", 2, 2 * m, m)
+
+    # Rank >= 3: the diagram must be a tree with no infinite pair, and the
+    # tree must be a path or have a single 3-valent branch; anything else is
+    # infinite.
     members = set(comp)
     commuting_pairs = sum(len(spec.commuting(u) & members) for u in comp) // 2
     if n * (n - 1) // 2 - commuting_pairs != n - 1:
         return None  # the diagram (infinite pairs included) is not a tree
-    pairs = [(u, v) for i, u in enumerate(comp) for v in comp[i + 1:]]
-    if any(spec.label(u, v) == INFINITY for u, v in pairs):
+    pairs = [(u, v, labels.get((u, v))) for i, u in enumerate(comp) for v in comp[i + 1:]]
+    edges = [(u, v, m) for u, v, m in pairs if m != 2]  # an infinite label reads as None
+    if any(m is None for _, _, m in edges):
         return None
-    if n == 1:
-        return FiniteTypeComponent("A", 1, 2, comp)
-    if n == 2:
-        m = int(spec.label(*comp))
-        if m == 3:
-            return FiniteTypeComponent("A", 2, 6, comp)
-        if m == 4:
-            return FiniteTypeComponent("B", 2, 8, comp)
-        return FiniteTypeComponent("I2", 2, 2 * m, comp, m=m)
-
-    # Rank >= 3: the diagram is a tree, which must be a path or have a
-    # single 3-valent branch; anything else is infinite.
-    edges = [(u, v, int(spec.label(u, v))) for u, v in pairs if spec.label(u, v) >= 3]
     adj: dict[str, list[tuple[str, int]]] = {v: [] for v in comp}
     for u, v, m in edges:
         adj[u].append((v, m))
@@ -117,13 +124,9 @@ def _match_component(spec: CoxeterSpec, comp: VertexSubset) -> FiniteTypeCompone
             arms.append(length)
         arms.sort()
         if arms[:2] == [1, 1]:
-            return FiniteTypeComponent("D", n, 2 ** (n - 1) * math.factorial(n), comp)
-        if arms == [1, 2, 2]:
-            return FiniteTypeComponent("E6", 6, _E_ORDERS[6], comp)
-        if arms == [1, 2, 3]:
-            return FiniteTypeComponent("E7", 7, _E_ORDERS[7], comp)
-        if arms == [1, 2, 4]:
-            return FiniteTypeComponent("E8", 8, _E_ORDERS[8], comp)
+            return ("D", n, 2 ** (n - 1) * math.factorial(n), None)
+        if arms[:2] == [1, 2] and arms[2] <= 4:  # arms 1, 2 and 2, 3 or 4: E6, E7, E8
+            return (f"E{n}", n, _E_ORDERS[n], None)
         return None
 
     # A path: read its label sequence from one endpoint.
@@ -139,22 +142,19 @@ def _match_component(spec: CoxeterSpec, comp: VertexSubset) -> FiniteTypeCompone
         prev, cur = cur, w
     big = [m for m in seq if m >= 4]
     if not big:
-        return FiniteTypeComponent("A", n, math.factorial(n + 1), comp)
+        return ("A", n, math.factorial(n + 1), None)
     if len(big) > 1:
         return None
     m, pos = big[0], seq.index(big[0])
     at_end = pos in (0, len(seq) - 1)
     if m == 4:
         if at_end:
-            return FiniteTypeComponent("B", n, 2 ** n * math.factorial(n), comp)
+            return ("B", n, 2 ** n * math.factorial(n), None)
         if n == 4 and pos == 1:
-            return FiniteTypeComponent("F4", 4, 1152, comp)
+            return ("F4", 4, 1152, None)
         return None
-    if m == 5 and at_end:
-        if n == 3:
-            return FiniteTypeComponent("H3", 3, 120, comp)
-        if n == 4:
-            return FiniteTypeComponent("H4", 4, 14400, comp)
+    if m == 5 and at_end and n in _H_ORDERS:
+        return (f"H{n}", n, _H_ORDERS[n], None)
     return None
 
 
@@ -171,8 +171,9 @@ def classify(spec: CoxeterSpec, subset) -> SphericalVerdict:
         match = _match_component(spec, comp)
         if match is None:
             return SphericalVerdict(False, (), 0, diagram)
-        comps.append(match)
-        order *= match.order
+        kind, rank, comp_order, m = match
+        comps.append(FiniteTypeComponent(kind, rank, comp_order, comp, m))
+        order *= comp_order
     return SphericalVerdict(True, tuple(comps), order, diagram)
 
 

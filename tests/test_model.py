@@ -65,33 +65,76 @@ def test_inf_edge_equivalent_to_omission():
     assert with_inf == without
 
 
-@pytest.mark.parametrize(
-    "doc,error",
-    [
-        ("not json {", MalformedDocument),
-        ({"edges": []}, MalformedDocument),
-        ({"vertices": ["a", "a"]}, DuplicateVertex),
-        ({"vertices": [3]}, MalformedDocument),
-        ({"vertices": ["a"], "edges": [{"u": "a", "v": "a", "m": 2}]}, MalformedDocument),
-        ({"vertices": ["a"], "edges": [{"u": "a", "v": "b", "m": 2}]}, UnknownVertex),
-        ({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "m": 2.5}]}, LabelOutOfRange),
-        ({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "m": "four"}]}, LabelOutOfRange),
-        (
-            {
-                "vertices": ["a", "b"],
-                "edges": [{"u": "a", "v": "b", "m": 2}, {"u": "b", "v": "a", "m": 3}],
-            },
-            ConflictingLabel,
-        ),
-        (
-            {
-                "vertices": ["a", "b"],
-                "edges": [{"u": "a", "v": "b", "m": 2}, {"u": "b", "v": "a", "m": "inf"}],
-            },
-            ConflictingLabel,
-        ),
-    ],
-)
+# Invalid documents with the error parse_spec reports first.  Several carry
+# more than one fault: edge records are checked in order before the vertex
+# list is checked for empty names and duplicates.
+# Invalid documents with the error parse_spec reports first.  Several carry
+# more than one fault: edge records are checked in order before the vertex
+# list is checked for empty names and duplicates.
+INVALID_DOCUMENTS = [
+    ("not json {", MalformedDocument),
+    ({"edges": []}, MalformedDocument),
+    ({"vertices": ["a", "a"]}, DuplicateVertex),
+    ({"vertices": [3]}, MalformedDocument),
+    ({"vertices": ["a"], "edges": [{"u": "a", "v": "a", "m": 2}]}, MalformedDocument),
+    ({"vertices": ["a"], "edges": [{"u": "a", "v": "b", "m": 2}]}, UnknownVertex),
+    ({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "m": 2.5}]}, LabelOutOfRange),
+    ({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "m": "four"}]}, LabelOutOfRange),
+    (
+        {
+            "vertices": ["a", "b"],
+            "edges": [{"u": "a", "v": "b", "m": 2}, {"u": "b", "v": "a", "m": 3}],
+        },
+        ConflictingLabel,
+    ),
+    (
+        {
+            "vertices": ["a", "b"],
+            "edges": [{"u": "a", "v": "b", "m": 2}, {"u": "b", "v": "a", "m": "inf"}],
+        },
+        ConflictingLabel,
+    ),
+    (
+        {
+            "vertices": ["a", "b"],
+            "edges": [{"u": "a", "v": "b", "m": "inf"}, {"u": "b", "v": "a", "m": 3}],
+        },
+        ConflictingLabel,
+    ),
+    (["a"], MalformedDocument),
+    ({"vertices": "ab"}, MalformedDocument),
+    ({"vertices": ["a"], "edges": {}}, MalformedDocument),
+    ({"vertices": ["", "b"]}, MalformedDocument),
+    ({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "m": True}]}, LabelOutOfRange),
+    ({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "m": -1}]}, LabelOutOfRange),
+    ({"vertices": ["a", "b"], "edges": ["ab"]}, MalformedDocument),
+    ({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b"}]}, MalformedDocument),
+    ({"vertices": ["a", "b"], "edges": [{"u": "a", "v": 1, "m": 2}]}, MalformedDocument),
+    # more than one fault
+    ({"vertices": ["a", "a", "b"], "edges": [{"u": "a", "v": "b", "m": 1}]}, LabelOutOfRange),
+    ({"vertices": ["a", "a"], "edges": [{"u": "a", "v": "c", "m": 2}]}, UnknownVertex),
+    ({"vertices": ["", "b"], "edges": [{"u": "", "v": "b", "m": "x"}]}, LabelOutOfRange),
+    ({"vertices": ["a", 3, "a"], "edges": [{"u": "a", "v": "a", "m": 2}]}, MalformedDocument),
+    ({"vertices": ["b", "a", "b"], "edges": [{"u": "a", "v": "b", "m": 2}, {"u": "a"}]}, MalformedDocument),
+    (
+        {"vertices": ["a", "b", "c"], "edges": [{"u": "a", "v": "b", "m": 0}, {"u": "b"}]},
+        LabelOutOfRange,
+    ),
+    (
+        {
+            "vertices": ["a", "b", "a"],
+            "edges": [
+                {"u": "b", "v": "a", "m": 3},
+                {"u": "a", "v": "b", "m": "inf"},
+                {"u": "a", "v": "z", "m": 2},
+            ],
+        },
+        ConflictingLabel,
+    ),
+]
+
+
+@pytest.mark.parametrize("doc,error", INVALID_DOCUMENTS)
 def test_invalid_documents_rejected(doc, error):
     with pytest.raises(error):
         parse_spec(doc)
@@ -203,3 +246,36 @@ def test_random_corruption_rejected_or_roundtrips():
             continue
         with pytest.raises(expected):
             parse_spec(doc)
+
+
+@pytest.mark.parametrize("first,second", [(2, INFINITY), (INFINITY, 2), (3, 4)])
+def test_conflicting_labels_rejected_by_both_entry_points(first, second):
+    # parse_spec and the constructor share one label validator
+    with pytest.raises(ConflictingLabel):
+        CoxeterSpec(["a", "b"], {("a", "b"): first, ("b", "a"): second})
+    doc = {
+        "vertices": ["a", "b"],
+        "edges": [
+            {"u": "a", "v": "b", "m": "inf" if first == INFINITY else first},
+            {"u": "b", "v": "a", "m": "inf" if second == INFINITY else second},
+        ],
+    }
+    with pytest.raises(ConflictingLabel):
+        parse_spec(doc)
+
+
+def test_constructor_checks_labels_as_documents_are_checked():
+    assert CoxeterSpec(["a", "b"], {("a", "b"): INFINITY, ("b", "a"): "inf"}).finite_edges() == []
+    assert CoxeterSpec(["a", "b"], {("a", "b"): 3, ("b", "a"): 3}).label("a", "b") == 3
+    for labels, error in [
+        ({("a", "a"): 2}, MalformedDocument),
+        ({("a", "z"): 2}, UnknownVertex),
+        ({("a", "b"): 1}, LabelOutOfRange),
+        ({("a", "b"): 2.0}, LabelOutOfRange),
+        ({("a", "b"): True}, LabelOutOfRange),
+    ]:
+        with pytest.raises(error):
+            CoxeterSpec(["a", "b"], labels)
+    for vertices, error in [(["a", "a"], DuplicateVertex), (["a", ""], MalformedDocument), (["a", 3], MalformedDocument)]:
+        with pytest.raises(error):
+            CoxeterSpec(vertices, {})

@@ -4,15 +4,21 @@ Each test keeps the old, slower path as a reference: rebuilding a nerve
 from the induced subsystem, pairwise-label component finding, straddling
 pairs by enumerating every vertex pair, the per-simplex Euler sum, the
 exhaustive rotation-system search for planarity, face tracing that
-restarts from the least unused directed edge, and the non-planarity
+restarts from the least unused directed edge, the non-planarity
 certificate derived through a separate dimension-2 lower bound whose
-provenance text is parsed.
+provenance text is parsed, the component matcher that reads labels through
+label() and returns a record, document parsing that checked every label
+before the constructor checked it again, and coning by rebuilding the
+coned spec's nerve.
 """
 
 import gc
+import json
+import math
 import random
 import weakref
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -37,10 +43,22 @@ from coxeter_l2.invariants import (
     chi_orb,
     chi_orb_chain_sum,
 )
-from coxeter_l2.model import INFINITY, CoxeterSpec, components, induced_subspec
+from coxeter_l2.model import (
+    INFINITY,
+    ConflictingLabel,
+    CoxeterSpec,
+    DuplicateVertex,
+    LabelOutOfRange,
+    MalformedDocument,
+    UnknownVertex,
+    components,
+    induced_subspec,
+    parse_spec,
+)
 from coxeter_l2.nerve import (
     CapExceeded,
     FaceSet,
+    Nerve,
     NotSpherical,
     RotationSystem,
     SphereKind,
@@ -54,17 +72,22 @@ from coxeter_l2.nerve import (
     link,
     recognize_sphere,
     SimplicialComplex,
+    _is_simple,
     validate_embedding,
 )
 from coxeter_l2.planarity import (
     Certificate,
     CitedStep,
+    NonSimpleFaceBoundary,
     brute_force_planar,
     certify_nonplanar,
+    cone_construction,
     planar_rotation,
     trace_vanishing,
 )
-from coxeter_l2.spherical import classify, diagram_components
+from coxeter_l2.spherical import FiniteTypeComponent, SphericalVerdict, classify, diagram_components
+
+from conftest import random_planar_graph, random_spec
 
 LABELS = st.sampled_from([2, 3, 4, 5, 6, INFINITY])
 
@@ -887,3 +910,406 @@ def test_certify_k5_computes_chi_and_full_classification_once(monkeypatch):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     assert certify_nonplanar(spec).verdict == "NotPlanar"
     assert calls == {"chi_orb": 1, "classify": 1}
+
+
+# Front end: one-pass spec validation, the tuple matcher, the assembled cone --------------
+
+
+def reference_match_component(spec, comp):
+    """The matcher as it was: membership-checked label() reads, a record per match."""
+    n = len(comp)
+    members = set(comp)
+    commuting_pairs = sum(len(spec.commuting(u) & members) for u in comp) // 2
+    if n * (n - 1) // 2 - commuting_pairs != n - 1:
+        return None
+    pairs = [(u, v) for i, u in enumerate(comp) for v in comp[i + 1:]]
+    if any(spec.label(u, v) == INFINITY for u, v in pairs):
+        return None
+    if n == 1:
+        return FiniteTypeComponent("A", 1, 2, comp)
+    if n == 2:
+        m = int(spec.label(*comp))
+        if m == 3:
+            return FiniteTypeComponent("A", 2, 6, comp)
+        if m == 4:
+            return FiniteTypeComponent("B", 2, 8, comp)
+        return FiniteTypeComponent("I2", 2, 2 * m, comp, m=m)
+    edges = [(u, v, int(spec.label(u, v))) for u, v in pairs if spec.label(u, v) >= 3]
+    adj = {v: [] for v in comp}
+    for u, v, m in edges:
+        adj[u].append((v, m))
+        adj[v].append((u, m))
+    degrees = {v: len(nb) for v, nb in adj.items()}
+    if max(degrees.values()) > 3 or sum(1 for d in degrees.values() if d == 3) > 1:
+        return None
+    branch = [v for v, d in degrees.items() if d == 3]
+    if branch:
+        if any(m != 3 for _, _, m in edges):
+            return None
+        b = branch[0]
+        arms = []
+        for first, _ in adj[b]:
+            length, prev, cur = 1, b, first
+            while degrees[cur] == 2:
+                nxt = [w for w, _ in adj[cur] if w != prev][0]
+                prev, cur = cur, nxt
+                length += 1
+            arms.append(length)
+        arms.sort()
+        if arms[:2] == [1, 1]:
+            return FiniteTypeComponent("D", n, 2 ** (n - 1) * math.factorial(n), comp)
+        e_orders = {6: 51840, 7: 2903040, 8: 696729600}
+        for rank, shape in ((6, [1, 2, 2]), (7, [1, 2, 3]), (8, [1, 2, 4])):
+            if arms == shape:
+                return FiniteTypeComponent(f"E{rank}", rank, e_orders[rank], comp)
+        return None
+    ends = [v for v, d in degrees.items() if d == 1]
+    seq, prev, cur = [], None, min(ends)
+    while True:
+        nxt = [(w, m) for w, m in adj[cur] if w != prev]
+        if not nxt:
+            break
+        (w, m) = nxt[0]
+        seq.append(m)
+        prev, cur = cur, w
+    big = [m for m in seq if m >= 4]
+    if not big:
+        return FiniteTypeComponent("A", n, math.factorial(n + 1), comp)
+    if len(big) > 1:
+        return None
+    m, pos = big[0], seq.index(big[0])
+    at_end = pos in (0, len(seq) - 1)
+    if m == 4:
+        if at_end:
+            return FiniteTypeComponent("B", n, 2 ** n * math.factorial(n), comp)
+        if n == 4 and pos == 1:
+            return FiniteTypeComponent("F4", 4, 1152, comp)
+        return None
+    if m == 5 and at_end:
+        if n == 3:
+            return FiniteTypeComponent("H3", 3, 120, comp)
+        if n == 4:
+            return FiniteTypeComponent("H4", 4, 14400, comp)
+    return None
+
+
+def reference_classify(spec, subset) -> SphericalVerdict:
+    diagram = tuple(diagram_components(spec, subset))
+    comps, order = [], 1
+    for comp in diagram:
+        match = reference_match_component(spec, comp)
+        if match is None:
+            return SphericalVerdict(False, (), 0, diagram)
+        comps.append(match)
+        order *= match.order
+    return SphericalVerdict(True, tuple(comps), order, diagram)
+
+
+@st.composite
+def labelled_specs_with_subset(draw):
+    spec = draw(st.one_of(specs(max_vertices=8), finite_type_specs(max_vertices=8)))
+    subset = draw(st.lists(st.sampled_from(spec.vertices), unique=True)) if spec.vertices else []
+    return spec, draw(st.one_of(st.just(list(spec.vertices)), st.just(subset)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_specs_with_subset())
+def test_classify_equals_record_matcher(case):
+    spec, subset = case
+    verdict, ref = classify(spec, subset), reference_classify(spec, subset)
+    assert verdict == ref  # spherical, order, diagram, and kind, rank, order, m per component
+    assert [c.name for c in verdict.components] == [c.name for c in ref.components]
+
+
+def reference_parse_spec(document) -> CoxeterSpec:
+    """parse_spec as it was: every label checked here, then the vertices by the constructor."""
+    if isinstance(document, (str, bytes)):
+        try:
+            document = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise MalformedDocument(f"not valid JSON: {exc}") from exc
+    if not isinstance(document, Mapping):
+        raise MalformedDocument("document must be a JSON object")
+    if "vertices" not in document:
+        raise MalformedDocument("document lacks a 'vertices' field")
+    vertices = document["vertices"]
+    if not isinstance(vertices, list):
+        raise MalformedDocument("'vertices' must be a list of strings")
+    edges = document.get("edges", [])
+    if not isinstance(edges, list):
+        raise MalformedDocument("'edges' must be a list of {u, v, m} records")
+    labels, infinite_pairs, vertex_set = {}, set(), set()
+    for v in vertices:
+        if not isinstance(v, str):
+            raise MalformedDocument(f"vertex {v!r} is not a string")
+        vertex_set.add(v)
+    for rec in edges:
+        if not isinstance(rec, Mapping) or not {"u", "v", "m"} <= set(rec):
+            raise MalformedDocument(f"edge record {rec!r} must have fields u, v, m")
+        u, v, m = rec["u"], rec["v"], rec["m"]
+        if not isinstance(u, str) or not isinstance(v, str):
+            raise MalformedDocument(f"edge endpoints {u!r}, {v!r} must be vertex strings")
+        if u == v:
+            raise MalformedDocument(f"edge ({u!r}, {v!r}) is a self-loop")
+        if u not in vertex_set or v not in vertex_set:
+            raise UnknownVertex(f"edge ({u!r}, {v!r}) mentions a non-vertex")
+        key = (u, v) if u < v else (v, u)
+        if m == "inf" or m == INFINITY:
+            if key in labels:
+                raise ConflictingLabel(f"edge {key} listed with labels {labels[key]} and inf")
+            infinite_pairs.add(key)
+            continue
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise LabelOutOfRange(f"label m({u},{v}) = {m!r} is neither an integer nor 'inf'")
+        if m < 2:
+            raise LabelOutOfRange(f"label m({u},{v}) = {m} is below 2")
+        if key in infinite_pairs:
+            raise ConflictingLabel(f"edge {key} listed with labels inf and {m}")
+        if key in labels and labels[key] != m:
+            raise ConflictingLabel(f"edge {key} listed with labels {labels[key]} and {m}")
+        labels[key] = m
+    seen = set()  # the constructor's own vertex checks, which ran before its label checks
+    for v in vertices:
+        if not v:
+            raise MalformedDocument(f"vertex identifier must be a non-empty string, got {v!r}")
+        if v in seen:
+            raise DuplicateVertex(f"duplicate vertex {v!r}")
+        seen.add(v)
+    return CoxeterSpec(vertices, labels)
+
+
+NAMES = st.sampled_from(["a", "b", "c", "d", "e", "v10", "v2", "Z", "é"])
+DOC_LABELS = st.sampled_from([2, 3, 4, 5, 6, 17, "inf"])
+
+
+@st.composite
+def valid_documents(draw):
+    vertices = draw(st.lists(NAMES, unique=True, max_size=7))
+    edges = []
+    for u, v in combinations(vertices, 2):
+        m = draw(st.one_of(st.none(), DOC_LABELS))
+        if m is None:
+            continue
+        for _ in range(draw(st.integers(1, 2))):  # a repeated record with the same label is fine
+            ends = [u, v] if draw(st.booleans()) else [v, u]
+            edges.append({"u": ends[0], "v": ends[1], "m": m})
+    order = draw(st.permutations(range(len(edges))))
+    return {"vertices": vertices, "edges": [edges[i] for i in order]}
+
+
+BAD_VERTICES = st.sampled_from(["", 3, None, ["a"], True])
+BAD_LABELS = st.sampled_from([0, 1, -3, "x", 2.5, True, None, "Infinity", [3]])
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one to three faults, each at a random place."""
+    doc = draw(valid_documents())
+    vertices, edges = doc["vertices"], doc["edges"]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from([  # faults that end parsing at once come up less often
+            "dup_vertex", "bad_vertex", "bad_record", "missing_field", "bad_endpoint", "self_loop",
+            *["ghost", "bad_label", "conflict"] * 3,
+            "vertices_not_list", "edges_not_list", "no_vertices", "not_mapping",
+        ]))
+        at = draw(st.integers(0, len(edges)))
+        if kind == "dup_vertex" and vertices:
+            vertices.insert(draw(st.integers(0, len(vertices))), draw(st.sampled_from(vertices)))
+        elif kind == "bad_vertex":
+            vertices.insert(draw(st.integers(0, len(vertices))), draw(BAD_VERTICES))
+        elif kind == "vertices_not_list":
+            doc["vertices"] = draw(st.sampled_from(["ab", {"a": 1}, 7]))
+        elif kind == "edges_not_list":
+            doc["edges"] = draw(st.sampled_from(["ab", {}, 7]))
+        elif kind == "no_vertices":
+            doc.pop("vertices", None)
+        elif kind == "bad_record":
+            edges.insert(at, draw(st.sampled_from(["ab", 5, None, ["a", "b", 2]])))
+        elif kind == "missing_field":
+            rec = {"u": "a", "v": "b", "m": 2}
+            del rec[draw(st.sampled_from(["u", "v", "m"]))]
+            edges.insert(at, rec)
+        elif kind == "bad_endpoint":
+            edges.insert(at, {"u": "a", "v": draw(BAD_VERTICES.filter(lambda x: x != "")), "m": 2})
+        elif kind == "self_loop":
+            v = draw(NAMES)
+            edges.insert(at, {"u": v, "v": v, "m": draw(DOC_LABELS)})
+        elif kind == "ghost":
+            edges.insert(at, {"u": draw(NAMES), "v": "ghost", "m": 2})
+        elif kind == "bad_label":
+            u, v = draw(st.permutations(vertices if len(vertices) >= 2 else ["a", "b"]))[:2]
+            edges.insert(at, {"u": u, "v": v, "m": draw(BAD_LABELS)})
+        elif kind == "conflict" and any(isinstance(rec, dict) and len(rec) == 3 for rec in edges):
+            rec = dict(draw(st.sampled_from([r for r in edges if isinstance(r, dict) and len(r) == 3])))
+            rec["m"] = draw(DOC_LABELS)
+            edges.insert(at, rec)
+        elif kind == "not_mapping":
+            return [doc]
+    return doc
+
+
+def parse_outcome(parse, document):
+    try:
+        return parse(document)
+    except Exception as exc:  # the class and the message are compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_documents())
+def test_parse_spec_equals_two_pass_reference(doc):
+    for document in (doc, json.dumps(doc)):
+        assert_same_spec(parse_spec(document), reference_parse_spec(document))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_parse_spec_reports_the_same_first_fault(doc):
+    got, ref = parse_outcome(parse_spec, doc), parse_outcome(reference_parse_spec, doc)
+    if isinstance(ref, CoxeterSpec):  # some mutations leave a valid document
+        assert_same_spec(got, ref)
+    else:
+        assert got == ref
+
+
+def reference_cone_construction(nerve, rot):
+    """cone_construction as it was: the coned spec's nerve built from scratch."""
+    rot = RotationSystem.from_document(rot) if isinstance(rot, dict) else rot
+    if not nerve.vertices:
+        raise ValueError("cannot cone an empty complex")
+    if not nerve.is_connected():
+        raise ValueError("cone construction requires a connected complex")
+    if nerve.dimension > 2:
+        raise ValueError("cone construction requires dimension <= 2")
+    ((_, faceset),) = validate_embedding(nerve, rot)
+    for face in faceset.faces:
+        if not _is_simple(face):
+            raise NonSimpleFaceBoundary(f"face walk {[u for u, _ in face]} repeats a vertex")
+    to_cone = [
+        face for face in faceset.faces
+        if not (len(face) == 3 and nerve.has_simplex([u for u, _ in face]))
+    ]
+    taken, vertices = set(nerve.spec.vertices), list(nerve.spec.vertices)
+    labels = {(u, v): m for u, v, m in nerve.spec.finite_edges()}
+    for i, face in enumerate(to_cone):
+        name = f"c{i}"
+        while name in taken:
+            name += "'"
+        taken.add(name)
+        vertices.append(name)
+        for u, _ in face:
+            labels[(name, u)] = 2
+    coned = build_nerve(CoxeterSpec(vertices, labels))
+    if recognize_sphere(coned) is not SphereKind.TWO_SPHERE:
+        raise NotSpherical(
+            "coning did not yield a 2-sphere triangulation (a face boundary likely has a chord)"
+        )
+    sub, witness = full_subcomplex(coned, nerve.vertices)
+    if sub != nerve or not witness.right_angled_complement:
+        raise NotSpherical("coned complex does not contain the input as expected")
+    return coned, witness
+
+
+def labelled_cycle(n: int, labels: list[int]) -> CoxeterSpec:
+    vertices = [f"c{i}" for i in range(n)]  # cone names c0, c1 clash and get primed
+    return CoxeterSpec(vertices, {(vertices[i], vertices[(i + 1) % n]): labels[i] for i in range(n)})
+
+
+@st.composite
+def coning_inputs(draw):
+    """A labelled cycle with its rotation, or a face-split planar graph with an LR rotation."""
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 30))
+        spec = labelled_cycle(n, draw(st.lists(st.sampled_from([2, 3, 4, 6]), min_size=n, max_size=n)))
+        nerve = build_nerve(spec)
+        return nerve, {v: list(nerve.neighbors(v)) for v in nerve.vertices}
+    vertices, edges = random_planar_graph(draw(st.randoms(use_true_random=False)), max_vertices=9)
+    labels = {(vertices[a], vertices[b]): draw(st.sampled_from([2, 2, 3, 4, 5])) for a, b in edges}
+    nerve = build_nerve(CoxeterSpec(vertices, labels))
+    return nerve, planar_rotation(nerve)
+
+
+def cone_outcome(cone, nerve, rot):
+    try:
+        return cone(nerve, rot)
+    except ValueError as exc:  # NotSpherical and NonSimpleFaceBoundary are ValueErrors
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coning_inputs())
+def test_assembled_cone_equals_rebuilt_cone(case):
+    nerve, rot = case
+    got, ref = cone_outcome(cone_construction, nerve, rot), cone_outcome(reference_cone_construction, nerve, rot)
+    if not isinstance(ref[0], Nerve):
+        assert got == ref
+        return
+    (coned, witness), (ref_coned, ref_witness) = got, ref
+    fresh = CoxeterSpec(coned.spec.vertices, {(u, v): m for u, v, m in coned.spec.finite_edges()})
+    rebuilt = build_nerve(fresh)  # an equal spec that holds no nerve, so built from scratch
+    assert rebuilt is not coned
+    for other in (ref_coned, rebuilt):
+        assert_same_spec(coned.spec, other.spec)
+        assert coned.vertices == other.vertices and coned.dimension == other.dimension
+        assert all(coned.simplices(d) == other.simplices(d) for d in range(other.dimension + 1))
+        assert coned._orders == other._orders
+        assert all(coned.neighbors(v) == other.neighbors(v) for v in other.vertices)
+        assert all(coned._star[v] == other._star[v] for v in other.vertices)
+    assert witness == ref_witness
+
+
+def test_cone_of_c200_builds_and_matches_nothing(monkeypatch):
+    nerve = build_nerve(cycle_spec(200, 2))
+    rot = {v: list(nerve.neighbors(v)) for v in nerve.vertices}
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (nerve_module, planarity):
+        monkeypatch.setattr(module, "build_nerve", counting("build_nerve", module.build_nerve))
+    for module in (nerve_module, spherical_module):
+        monkeypatch.setattr(module, "_match_component", counting("match", module._match_component))
+    coned, witness = cone_construction(nerve, rot)
+    assert coned.counts() == (202, 600, 400) and witness.right_angled_complement
+    assert calls == Counter()
+    build_nerve(cycle_spec(3, 3))
+    assert calls == {"match": 4}  # the counters do see the nerve module: three edges, one triangle
+
+
+def test_build_nerve_reads_no_label(monkeypatch):
+    calls = Counter()
+    original = CoxeterSpec.label
+
+    def counting(self, u, v):
+        calls["label"] += 1
+        return original(self, u, v)
+
+    monkeypatch.setattr(CoxeterSpec, "label", counting)
+    rng = random.Random(7)
+    simplices = 0
+    for _ in range(30):
+        spec = random_spec(rng, max_vertices=9, labels=(2, 3, 4, 5, 6, INFINITY))
+        simplices += len(build_nerve(spec).simplices())
+    e6_beside_i2 = product_spec(["E6", "I2(6)"], ["v5", "v0", "v3", "v1", "v4", "v2", "w0", "w1"])
+    simplices += len(build_nerve(e6_beside_i2).simplices())
+    assert simplices > 500 and calls == Counter()
+    assert e6_beside_i2.label("v0", "v1") in (2, 3) and calls == {"label": 1}
+
+
+def test_matcher_rejects_a_non_tree_before_reading_labels():
+    spec = complete_graph_spec(300, 3)  # one diagram component with a cycle through every vertex
+    calls = Counter()
+
+    class CountingLabels(dict):
+        def get(self, *args):
+            calls["get"] += 1
+            return super().get(*args)
+
+    spec._labels = CountingLabels(spec._labels)
+    assert not classify(spec, spec.vertices).spherical
+    assert calls == Counter()  # the commuting sets alone rule out a tree
+    assert classify(spec, ["v0", "v1"]).order == 6 and calls == {"get": 1}  # one read for a pair
