@@ -1,11 +1,15 @@
+import math
 import random
+import types
 
 import numpy as np
 import pytest
 
+from coxeter_l2 import enumeration
 from coxeter_l2.model import CoxeterSpec
 from coxeter_l2.catalog import complete_graph_spec, path_spec
 from coxeter_l2.enumeration import (
+    NumericCollision,
     enumerate_order,
     reflection_generators,
     verify_classification,
@@ -110,3 +114,71 @@ def test_verify_random_subsets():
         size = rng.randint(0, 3)
         subset = rng.sample(list(k5.vertices), size)
         assert verify_classification(k5, subset, infinite_cap=3000)
+
+
+def test_verify_refuses_a_cap_past_the_budget_without_enumerating(monkeypatch):
+    # |H4 x B3| = 691,200 is below 10^6, but the cap of twice the order is not
+    labels = {("h0", "h1"): 5, ("h1", "h2"): 3, ("h2", "h3"): 3, ("b0", "b1"): 4, ("b1", "b2"): 3}
+    vertices = ["h0", "h1", "h2", "h3", "b0", "b1", "b2"]
+    spec = CoxeterSpec(
+        vertices,
+        {(u, v): labels.get((u, v), 2) for i, u in enumerate(vertices) for v in vertices[i + 1:]},
+    )
+    assert classify(spec, vertices).order == 691200
+
+    def enumerates(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(enumeration, "enumerate_order", enumerates)
+    with pytest.raises(ValueError, match="claimed order 691200 exceeds the oracle budget"):
+        verify_classification(spec, vertices)
+
+
+def scripted_closure(monkeypatch, sizes):
+    offsets = []
+
+    def closure(gens, cap, offset):
+        offsets.append(offset)
+        return sizes[len(offsets) - 1]
+
+    monkeypatch.setattr(enumeration, "_closure_size", closure)
+    return offsets
+
+
+def test_third_offset_decides_when_the_first_two_disagree(monkeypatch):
+    offsets = scripted_closure(monkeypatch, [5, 7, 6, 6])
+    spec = path_spec([3])
+    assert enumerate_order(spec, spec.vertices, cap=20) == 6
+    assert offsets == [0.25, 0.75, 0.125, 0.625]
+
+
+def test_four_disagreeing_offsets_raise_numeric_collision(monkeypatch):
+    scripted_closure(monkeypatch, [5, 7, 6, None])
+    spec = path_spec([3])
+    with pytest.raises(NumericCollision, match="5, 7, 6, None"):
+        enumerate_order(spec, spec.vertices, cap=20)
+
+
+def test_construction_names_the_first_generator_that_is_not_an_involution(monkeypatch):
+    original = CoxeterSpec.label
+
+    def skewed(self, u, v):  # the diagonal of the cosine form drifts from 1 at v2 and v3
+        return 1.01 if u == v and u in ("v2", "v3") else original(self, u, v)
+
+    monkeypatch.setattr(CoxeterSpec, "label", skewed)
+    spec = path_spec([3, 4, 3])
+    with pytest.raises(ArithmeticError, match="^generator v2 is not an involution$"):
+        reflection_generators(spec, spec.vertices)
+
+
+@pytest.mark.parametrize("m, first", [(3, "v0, v1"), (4, "v1, v2"), (2, "v0, v2")])
+def test_construction_names_the_first_pair_of_wrong_order(monkeypatch, m, first):
+    # F4's pairs with label m fail once cos(pi / m) is off: (v0,v1) and (v2,v3)
+    # for 3, (v1,v2) alone for 4, and (v0,v2), (v0,v3), (v1,v3) for 2
+    def cos(x):
+        return math.cos(x) + (1e-3 if x == math.pi / m else 0.0)
+
+    monkeypatch.setattr(enumeration, "math", types.SimpleNamespace(pi=math.pi, cos=cos))
+    spec = path_spec([3, 4, 3])
+    with pytest.raises(ArithmeticError, match=f"^product of {first} does not have order {m}$"):
+        reflection_generators(spec, spec.vertices)

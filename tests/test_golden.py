@@ -47,6 +47,11 @@ def cli_cases() -> dict[str, list[str]]:
             ["betti", "hexagon.json", "--subset", "v0,v2,v4"],
             ["cone", "hexagon.json", "--embedding", "hexagon_rotation.json"],
             ["trace", "octahedron.json", "--subset", "x0,x1,y0,y1"],
+            ["enumerate", "k5.json", "--subset", "v0,v1", "--cap", "20"],
+            ["enumerate", "k5.json", "--subset", "v0,v1,v2", "--cap", "500"],
+            ["enumerate", "k5.json", "--subset", "v0,v1", "--cap", "0"],
+            ["classify", "k5.json", "--subset", "v0,v1"],
+            ["planar-oracle", "k33.json"],
         ]
         for argv in extra:
             cases[f"{fmt} {' '.join(argv)}"] = ["--format", fmt, *argv]

@@ -8,8 +8,9 @@ restarts from the least unused directed edge, the non-planarity
 certificate derived through a separate dimension-2 lower bound whose
 provenance text is parsed, the component matcher that reads labels through
 label() and returns a record, document parsing that checked every label
-before the constructor checked it again, and coning by rebuilding the
-coned spec's nerve.
+before the constructor checked it again, coning by rebuilding the coned
+spec's nerve, and the enumeration closure that formed each layer's
+products with einsum and keyed them one row at a time.
 """
 
 import gc
@@ -23,16 +24,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxeter_l2 import invariants, nerve as nerve_module, planarity, spherical as spherical_module
+from coxeter_l2 import enumeration, invariants, nerve as nerve_module, planarity, spherical as spherical_module
 from coxeter_l2.catalog import (
     complete_bipartite_spec,
     complete_graph_spec,
     cycle_spec,
     icosahedron_spec,
     octahedron_spec,
+    path_spec,
 )
 from coxeter_l2.invariants import (
     UNKNOWN,
@@ -1313,3 +1316,93 @@ def test_matcher_rejects_a_non_tree_before_reading_labels():
     assert not classify(spec, spec.vertices).spherical
     assert calls == Counter()  # the commuting sets alone rule out a tree
     assert classify(spec, ["v0", "v1"]).order == 6 and calls == {"get": 1}  # one read for a pair
+
+
+def reference_closure_size(gens, cap, offset):
+    """The closure as first written: einsum products, one key per row in Python."""
+    n = gens.shape[1]
+    eye = np.eye(n)
+    cells_per_snap = enumeration._CELL / enumeration._GRID
+
+    def keys(batch):
+        snapped = np.round(batch / enumeration._GRID)
+        q = np.round(snapped / cells_per_snap + offset).astype(np.int64)
+        return [row.tobytes() for row in q.reshape(len(batch), -1)]
+
+    store = {keys(eye[None, :, :])[0]}
+    frontier = eye[None, :, :]
+    count = 1
+    while len(frontier):
+        products = np.einsum("fij,gjk->fgik", frontier, gens).reshape(-1, n, n)
+        fresh = []
+        for mat, key in zip(products, keys(products)):
+            if key not in store:
+                store.add(key)
+                fresh.append(mat)
+                count += 1
+                if count > cap:
+                    return None
+        frontier = np.array(fresh) if fresh else np.empty((0, n, n))
+    return count
+
+
+OFFSETS = (0.25, 0.75, 0.125, 0.625)
+
+
+def triangle_spec(p, q, r) -> CoxeterSpec:
+    return CoxeterSpec(["a", "b", "c"], {("a", "b"): p, ("b", "c"): q, ("a", "c"): r})
+
+
+@st.composite
+def enumeration_systems(draw):
+    """Spherical paths, D4, dihedral groups and commuting products; affine and hyperbolic triangles."""
+    kind = draw(st.sampled_from(["path", "D4", "dihedral", "product", "triangle"]))
+    if kind == "path":
+        return draw(
+            st.lists(st.sampled_from([2, 3, 4, 5, 6]), max_size=4)
+            .map(path_spec)
+            .filter(lambda spec: classify(spec, spec.vertices).spherical)
+        )
+    if kind == "D4":
+        return product_spec(["D4"], draw(st.permutations([f"v{i}" for i in range(4)])))
+    if kind == "dihedral":
+        return path_spec([draw(st.integers(2, 12))])
+    if kind == "product":
+        types = draw(st.lists(st.sampled_from(["A1", "I2(6)", "B3", "H3"]), min_size=2, max_size=3))
+        rank = sum(FINITE_TYPES[name][0] for name in types)
+        return product_spec(types, draw(st.permutations([f"v{i}" for i in range(rank)])))
+    return triangle_spec(*draw(st.permutations(draw(st.sampled_from([(3, 3, 3), (2, 4, 4), (2, 3, 6), (2, 3, 7)])))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(enumeration_systems(), st.integers(1, 3000))
+def test_closure_equals_einsum_reference(spec, cap):
+    _, gens = enumeration.reflection_generators(spec, spec.vertices)
+    for offset in OFFSETS:
+        assert enumeration._closure_size(gens, cap, offset) == reference_closure_size(gens, cap, offset)
+    verdict = classify(spec, spec.vertices)
+    if verdict.spherical and verdict.order <= 3000:
+        for offset in OFFSETS:
+            assert enumeration._closure_size(gens, verdict.order - 1, offset) is None
+            assert enumeration._closure_size(gens, verdict.order, offset) == verdict.order
+
+
+def test_closure_makes_one_matmul_per_layer(monkeypatch):
+    calls = Counter()
+    original = np.matmul
+
+    def counting(*args):
+        calls["matmul"] += 1
+        return original(*args)
+
+    def einsum(*args):
+        raise AssertionError("einsum called")
+
+    _, gens = enumeration.reflection_generators(path_spec([3, 4, 3]), ["v0", "v1", "v2", "v3"])
+    monkeypatch.setattr(np, "matmul", counting)
+    monkeypatch.setattr(np, "einsum", einsum)
+    for offset in OFFSETS:
+        assert enumeration._closure_size(gens, 2400, offset) == 1152
+    # F4's longest element has length 24, its number of reflections: layers 0..24,
+    # the last one finding nothing new
+    assert calls == {"matmul": 4 * 25}
