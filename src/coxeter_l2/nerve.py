@@ -189,13 +189,6 @@ class RotationSystem:
             v: {u: i for i, u in enumerate(ns)} for v, ns in self._rot.items()
         }
 
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return tuple(sorted(self._rot))
-
-    def rotation(self, v: str) -> tuple[str, ...]:
-        return self._rot[v]
-
     def next_after(self, v: str, u: str) -> str:
         """The neighbor following u in the cyclic order at v."""
         ns = self._rot[v]
@@ -210,12 +203,6 @@ class RotationSystem:
         if declared != {(v, u) for v in skeleton.vertices for u in skeleton.neighbors(v)}:
             raise ValueError("rotations do not match the edge set of the complex")
 
-    def restrict(self, vertices: Iterable[str]) -> "RotationSystem":
-        keep = set(vertices)
-        return RotationSystem(
-            {v: [u for u in self._rot[v] if u in keep] for v in keep if v in self._rot}
-        )
-
     @classmethod
     def from_document(cls, document: Mapping) -> "RotationSystem":
         if not isinstance(document, Mapping) or not all(
@@ -223,9 +210,6 @@ class RotationSystem:
         ):
             raise ValueError("rotation document must map vertex -> cyclic neighbor list")
         return cls({str(v): [str(u) for u in ns] for v, ns in document.items()})
-
-    def to_document(self) -> dict:
-        return {v: list(self._rot[v]) for v in sorted(self._rot)}
 
 
 Walk = tuple[tuple[str, str], ...]
@@ -237,36 +221,28 @@ class FaceSet:
 
     faces: tuple[Walk, ...]
 
-    def vertex_walks(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(tuple(u for u, _ in face) for face in self.faces)
-
     def __len__(self) -> int:
         return len(self.faces)
 
 
-def faces_from_rotation(skeleton: SimplicialComplex, rot: RotationSystem) -> FaceSet:
-    """Trace the faces of a rotation system on a connected 1-skeleton.
+def _traced_faces(complex_: SimplicialComplex, rot: RotationSystem):
+    """Yield (component, its face set) per component of the 1-skeleton, least vertex first.
 
-    From the directed edge (u, v) the walk continues along (v, w) where w
+    From the directed edge (u, v) a walk continues along (v, w) where w
     follows u in the rotation at v; the walks partition the directed edge
-    set.  Raises NotSpherical unless V - E + F = 2.
+    set, and each is filed under the component of its first vertex.  Every
+    walk starts at the least directed edge not yet used, which is the least
+    edge of its walk, so walks come out rotated to their minimum and in
+    sorted order.  A lone vertex bounds one region, the empty walk.  Each
+    component is yielded once it has V - E + F = 2, so the first component
+    that fails raises NotSpherical before any later one is looked at.
     """
-    if not skeleton.is_connected():
-        raise ValueError("face tracing requires a connected skeleton")
-    rot.check_against(skeleton)
-    if not skeleton.edges:
-        if len(skeleton.vertices) != 1:
-            raise ValueError("edgeless skeleton with several vertices is disconnected")
-        return FaceSet(((),))  # a lone vertex bounds the single spherical region
-    directed = sorted([(a, b) for a, b in skeleton.edges] + [(b, a) for a, b in skeleton.edges])
+    rot.check_against(complex_)
+    comps = complex_.skeleton_components()
+    where = {v: i for i, comp in enumerate(comps) for v in comp}
+    walks: list[list[Walk]] = [[] for _ in comps]
     used = set()
-    E = len(skeleton.edges)
-    V = len(skeleton.vertices)
-    faces = []
-    # Each walk starts at the least directed edge not yet used, which is the
-    # least edge of its walk, so walks come out rotated to their minimum and
-    # in sorted order.
-    for start in directed:
+    for start in sorted((a, b) for a in complex_.vertices for b in complex_.neighbors(a)):
         if start in used:
             continue
         walk = []
@@ -278,31 +254,30 @@ def faces_from_rotation(skeleton: SimplicialComplex, rot: RotationSystem) -> Fac
             cur = (v, rot.next_after(v, u))
             if cur == start:
                 break
-        faces.append(tuple(walk))
-    if V - E + len(faces) != 2:
-        raise NotSpherical(
-            f"V - E + F = {V} - {E} + {len(faces)} != 2: rotation has positive genus"
-        )
-    return FaceSet(tuple(faces))
+        walks[where[start[0]]].append(tuple(walk))
+    for comp, faces in zip(comps, walks):
+        faces = tuple(faces) or ((),)
+        V, E, F = len(comp), sum(map(len, faces)) // 2, len(faces)
+        if V - E + F != 2:
+            raise NotSpherical(f"V - E + F = {V} - {E} + {F} != 2: rotation has positive genus")
+        yield comp, FaceSet(faces)
+
+
+def faces_from_rotation(skeleton: SimplicialComplex, rot: RotationSystem) -> FaceSet:
+    """Trace the faces of a rotation system on a non-empty connected 1-skeleton (see _traced_faces).
+
+    Raises NotSpherical unless V - E + F = 2.
+    """
+    if not skeleton.is_connected():
+        raise ValueError("face tracing requires a connected skeleton")
+    for _, faceset in _traced_faces(skeleton, rot):
+        return faceset
+    raise ValueError("face tracing requires a non-empty connected skeleton")
 
 
 def _is_simple(walk: Walk) -> bool:
     heads = [u for u, _ in walk]
     return len(set(heads)) == len(heads)
-
-
-def _triangle_faces(faceset: FaceSet) -> set[frozenset[str]]:
-    return {
-        frozenset(u for u, _ in face) for face in faceset.faces
-        if len(face) == 3 and _is_simple(face)
-    }
-
-
-def _component_faces(complex_: SimplicialComplex, rot: RotationSystem):
-    """Yield (component, its subcomplex, its face set) per component, tracing each in turn."""
-    for comp in complex_.skeleton_components():
-        sub = complex_._view(comp)
-        yield comp, sub, faces_from_rotation(sub, rot.restrict(comp))
 
 
 def validate_embedding(
@@ -318,15 +293,16 @@ def validate_embedding(
         rot = RotationSystem.from_document(rot)
     if complex_.dimension > 2:
         raise ValueError("embedding witnesses only apply to complexes of dimension <= 2")
-    rot.check_against(complex_)
     out = []
-    for comp, sub, faceset in _component_faces(complex_, rot):
-        triangles = _triangle_faces(faceset)
-        for t in sub.triangles:
-            if frozenset(t) not in triangles:
-                raise NotSpherical(
-                    f"2-simplex {t} is not a face of the embedding"
-                )
+    for comp, faceset in _traced_faces(complex_, rot):
+        # A 3-walk has three distinct vertices (there are no loops), so it bounds a triangle.
+        triangles = {frozenset(u for u, _ in face) for face in faceset.faces if len(face) == 3}
+        missing = [
+            t for v in comp for t in complex_._star[v]
+            if len(t) == 3 and t[0] == v and frozenset(t) not in triangles
+        ]
+        if missing:
+            raise NotSpherical(f"2-simplex {min(missing)} is not a face of the embedding")
         out.append((comp, faceset))
     return out
 
@@ -364,27 +340,23 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
     held = spec._nerve and spec._nerve()
     if held is not None and len(held._simplex_set) <= simplex_cap:
         return held
-    by_dim: dict[int, list[Simplex]] = {}
-    orders: dict[Simplex, int] = {}
+    by_dim: list[tuple[Simplex, ...]] = []
     finite_adj: dict[str, set[str]] = {v: set() for v in spec.vertices}
     for u, v, _ in spec.finite_edges():
         finite_adj[u].add(v)
         finite_adj[v].add(u)
 
-    # Level by level, the frontier yields each dimension in lexicographic order.
-    def add(s: Simplex, order: int):
-        by_dim.setdefault(len(s) - 1, []).append(s)
-        orders[s] = order
-        if len(orders) > simplex_cap:
-            raise CapExceeded(f"nerve exceeds {simplex_cap} simplices")
-
     # A frontier entry: the simplex, its common finite neighbors above its
     # maximum (sorted), and its diagram components as (vertices, order).
-    frontier = []
-    for v in sorted(spec.vertices):
-        add((v,), 2)
-        frontier.append(((v,), sorted(w for w in finite_adj[v] if w > v), (((v,), 2),)))
+    # Level by level, the frontier yields each dimension in lexicographic order.
+    frontier = [
+        ((v,), sorted(w for w in finite_adj[v] if w > v), (((v,), 2),)) for v in sorted(spec.vertices)
+    ]
+    orders = {s: 2 for s, _, _ in frontier}
+    if len(orders) > simplex_cap:
+        raise CapExceeded(f"nerve exceeds {simplex_cap} simplices")
     while frontier:
+        by_dim.append(tuple(entry[0] for entry in frontier))
         nxt = []
         for s, candidates, comps in frontier:
             for i, w in enumerate(candidates):
@@ -405,11 +377,13 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
                         continue
                     comp = (key, match[2])
                 t = s + (w,)
-                add(t, order * comp[1])
+                orders[t] = order * comp[1]
+                if len(orders) > simplex_cap:
+                    raise CapExceeded(f"nerve exceeds {simplex_cap} simplices")
                 near = finite_adj[w]
                 nxt.append((t, [x for x in candidates[i + 1:] if x in near], (*kept, comp)))
         frontier = nxt
-    return Nerve._assembled(spec, {d: tuple(group) for d, group in by_dim.items()}, orders)
+    return Nerve._assembled(spec, dict(enumerate(by_dim)), orders)
 
 
 def has_right_angled_complement(nerve: Nerve, subset) -> bool:
@@ -569,7 +543,9 @@ def recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
     Once every edge lies in two triangles, each vertex link is a 2-regular
     graph, and it is a circle exactly when the walk round it from one
     neighbor takes as many steps as the vertex has neighbors; no link complex
-    is built.  The kind is held on the complex, so each is recognized once.
+    is built.  Connectivity, the one check that searches the whole complex,
+    runs only once the local checks pass.  The kind is held on the complex,
+    so each is recognized once.
     """
     if complex_._sphere is None:
         complex_._sphere = _recognize_sphere(complex_)
@@ -580,11 +556,9 @@ def _recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
     dim = complex_.dimension
     if dim == 1:
         degrees = [len(complex_.neighbors(v)) for v in complex_.vertices]
-        circle = complex_.is_connected() and len(degrees) >= 3 and set(degrees) == {2}
+        circle = len(degrees) >= 3 and set(degrees) == {2} and complex_.is_connected()
         return SphereKind.CIRCLE if circle else SphereKind.NEITHER
     if dim == 2:
-        if not complex_.is_connected():
-            return SphereKind.NEITHER
         V = len(complex_.vertices)
         E = len(complex_.edges)
         F = len(complex_.triangles)
@@ -601,14 +575,14 @@ def _recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
                     a, b = (x for x in s if x != v)
                     opposite.setdefault(a, []).append(b)
                     opposite.setdefault(b, []).append(a)
-            if len(opposite) != len(near) or any(len(o) != 2 for o in opposite.values()):
+            if not near or len(opposite) != len(near) or any(len(o) != 2 for o in opposite.values()):
                 return SphereKind.NEITHER
             prev, cur, steps = near[0], opposite[near[0]][0], 1
             while cur != near[0]:  # step on to the link neighbor of cur that is not prev
                 prev, cur, steps = cur, opposite[cur][opposite[cur][0] == prev], steps + 1
             if steps != len(near):
                 return SphereKind.NEITHER
-        return SphereKind.TWO_SPHERE
+        return SphereKind.TWO_SPHERE if complex_.is_connected() else SphereKind.NEITHER
     return SphereKind.NEITHER
 
 

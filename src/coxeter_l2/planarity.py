@@ -24,9 +24,9 @@ from coxeter_l2.nerve import (
     SimplicialComplex,
     SphereKind,
     SubcomplexWitness,
-    _component_faces,
     _disjoint_rename,
     _is_simple,
+    _traced_faces,
     build_nerve,
     full_subcomplex,
     induced_nerve,
@@ -600,7 +600,7 @@ def planar_rotation(graph: SimplicialComplex) -> RotationSystem | None:
             return None
         rotations.update(order)
     rot = RotationSystem(rotations)
-    for _ in _component_faces(graph, rot):
+    for _ in _traced_faces(graph, rot):
         pass
     return rot
 

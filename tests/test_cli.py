@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import coxeter_l2
+from coxeter_l2 import cli
 from coxeter_l2.cli import main
 from coxeter_l2.catalog import (
     complete_bipartite_spec,
@@ -51,6 +52,14 @@ def test_validate(docs, capsys):
     code, out, _ = run(capsys, ["validate", docs["k5.json"]])
     assert code == 0
     assert "5 vertices" in out and "10 finite edges" in out
+
+
+def test_main_reuses_one_parser(docs, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1))
+    argvs = (["validate", docs["k5.json"]], ["validate", docs["bad.json"]], ["planar-oracle", docs["k5.json"]])
+    assert [run(capsys, argv)[0] for argv in argvs] == [0, 1, 0]
+    assert built == []
 
 
 def test_validate_error_exit_one(docs, capsys):

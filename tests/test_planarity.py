@@ -134,6 +134,11 @@ def test_faces_require_connected():
         faces_from_rotation(skel, RotationSystem({"p0": [], "p1": []}))
 
 
+def test_faces_require_nonempty_skeleton():
+    with pytest.raises(ValueError, match="non-empty connected skeleton"):
+        faces_from_rotation(SimplicialComplex([], []), RotationSystem({}))
+
+
 def test_validate_embedding_isolated_points():
     nerve = build_nerve(points_spec(3))
     out = validate_embedding(nerve, {"p0": [], "p1": [], "p2": []})

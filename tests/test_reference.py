@@ -17,6 +17,7 @@ import gc
 import json
 import math
 import random
+import re
 import weakref
 from collections import Counter
 from collections.abc import Mapping
@@ -494,6 +495,45 @@ def test_recognize_sphere_rejects_spheres_with_pendant_pieces():
         assert reference_recognize_sphere(complex_) is SphereKind.NEITHER
 
 
+SEVEN_VERTEX_TORUS = [
+    tuple(f"t{(i + k) % 7}" for k in ks) for i in range(7) for ks in ((0, 1, 3), (0, 2, 3))
+]
+SIX_VERTEX_PROJECTIVE_PLANE = [
+    tuple(f"p{x}" for x in t)
+    for t in ((1, 2, 4), (1, 2, 6), (1, 3, 4), (1, 3, 5), (1, 5, 6), (2, 3, 5), (2, 3, 6), (2, 4, 5), (3, 4, 6), (4, 5, 6))
+]
+
+
+def test_recognize_sphere_rejects_disconnected_pieces_with_circle_links():
+    octahedron = build_nerve(octahedron_spec())
+    torus_vertices = [f"t{i}" for i in range(7)]
+    beside_torus = closure(list(octahedron.vertices) + torus_vertices, list(octahedron.triangles) + SEVEN_VERTEX_TORUS)
+    # A projective plane and a lone vertex: Euler's formula holds, and the lone vertex has no link.
+    beside_point = closure([f"p{i}" for i in range(1, 7)] + ["z"], SIX_VERTEX_PROJECTIVE_PLANE)
+    for complex_ in (beside_torus, beside_point):
+        V, E, F = len(complex_.vertices), len(complex_.edges), len(complex_.triangles)
+        assert not complex_.is_connected() and V - E + F == 2
+        assert all(recognize_sphere(link(complex_, v)) is SphereKind.CIRCLE for v in complex_.vertices if complex_.neighbors(v))
+        assert recognize_sphere(complex_) is SphereKind.NEITHER
+        assert reference_recognize_sphere(complex_) is SphereKind.NEITHER
+
+
+def test_recognize_sphere_searches_components_last(monkeypatch):
+    torus = closure([f"t{i}" for i in range(7)], SEVEN_VERTEX_TORUS)  # V - E + F = 0
+    calls = Counter()
+    original = SimplicialComplex.skeleton_components
+
+    def counting(self):
+        calls["components"] += 1
+        return original(self)
+
+    monkeypatch.setattr(SimplicialComplex, "skeleton_components", counting)
+    assert recognize_sphere(torus) is SphereKind.NEITHER
+    assert calls == Counter()
+    assert recognize_sphere(build_nerve(octahedron_spec())) is SphereKind.TWO_SPHERE
+    assert calls == {"components": 1}  # a sphere is still checked to be connected
+
+
 def test_recognize_sphere_builds_no_complex(monkeypatch):
     nerve = build_nerve(join_spec(cycle_spec(400, 2, prefix="c"), CoxeterSpec(["n", "s"], {})))
     built = Counter()
@@ -574,6 +614,14 @@ def test_cap_below_held_nerve_still_raises():
     with pytest.raises(CapExceeded):
         build_nerve(spec, simplex_cap=size - 1)
     assert build_nerve(spec, simplex_cap=size) is nerve
+
+
+def test_cap_counts_every_simplex_of_a_fresh_build():
+    size = len(build_nerve(complete_graph_spec(5, 3)).simplices())
+    assert len(build_nerve(complete_graph_spec(5, 3), simplex_cap=size).simplices()) == size
+    for cap in (size - 1, 4, 0):  # the last simplex, and caps below the vertex count
+        with pytest.raises(CapExceeded, match=f"^nerve exceeds {cap} simplices$"):
+            build_nerve(complete_graph_spec(5, 3), simplex_cap=cap)
 
 
 def _exhaustive_planar(graph) -> bool:
@@ -677,6 +725,7 @@ def test_lr_oracle_equals_exhaustive_search(graph):
 @settings(max_examples=200, deadline=None)
 @given(small_graphs())
 def test_planar_rotation_passes_validate_embedding(graph):
+    assert outcome(planar_rotation, graph) == outcome(reference_planar_rotation, graph)
     rot = planar_rotation(graph)
     if rot is not None:
         out = validate_embedding(graph, rot)
@@ -746,6 +795,196 @@ def test_face_tracing_equals_restarting_reference(graph, rnd, embedded):
     else:
         with pytest.raises(NotSpherical):
             faces_from_rotation(sub, rot)
+
+
+# One face tracer: the per-component references it replaced --------------------------------
+
+
+def reference_restrict(rot, vertices) -> RotationSystem:
+    keep = set(vertices)
+    return RotationSystem({v: [u for u in rot._rot[v] if u in keep] for v in keep if v in rot._rot})
+
+
+def reference_faces_from_rotation(skeleton, rot) -> FaceSet:
+    """faces_from_rotation as it was: its own connectivity and edge-set checks, then one trace."""
+    if not skeleton.is_connected():
+        raise ValueError("face tracing requires a connected skeleton")
+    rot.check_against(skeleton)
+    if not skeleton.edges:
+        if len(skeleton.vertices) != 1:
+            raise ValueError("edgeless skeleton with several vertices is disconnected")
+        return FaceSet(((),))
+    directed = sorted([(a, b) for a, b in skeleton.edges] + [(b, a) for a, b in skeleton.edges])
+    used, faces = set(), []
+    for start in directed:
+        if start in used:
+            continue
+        walk, cur = [], start
+        while True:
+            walk.append(cur)
+            used.add(cur)
+            u, v = cur
+            cur = (v, rot.next_after(v, u))
+            if cur == start:
+                break
+        faces.append(tuple(walk))
+    V, E = len(skeleton.vertices), len(skeleton.edges)
+    if V - E + len(faces) != 2:
+        raise NotSpherical(f"V - E + F = {V} - {E} + {len(faces)} != 2: rotation has positive genus")
+    return FaceSet(tuple(faces))
+
+
+def reference_component_faces(complex_, rot):
+    """Each component copied into a view with a restricted rotation, then traced on its own."""
+    for comp in complex_.skeleton_components():
+        sub = complex_._view(comp)
+        yield comp, sub, reference_faces_from_rotation(sub, reference_restrict(rot, comp))
+
+
+def reference_validate_embedding(complex_, rot):
+    if not isinstance(rot, RotationSystem):
+        rot = RotationSystem.from_document(rot)
+    if complex_.dimension > 2:
+        raise ValueError("embedding witnesses only apply to complexes of dimension <= 2")
+    rot.check_against(complex_)
+    out = []
+    for comp, sub, faceset in reference_component_faces(complex_, rot):
+        triangles = {
+            frozenset(u for u, _ in face) for face in faceset.faces if len(face) == 3 and _is_simple(face)
+        }
+        for t in sub.triangles:
+            if frozenset(t) not in triangles:
+                raise NotSpherical(f"2-simplex {t} is not a face of the embedding")
+        out.append((comp, faceset))
+    return out
+
+
+def reference_planar_rotation(graph):
+    V = len(graph.vertices)
+    if V >= 3 and len(graph.edges) > 3 * V - 6:
+        return None
+    rotations = {}
+    for comp in graph.skeleton_components():
+        order = planarity._lr_rotation(comp, graph.neighbors)
+        if order is None:
+            return None
+        rotations.update(order)
+    rot = RotationSystem(rotations)
+    for _ in reference_component_faces(graph, rot):
+        pass
+    return rot
+
+
+@st.composite
+def rotated_complexes(draw):
+    """One to three disjoint pieces on interleaved vertex names, some filled 3-cycles, and a rotation.
+
+    The rotation is a random one, the left-right one, or either with a vertex left out; with the
+    left-right rotation the filled triangles are drawn from its triangular faces more often.
+    """
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    names = draw(st.permutations([f"v{i}" for i in range(sum(sizes))]))
+    edges, start = [], 0
+    for size in sizes:
+        piece = names[start:start + size]
+        start += size
+        edges += [(piece[draw(st.integers(0, i - 1))], piece[i]) for i in range(1, size)]  # a tree
+        pairs = list(combinations(piece, 2))
+        edges += draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []
+    graph = SimplicialComplex(names, [(v,) for v in names] + edges)
+    kind = draw(st.sampled_from(["random", "planar", "random-missing", "planar-missing"]))
+    rot = planar_rotation(graph) if kind.startswith("planar") else None
+    if rot is None:
+        rot = RotationSystem({v: draw(st.permutations(graph.neighbors(v))) for v in names})
+    cycles = [t for t in combinations(sorted(names), 3) if all(graph.has_simplex(e) for e in combinations(t, 2))]
+    if kind.startswith("planar") and draw(st.booleans()):
+        try:
+            faces = [f for _, fs in reference_validate_embedding(graph, rot) for f in fs.faces if len(f) == 3]
+            cycles = sorted({tuple(sorted(u for u, _ in f)) for f in faces}) or cycles
+        except NotSpherical:
+            pass
+    filled = draw(st.lists(st.sampled_from(cycles), unique=True)) if cycles else []
+    complex_ = SimplicialComplex(names, list(graph.simplices()) + filled)
+    if kind.endswith("missing"):
+        gone = draw(st.sampled_from(names))
+        rot = RotationSystem({v: ns for v, ns in rot._rot.items() if v != gone})
+    return complex_, rot
+
+
+def outcome(fn, *args):
+    try:
+        got = fn(*args)
+    except ValueError as exc:  # NotSpherical is a ValueError
+        return type(exc), str(exc)
+    return got._rot if isinstance(got, RotationSystem) else got
+
+
+@settings(max_examples=400, deadline=None)
+@given(rotated_complexes())
+def test_one_tracer_equals_per_component_references(case):
+    complex_, rot = case
+    for fn, ref in (
+        (validate_embedding, reference_validate_embedding),
+        (faces_from_rotation, reference_faces_from_rotation),
+    ):
+        assert outcome(fn, complex_, rot) == outcome(ref, complex_, rot)
+    skeleton = complex_._view(complex_.vertices)  # the same vertices and edges, for planar_rotation
+    assert outcome(planar_rotation, skeleton) == outcome(reference_planar_rotation, skeleton)
+
+
+def separated_bipyramid_beside_twisted_k4(first: str) -> tuple[SimplicialComplex, RotationSystem]:
+    """Two components: a bipyramid whose filled equator bounds no face, and K4 on a torus.
+
+    The component named first comes first in the skeleton's component order.
+    """
+    other = "b" if first == "a" else "a"
+    pyr = [f"{first}{i}" for i in range(5)]  # equator 0, 1, 2 with poles 3, 4
+    k4 = [f"{other}{i}" for i in range(4)]
+    edges = list(combinations(pyr[:3], 2)) + [(p, q) for p in pyr[3:] for q in pyr[:3]]
+    edges += list(combinations(k4, 2))
+    graph = SimplicialComplex(pyr + k4, [(v,) for v in pyr + k4] + edges)
+    rotations = dict(planar_rotation(graph._view(tuple(pyr)))._rot)
+    twisted = {0: (1, 2, 3), 1: (0, 3, 2), 2: (0, 1, 3), 3: (0, 1, 2)}  # V - E + F = 4 - 6 + 2
+    rotations.update({k4[v]: [k4[u] for u in ns] for v, ns in twisted.items()})
+    complex_ = SimplicialComplex(graph.vertices, list(graph.simplices()) + [tuple(pyr[:3])])
+    return complex_, RotationSystem(rotations)
+
+
+def test_first_component_error_comes_first():
+    for first, expected in (("a", "2-simplex ('a0', 'a1', 'a2') is not a face"), ("b", "positive genus")):
+        complex_, rot = separated_bipyramid_beside_twisted_k4(first)
+        with pytest.raises(NotSpherical, match=re.escape(expected)):
+            validate_embedding(complex_, rot)
+        assert outcome(validate_embedding, complex_, rot) == outcome(reference_validate_embedding, complex_, rot)
+
+
+def count_calls(monkeypatch, owner, names) -> Counter:
+    calls = Counter()
+    for name in names:
+        def wrapper(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_validate_embedding_on_c200_searches_components_once(monkeypatch):
+    nerve = build_nerve(cycle_spec(200, 2))
+    rot = RotationSystem({v: list(nerve.neighbors(v)) for v in nerve.vertices})
+    calls = count_calls(monkeypatch, SimplicialComplex, ["skeleton_components", "_view"])
+    built = count_calls(monkeypatch, RotationSystem, ["__init__"])
+    ((comp, faceset),) = validate_embedding(nerve, rot)
+    assert comp == tuple(sorted(nerve.vertices)) and len(faceset) == 2
+    assert calls == {"skeleton_components": 1} and built == Counter()
+
+
+def test_cone_of_c200_searches_components_three_times(monkeypatch):
+    nerve = build_nerve(cycle_spec(200, 2))
+    rot = {v: list(nerve.neighbors(v)) for v in nerve.vertices}
+    calls = count_calls(monkeypatch, SimplicialComplex, ["skeleton_components", "_view"])
+    cone_construction(nerve, rot)
+    # is_connected, the tracer and recognize_sphere; a view per coned face and one for the witness.
+    assert calls == {"skeleton_components": 3, "_view": 3}
 
 
 class FiniteGroup(ValueError):
