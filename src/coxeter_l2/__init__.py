@@ -60,11 +60,9 @@ from coxeter_l2.invariants import (
     RuleContext,
     InvalidWitness,
     ContradictoryRules,
-    UnknownEntries,
     chi_orb,
     chi_orb_chain_sum,
     betti,
-    atiyah_check,
 )
 from coxeter_l2.planarity import (
     Certificate,
@@ -131,11 +129,9 @@ __all__ = [
     "RuleContext",
     "InvalidWitness",
     "ContradictoryRules",
-    "UnknownEntries",
     "chi_orb",
     "chi_orb_chain_sum",
     "betti",
-    "atiyah_check",
     "Certificate",
     "ProofTrace",
     "TraceStep",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from coxeter_l2.model import VertexSubset, induced_subspec
+from coxeter_l2.model import induced_subspec
 from coxeter_l2.nerve import (
     CapExceeded,
     Nerve,
@@ -54,10 +54,6 @@ UNKNOWN = _Unknown()
 
 class ContradictoryRules(RuntimeError):
     """Two rules assigned different values to one entry; abort, never pick."""
-
-
-class UnknownEntries(ValueError):
-    """An operation needing a fully known Betti vector met an Unknown entry."""
 
 
 class InvalidWitness(ValueError):
@@ -124,13 +120,11 @@ class RuleContext:
     witness: the target is the full subcomplex of witness.ambient on
     witness.vertex_set.  embedding: a rotation system describing a sphere
     embedding of the target's 1-skeleton (validated per component).
-    join_factors: a right-angled join grouping of the target's vertices.
-    All witnesses are checked against the target before any rule fires.
+    Both witnesses are checked against the target before any rule fires.
     """
 
     witness: SubcomplexWitness | None = None
     embedding: Mapping[str, tuple] | None = None
-    join_factors: tuple[VertexSubset, ...] | None = None
 
 
 class BettiVector:
@@ -138,16 +132,41 @@ class BettiVector:
 
     Entries cover dimensions 0 .. dim(nerve)+1, the dimension of the group
     complex; ``get`` answers exact 0 above that range, where there are no
-    chains at all.  Entries no rule determines are UNKNOWN.  The provenance
-    of an entry is the (rule id, detail) pair of the rule that set it, or
-    None.
+    chains at all.  A vector starts with every entry UNKNOWN and ``betti``
+    fills it rule by rule; entries no rule determines stay UNKNOWN.  The
+    provenance of an entry is the (rule id, detail) pair of the rule that
+    set it, or None.
     """
 
-    def __init__(self, top: int, entries: list, provenance: list, chi: Fraction):
+    def __init__(self, top: int, chi: Fraction):
         self.top = top
-        self._entries = tuple(entries)
-        self._provenance = tuple(provenance)
         self.chi = chi
+        self._entries: list = [UNKNOWN] * (top + 1)
+        self._provenance: list = [None] * (top + 1)
+
+    def _assign(self, i: int, value: Fraction, rule: str, detail: str):
+        """Set entry i, or confirm it; a negative or conflicting value raises ContradictoryRules."""
+        value = Fraction(value)
+        why = f"{rule}: {detail}"
+        if value < 0:
+            raise ContradictoryRules(
+                f"rule '{why}' assigned negative value {value} to dimension {i}"
+            )
+        if i > self.top:
+            if value != 0:
+                raise ContradictoryRules(
+                    f"rule '{why}' assigned {value} beyond the top dimension {self.top}"
+                )
+            return
+        current = self._entries[i]
+        if current is UNKNOWN:
+            self._entries[i] = value
+            self._provenance[i] = (rule, detail)
+        elif current != value:
+            raise ContradictoryRules(
+                f"dimension {i}: '{': '.join(self._provenance[i])}' gave {current} "
+                f"but '{why}' gives {value}"
+            )
 
     def get(self, i: int):
         if i < 0:
@@ -177,11 +196,6 @@ class BettiVector:
     def fully_known(self) -> bool:
         return all(e is not UNKNOWN for e in self._entries)
 
-    def alternating_sum(self) -> Fraction:
-        if not self.fully_known:
-            raise UnknownEntries("vector has Unknown entries")
-        return sum(((-1) ** i * e for i, e in enumerate(self._entries)), Fraction(0))
-
     def as_tuple(self, upto: int | None = None) -> tuple:
         n = self.top if upto is None else upto
         return tuple(self.get(i) for i in range(n + 1))
@@ -200,42 +214,6 @@ class BettiVector:
         }
 
 
-class _Builder:
-    def __init__(self, top: int):
-        self.top = top
-        self.entries: list = [UNKNOWN] * (top + 1)
-        self.provenance: list = [None] * (top + 1)
-
-    def assign(self, i: int, value: Fraction, rule: str, detail: str):
-        value = Fraction(value)
-        why = f"{rule}: {detail}"
-        if value < 0:
-            raise ContradictoryRules(
-                f"rule '{why}' assigned negative value {value} to dimension {i}"
-            )
-        if i > self.top:
-            if value != 0:
-                raise ContradictoryRules(
-                    f"rule '{why}' assigned {value} beyond the top dimension {self.top}"
-                )
-            return
-        current = self.entries[i]
-        if current is UNKNOWN:
-            self.entries[i] = value
-            self.provenance[i] = (rule, detail)
-        elif current != value:
-            raise ContradictoryRules(
-                f"dimension {i}: '{': '.join(self.provenance[i])}' gave {current} "
-                f"but '{why}' gives {value}"
-            )
-
-    def unknown_dims(self) -> list[int]:
-        return [i for i, e in enumerate(self.entries) if e is UNKNOWN]
-
-    def build(self, chi: Fraction) -> BettiVector:
-        return BettiVector(self.top, self.entries, self.provenance, chi)
-
-
 def _validate_witness(nerve: Nerve, witness: SubcomplexWitness) -> None:
     target_set = set(nerve.vertices)
     if set(witness.vertex_set) != target_set:
@@ -244,33 +222,20 @@ def _validate_witness(nerve: Nerve, witness: SubcomplexWitness) -> None:
         raise InvalidWitness("target is not the induced subsystem of the witness ambient")
 
 
-def _validate_join_factors(nerve: Nerve, factors: tuple[VertexSubset, ...]) -> None:
-    flat = [v for f in factors for v in f]
-    if sorted(flat) != sorted(nerve.vertices) or len(factors) < 2:
-        raise InvalidWitness("join factors must partition the vertex set into >= 2 parts")
-    for i, f in enumerate(factors):
-        for g in factors[i + 1:]:
-            for u in f:
-                for v in g:
-                    if nerve.spec.label(u, v) != 2:
-                        raise InvalidWitness(
-                            f"cross pair ({u},{v}) labelled {nerve.spec.label(u, v)}, not 2"
-                        )
-
-
 def betti(nerve: Nerve, ctx: RuleContext | None = None) -> BettiVector:
     """Evaluate the l2-Betti vector of a nerve by rule application.
 
     Rules fire in a fixed order (finite-group, vanishing beta_0, sphere
     vanishing, subcomplex vanishing under a witness, planarity vanishing
     under an embedding witness, then the Kunneth product over a
-    right-angled join); a final completion step fills a single missing
-    entry from the Euler characteristic.  Conflicting assignments raise
+    right-angled join); a final step takes the alternating sum of the known
+    entries once: it fills a single missing entry from the Euler
+    characteristic, and a fully known vector must sum to it.  Conflicting assignments raise
     ContradictoryRules.  R-fin and R-join read the nerve's held verdict.
     """
     top = nerve.dimension + 1
-    b = _Builder(top)
     chi = chi_orb(nerve)
+    vector = BettiVector(top, chi)
     if nerve._verdict is None:
         nerve._verdict = classify(nerve.spec, nerve.vertices)
     full_verdict = nerve._verdict
@@ -278,31 +243,31 @@ def betti(nerve: Nerve, ctx: RuleContext | None = None) -> BettiVector:
     # R-fin / R-b0: a finite group has compact contractible group complex.
     if full_verdict.spherical:
         order = f"|W| = {full_verdict.order}"
-        b.assign(0, Fraction(1, full_verdict.order), "R-fin", order)
+        vector._assign(0, Fraction(1, full_verdict.order), "R-fin", order)
         for i in range(1, top + 1):
-            b.assign(i, Fraction(0), "R-fin", order)
+            vector._assign(i, Fraction(0), "R-fin", order)
     else:
-        b.assign(0, Fraction(0), "R-b0", "W infinite")
+        vector._assign(0, Fraction(0), "R-b0", "W infinite")
 
     # R-S0/S1 and R-S2: sphere nerves.
     kind = recognize_sphere(nerve)
     is_s0 = len(nerve.vertices) == 2 and not nerve.edges
     if kind is SphereKind.CIRCLE or is_s0:
         which = "circle" if kind is SphereKind.CIRCLE else "two points"
-        b.assign(top, Fraction(0), "R-S0/S1", f"nerve is {which}, top entry vanishes")
+        vector._assign(top, Fraction(0), "R-S0/S1", f"nerve is {which}, top entry vanishes")
     if kind is SphereKind.TWO_SPHERE:
         for i in range(top + 1):
-            b.assign(i, Fraction(0), "R-S2", "2-sphere nerve, all entries vanish")
+            vector._assign(i, Fraction(0), "R-S2", "2-sphere nerve, all entries vanish")
 
     if ctx is not None and ctx.witness is not None:
         _validate_witness(nerve, ctx.witness)
         ambient_kind = recognize_sphere(ctx.witness.ambient)
         if ambient_kind is SphereKind.CIRCLE:
             for i in range(2, top + 1):
-                b.assign(i, Fraction(0), "R-sub1", "full subcomplex of a circle nerve")
+                vector._assign(i, Fraction(0), "R-sub1", "full subcomplex of a circle nerve")
         if ambient_kind is SphereKind.TWO_SPHERE and ctx.witness.right_angled_complement:
             for i in range(2, top + 1):
-                b.assign(
+                vector._assign(
                     i,
                     Fraction(0),
                     "R-sub2",
@@ -314,15 +279,11 @@ def betti(nerve: Nerve, ctx: RuleContext | None = None) -> BettiVector:
             validate_embedding(nerve, ctx.embedding)
         except Exception as exc:
             raise InvalidWitness(f"embedding witness rejected: {exc}") from exc
-        b.assign(2, Fraction(0), "R-planar", "sphere-embedding witness")
+        vector._assign(2, Fraction(0), "R-planar", "sphere-embedding witness")
 
     # R-join: Kunneth over a right-angled join, once factor vectors are known.
-    factors = ctx.join_factors if ctx is not None and ctx.join_factors else None
-    if factors is not None:
-        _validate_join_factors(nerve, factors)
-    elif len(full_verdict.diagram) >= 2:
+    if len(full_verdict.diagram) >= 2:
         factors = full_verdict.diagram
-    if factors is not None:
         factor_vectors = [betti(induced_nerve(nerve, f)) for f in factors]
         if all(v.fully_known for v in factor_vectors):
             conv = [Fraction(1)]
@@ -335,29 +296,19 @@ def betti(nerve: Nerve, ctx: RuleContext | None = None) -> BettiVector:
                 conv = nxt
             desc = " * ".join("{" + ",".join(f) + "}" for f in factors)
             for k, value in enumerate(conv):
-                b.assign(k, value, "R-join", desc)
+                vector._assign(k, value, "R-join", desc)
 
-    # Completion: a single missing entry is forced by the alternating sum.
-    missing = b.unknown_dims()
+    # R-atiyah: the alternating sum of the known entries completes a single
+    # missing entry, and must equal chi_orb when none is missing.
+    missing = [i for i, e in enumerate(vector._entries) if e is UNKNOWN]
+    partial = sum(
+        ((-1) ** j * e for j, e in enumerate(vector._entries) if e is not UNKNOWN), Fraction(0)
+    )
     if len(missing) == 1:
         i = missing[0]
-        partial = sum(
-            ((-1) ** j * e for j, e in enumerate(b.entries) if e is not UNKNOWN),
-            Fraction(0),
-        )
-        b.assign(i, (-1) ** i * (chi - partial), "R-atiyah", f"completion against chi_orb = {chi}")
-
-    vector = b.build(chi)
-    if vector.fully_known and vector.alternating_sum() != chi:
+        vector._assign(i, (-1) ** i * (chi - partial), "R-atiyah", f"completion against chi_orb = {chi}")
+    elif not missing and partial != chi:
         raise ContradictoryRules(
-            f"fully known vector {vector} has alternating sum "
-            f"{vector.alternating_sum()} != chi_orb = {chi}"
+            f"fully known vector {vector} has alternating sum {partial} != chi_orb = {chi}"
         )
     return vector
-
-
-def atiyah_check(nerve: Nerve, b: BettiVector) -> bool:
-    """Does the alternating Betti sum equal the Euler characteristic exactly?"""
-    if not b.fully_known:
-        raise UnknownEntries("vector has Unknown entries")
-    return b.alternating_sum() == chi_orb(nerve)

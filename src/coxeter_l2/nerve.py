@@ -137,10 +137,6 @@ class Nerve(SimplicialComplex):
 
     _chi = _verdict = None  # held on the object by invariants.chi_orb and invariants.betti
 
-    def __init__(self, spec: CoxeterSpec, simplices: Iterable[Simplex], orders: dict[Simplex, int]):
-        super().__init__(spec.vertices, simplices)
-        self.spec, self._orders = spec, dict(orders)
-
     @classmethod
     def _assembled(cls, spec: CoxeterSpec, by_dim: dict, orders: dict[Simplex, int]) -> "Nerve":
         """The nerve from simplices distinct and sorted per dimension; the spec holds it weakly."""
@@ -521,9 +517,9 @@ def join2(n1: Nerve, n2: Nerve) -> Nerve:
     return build_nerve(join_spec(n1.spec, n2.spec))
 
 
-def cone2(n: Nerve, apex: str = "P") -> Nerve:
-    """Right-angled cone: join with a single fresh vertex."""
-    apex = _disjoint_rename(set(n.spec.vertices), apex)
+def cone2(n: Nerve) -> Nerve:
+    """Right-angled cone: join with a single fresh vertex, named P unless that is taken."""
+    apex = _disjoint_rename(set(n.spec.vertices), "P")
     apex_spec = CoxeterSpec([apex], {})
     return build_nerve(join_spec(n.spec, apex_spec))
 

@@ -177,18 +177,24 @@ def classify(spec: CoxeterSpec, subset) -> SphericalVerdict:
     return SphericalVerdict(True, tuple(comps), order, diagram)
 
 
-def cosine_matrix_test(spec: CoxeterSpec, subset, *, eps: float = 1e-9, max_rank: int = 12) -> bool:
+_COSINE_EPS = 1e-9  # a leading minor within this of zero is indeterminate
+_COSINE_MAX_RANK = 12
+
+
+def cosine_matrix_test(spec: CoxeterSpec, subset) -> bool:
     """Numeric finiteness check: is the cosine matrix positive definite?
 
     Entries are c_ss = 1 and c_st = -cos(pi/m_st), with infinite labels
-    contributing -1.  True iff every leading principal minor exceeds eps;
-    raises IndeterminateNumeric when a minor lands within +/-eps of zero,
-    in which case the caller should fall back to classify.
+    contributing -1.  True iff every leading principal minor exceeds the
+    fixed tolerance _COSINE_EPS; raises IndeterminateNumeric when a minor
+    lands within +/-_COSINE_EPS of zero, in which case the caller should
+    fall back to classify.  Subsets above rank _COSINE_MAX_RANK raise
+    ValueError.
     """
     T = spec.check_subset(subset)
     n = len(T)
-    if n > max_rank:
-        raise ValueError(f"subset rank {n} exceeds the numeric bound {max_rank}")
+    if n > _COSINE_MAX_RANK:
+        raise ValueError(f"subset rank {n} exceeds the numeric bound {_COSINE_MAX_RANK}")
     if n == 0:
         return True
     C = np.ones((n, n))
@@ -200,9 +206,9 @@ def cosine_matrix_test(spec: CoxeterSpec, subset, *, eps: float = 1e-9, max_rank
             C[i, j] = -1.0 if m == INFINITY else -math.cos(math.pi / m)
     for k in range(1, n + 1):
         minor = float(np.linalg.det(C[:k, :k]))
-        if abs(minor) <= eps:
+        if abs(minor) <= _COSINE_EPS:
             raise IndeterminateNumeric(
-                f"leading {k}x{k} minor {minor:.3e} within {eps} of zero"
+                f"leading {k}x{k} minor {minor:.3e} within {_COSINE_EPS} of zero"
             )
         if minor < 0:
             return False

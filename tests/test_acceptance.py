@@ -30,7 +30,6 @@ from coxeter_l2.nerve import (
     recognize_sphere,
 )
 from coxeter_l2.invariants import (
-    RuleContext,
     betti,
     chi_orb,
     chi_orb_chain_sum,
@@ -237,19 +236,11 @@ def test_criterion_9_join_identities():
 
     k33 = build_nerve(complete_bipartite_spec(3, 3))
     detected = betti(k33)
-    explicit = betti(
-        k33, RuleContext(join_factors=(("b0", "b1", "b2"), ("a0", "a1", "a2")))
-    )
     constructed = betti(
         join2(build_nerve(points_spec(3, prefix="a")), build_nerve(points_spec(3, prefix="b")))
     )
-    assert (
-        detected.as_tuple()
-        == explicit.as_tuple()
-        == constructed.as_tuple()
-        == (0, 0, Fraction(1, 4))
-    )
+    assert detected.as_tuple() == constructed.as_tuple() == (0, 0, Fraction(1, 4))
     print(
         "\nPASS criterion 9: join/cone chi identities on 100 pairs; "
-        "K3,3 Betti agrees across factor groupings"
+        "K3,3 Betti agrees as detected and as constructed"
     )

@@ -1,13 +1,17 @@
-"""Module structure: every import in the library sits at module level, and no memo is global.
+"""Module structure: imports at module level, no global memo, exports that match the imports.
 
 An import inside a function usually hides an import cycle between library
 modules; keeping imports at the top keeps the module graph acyclic and
 visible.  A functools cache keeps every key it has seen alive for the life
 of the process; reuse belongs on the objects that own it, held weakly.
+The package exports exactly what its __init__ imports, so a deleted name
+cannot linger in __all__.
 """
 
 import ast
 from pathlib import Path
+
+import coxeter_l2
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "coxeter_l2"
 
@@ -46,3 +50,14 @@ def test_no_functools_cache():
             ):
                 found.append(f"{path.name}:{node.lineno} uses functools.{node.attr}")
     assert found == []
+
+
+def test_all_lists_exactly_the_imported_names():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert len(coxeter_l2.__all__) == len(set(coxeter_l2.__all__))
+    assert sorted(coxeter_l2.__all__) == sorted(imported)

@@ -154,7 +154,7 @@ def test_link_k5_is_isolated_points():
 
 def test_link_of_cone_apex_is_base():
     base = build_nerve(cycle_spec(4, 2))
-    coned = cone2(base, apex="P")
+    coned = cone2(base)
     lk = link(coned, "P")
     assert lk.vertices == base.vertices
     assert set(lk.simplices()) == set(base.simplices())
@@ -195,7 +195,7 @@ def test_join_renames_collisions():
 
 def test_cone_is_square_pyramid():
     base = build_nerve(cycle_spec(4, 2, prefix="b"))
-    pyramid = cone2(base, apex="P")
+    pyramid = cone2(base)
     assert pyramid.counts() == (5, 8, 4)
     assert recognize_sphere(pyramid) is SphereKind.NEITHER  # open base
 
@@ -235,7 +235,7 @@ def test_detect_join_octahedron_three_factors():
 
 
 def test_detect_join_square_pyramid():
-    pyramid = cone2(build_nerve(cycle_spec(4, 2, prefix="b")), apex="P")
+    pyramid = cone2(build_nerve(cycle_spec(4, 2, prefix="b")))
     factors = detect_join2(pyramid)
     # finest factorization: the apex plus the two diagonal point pairs
     assert factors == [("P",), ("b0", "b2"), ("b1", "b3")]

@@ -417,7 +417,7 @@ def test_trace_hypothesis_checks():
         trace_vanishing(hexn, ["v0"])  # ambient is not a 2-sphere
     octa = build_nerve(octahedron_spec(labels={("x0", "y0"): 3}))
     assert recognize_sphere(octa) is SphereKind.TWO_SPHERE
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(HypothesisViolated, match="right-angled complement"):
         # the 3-labelled edge has an endpoint outside the target
         trace_vanishing(octa, ["x0", "z0", "z1"])
 

@@ -9,8 +9,9 @@ certificate derived through a separate dimension-2 lower bound whose
 provenance text is parsed, the component matcher that reads labels through
 label() and returns a record, document parsing that checked every label
 before the constructor checked it again, coning by rebuilding the coned
-spec's nerve, and the enumeration closure that formed each layer's
-products with einsum and keyed them one row at a time.
+spec's nerve, the enumeration closure that formed each layer's
+products with einsum and keyed them one row at a time, and the Betti
+engine that filled a separate builder and summed the finished vector again.
 """
 
 import gc
@@ -41,8 +42,11 @@ from coxeter_l2.catalog import (
 from coxeter_l2.invariants import (
     UNKNOWN,
     BettiVector,
+    ContradictoryRules,
+    InvalidWitness,
     RuleContext,
     _rational,
+    _validate_witness,
     betti,
     chi_orb,
     chi_orb_chain_sum,
@@ -67,11 +71,13 @@ from coxeter_l2.nerve import (
     RotationSystem,
     SphereKind,
     build_nerve,
+    cone2,
     detect_join2,
     faces_from_rotation,
     full_subcomplex,
     induced_nerve,
     infinite_pairs_outside,
+    join2,
     join_spec,
     link,
     recognize_sphere,
@@ -1645,3 +1651,214 @@ def test_closure_makes_one_matmul_per_layer(monkeypatch):
     # F4's longest element has length 24, its number of reflections: layers 0..24,
     # the last one finding nothing new
     assert calls == {"matmul": 4 * 25}
+
+
+class ReferenceBettiVector:
+    """BettiVector as it was: a finished record built from a separate builder's lists."""
+
+    def __init__(self, top, entries, provenance, chi):
+        self.top, self._entries, self._provenance, self.chi = top, tuple(entries), tuple(provenance), chi
+
+    def get(self, i):
+        return Fraction(0) if i > self.top else self._entries[i]
+
+    def rule_for(self, i):
+        record = self._provenance[i] if i <= self.top else None
+        return record and record[0]
+
+    def detail_for(self, i):
+        record = self._provenance[i] if i <= self.top else None
+        return record and record[1]
+
+    def provenance_for(self, i):
+        if i > self.top:
+            return "beyond the top dimension: no chains"
+        if self._provenance[i] is None:
+            return "Unknown: no rule fired"
+        return ": ".join(self._provenance[i])
+
+    @property
+    def fully_known(self):
+        return all(e is not UNKNOWN for e in self._entries)
+
+    def alternating_sum(self):
+        return sum(((-1) ** i * e for i, e in enumerate(self._entries)), Fraction(0))
+
+    def __repr__(self):
+        return "(" + ", ".join("?" if e is UNKNOWN else str(e) for e in self._entries) + ")"
+
+    def to_document(self):
+        return {
+            "entries": {str(i): (None if e is UNKNOWN else _rational(e)) for i, e in enumerate(self._entries)},
+            "provenance": {str(i): self.provenance_for(i) for i in range(self.top + 1)},
+        }
+
+
+class ReferenceBuilder:
+    def __init__(self, top):
+        self.top = top
+        self.entries = [UNKNOWN] * (top + 1)
+        self.provenance = [None] * (top + 1)
+
+    def assign(self, i, value, rule, detail):
+        value = Fraction(value)
+        why = f"{rule}: {detail}"
+        if value < 0:
+            raise ContradictoryRules(f"rule '{why}' assigned negative value {value} to dimension {i}")
+        if i > self.top:
+            if value != 0:
+                raise ContradictoryRules(f"rule '{why}' assigned {value} beyond the top dimension {self.top}")
+            return
+        current = self.entries[i]
+        if current is UNKNOWN:
+            self.entries[i] = value
+            self.provenance[i] = (rule, detail)
+        elif current != value:
+            raise ContradictoryRules(
+                f"dimension {i}: '{': '.join(self.provenance[i])}' gave {current} but '{why}' gives {value}"
+            )
+
+    def unknown_dims(self):
+        return [i for i, e in enumerate(self.entries) if e is UNKNOWN]
+
+    def build(self, chi):
+        return ReferenceBettiVector(self.top, self.entries, self.provenance, chi)
+
+
+def reference_betti(nerve, ctx=None):
+    """betti as it was: a builder, a completion sum, then the finished vector summed again."""
+    top = nerve.dimension + 1
+    b = ReferenceBuilder(top)
+    chi = chi_orb(nerve)
+    if nerve._verdict is None:
+        nerve._verdict = classify(nerve.spec, nerve.vertices)
+    full_verdict = nerve._verdict
+    if full_verdict.spherical:
+        order = f"|W| = {full_verdict.order}"
+        b.assign(0, Fraction(1, full_verdict.order), "R-fin", order)
+        for i in range(1, top + 1):
+            b.assign(i, Fraction(0), "R-fin", order)
+    else:
+        b.assign(0, Fraction(0), "R-b0", "W infinite")
+    kind = recognize_sphere(nerve)
+    is_s0 = len(nerve.vertices) == 2 and not nerve.edges
+    if kind is SphereKind.CIRCLE or is_s0:
+        which = "circle" if kind is SphereKind.CIRCLE else "two points"
+        b.assign(top, Fraction(0), "R-S0/S1", f"nerve is {which}, top entry vanishes")
+    if kind is SphereKind.TWO_SPHERE:
+        for i in range(top + 1):
+            b.assign(i, Fraction(0), "R-S2", "2-sphere nerve, all entries vanish")
+    if ctx is not None and ctx.witness is not None:
+        _validate_witness(nerve, ctx.witness)
+        ambient_kind = recognize_sphere(ctx.witness.ambient)
+        if ambient_kind is SphereKind.CIRCLE:
+            for i in range(2, top + 1):
+                b.assign(i, Fraction(0), "R-sub1", "full subcomplex of a circle nerve")
+        if ambient_kind is SphereKind.TWO_SPHERE and ctx.witness.right_angled_complement:
+            for i in range(2, top + 1):
+                b.assign(i, Fraction(0), "R-sub2", "full subcomplex with right-angled complement in a 2-sphere nerve")
+    if ctx is not None and ctx.embedding is not None and nerve.dimension <= 2:
+        try:
+            validate_embedding(nerve, ctx.embedding)
+        except Exception as exc:
+            raise InvalidWitness(f"embedding witness rejected: {exc}") from exc
+        b.assign(2, Fraction(0), "R-planar", "sphere-embedding witness")
+    if len(full_verdict.diagram) >= 2:
+        factors = full_verdict.diagram
+        factor_vectors = [reference_betti(induced_nerve(nerve, f)) for f in factors]
+        if all(v.fully_known for v in factor_vectors):
+            conv = [Fraction(1)]
+            for v in factor_vectors:
+                cur = [v.get(i) for i in range(v.top + 1)]
+                nxt = [Fraction(0)] * (len(conv) + len(cur) - 1)
+                for i, a in enumerate(conv):
+                    for j, c in enumerate(cur):
+                        nxt[i + j] += a * c
+                conv = nxt
+            desc = " * ".join("{" + ",".join(f) + "}" for f in factors)
+            for k, value in enumerate(conv):
+                b.assign(k, value, "R-join", desc)
+    missing = b.unknown_dims()
+    if len(missing) == 1:
+        i = missing[0]
+        partial = sum(((-1) ** j * e for j, e in enumerate(b.entries) if e is not UNKNOWN), Fraction(0))
+        b.assign(i, (-1) ** i * (chi - partial), "R-atiyah", f"completion against chi_orb = {chi}")
+    vector = b.build(chi)
+    if vector.fully_known and vector.alternating_sum() != chi:
+        raise ContradictoryRules(
+            f"fully known vector {vector} has alternating sum {vector.alternating_sum()} != chi_orb = {chi}"
+        )
+    return vector
+
+
+def betti_outcome(engine, nerve, ctx):
+    try:
+        vector = engine(nerve, ctx)
+    except (ContradictoryRules, InvalidWitness) as exc:
+        return type(exc), str(exc)
+    readers = [
+        (vector.get(i), vector.rule_for(i), vector.detail_for(i), vector.provenance_for(i))
+        for i in range(vector.top + 3)  # two dimensions past the top as well
+    ]
+    return vector.top, vector.chi, readers, vector.fully_known, repr(vector), vector.to_document()
+
+
+def random_nerve(rnd):
+    return build_nerve(random_spec(rnd, max_vertices=5))
+
+
+@st.composite
+def betti_inputs(draw):
+    """A nerve, a rule context and an optional wrong held chi_orb.
+
+    Nerves are random systems, their right-angled joins and cones, K5@3 and
+    K3,3; witnesses are full subcomplexes of coned spheres or of circles,
+    some paired with the wrong target, and embeddings are left-right
+    rotations or random ones.  A wrong held chi_orb reaches
+    the completion's negative-value check and the fully-known sum check.
+    """
+    rnd = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["random", "join", "cone", "planted", "witness", "embedding"]))
+    ctx = None
+    if kind == "random":
+        nerve = random_nerve(rnd)
+    elif kind == "join":
+        nerve = join2(random_nerve(rnd), random_nerve(rnd))
+    elif kind == "cone":
+        nerve = cone2(random_nerve(rnd))
+    elif kind == "planted":
+        nerve = build_nerve(draw(st.sampled_from([complete_graph_spec(5, 3), complete_bipartite_spec(3, 3)])))
+    elif kind == "witness":
+        base, rot = draw(coning_inputs())
+        try:
+            ambient, witness = cone_construction(base, rot)
+        except ValueError:  # NotSpherical and NonSimpleFaceBoundary
+            return base, None, None
+        nerve = base
+        pick = draw(st.sampled_from(["cone", "sphere", "circle", "mismatch"]))
+        if pick == "circle":
+            ambient = build_nerve(labelled_cycle(rnd.randint(4, 8), [rnd.choice([2, 3]) for _ in range(8)]))
+        if pick in ("sphere", "circle"):
+            subset = draw(st.lists(st.sampled_from(ambient.vertices), min_size=1, unique=True))
+            nerve, witness = full_subcomplex(ambient, subset)
+        elif pick == "mismatch":
+            nerve = ambient  # the witness names the input's vertices, not the sphere's
+        ctx = RuleContext(witness=witness)
+    else:
+        nerve = random_nerve(rnd)
+        if draw(st.booleans()) and nerve.dimension <= 2:
+            rot = planar_rotation(nerve)
+        else:
+            rot = {v: draw(st.permutations(nerve.neighbors(v))) for v in nerve.vertices}
+        ctx = RuleContext(embedding=rot) if rot is not None else None
+    shift = draw(st.sampled_from([None, None, Fraction(1, 4), Fraction(-1, 2), Fraction(3)]))
+    return nerve, ctx, shift
+
+
+@settings(max_examples=300, deadline=None)
+@given(betti_inputs())
+def test_betti_equals_builder_reference(case):
+    nerve, ctx, shift = case
+    if shift is not None:
+        nerve._chi = chi_orb(nerve) + shift  # both engines read the held value
+    assert betti_outcome(betti, nerve, ctx) == betti_outcome(reference_betti, nerve, ctx)
