@@ -14,7 +14,7 @@ from coxeter_l2 import (
     build_nerve,
     certify_nonplanar,
     chi_orb,
-    detect_join2,
+    diagram_components,
     join2,
 )
 from coxeter_l2.catalog import complete_bipartite_spec, points_spec
@@ -26,7 +26,7 @@ def main():
     print("K3,3, all edges labelled 2 (the right-angled case)")
     print(f"  chi_orb = {chi_orb(nerve)}")
 
-    factors = detect_join2(nerve)
+    factors = diagram_components(nerve.spec, nerve.vertices)
     print(f"  detected join factors: " + " * ".join("{" + ",".join(f) + "}" for f in factors))
 
     side = build_nerve(points_spec(3))

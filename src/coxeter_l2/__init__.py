@@ -42,17 +42,13 @@ from coxeter_l2.nerve import (
     build_nerve,
     full_subcomplex,
     induced_nerve,
-    has_right_angled_complement,
     link,
     is_full_subcomplex,
     join2,
     cone2,
     recognize_sphere,
-    detect_join2,
     RotationSystem,
-    FaceSet,
     NotSpherical,
-    faces_from_rotation,
 )
 from coxeter_l2.invariants import (
     UNKNOWN,
@@ -113,17 +109,13 @@ __all__ = [
     "build_nerve",
     "full_subcomplex",
     "induced_nerve",
-    "has_right_angled_complement",
     "link",
     "is_full_subcomplex",
     "join2",
     "cone2",
     "recognize_sphere",
-    "detect_join2",
     "RotationSystem",
-    "FaceSet",
     "NotSpherical",
-    "faces_from_rotation",
     "UNKNOWN",
     "BettiVector",
     "RuleContext",

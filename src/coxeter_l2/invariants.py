@@ -168,25 +168,27 @@ class BettiVector:
                 f"but '{why}' gives {value}"
             )
 
-    def get(self, i: int):
+    def _stored(self, i: int) -> bool:
+        """The bounds check of every reader: is entry i stored (not above the top)?"""
         if i < 0:
             raise IndexError("negative dimension")
-        if i > self.top:
-            return Fraction(0)
-        return self._entries[i]
+        return i <= self.top
+
+    def get(self, i: int):
+        return self._entries[i] if self._stored(i) else Fraction(0)
 
     def rule_for(self, i: int) -> str | None:
         """The id of the rule that set entry i, such as "R-join"; None if none did."""
-        record = self._provenance[i] if i <= self.top else None
+        record = self._provenance[i] if self._stored(i) else None
         return record and record[0]
 
     def detail_for(self, i: int) -> str | None:
         """What the rule that set entry i was applied to; None if no rule did."""
-        record = self._provenance[i] if i <= self.top else None
+        record = self._provenance[i] if self._stored(i) else None
         return record and record[1]
 
     def provenance_for(self, i: int) -> str:
-        if i > self.top:
+        if not self._stored(i):
             return "beyond the top dimension: no chains"
         if self._provenance[i] is None:
             return "Unknown: no rule fired"

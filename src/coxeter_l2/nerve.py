@@ -4,8 +4,8 @@ The nerve of a Coxeter system is the abstract simplicial complex on the
 vertex set whose simplices are exactly the nonempty spherical subsets; it
 is metric flag by construction.  The piecewise-spherical metric is kept
 only as edge labels, never as geometry.  This module also provides full
-subcomplexes, vertex links, right-angled joins and cones, combinatorial
-sphere recognition, and detection of right-angled join factorizations.
+subcomplexes with their fullness witnesses, vertex links, right-angled
+joins and cones, and combinatorial sphere recognition.
 
 Sphere embeddings of complexes of dimension <= 2 live here too: they are
 witnessed by rotation systems (a cyclic neighbor order at each vertex) and
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from coxeter_l2.model import INFINITY, CoxeterSpec, VertexSubset, components
-from coxeter_l2.spherical import _match_component, diagram_components
+from coxeter_l2.spherical import _match_component
 
 Simplex = tuple[str, ...]
 
@@ -70,7 +70,7 @@ class SimplicialComplex:
             near = {v: tuple(x for e in ss if len(e) == 2 for x in e if x != v) for v, ss in star.items()}
             maps = star, near
         self._star, self._neighbors = maps
-        self._sphere = None  # held by recognize_sphere
+        self._sphere = self._components = None  # held by recognize_sphere and skeleton_components
 
     def _view(self, vertices: tuple[str, ...], cls: type | None = None):
         """The full subcomplex on some vertices, its maps filtered in order from their stars."""
@@ -113,8 +113,11 @@ class SimplicialComplex:
         """Connectivity of the 1-skeleton (a complex with one vertex is connected)."""
         return len(self.skeleton_components()) <= 1
 
-    def skeleton_components(self) -> list[tuple[str, ...]]:
-        return components(self.vertices, self.neighbors)
+    def skeleton_components(self) -> tuple[tuple[str, ...], ...]:
+        """Components of the 1-skeleton, listed by least vertex; searched once and held."""
+        if self._components is None:
+            self._components = tuple(components(self.vertices, self.neighbors))
+        return self._components
 
     def counts(self) -> tuple[int, ...]:
         """Number of simplices per dimension 0..dim."""
@@ -211,18 +214,8 @@ class RotationSystem:
 Walk = tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class FaceSet:
-    """Closed walks bounding the complementary regions of an embedding."""
-
-    faces: tuple[Walk, ...]
-
-    def __len__(self) -> int:
-        return len(self.faces)
-
-
 def _traced_faces(complex_: SimplicialComplex, rot: RotationSystem):
-    """Yield (component, its face set) per component of the 1-skeleton, least vertex first.
+    """Yield (component, its face walks) per component of the 1-skeleton, least vertex first.
 
     From the directed edge (u, v) a walk continues along (v, w) where w
     follows u in the rotation at v; the walks partition the directed edge
@@ -256,50 +249,35 @@ def _traced_faces(complex_: SimplicialComplex, rot: RotationSystem):
         V, E, F = len(comp), sum(map(len, faces)) // 2, len(faces)
         if V - E + F != 2:
             raise NotSpherical(f"V - E + F = {V} - {E} + {F} != 2: rotation has positive genus")
-        yield comp, FaceSet(faces)
-
-
-def faces_from_rotation(skeleton: SimplicialComplex, rot: RotationSystem) -> FaceSet:
-    """Trace the faces of a rotation system on a non-empty connected 1-skeleton (see _traced_faces).
-
-    Raises NotSpherical unless V - E + F = 2.
-    """
-    if not skeleton.is_connected():
-        raise ValueError("face tracing requires a connected skeleton")
-    for _, faceset in _traced_faces(skeleton, rot):
-        return faceset
-    raise ValueError("face tracing requires a non-empty connected skeleton")
-
-
-def _is_simple(walk: Walk) -> bool:
-    heads = [u for u, _ in walk]
-    return len(set(heads)) == len(heads)
+        yield comp, faces
 
 
 def validate_embedding(
     complex_: SimplicialComplex, rot: RotationSystem | Mapping
-) -> list[tuple[tuple[str, ...], FaceSet]]:
+) -> list[tuple[tuple[str, ...], tuple[Walk, ...]]]:
     """Check that a rotation system embeds a complex of dim <= 2 in the sphere.
 
-    Each connected component is traced separately (disjoint pieces embed in
-    disjoint disks); every 2-simplex must appear among its component's
-    triangular faces.  Returns the per-component face sets.
+    This is the one face-tracing entry point; a 1-skeleton has no 2-simplices
+    to check, so on it this is the bare trace.  Each connected component is
+    traced separately (disjoint pieces embed in disjoint disks); every
+    2-simplex must appear among its component's triangular faces.  Returns
+    each component with its face walks.
     """
     if not isinstance(rot, RotationSystem):
         rot = RotationSystem.from_document(rot)
     if complex_.dimension > 2:
         raise ValueError("embedding witnesses only apply to complexes of dimension <= 2")
     out = []
-    for comp, faceset in _traced_faces(complex_, rot):
+    for comp, faces in _traced_faces(complex_, rot):
         # A 3-walk has three distinct vertices (there are no loops), so it bounds a triangle.
-        triangles = {frozenset(u for u, _ in face) for face in faceset.faces if len(face) == 3}
+        triangles = {frozenset(u for u, _ in face) for face in faces if len(face) == 3}
         missing = [
             t for v in comp for t in complex_._star[v]
             if len(t) == 3 and t[0] == v and frozenset(t) not in triangles
         ]
         if missing:
             raise NotSpherical(f"2-simplex {min(missing)} is not a face of the embedding")
-        out.append((comp, faceset))
+        out.append((comp, faces))
     return out
 
 
@@ -382,19 +360,6 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
     return Nerve._assembled(spec, dict(enumerate(by_dim)), orders)
 
 
-def has_right_angled_complement(nerve: Nerve, subset) -> bool:
-    """True iff every edge of the nerve not contained in the subset is labelled 2.
-
-    Infinite pairs are not edges, so a straddling infinite pair does not
-    disqualify; see infinite_pairs_outside for the flagged cases.
-    """
-    A = set(nerve.spec.check_subset(subset))
-    return all(
-        m == 2 or (u in A and v in A)
-        for u, v, m in nerve.spec.finite_edges()
-    )
-
-
 def _straddling_pairs(spec: CoxeterSpec, A: set[str]):
     """Yield the infinite pairs with an endpoint outside A, in lexicographic order.
 
@@ -411,9 +376,28 @@ def _straddling_pairs(spec: CoxeterSpec, A: set[str]):
                 yield u, pool[i]
 
 
-def infinite_pairs_outside(nerve: Nerve, subset) -> list[tuple[str, str]]:
-    """Infinite-label pairs with an endpoint outside the subset (reported, permitted)."""
-    return list(_straddling_pairs(nerve.spec, set(nerve.spec.check_subset(subset))))
+def _witness(nerve: Nerve, A: VertexSubset) -> SubcomplexWitness:
+    """The fullness witness of a checked, sorted subset, from one scan of the finite labels.
+
+    The complement is right-angled when every finite label with an endpoint
+    outside A is 2; infinite pairs are not edges, so a straddling one does
+    not disqualify and is only noted.  Straddling infinite pairs are counted
+    in closed form (all pairs not inside A, minus the finite ones), and only
+    the first four are enumerated for the note.
+    """
+    keep = set(A)
+    outside = [m for u, v, m in nerve.spec.finite_edges() if u not in keep or v not in keep]
+    n, a = len(nerve.vertices), len(A)
+    count = n * (n - 1) // 2 - a * (a - 1) // 2 - len(outside)
+    notes = ()
+    if count:
+        shown = ", ".join(f"({u},{v})" for u, v in itertools.islice(_straddling_pairs(nerve.spec, keep), 4))
+        more = "" if count <= 4 else f" and {count - 4} more"
+        notes = (
+            f"{count} infinite-label pair(s) not contained in the "
+            f"subcomplex: {shown}{more} (permitted: infinite pairs are not edges)",
+        )
+    return SubcomplexWitness(nerve, A, all(m == 2 for m in outside), notes)
 
 
 def induced_nerve(nerve: Nerve, subset) -> Nerve:
@@ -439,28 +423,11 @@ def full_subcomplex(nerve: Nerve, subset) -> tuple[Nerve, SubcomplexWitness]:
 
     The subcomplex is filtered from the ambient simplices and orders by
     induced_nerve, not rebuilt; it is automatically full because sphericity
-    depends only on the induced labels.  Straddling infinite pairs are
-    counted in closed form (all pairs not inside the subset, minus the
-    finite ones), and only the first four are enumerated for the note.
+    depends only on the induced labels.  The subset is checked once, by
+    induced_nerve, and the witness comes from _witness.
     """
-    A = nerve.spec.check_subset(subset)
-    keep = set(A)
-    sub = induced_nerve(nerve, A)
-    rac = has_right_angled_complement(nerve, A)
-    notes = ()
-    n, a = len(nerve.vertices), len(A)
-    finite_outside = sum(1 for u, v, _ in nerve.spec.finite_edges() if u not in keep or v not in keep)
-    count = n * (n - 1) // 2 - a * (a - 1) // 2 - finite_outside
-    if count:
-        shown = ", ".join(
-            f"({u},{v})" for u, v in itertools.islice(_straddling_pairs(nerve.spec, keep), 4)
-        )
-        more = "" if count <= 4 else f" and {count - 4} more"
-        notes = (
-            f"{count} infinite-label pair(s) not contained in the "
-            f"subcomplex: {shown}{more} (permitted: infinite pairs are not edges)",
-        )
-    return sub, SubcomplexWitness(nerve, A, rac, notes)
+    sub = induced_nerve(nerve, subset)
+    return sub, _witness(nerve, tuple(sorted(sub.vertices)))
 
 
 def link(complex_: SimplicialComplex, v: str) -> SimplicialComplex:
@@ -518,10 +485,8 @@ def join2(n1: Nerve, n2: Nerve) -> Nerve:
 
 
 def cone2(n: Nerve) -> Nerve:
-    """Right-angled cone: join with a single fresh vertex, named P unless that is taken."""
-    apex = _disjoint_rename(set(n.spec.vertices), "P")
-    apex_spec = CoxeterSpec([apex], {})
-    return build_nerve(join_spec(n.spec, apex_spec))
+    """Right-angled cone: join with a single vertex P (primed by join_spec if that is taken)."""
+    return build_nerve(join_spec(n.spec, CoxeterSpec(["P"], {})))
 
 
 class SphereKind(enum.Enum):
@@ -580,15 +545,3 @@ def _recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
                 return SphereKind.NEITHER
         return SphereKind.TWO_SPHERE if complex_.is_connected() else SphereKind.NEITHER
     return SphereKind.NEITHER
-
-
-def detect_join2(nerve: Nerve) -> list[VertexSubset] | None:
-    """Finest right-angled join factorization, if the nerve decomposes.
-
-    Factors are the connected components of the graph whose edges are the
-    pairs labelled anything other than 2 (finite >= 3 or infinite).  Any
-    grouping of two or more components is a valid join; the finest one is
-    returned, sorted by least vertex.  None when indecomposable.
-    """
-    factors = diagram_components(nerve.spec, nerve.vertices)
-    return factors if len(factors) >= 2 else None

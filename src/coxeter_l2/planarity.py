@@ -25,8 +25,8 @@ from coxeter_l2.nerve import (
     SphereKind,
     SubcomplexWitness,
     _disjoint_rename,
-    _is_simple,
     _traced_faces,
+    _witness,
     build_nerve,
     full_subcomplex,
     induced_nerve,
@@ -73,37 +73,32 @@ def cone_construction(
     rebuilt: a cone vertex adds itself (order 2) and itself joined to each
     simplex T on its boundary (order 2|W_T|), and nothing is classified.
     The result is still checked to be a 2-sphere containing the input.
+    The input's components are searched once: the connectivity check holds
+    them on the nerve for the face tracer.
     """
-    if not isinstance(rot, RotationSystem):
-        rot = RotationSystem.from_document(rot)
     if not nerve.vertices:
         raise ValueError("cannot cone an empty complex")
     if not nerve.is_connected():
         raise ValueError("cone construction requires a connected complex")
     if nerve.dimension > 2:
         raise ValueError("cone construction requires dimension <= 2")
-    ((_, faceset),) = validate_embedding(nerve, rot)
+    ((_, faces),) = validate_embedding(nerve, rot)
 
-    for face in faceset.faces:
-        if not _is_simple(face):
-            raise NonSimpleFaceBoundary(
-                f"face walk {[u for u, _ in face]} repeats a vertex"
-            )
+    boundaries = [tuple(u for u, _ in face) for face in faces]
+    for boundary in boundaries:
+        if len(set(boundary)) != len(boundary):
+            raise NonSimpleFaceBoundary(f"face walk {list(boundary)} repeats a vertex")
 
-    to_cone = [
-        face for face in faceset.faces
-        if not (len(face) == 3 and nerve.has_simplex([u for u, _ in face]))
-    ]
+    to_cone = [b for b in boundaries if not (len(b) == 3 and nerve.has_simplex(b))]
     taken = set(nerve.spec.vertices)
     vertices = list(nerve.spec.vertices)
     labels = {(u, v): m for u, v, m in nerve.spec.finite_edges()}
     by_dim = {d: list(group) for d, group in nerve._by_dim.items()}
     orders = dict(nerve._orders)
-    for i, face in enumerate(to_cone):
+    for i, boundary in enumerate(to_cone):
         name = _disjoint_rename(taken, f"{CONE_PREFIX}{i}")
         taken.add(name)
         vertices.append(name)
-        boundary = tuple(u for u, _ in face)
         for u in boundary:
             labels[(name, u)] = 2
         # The apex commutes with its face and has infinite labels elsewhere, so
@@ -304,12 +299,15 @@ def trace_vanishing(ambient: Nerve, target) -> ProofTrace:
     full subcomplex with right-angled complement.  Vertices outside the
     target are removed in lexicographic order; each step records the link
     of the removed vertex, its fullness in the ambient nerve, and the
-    decomposition justifying the transfer of vanishing.
+    decomposition justifying the transfer of vanishing.  Only the witness
+    is needed of the target, so its induced nerve is never built, and each
+    link is read off the ambient nerve's view on the removed vertex and its
+    remaining neighbors.
     """
     A = ambient.spec.check_subset(target)
     if recognize_sphere(ambient) is not SphereKind.TWO_SPHERE:
         raise HypothesisViolated("ambient nerve is not a 2-sphere triangulation")
-    _, witness = full_subcomplex(ambient, A)
+    witness = _witness(ambient, A)
     if not witness.right_angled_complement:
         raise HypothesisViolated("target does not have a right-angled complement")
 
@@ -319,9 +317,9 @@ def trace_vanishing(ambient: Nerve, target) -> ProofTrace:
     for v in removal:
         before = tuple(sorted(current))
         # Only the closed star of v in B matters for its link, so the
-        # induced sub-nerve on v and its remaining neighbors suffices.
+        # ambient view on v and its remaining neighbors suffices.
         near = [u for u in ambient.neighbors(v) if u in current]
-        b_v = link(induced_nerve(ambient, [v, *near]), v)
+        b_v = link(ambient._view((v, *near)), v)
         if not is_full_subcomplex(ambient, b_v):
             raise HypothesisViolated(
                 f"link of {v} is not a full subcomplex of the ambient nerve"
@@ -582,7 +580,8 @@ def planar_rotation(graph: SimplicialComplex) -> RotationSystem | None:
     Runs the left-right test on each connected component after the
     3V - 6 edge bound.  Face tracing must accept every component's rotation
     (V - E + F = 2) before it is returned, so a faulty embedding raises
-    NotSpherical and never passes as planar.
+    NotSpherical and never passes as planar.  The components are searched
+    once and held on the graph, so the tracer reuses them.
     """
     V = len(graph.vertices)
     if V >= 3 and len(graph.edges) > 3 * V - 6:

@@ -152,6 +152,14 @@ def test_betti_k33_via_join():
     assert vector.provenance_for(2) == "R-join: {a0,a1,a2} * {b0,b1,b2}"
 
 
+def test_betti_readers_refuse_negative_dimensions_on_k33():
+    vector = betti(build_nerve(complete_bipartite_spec(3, 3)))
+    for reader in (vector.get, vector.rule_for, vector.detail_for, vector.provenance_for):
+        with pytest.raises(IndexError, match="negative dimension"):
+            reader(-1)
+        assert reader(vector.top + 1) in (0, None, "beyond the top dimension: no chains")
+
+
 def test_betti_two_sphere_vanishes():
     for spec in (octahedron_spec(), icosahedron_spec()):
         vector = betti(build_nerve(spec))
@@ -304,7 +312,7 @@ def test_witness_vector_consistent_with_intrinsic():
         NotSpherical,
         RotationSystem,
         SimplicialComplex,
-        faces_from_rotation,
+        validate_embedding,
     )
     from conftest import random_planar_spec
 
@@ -318,7 +326,7 @@ def test_witness_vector_consistent_with_intrinsic():
         for choice in itertools.product(*options):
             rot = RotationSystem(dict(zip(skel.vertices, choice)))
             try:
-                faces_from_rotation(skel, rot)
+                validate_embedding(skel, rot)
                 return rot
             except NotSpherical:
                 continue

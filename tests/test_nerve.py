@@ -18,16 +18,13 @@ from coxeter_l2.nerve import (
     SphereKind,
     build_nerve,
     cone2,
-    detect_join2,
     full_subcomplex,
-    has_right_angled_complement,
-    infinite_pairs_outside,
     is_full_subcomplex,
     join2,
     link,
     recognize_sphere,
 )
-from coxeter_l2.spherical import classify
+from coxeter_l2.spherical import classify, diagram_components
 
 from conftest import random_spec
 
@@ -119,21 +116,28 @@ def test_full_subcomplex_side_of_k33():
     assert witness.notes
 
 
+def witness_of(nerve, subset):
+    return full_subcomplex(nerve, subset)[1]
+
+
 def test_right_angled_complement():
     k5 = build_nerve(complete_graph_spec(5, 3))
     coned = cone2(k5)
-    assert has_right_angled_complement(coned, k5.vertices)
-    assert has_right_angled_complement(coned, coned.vertices)  # vacuous
+    assert witness_of(coned, k5.vertices).right_angled_complement
+    assert witness_of(coned, coned.vertices).right_angled_complement  # vacuous
     # a 3-labelled edge with an endpoint outside the subset disqualifies
-    assert not has_right_angled_complement(coned, k5.vertices[:4])
-    assert infinite_pairs_outside(coned, k5.vertices) == []
+    assert not witness_of(coned, k5.vertices[:4]).right_angled_complement
+    assert witness_of(coned, k5.vertices).notes == ()  # no straddling infinite pair
 
 
 def test_right_angled_complement_permits_infinite_pairs():
     spec = CoxeterSpec(["a", "b", "c"], {("a", "b"): 3})  # c sees nobody
-    nerve = build_nerve(spec)
-    assert has_right_angled_complement(nerve, ["a", "b"])
-    assert infinite_pairs_outside(nerve, ["a", "b"]) == [("a", "c"), ("b", "c")]
+    witness = witness_of(build_nerve(spec), ["a", "b"])
+    assert witness.right_angled_complement
+    assert witness.notes == (
+        "2 infinite-label pair(s) not contained in the subcomplex: (a,c), (b,c) "
+        "(permitted: infinite pairs are not edges)",
+    )
 
 
 def test_link_octahedron_is_square():
@@ -220,23 +224,28 @@ def test_two_sphere_links_are_circles():
             assert recognize_sphere(link(nerve, v)) is SphereKind.CIRCLE
 
 
+def factors_of(nerve):
+    return diagram_components(nerve.spec, nerve.vertices)
+
+
 def test_detect_join_k33():
     nerve = build_nerve(complete_bipartite_spec(3, 3))
-    assert detect_join2(nerve) == [("a0", "a1", "a2"), ("b0", "b1", "b2")]
+    assert factors_of(nerve) == [("a0", "a1", "a2"), ("b0", "b1", "b2")]
 
 
 def test_detect_join_absent_for_k5():
-    assert detect_join2(build_nerve(complete_graph_spec(5, 3))) is None
+    k5 = build_nerve(complete_graph_spec(5, 3))
+    assert factors_of(k5) == [k5.vertices]  # one factor: no join
 
 
 def test_detect_join_octahedron_three_factors():
     nerve = build_nerve(octahedron_spec())
-    assert detect_join2(nerve) == [("x0", "x1"), ("y0", "y1"), ("z0", "z1")]
+    assert factors_of(nerve) == [("x0", "x1"), ("y0", "y1"), ("z0", "z1")]
 
 
 def test_detect_join_square_pyramid():
     pyramid = cone2(build_nerve(cycle_spec(4, 2, prefix="b")))
-    factors = detect_join2(pyramid)
+    factors = factors_of(pyramid)
     # finest factorization: the apex plus the two diagonal point pairs
     assert factors == [("P",), ("b0", "b2"), ("b1", "b3")]
 
@@ -249,8 +258,8 @@ def test_detect_join_recovers_construction():
         if not a.vertices or not b.vertices:
             continue
         joined = join2(a, b)
-        factors = detect_join2(joined)
-        assert factors is not None
+        factors = factors_of(joined)
+        assert len(factors) >= 2
         # the detected factors refine the {a, b} bipartition
         renamed_a = set(joined.vertices[: len(a.vertices)])
         for f in factors:
@@ -273,7 +282,7 @@ def test_link_fullness_under_right_angled_complement():
     # outside A inside any full B containing A is full in the ambient.
     nerve = build_nerve(octahedron_spec())
     A = ("x0", "x1", "y0", "y1")
-    assert has_right_angled_complement(nerve, A)
+    assert witness_of(nerve, A).right_angled_complement
     rng = random.Random(37)
     for _ in range(20):
         extra = [v for v in ("z0", "z1") if rng.random() < 0.7]

@@ -1,4 +1,5 @@
 import itertools
+import re
 import random
 from pathlib import Path
 from fractions import Fraction
@@ -20,7 +21,6 @@ from coxeter_l2.nerve import (
     join_spec,
     SphereKind,
     build_nerve,
-    faces_from_rotation,
     full_subcomplex,
     is_full_subcomplex,
     link,
@@ -80,16 +80,16 @@ def test_rotation_system_validation():
 
 def test_faces_k4_planar_rotation():
     skel = skeleton_of(complete_graph_spec(4, 3))
-    faces = faces_from_rotation(skel, RotationSystem(K4_ROT))
+    ((_, faces),) = validate_embedding(skel, RotationSystem(K4_ROT))
     assert len(faces) == 4
-    assert all(len(face) == 3 for face in faces.faces)
+    assert all(len(face) == 3 for face in faces)
 
 
 def test_faces_hexagon():
     nerve = build_nerve(cycle_spec(6, 2))
-    faces = faces_from_rotation(nerve, RotationSystem(cycle_rotation(nerve)))
+    ((_, faces),) = validate_embedding(nerve, RotationSystem(cycle_rotation(nerve)))
     assert len(faces) == 2
-    assert all(len(face) == 6 for face in faces.faces)
+    assert all(len(face) == 6 for face in faces)
 
 
 def test_faces_twisted_k4_fails():
@@ -102,7 +102,7 @@ def test_faces_twisted_k4_fails():
         rot = dict(K4_ROT)
         rot["v0"] = o0
         try:
-            faces_from_rotation(skel, RotationSystem(rot))
+            validate_embedding(skel, RotationSystem(rot))
             verdicts.append(True)
         except NotSpherical:
             verdicts.append(False)
@@ -122,21 +122,10 @@ def test_faces_k5_all_rotations_fail():
         total += 1
         rot = RotationSystem(dict(zip(skel.vertices, choice)))
         with pytest.raises(NotSpherical):
-            faces_from_rotation(skel, rot)
+            validate_embedding(skel, rot)
         failures += 1
     assert total == 6 ** 5  # (4-1)! cyclic orders per vertex
     assert failures == total
-
-
-def test_faces_require_connected():
-    skel = skeleton_of(points_spec(2))
-    with pytest.raises(ValueError):
-        faces_from_rotation(skel, RotationSystem({"p0": [], "p1": []}))
-
-
-def test_faces_require_nonempty_skeleton():
-    with pytest.raises(ValueError, match="non-empty connected skeleton"):
-        faces_from_rotation(SimplicialComplex([], []), RotationSystem({}))
 
 
 def test_validate_embedding_isolated_points():
@@ -318,6 +307,18 @@ def test_cone_rejects_disconnected():
     nerve = build_nerve(points_spec(2))
     with pytest.raises(ValueError):
         cone_construction(nerve, {"p0": [], "p1": []})
+
+
+def test_cone_error_order_empty_then_connected_then_dimension():
+    with pytest.raises(ValueError, match="cannot cone an empty complex"):
+        cone_construction(build_nerve(CoxeterSpec([], {})), {})
+    k4 = complete_graph_spec(4, 2)  # all labels 2: the 3-simplex
+    beside_point = build_nerve(CoxeterSpec([*k4.vertices, "z"], {(u, v): m for u, v, m in k4.finite_edges()}))
+    assert beside_point.dimension == 3
+    with pytest.raises(ValueError, match="requires a connected complex"):
+        cone_construction(beside_point, {})
+    with pytest.raises(ValueError, match=re.escape("requires dimension <= 2")):
+        cone_construction(build_nerve(k4), {})
 
 
 def test_certify_k5():

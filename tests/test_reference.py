@@ -10,8 +10,10 @@ provenance text is parsed, the component matcher that reads labels through
 label() and returns a record, document parsing that checked every label
 before the constructor checked it again, coning by rebuilding the coned
 spec's nerve, the enumeration closure that formed each layer's
-products with einsum and keyed them one row at a time, and the Betti
-engine that filled a separate builder and summed the finished vector again.
+products with einsum and keyed them one row at a time, the Betti
+engine that filled a separate builder and summed the finished vector again,
+and the right-angled-complement flag and straddling pairs that each scanned
+the labels on their own before one witness scan replaced them.
 """
 
 import gc
@@ -65,24 +67,19 @@ from coxeter_l2.model import (
 )
 from coxeter_l2.nerve import (
     CapExceeded,
-    FaceSet,
     Nerve,
     NotSpherical,
     RotationSystem,
     SphereKind,
     build_nerve,
     cone2,
-    detect_join2,
-    faces_from_rotation,
     full_subcomplex,
     induced_nerve,
-    infinite_pairs_outside,
     join2,
     join_spec,
     link,
     recognize_sphere,
     SimplicialComplex,
-    _is_simple,
     validate_embedding,
 )
 from coxeter_l2.planarity import (
@@ -197,7 +194,7 @@ def test_full_subcomplex_notes_match_pairwise_enumeration(case):
         (u, v) for u, v in combinations(sorted(spec.vertices), 2)
         if spec.label(u, v) == INFINITY and not (u in A and v in A)
     ]
-    assert infinite_pairs_outside(nerve, subset) == pairs
+    assert reference_infinite_pairs_outside(nerve, subset) == pairs
     _, witness = full_subcomplex(nerve, subset)
     if not pairs:
         assert witness.notes == ()
@@ -206,6 +203,41 @@ def test_full_subcomplex_notes_match_pairwise_enumeration(case):
         shown = ", ".join(f"({u},{v})" for u, v in pairs[:4])
         assert note.startswith(f"{len(pairs)} infinite-label pair(s) not contained in the subcomplex: {shown}")
         assert ("more" in note) == (len(pairs) > 4)
+
+
+def reference_has_right_angled_complement(nerve, subset) -> bool:
+    """has_right_angled_complement as it was: every edge not inside the subset is labelled 2."""
+    A = set(nerve.spec.check_subset(subset))
+    return all(m == 2 or (u in A and v in A) for u, v, m in nerve.spec.finite_edges())
+
+
+def reference_infinite_pairs_outside(nerve, subset) -> list[tuple[str, str]]:
+    """infinite_pairs_outside as it was: the straddling infinite pairs, in lexicographic order."""
+    return list(nerve_module._straddling_pairs(nerve.spec, set(nerve.spec.check_subset(subset))))
+
+
+def reference_witness_notes(pairs) -> tuple[str, ...]:
+    if not pairs:
+        return ()
+    shown = ", ".join(f"({u},{v})" for u, v in pairs[:4])
+    more = "" if len(pairs) <= 4 else f" and {len(pairs) - 4} more"
+    return (
+        f"{len(pairs)} infinite-label pair(s) not contained in the subcomplex: "
+        f"{shown}{more} (permitted: infinite pairs are not edges)",
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(specs_with_subset(), spheres_with_subset()))
+def test_witness_equals_separate_flag_and_pairs(case):
+    spec, subset = case
+    nerve = build_nerve(spec)
+    _, witness = full_subcomplex(nerve, subset)
+    assert witness.ambient is nerve and witness.vertex_set == spec.check_subset(subset)
+    assert witness.right_angled_complement == reference_has_right_angled_complement(nerve, subset)
+    assert witness.notes == reference_witness_notes(reference_infinite_pairs_outside(nerve, subset))
+    if recognize_sphere(nerve) is SphereKind.TWO_SPHERE and witness.right_angled_complement:
+        assert trace_vanishing(nerve, subset).notes == witness.notes
 
 
 @settings(max_examples=150)
@@ -217,9 +249,9 @@ def test_component_helpers_equal_pairwise_reference(case):
     )
     nerve = build_nerve(spec)
     factors = reference_components(sorted(spec.vertices), lambda u, v: spec.label(u, v) != 2)
-    assert detect_join2(nerve) == (factors if len(factors) >= 2 else None)
+    assert diagram_components(spec, nerve.vertices) == factors
     skeleton = reference_components(list(spec.vertices), lambda u, v: nerve.has_simplex((u, v)))
-    assert nerve.skeleton_components() == skeleton
+    assert nerve.skeleton_components() == tuple(skeleton)
     assert nerve.is_connected() == (len(skeleton) <= 1)
 
 
@@ -797,13 +829,31 @@ def test_face_tracing_equals_restarting_reference(graph, rnd, embedded):
         rot = RotationSystem({v: rnd.sample(sub.neighbors(v), len(sub.neighbors(v))) for v in comp})
     faces = _reference_faces(sub, rot)
     if len(sub.vertices) - len(sub.edges) + len(faces) == 2:
-        assert faces_from_rotation(sub, rot) == FaceSet(tuple(faces))
+        assert validate_embedding(sub, rot) == [(sub.vertices, tuple(faces))]
     else:
         with pytest.raises(NotSpherical):
-            faces_from_rotation(sub, rot)
+            validate_embedding(sub, rot)
 
 
 # One face tracer: the per-component references it replaced --------------------------------
+
+
+Walk = tuple[tuple[str, str], ...]
+
+
+@dataclass(frozen=True)
+class FaceSet:
+    """The face walks of a component, as face tracing returned them before they came as a tuple."""
+
+    faces: tuple[Walk, ...]
+
+    def __len__(self) -> int:
+        return len(self.faces)
+
+
+def _is_simple(walk: Walk) -> bool:
+    heads = [u for u, _ in walk]
+    return len(set(heads)) == len(heads)
 
 
 def reference_restrict(rot, vertices) -> RotationSystem:
@@ -922,6 +972,8 @@ def outcome(fn, *args):
         got = fn(*args)
     except ValueError as exc:  # NotSpherical is a ValueError
         return type(exc), str(exc)
+    if isinstance(got, list):  # (component, walks) pairs; the references wrap the walks in a FaceSet
+        return [(comp, getattr(walks, "faces", walks)) for comp, walks in got]
     return got._rot if isinstance(got, RotationSystem) else got
 
 
@@ -929,11 +981,7 @@ def outcome(fn, *args):
 @given(rotated_complexes())
 def test_one_tracer_equals_per_component_references(case):
     complex_, rot = case
-    for fn, ref in (
-        (validate_embedding, reference_validate_embedding),
-        (faces_from_rotation, reference_faces_from_rotation),
-    ):
-        assert outcome(fn, complex_, rot) == outcome(ref, complex_, rot)
+    assert outcome(validate_embedding, complex_, rot) == outcome(reference_validate_embedding, complex_, rot)
     skeleton = complex_._view(complex_.vertices)  # the same vertices and edges, for planar_rotation
     assert outcome(planar_rotation, skeleton) == outcome(reference_planar_rotation, skeleton)
 
@@ -977,20 +1025,46 @@ def count_calls(monkeypatch, owner, names) -> Counter:
 def test_validate_embedding_on_c200_searches_components_once(monkeypatch):
     nerve = build_nerve(cycle_spec(200, 2))
     rot = RotationSystem({v: list(nerve.neighbors(v)) for v in nerve.vertices})
-    calls = count_calls(monkeypatch, SimplicialComplex, ["skeleton_components", "_view"])
+    searches = count_calls(monkeypatch, nerve_module, ["components"])
+    views = count_calls(monkeypatch, SimplicialComplex, ["_view"])
     built = count_calls(monkeypatch, RotationSystem, ["__init__"])
-    ((comp, faceset),) = validate_embedding(nerve, rot)
-    assert comp == tuple(sorted(nerve.vertices)) and len(faceset) == 2
-    assert calls == {"skeleton_components": 1} and built == Counter()
+    ((comp, faces),) = validate_embedding(nerve, rot)
+    assert comp == tuple(sorted(nerve.vertices)) and len(faces) == 2
+    assert searches == {"components": 1} and views == built == Counter()
+    validate_embedding(nerve, rot)
+    assert searches == {"components": 1}  # held on the nerve
 
 
-def test_cone_of_c200_searches_components_three_times(monkeypatch):
+def test_cone_of_c200_searches_components_twice(monkeypatch):
     nerve = build_nerve(cycle_spec(200, 2))
     rot = {v: list(nerve.neighbors(v)) for v in nerve.vertices}
-    calls = count_calls(monkeypatch, SimplicialComplex, ["skeleton_components", "_view"])
+    searches = count_calls(monkeypatch, nerve_module, ["components"])
+    views = count_calls(monkeypatch, SimplicialComplex, ["_view"])
     cone_construction(nerve, rot)
-    # is_connected, the tracer and recognize_sphere; a view per coned face and one for the witness.
-    assert calls == {"skeleton_components": 3, "_view": 3}
+    # The input once (the connectivity check holds it for the tracer) and the cone in
+    # recognize_sphere; a view per coned face and one for the witness.
+    assert searches == {"components": 2} and views == {"_view": 3}
+
+
+def test_planar_rotation_searches_components_once(monkeypatch):
+    graph = build_nerve(join_spec(cycle_spec(50, 2, prefix="c"), CoxeterSpec(["n", "s"], {})))
+    graph = graph._view(graph.vertices)  # the same vertices and simplices, nothing held yet
+    searches = count_calls(monkeypatch, nerve_module, ["components"])
+    assert planar_rotation(graph) is not None
+    assert searches == {"components": 1}
+
+
+def test_trace_on_suspension_restricts_no_spec(monkeypatch):
+    nerve = build_nerve(join_spec(cycle_spec(50, 2, prefix="c"), CoxeterSpec(["n", "s"], {})))
+    target = ["n", *nerve.vertices[:10]]
+    calls = count_calls(monkeypatch, CoxeterSpec, ["_restrict"])
+    induced = count_calls(monkeypatch, planarity, ["induced_nerve", "full_subcomplex"])
+    views = count_calls(monkeypatch, SimplicialComplex, ["_view"])
+    trace = trace_vanishing(nerve, target)
+    assert len(trace.steps) == len(nerve.vertices) - len(target) == 41
+    assert calls == induced == Counter()
+    # One view per step for the link, and one per step for its fullness check.
+    assert views == {"_view": 2 * len(trace.steps)}
 
 
 class FiniteGroup(ValueError):
@@ -1429,7 +1503,8 @@ def reference_cone_construction(nerve, rot):
         raise ValueError("cone construction requires a connected complex")
     if nerve.dimension > 2:
         raise ValueError("cone construction requires dimension <= 2")
-    ((_, faceset),) = validate_embedding(nerve, rot)
+    ((_, walks),) = validate_embedding(nerve, rot)
+    faceset = FaceSet(walks)
     for face in faceset.faces:
         if not _is_simple(face):
             raise NonSimpleFaceBoundary(f"face walk {[u for u, _ in face]} repeats a vertex")
