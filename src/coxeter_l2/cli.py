@@ -172,7 +172,10 @@ def _cmd_certify(args) -> int:
     for note in cert.notes:
         lines.append(f"note: {note}")
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        try:
+            Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc}") from exc
     _emit(args, lines, doc)
     return 0 if cert.verdict == "NotPlanar" else 2
 

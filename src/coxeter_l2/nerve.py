@@ -85,6 +85,11 @@ class SimplicialComplex:
         by_dim = {d: tuple(by_dim[d]) for d in sorted(by_dim)}
         return (cls or SimplicialComplex)._presorted(vertices, by_dim, (star, neighbors))
 
+    def _spanned(self, vertices) -> list[Simplex]:
+        """The simplices on some vertices, each read from the stars once, at its least vertex."""
+        keep = set(vertices)
+        return [s for v in keep for s in self._star[v] if s[0] == v and keep.issuperset(s)]
+
     @property
     def dimension(self) -> int:
         """Max simplex dimension; -1 for the empty complex."""
@@ -377,18 +382,20 @@ def _straddling_pairs(spec: CoxeterSpec, A: set[str]):
 
 
 def _witness(nerve: Nerve, A: VertexSubset) -> SubcomplexWitness:
-    """The fullness witness of a checked, sorted subset, from one scan of the finite labels.
+    """The fullness witness of a checked, sorted subset, read from the neighbors outside it.
 
-    The complement is right-angled when every finite label with an endpoint
-    outside A is 2; infinite pairs are not edges, so a straddling one does
-    not disqualify and is only noted.  Straddling infinite pairs are counted
-    in closed form (all pairs not inside A, minus the finite ones), and only
-    the first four are enumerated for the note.
+    Every finite label is an edge of the nerve, so the complement is
+    right-angled when each vertex outside A has only commuting neighbors;
+    infinite pairs are not edges, so a straddling one does not disqualify
+    and is only noted.  Straddling infinite pairs are counted in closed form
+    (all pairs not inside A, minus the edges at vertices outside A), and
+    only the first four are enumerated for the note.
     """
     keep = set(A)
-    outside = [m for u, v, m in nerve.spec.finite_edges() if u not in keep or v not in keep]
+    near = {u: nerve.neighbors(u) for u in set(nerve.vertices) - keep}
+    edges = sum(map(len, near.values())) - sum(len(near.keys() & ns) for ns in near.values()) // 2
     n, a = len(nerve.vertices), len(A)
-    count = n * (n - 1) // 2 - a * (a - 1) // 2 - len(outside)
+    count = n * (n - 1) // 2 - a * (a - 1) // 2 - edges
     notes = ()
     if count:
         shown = ", ".join(f"({u},{v})" for u, v in itertools.islice(_straddling_pairs(nerve.spec, keep), 4))
@@ -397,7 +404,8 @@ def _witness(nerve: Nerve, A: VertexSubset) -> SubcomplexWitness:
             f"{count} infinite-label pair(s) not contained in the "
             f"subcomplex: {shown}{more} (permitted: infinite pairs are not edges)",
         )
-    return SubcomplexWitness(nerve, A, all(m == 2 for m in outside), notes)
+    right_angled = all(len(nerve.spec.commuting(u)) == len(ns) for u, ns in near.items())
+    return SubcomplexWitness(nerve, A, right_angled, notes)
 
 
 def induced_nerve(nerve: Nerve, subset) -> Nerve:
@@ -438,9 +446,15 @@ def link(complex_: SimplicialComplex, v: str) -> SimplicialComplex:
     return SimplicialComplex(complex_.neighbors(v), simplices)
 
 
+def _is_full(ambient: SimplicialComplex, vertices, simplices) -> bool:
+    """Are the given simplices (a set) exactly the ambient simplices spanned by the vertices?"""
+    spanned = ambient._spanned(vertices)
+    return len(spanned) == len(simplices) and all(s in simplices for s in spanned)
+
+
 def is_full_subcomplex(ambient: SimplicialComplex, sub: SimplicialComplex) -> bool:
-    """Does the subcomplex contain every ambient simplex spanned by its vertices?"""
-    return all(v in ambient._star for v in sub.vertices) and sub == ambient._view(sub.vertices)
+    """Does the subcomplex contain every ambient simplex spanned by its vertices, and no other?"""
+    return all(v in ambient._star for v in sub.vertices) and _is_full(ambient, sub.vertices, sub._simplex_set)
 
 
 def _disjoint_rename(taken: set[str], name: str) -> str:
@@ -504,7 +518,8 @@ def recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
     Once every edge lies in two triangles, each vertex link is a 2-regular
     graph, and it is a circle exactly when the walk round it from one
     neighbor takes as many steps as the vertex has neighbors; no link complex
-    is built.  Connectivity, the one check that searches the whole complex,
+    is built, and the two other corners of each star triangle are read by
+    position.  Connectivity, the one check that searches the whole complex,
     runs only once the local checks pass.  The kind is held on the complex,
     so each is recognized once.
     """
@@ -533,7 +548,8 @@ def _recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
             opposite: dict[str, list[str]] = {}
             for s in complex_._star[v]:
                 if len(s) == 3:
-                    a, b = (x for x in s if x != v)
+                    x, y, z = s
+                    a, b = (y, z) if x == v else (x, z) if y == v else (x, y)
                     opposite.setdefault(a, []).append(b)
                     opposite.setdefault(b, []).append(a)
             if not near or len(opposite) != len(near) or any(len(o) != 2 for o in opposite.values()):

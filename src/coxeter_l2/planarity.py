@@ -12,6 +12,7 @@ extracted for the non-planar answer.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -25,13 +26,11 @@ from coxeter_l2.nerve import (
     SphereKind,
     SubcomplexWitness,
     _disjoint_rename,
+    _is_full,
     _traced_faces,
     _witness,
     build_nerve,
-    full_subcomplex,
     induced_nerve,
-    is_full_subcomplex,
-    link,
     recognize_sphere,
     validate_embedding,
 )
@@ -72,9 +71,11 @@ def cone_construction(
     2-sphere nerve.  That nerve is assembled from the input nerve, not
     rebuilt: a cone vertex adds itself (order 2) and itself joined to each
     simplex T on its boundary (order 2|W_T|), and nothing is classified.
-    The result is still checked to be a 2-sphere containing the input.
-    The input's components are searched once: the connectivity check holds
-    them on the nerve for the face tracer.
+    The simplices a boundary spans are read from the input's stars.  The
+    result is still checked to be a 2-sphere holding the input as a full
+    subcomplex: each added simplex holds one apex, the rest of it an input
+    simplex.  The input's components are searched once: the connectivity
+    check holds them on the nerve for the face tracer.
     """
     if not nerve.vertices:
         raise ValueError("cannot cone an empty complex")
@@ -95,6 +96,7 @@ def cone_construction(
     labels = {(u, v): m for u, v, m in nerve.spec.finite_edges()}
     by_dim = {d: list(group) for d, group in nerve._by_dim.items()}
     orders = dict(nerve._orders)
+    added = []
     for i, boundary in enumerate(to_cone):
         name = _disjoint_rename(taken, f"{CONE_PREFIX}{i}")
         taken.add(name)
@@ -102,11 +104,12 @@ def cone_construction(
         for u in boundary:
             labels[(name, u)] = 2
         # The apex commutes with its face and has infinite labels elsewhere, so
-        # its simplices are the apex alone and the apex with each face simplex.
-        for s in ((), *nerve._view(boundary).simplices()):
+        # its simplices are the apex alone and the apex with each simplex the face spans.
+        for s in ((), *nerve._spanned(boundary)):
             t = tuple(sorted((*s, name)))
             by_dim.setdefault(len(s), []).append(t)
             orders[t] = 2 * orders.get(s, 1)
+            added.append(t)
     coned = Nerve._assembled(
         CoxeterSpec(vertices, labels), {d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)}, orders
     )
@@ -116,8 +119,12 @@ def cone_construction(
             "coning did not yield a 2-sphere triangulation "
             "(a face boundary likely has a chord)"
         )
-    sub, witness = full_subcomplex(coned, nerve.vertices)
-    if sub != nerve or not witness.right_angled_complement:
+    apexes = set(vertices[len(nerve.vertices):])
+    rests = [(t, tuple(x for x in t if x not in apexes)) for t in added]
+    witness = _witness(coned, tuple(sorted(nerve.vertices)))
+    if not witness.right_angled_complement or any(
+        len(rest) != len(t) - 1 or rest and rest not in nerve._simplex_set for t, rest in rests
+    ):
         raise NotSpherical("coned complex does not contain the input as expected")
     return coned, witness
 
@@ -300,9 +307,10 @@ def trace_vanishing(ambient: Nerve, target) -> ProofTrace:
     target are removed in lexicographic order; each step records the link
     of the removed vertex, its fullness in the ambient nerve, and the
     decomposition justifying the transfer of vanishing.  Only the witness
-    is needed of the target, so its induced nerve is never built, and each
-    link is read off the ambient nerve's view on the removed vertex and its
-    remaining neighbors.
+    is needed of the target, so its induced nerve is never built.  Each
+    link is one pass over the removed vertex's star in the remaining
+    vertices, checked full against the ambient stars of its vertices, so
+    no complex is built.
     """
     A = ambient.spec.check_subset(target)
     if recognize_sphere(ambient) is not SphereKind.TWO_SPHERE:
@@ -312,26 +320,27 @@ def trace_vanishing(ambient: Nerve, target) -> ProofTrace:
         raise HypothesisViolated("target does not have a right-angled complement")
 
     removal = sorted(set(ambient.vertices) - set(A))
-    current = set(ambient.vertices)
+    removed: set[str] = set()
+    after = tuple(sorted(ambient.vertices))
     steps = []
     for v in removal:
-        before = tuple(sorted(current))
-        # Only the closed star of v in B matters for its link, so the
-        # ambient view on v and its remaining neighbors suffices.
-        near = [u for u in ambient.neighbors(v) if u in current]
-        b_v = link(ambient._view((v, *near)), v)
-        if not is_full_subcomplex(ambient, b_v):
+        before = after
+        # The star lists the edges at v first, in order, so the link vertices come out sorted.
+        faces = [tuple(x for x in s if x != v) for s in ambient._star[v] if len(s) > 1 and removed.isdisjoint(s)]
+        near = tuple(f[0] for f in faces if len(f) == 1)
+        if not _is_full(ambient, near, set(faces)):
             raise HypothesisViolated(
                 f"link of {v} is not a full subcomplex of the ambient nerve"
             )
-        current.discard(v)
-        after = tuple(sorted(current))
+        removed.add(v)
+        i = bisect.bisect_left(before, v)
+        after = before[:i] + before[i + 1:]
         steps.append(
             TraceStep(
                 removed=v,
                 before=before,
                 after=after,
-                link_vertices=tuple(b_v.vertices),
+                link_vertices=near,
                 justification=(
                     f"{STMT_MAYER_VIETORIS}: B = B' (cup) C2(B_v) along B_v; "
                     f"{STMT_LINK_FULL} by the right-angled complement; "

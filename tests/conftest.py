@@ -3,7 +3,7 @@
 Random systems are drawn with seeded Random instances so every run sees
 the same instances; the planar generator keeps an explicit face list while
 it mutates the graph, so its outputs are planar by construction and the
-exhaustive rotation oracle confirms them independently.
+left-right planarity test confirms them independently.
 """
 
 from __future__ import annotations

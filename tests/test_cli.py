@@ -159,6 +159,14 @@ def test_certify_k5(docs, capsys, tmp_path):
     assert saved["chain"][-1]["statement"] == "planar-vanishing"
 
 
+def test_certify_out_to_missing_directory_is_an_error(docs, capsys, tmp_path):
+    out_path = tmp_path / "missing" / "cert.json"
+    code, out, err = run(capsys, ["certify", docs["k5.json"], "--out", str(out_path)])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ") and err.count("\n") == 1
+    assert not out_path.parent.exists()
+
+
 def test_certify_inconclusive_exit_two(docs, capsys):
     code, out, _ = run(capsys, ["certify", docs["hexagon.json"]])
     assert code == 2

@@ -12,8 +12,9 @@ before the constructor checked it again, coning by rebuilding the coned
 spec's nerve, the enumeration closure that formed each layer's
 products with einsum and keyed them one row at a time, the Betti
 engine that filled a separate builder and summed the finished vector again,
-and the right-angled-complement flag and straddling pairs that each scanned
-the labels on their own before one witness scan replaced them.
+the right-angled-complement flag and straddling pairs that each scanned
+the labels on their own before one witness scan replaced them, and the
+vanishing trace that read each link and its fullness off two ambient views.
 """
 
 import gc
@@ -1042,8 +1043,8 @@ def test_cone_of_c200_searches_components_twice(monkeypatch):
     views = count_calls(monkeypatch, SimplicialComplex, ["_view"])
     cone_construction(nerve, rot)
     # The input once (the connectivity check holds it for the tracer) and the cone in
-    # recognize_sphere; a view per coned face and one for the witness.
-    assert searches == {"components": 2} and views == {"_view": 3}
+    # recognize_sphere; each face's simplices and the witness are read from the stars.
+    assert searches == {"components": 2} and views == Counter()
 
 
 def test_planar_rotation_searches_components_once(monkeypatch):
@@ -1058,13 +1059,13 @@ def test_trace_on_suspension_restricts_no_spec(monkeypatch):
     nerve = build_nerve(join_spec(cycle_spec(50, 2, prefix="c"), CoxeterSpec(["n", "s"], {})))
     target = ["n", *nerve.vertices[:10]]
     calls = count_calls(monkeypatch, CoxeterSpec, ["_restrict"])
-    induced = count_calls(monkeypatch, planarity, ["induced_nerve", "full_subcomplex"])
-    views = count_calls(monkeypatch, SimplicialComplex, ["_view"])
+    induced = count_calls(monkeypatch, planarity, ["induced_nerve"])
+    built = count_calls(monkeypatch, SimplicialComplex, ["_view", "__init__", "_index"])
     trace = trace_vanishing(nerve, target)
     assert len(trace.steps) == len(nerve.vertices) - len(target) == 41
-    assert calls == induced == Counter()
-    # One view per step for the link, and one per step for its fullness check.
-    assert views == {"_view": 2 * len(trace.steps)}
+    # Each link and its fullness are read from the ambient stars: no complex, view or
+    # link, is built (every complex is indexed by _index).
+    assert calls == induced == built == Counter()
 
 
 class FiniteGroup(ValueError):
@@ -1601,6 +1602,74 @@ def test_cone_of_c200_builds_and_matches_nothing(monkeypatch):
     assert calls == Counter()
     build_nerve(cycle_spec(3, 3))
     assert calls == {"match": 4}  # the counters do see the nerve module: three edges, one triangle
+
+
+def reference_trace_vanishing(ambient, target):
+    """trace_vanishing as it was: each step's link and its fullness read off two ambient views."""
+    A = ambient.spec.check_subset(target)
+    if reference_recognize_sphere(ambient) is not SphereKind.TWO_SPHERE:
+        raise planarity.HypothesisViolated("ambient nerve is not a 2-sphere triangulation")
+    witness = nerve_module._witness(ambient, A)
+    if not witness.right_angled_complement:
+        raise planarity.HypothesisViolated("target does not have a right-angled complement")
+    current = set(ambient.vertices)
+    steps = []
+    for v in sorted(set(ambient.vertices) - set(A)):
+        before = tuple(sorted(current))
+        near = [u for u in ambient.neighbors(v) if u in current]
+        b_v = link(ambient._view((v, *near)), v)
+        if b_v != ambient._view(b_v.vertices):
+            raise planarity.HypothesisViolated(f"link of {v} is not a full subcomplex of the ambient nerve")
+        current.discard(v)
+        justification = (
+            "mayer-vietoris: B = B' (cup) C2(B_v) along B_v; link-full by the right-angled "
+            "complement; circle-subcomplex-vanishing kills h_i(B_v) for i > 1 since B_v is "
+            f"full in the link of {v}, a circle; the cone halves Betti entries, so exactness "
+            "transfers vanishing from B to B'"
+        )
+        steps.append(planarity.TraceStep(v, before, tuple(sorted(current)), tuple(b_v.vertices), justification))
+    conclusion = (
+        f"h_i vanishes for i > 1 on the full subcomplex spanned by {{{','.join(A)}}}; "
+        "base case sphere-vanishing on the ambient 2-sphere nerve"
+    )
+    return planarity.ProofTrace(ambient, A, tuple(steps), conclusion, witness.notes)
+
+
+@st.composite
+def traced_spheres(draw):
+    """A right-angled sphere nerve, a cone or cycle, or one with some labels 3, and a target."""
+    n = draw(st.integers(4, 40))
+    cycle = cycle_spec(n, 2, prefix="c")
+    spec = draw(st.sampled_from([
+        join_spec(cycle, CoxeterSpec(["n", "s"], {})),
+        octahedron_spec(),
+        icosahedron_spec(),
+        join_spec(cycle, CoxeterSpec(["n"], {})),  # a disk, not a sphere
+        cycle,
+    ]))
+    if draw(st.booleans()):  # some finite labels become 3
+        spec = CoxeterSpec(spec.vertices, {
+            (u, v): draw(st.sampled_from([2, 2, 2, 3])) for u, v, _ in spec.finite_edges()
+        })
+    target = draw(st.lists(st.sampled_from(spec.vertices), unique=True))
+    if draw(st.integers(0, 19)) == 7:
+        target.append("zz")
+    return build_nerve(spec), target
+
+
+def trace_outcome(trace, ambient, target):
+    try:
+        return trace(ambient, target).to_document()
+    except (ValueError, RuntimeError) as exc:  # UnknownVertex and HypothesisViolated
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(traced_spheres())
+def test_trace_equals_two_view_reference(case):
+    ambient, target = case
+    got = trace_outcome(trace_vanishing, ambient, target)
+    assert got == trace_outcome(reference_trace_vanishing, ambient, target)
 
 
 def test_build_nerve_reads_no_label(monkeypatch):
