@@ -104,14 +104,30 @@ class CoxeterSpec:
         self._hash = hash((vertices, tuple(self._labels.items())))
         self._nerve = None  # a weak reference to the nerve built last, set by build_nerve
 
+    @classmethod
+    def _trusted(cls, vertices: tuple[str, ...], labels: dict, commuting: dict[str, set[str]]) -> CoxeterSpec:
+        """A system from parts already checked: distinct vertices, labels sorted by pair, commuting sets."""
+        spec = object.__new__(cls)
+        spec.vertices, spec._vertex_set, spec._nerve = vertices, frozenset(vertices), None
+        spec._labels, spec._commuting = labels, commuting
+        spec._hash = hash((vertices, tuple(labels.items())))
+        return spec
+
     def _restrict(self, vertices: tuple[str, ...], keep: set[str], pairs) -> CoxeterSpec:
         """The subsystem on keep (listed as vertices) with its sorted pairs, filtered, not validated."""
-        sub = object.__new__(CoxeterSpec)
-        sub.vertices, sub._vertex_set, sub._nerve = vertices, frozenset(vertices), None
-        sub._labels = {p: self._labels[p] for p in pairs}
-        sub._commuting = {v: self._commuting[v] & keep for v in vertices}
-        sub._hash = hash((vertices, tuple(sub._labels.items())))
-        return sub
+        labels = {p: self._labels[p] for p in pairs}
+        return self._trusted(vertices, labels, {v: self._commuting[v] & keep for v in vertices})
+
+    def _coned(self, apexes: Mapping[str, Iterable[str]]) -> CoxeterSpec:
+        """This system plus fresh apexes, each commuting with its listed vertices only; not validated."""
+        labels = dict(self._labels)
+        commuting = {v: set(near) for v, near in self._commuting.items()}
+        for apex, face in apexes.items():
+            commuting[apex] = set(face)
+            for u in face:
+                labels[_pair(apex, u)] = 2
+                commuting[u].add(apex)
+        return self._trusted((*self.vertices, *apexes), dict(sorted(labels.items())), commuting)
 
     def label(self, u: str, v: str) -> Label:
         if u not in self._vertex_set or v not in self._vertex_set:
@@ -131,9 +147,9 @@ class CoxeterSpec:
     def check_subset(self, subset: Iterable[str]) -> VertexSubset:
         """Canonicalize a vertex subset (sorted, deduplicated), validating membership."""
         out = sorted(set(subset))
-        for v in out:
-            if v not in self._vertex_set:
-                raise UnknownVertex(f"{v!r} is not a vertex of this system")
+        if not self._vertex_set.issuperset(out):
+            unknown = next(v for v in out if v not in self._vertex_set)  # the least one
+            raise UnknownVertex(f"{unknown!r} is not a vertex of this system")
         return tuple(out)
 
     def __len__(self) -> int:

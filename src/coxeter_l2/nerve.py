@@ -40,7 +40,9 @@ class SimplicialComplex:
     star map (the simplices containing each vertex, in that order), so
     neighbors, links, connectivity and restrictions to a vertex subset cost
     time proportional to the simplices they touch, not to the whole complex.
-    A full subcomplex is a view filtered in order from these maps (_view).
+    The maps are built by _index from the simplices unless they are given: a
+    full subcomplex is a view filtered in order from the ambient maps
+    (_view), and build_nerve fills a nerve's maps as it enumerates.
     """
 
     def __init__(self, vertices: Iterable[str], simplices: Iterable[Simplex]):
@@ -56,11 +58,11 @@ class SimplicialComplex:
         complex_._index(vertices, by_dim, maps)
         return complex_
 
-    def _index(self, vertices, by_dim, maps=None) -> None:
-        """Store the simplices, then build the star and neighbor maps unless they are given."""
+    def _index(self, vertices, by_dim, maps=None, simplex_set=None) -> None:
+        """Store the simplices, then build the simplex set and the star and neighbor maps unless given."""
         self.vertices: tuple[str, ...] = vertices
         self._by_dim: dict[int, tuple[Simplex, ...]] = by_dim
-        self._simplex_set = {s for group in by_dim.values() for s in group}
+        self._simplex_set = simplex_set or {s for group in by_dim.values() for s in group}
         if maps is None:
             star: dict[str, list[Simplex]] = {v: [] for v in vertices}
             for s in self.simplices():
@@ -146,9 +148,10 @@ class Nerve(SimplicialComplex):
     _chi = _verdict = None  # held on the object by invariants.chi_orb and invariants.betti
 
     @classmethod
-    def _assembled(cls, spec: CoxeterSpec, by_dim: dict, orders: dict[Simplex, int]) -> "Nerve":
-        """The nerve from simplices distinct and sorted per dimension; the spec holds it weakly."""
-        nerve = cls._presorted(spec.vertices, by_dim)
+    def _assembled(cls, spec: CoxeterSpec, by_dim: dict, orders: dict[Simplex, int], maps=None) -> "Nerve":
+        """The nerve from its simplices, sorted per dimension and keying orders; the spec holds it weakly."""
+        nerve = cls.__new__(cls)
+        nerve._index(spec.vertices, by_dim, maps, set(orders))
         nerve.spec, nerve._orders = spec, orders
         spec._nerve = weakref.ref(nerve)
         return nerve
@@ -302,15 +305,18 @@ class SubcomplexWitness:
 def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
     """Enumerate all nonempty spherical subsets by incremental clique extension.
 
-    Extension happens over the finite-label graph only, growing each
-    spherical set s by a common finite neighbor w above its maximum; since
-    subsets of spherical sets are spherical, this pruning is exhaustive.
-    Each frontier set carries its diagram components with their orders, so
-    s + w is classified by matching one component: w merged with the
-    components of s it does not commute with (w alone doubles the order).
-    The matcher hands back plain (kind, rank, order, m) fields and only the
-    order is kept, so no component record is made per merge.  Raises
-    CapExceeded past ``simplex_cap`` simplices.
+    The edges are the sorted finite labels themselves: m spans I2(m), of
+    order 2m (A1 x A1 when m = 2), so no edge is classified.  Each larger
+    spherical set s + w grows s by a common finite neighbor w above its
+    maximum; since subsets of spherical sets are spherical, this pruning is
+    exhaustive.  Each frontier set carries its diagram components with their
+    orders, so s + w is classified by matching one component: w merged with
+    the components of s it does not commute with (w alone doubles the
+    order).  Only the order of the matcher's (kind, rank, order, m) fields
+    is kept.  Simplices come out in canonical order, so each is appended to
+    its vertices' stars as it is made, and the sorted labels list each
+    vertex's neighbors in order: the nerve is indexed as it is enumerated.
+    Raises CapExceeded past ``simplex_cap`` simplices.
 
     The spec keeps a weak reference to the nerve built last, so while a
     caller holds that nerve, building it again (as certify_nonplanar does)
@@ -319,24 +325,42 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
     held = spec._nerve and spec._nerve()
     if held is not None and len(held._simplex_set) <= simplex_cap:
         return held
-    by_dim: list[tuple[Simplex, ...]] = []
-    finite_adj: dict[str, set[str]] = {v: set() for v in spec.vertices}
-    for u, v, _ in spec.finite_edges():
-        finite_adj[u].add(v)
-        finite_adj[v].add(u)
-
-    # A frontier entry: the simplex, its common finite neighbors above its
-    # maximum (sorted), and its diagram components as (vertices, order).
-    # Level by level, the frontier yields each dimension in lexicographic order.
-    frontier = [
-        ((v,), sorted(w for w in finite_adj[v] if w > v), (((v,), 2),)) for v in sorted(spec.vertices)
-    ]
-    orders = {s: 2 for s, _, _ in frontier}
+    labels = spec._labels
+    star: dict[str, list[Simplex]] = {v: [(v,)] for v in spec.vertices}
+    lower: dict[str, list[str]] = {v: [] for v in spec.vertices}
+    upper: dict[str, list[str]] = {v: [] for v in spec.vertices}
+    for e in labels:  # sorted pairs, so each vertex meets its lower and its upper neighbors in order
+        u, w = e
+        star[u].append(e)
+        star[w].append(e)
+        upper[u].append(w)
+        lower[w].append(u)
+    vertices = sorted(spec.vertices)
+    orders = dict.fromkeys([(v,) for v in vertices], 2)
+    levels = [tuple(orders), tuple(labels)]
+    orders.update(zip(labels, [2 * m for m in labels.values()]))
     if len(orders) > simplex_cap:
         raise CapExceeded(f"nerve exceeds {simplex_cap} simplices")
+
+    # A frontier entry: a simplex with candidates, its common finite neighbors
+    # above its maximum (sorted), and its diagram components as (vertices, order).
+    # A candidate x after w exceeds it, so (w, x) is finite when it is labelled.
+    # An edge's candidates are read off the shorter of its ends' upper neighbor
+    # lists, so a vertex of high degree costs no more than its edges' other ends.
+    frontier = []
+    for u in vertices:
+        up = upper[u]
+        for i, w in enumerate(up):
+            if len(up) - i - 1 <= len(upper[w]):
+                candidates = [x for x in up[i + 1:] if (w, x) in labels]
+            else:
+                candidates = [x for x in upper[w] if (u, x) in labels]
+            if candidates:
+                m = labels[(u, w)]
+                comps = (((u,), 2), ((w,), 2)) if m == 2 else (((u, w), 2 * m),)
+                frontier.append(((u, w), candidates, comps))
     while frontier:
-        by_dim.append(tuple(entry[0] for entry in frontier))
-        nxt = []
+        level, nxt = [], []
         for s, candidates, comps in frontier:
             for i, w in enumerate(candidates):
                 commuting = spec.commuting(w)
@@ -359,10 +383,17 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
                 orders[t] = order * comp[1]
                 if len(orders) > simplex_cap:
                     raise CapExceeded(f"nerve exceeds {simplex_cap} simplices")
-                near = finite_adj[w]
-                nxt.append((t, [x for x in candidates[i + 1:] if x in near], (*kept, comp)))
+                level.append(t)
+                for x in t:
+                    star[x].append(t)
+                rest = [x for x in candidates[i + 1:] if (w, x) in labels]
+                if rest:
+                    nxt.append((t, rest, (*kept, comp)))
+        levels.append(tuple(level))
         frontier = nxt
-    return Nerve._assembled(spec, dict(enumerate(by_dim)), orders)
+    by_dim = {d: level for d, level in enumerate(levels) if level}  # an empty level has none above it
+    neighbors = {v: (*lower[v], *upper[v]) for v in spec.vertices}
+    return Nerve._assembled(spec, by_dim, orders, (star, neighbors))
 
 
 def _straddling_pairs(spec: CoxeterSpec, A: set[str]):

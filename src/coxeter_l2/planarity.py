@@ -71,6 +71,8 @@ def cone_construction(
     2-sphere nerve.  That nerve is assembled from the input nerve, not
     rebuilt: a cone vertex adds itself (order 2) and itself joined to each
     simplex T on its boundary (order 2|W_T|), and nothing is classified.
+    Its spec extends the input's checked labels by the apex labels, all 2,
+    without validating them again.
     The simplices a boundary spans are read from the input's stars.  The
     result is still checked to be a 2-sphere holding the input as a full
     subcomplex: each added simplex holds one apex, the rest of it an input
@@ -92,17 +94,14 @@ def cone_construction(
 
     to_cone = [b for b in boundaries if not (len(b) == 3 and nerve.has_simplex(b))]
     taken = set(nerve.spec.vertices)
-    vertices = list(nerve.spec.vertices)
-    labels = {(u, v): m for u, v, m in nerve.spec.finite_edges()}
+    apexes: dict[str, tuple[str, ...]] = {}
     by_dim = {d: list(group) for d, group in nerve._by_dim.items()}
     orders = dict(nerve._orders)
     added = []
     for i, boundary in enumerate(to_cone):
         name = _disjoint_rename(taken, f"{CONE_PREFIX}{i}")
         taken.add(name)
-        vertices.append(name)
-        for u in boundary:
-            labels[(name, u)] = 2
+        apexes[name] = boundary
         # The apex commutes with its face and has infinite labels elsewhere, so
         # its simplices are the apex alone and the apex with each simplex the face spans.
         for s in ((), *nerve._spanned(boundary)):
@@ -111,7 +110,7 @@ def cone_construction(
             orders[t] = 2 * orders.get(s, 1)
             added.append(t)
     coned = Nerve._assembled(
-        CoxeterSpec(vertices, labels), {d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)}, orders
+        nerve.spec._coned(apexes), {d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)}, orders
     )
 
     if recognize_sphere(coned) is not SphereKind.TWO_SPHERE:
@@ -119,7 +118,6 @@ def cone_construction(
             "coning did not yield a 2-sphere triangulation "
             "(a face boundary likely has a chord)"
         )
-    apexes = set(vertices[len(nerve.vertices):])
     rests = [(t, tuple(x for x in t if x not in apexes)) for t in added]
     witness = _witness(coned, tuple(sorted(nerve.vertices)))
     if not witness.right_angled_complement or any(

@@ -13,8 +13,10 @@ spec's nerve, the enumeration closure that formed each layer's
 products with einsum and keyed them one row at a time, the Betti
 engine that filled a separate builder and summed the finished vector again,
 the right-angled-complement flag and straddling pairs that each scanned
-the labels on their own before one witness scan replaced them, and the
-vanishing trace that read each link and its fullness off two ambient views.
+the labels on their own before one witness scan replaced them, the
+vanishing trace that read each link and its fullness off two ambient views,
+and the nerve builder that sent every edge through the matcher and indexed
+the finished nerve again.
 """
 
 import gc
@@ -1601,7 +1603,7 @@ def test_cone_of_c200_builds_and_matches_nothing(monkeypatch):
     assert coned.counts() == (202, 600, 400) and witness.right_angled_complement
     assert calls == Counter()
     build_nerve(cycle_spec(3, 3))
-    assert calls == {"match": 4}  # the counters do see the nerve module: three edges, one triangle
+    assert calls == {"match": 1}  # the counters do see the nerve module: the triangle (edges read their labels)
 
 
 def reference_trace_vanishing(ambient, target):
@@ -2006,3 +2008,151 @@ def test_betti_equals_builder_reference(case):
     if shift is not None:
         nerve._chi = chi_orb(nerve) + shift  # both engines read the held value
     assert betti_outcome(betti, nerve, ctx) == betti_outcome(reference_betti, nerve, ctx)
+
+
+def reference_build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
+    """build_nerve as it was: every edge through the matcher, the maps rebuilt by _index."""
+    held = spec._nerve and spec._nerve()
+    if held is not None and len(held._simplex_set) <= simplex_cap:
+        return held
+    by_dim: list[tuple[tuple[str, ...], ...]] = []
+    finite_adj: dict[str, set[str]] = {v: set() for v in spec.vertices}
+    for u, v, _ in spec.finite_edges():
+        finite_adj[u].add(v)
+        finite_adj[v].add(u)
+    frontier = [
+        ((v,), sorted(w for w in finite_adj[v] if w > v), (((v,), 2),)) for v in sorted(spec.vertices)
+    ]
+    orders = {s: 2 for s, _, _ in frontier}
+    if len(orders) > simplex_cap:
+        raise CapExceeded(f"nerve exceeds {simplex_cap} simplices")
+    while frontier:
+        by_dim.append(tuple(entry[0] for entry in frontier))
+        nxt = []
+        for s, candidates, comps in frontier:
+            for i, w in enumerate(candidates):
+                commuting = spec.commuting(w)
+                merged, kept, order = [w], [], 1
+                for comp in comps:
+                    if commuting.issuperset(comp[0]):
+                        kept.append(comp)
+                        order *= comp[1]
+                    else:
+                        merged += comp[0]
+                if len(merged) == 1:
+                    comp = ((w,), 2)
+                else:
+                    key = tuple(sorted(merged))
+                    match = spherical_module._match_component(spec, key)
+                    if match is None:
+                        continue
+                    comp = (key, match[2])
+                t = s + (w,)
+                orders[t] = order * comp[1]
+                if len(orders) > simplex_cap:
+                    raise CapExceeded(f"nerve exceeds {simplex_cap} simplices")
+                near = finite_adj[w]
+                nxt.append((t, [x for x in candidates[i + 1:] if x in near], (*kept, comp)))
+        frontier = nxt
+    nerve = Nerve._presorted(spec.vertices, dict(enumerate(by_dim)))
+    nerve.spec, nerve._orders = spec, orders
+    spec._nerve = weakref.ref(nerve)
+    return nerve
+
+
+def fresh_spec(spec: CoxeterSpec) -> CoxeterSpec:
+    """An equal spec that holds no nerve, so a build starts from scratch."""
+    return CoxeterSpec(spec.vertices, {(u, v): m for u, v, m in spec.finite_edges()})
+
+
+@st.composite
+def nerve_specs(draw):
+    """Random systems, finite-type products, the empty system, lone vertices and suspensions."""
+    lone = st.integers(1, 8).flatmap(lambda n: st.permutations([f"v{i}" for i in range(n)]))
+    return draw(st.one_of(
+        specs(),
+        finite_type_specs(),
+        st.just(CoxeterSpec([], {})),
+        lone.map(lambda vertices: CoxeterSpec(vertices, {})),
+        st.integers(3, 30).map(suspension_spec),
+        st.integers(3, 30).map(lambda n: join_spec(cycle_spec(n, 2, prefix="c"), CoxeterSpec(["a", "b"], {}))),
+    ))
+
+
+def nerve_outcome(build, module, spec, cap):
+    """The nerve or the CapExceeded message, with the matcher calls the build made through module."""
+    calls = Counter()
+    original = module._match_component
+
+    def counting(*args):
+        calls["match"] += 1
+        return original(*args)
+
+    module._match_component = counting
+    try:
+        return build(fresh_spec(spec), simplex_cap=cap), calls["match"]
+    except CapExceeded as exc:
+        return str(exc), None
+    finally:
+        module._match_component = original
+
+
+@settings(max_examples=300, deadline=None)
+@given(nerve_specs())
+def test_build_nerve_equals_reindexing_reference(spec):
+    total = len(reference_build_nerve(fresh_spec(spec)).simplices())
+    for cap in (0, len(spec.vertices) - 1, total - 1, total):
+        got, matched = nerve_outcome(build_nerve, nerve_module, spec, cap)
+        ref, ref_matched = nerve_outcome(reference_build_nerve, spherical_module, spec, cap)
+        if isinstance(ref, str):
+            assert got == ref
+            continue
+        assert got.vertices == ref.vertices and got.spec == ref.spec
+        # Key order and per-vertex order too: items are compared as lists.
+        assert list(got._by_dim.items()) == list(ref._by_dim.items())
+        assert list(got._orders.items()) == list(ref._orders.items())
+        assert list(got._star.items()) == list(ref._star.items())
+        assert list(got._neighbors.items()) == list(ref._neighbors.items())
+        assert got._simplex_set == ref._simplex_set
+        # The reference also matched each edge whose label is not 2; nothing else differs,
+        # so no candidate outside the common neighbors reached the matcher.
+        assert matched == ref_matched - sum(m != 2 for _, _, m in spec.finite_edges())
+
+
+def test_fresh_k5_build_matches_only_its_triangles(monkeypatch):
+    calls = count_calls(monkeypatch, nerve_module, ["_match_component"])
+    nerve = build_nerve(complete_graph_spec(5, 3))
+    # Ten edges read their orders off the labels; the ten triangles (affine, so no
+    # simplices) go through the matcher.
+    assert nerve.counts() == (5, 10) and calls == {"_match_component": 10}
+
+
+def test_poles_sorting_first_cost_no_quadratic_scan():
+    spec = join_spec(cycle_spec(400, 2, prefix="c"), CoxeterSpec(["a", "b"], {}))  # the poles come first
+    calls = Counter()
+
+    class CountingLabels(dict):
+        def __contains__(self, pair):
+            calls["in"] += 1
+            return super().__contains__(pair)
+
+    spec._labels = CountingLabels(spec._labels)
+    nerve = build_nerve(spec)
+    # Scanning a pole's 400 upper neighbors for each of its edges would take 2 * 400**2 / 2 tests.
+    assert nerve.counts() == (402, 1200, 800) and 0 < calls["in"] <= 4 * len(nerve.edges)
+
+
+def test_built_nerve_is_indexed_with_its_maps(monkeypatch):
+    given_maps = []
+    original = SimplicialComplex._index
+
+    def recording(self, vertices, by_dim, maps=None, *rest):
+        given_maps.append(maps is not None)
+        original(self, vertices, by_dim, maps, *rest)
+
+    monkeypatch.setattr(SimplicialComplex, "_index", recording)
+    for spec in (complete_graph_spec(5, 3), suspension_spec(20), CoxeterSpec(["a", "b"], {})):
+        build_nerve(spec)
+    assert given_maps == [True, True, True]
+    SimplicialComplex(["a", "b"], [("a", "b")])
+    assert given_maps[-1] is False  # the recorder does see a complex indexed from scratch
