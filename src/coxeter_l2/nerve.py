@@ -58,11 +58,11 @@ class SimplicialComplex:
         complex_._index(vertices, by_dim, maps)
         return complex_
 
-    def _index(self, vertices, by_dim, maps=None, simplex_set=None) -> None:
-        """Store the simplices, then build the simplex set and the star and neighbor maps unless given."""
+    def _index(self, vertices, by_dim, maps=None) -> None:
+        """Store the simplices, then build the star and neighbor maps unless they are given."""
         self.vertices: tuple[str, ...] = vertices
         self._by_dim: dict[int, tuple[Simplex, ...]] = by_dim
-        self._simplex_set = simplex_set or {s for group in by_dim.values() for s in group}
+        self._simplex_set = {s for group in by_dim.values() for s in group}
         if maps is None:
             star: dict[str, list[Simplex]] = {v: [] for v in vertices}
             for s in self.simplices():
@@ -150,8 +150,7 @@ class Nerve(SimplicialComplex):
     @classmethod
     def _assembled(cls, spec: CoxeterSpec, by_dim: dict, orders: dict[Simplex, int], maps=None) -> "Nerve":
         """The nerve from its simplices, sorted per dimension and keying orders; the spec holds it weakly."""
-        nerve = cls.__new__(cls)
-        nerve._index(spec.vertices, by_dim, maps, set(orders))
+        nerve = cls._presorted(spec.vertices, by_dim, maps)
         nerve.spec, nerve._orders = spec, orders
         spec._nerve = weakref.ref(nerve)
         return nerve
@@ -346,7 +345,8 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
     # above its maximum (sorted), and its diagram components as (vertices, order).
     # A candidate x after w exceeds it, so (w, x) is finite when it is labelled.
     # An edge's candidates are read off the shorter of its ends' upper neighbor
-    # lists, so a vertex of high degree costs no more than its edges' other ends.
+    # lists: scanning u's alone costs a vertex of degree d about d^2 / 2 tests
+    # when it sorts before most of its neighbors, as a pole can on a suspension.
     frontier = []
     for u in vertices:
         up = upper[u]
