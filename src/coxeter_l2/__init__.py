@@ -45,7 +45,6 @@ from coxeter_l2.nerve import (
     link,
     is_full_subcomplex,
     join2,
-    cone2,
     recognize_sphere,
     RotationSystem,
     NotSpherical,
@@ -112,7 +111,6 @@ __all__ = [
     "link",
     "is_full_subcomplex",
     "join2",
-    "cone2",
     "recognize_sphere",
     "RotationSystem",
     "NotSpherical",

@@ -5,7 +5,7 @@ vertex set whose simplices are exactly the nonempty spherical subsets; it
 is metric flag by construction.  The piecewise-spherical metric is kept
 only as edge labels, never as geometry.  This module also provides full
 subcomplexes with their fullness witnesses, vertex links, right-angled
-joins and cones, and combinatorial sphere recognition.
+joins, and combinatorial sphere recognition.
 
 Sphere embeddings of complexes of dimension <= 2 live here too: they are
 witnessed by rotation systems (a cyclic neighbor order at each vertex) and
@@ -40,37 +40,36 @@ class SimplicialComplex:
     star map (the simplices containing each vertex, in that order), so
     neighbors, links, connectivity and restrictions to a vertex subset cost
     time proportional to the simplices they touch, not to the whole complex.
-    The maps are built by _index from the simplices unless they are given: a
-    full subcomplex is a view filtered in order from the ambient maps
-    (_view), and build_nerve fills a nerve's maps as it enumerates.
+    Every constructor hands _index both maps: __init__, the one constructor
+    that takes unsorted simplices, builds them from the simplices; a full
+    subcomplex is a view filtered in order from the ambient maps (_view);
+    and build_nerve fills a nerve's maps as it enumerates.
     """
 
     def __init__(self, vertices: Iterable[str], simplices: Iterable[Simplex]):
+        vertices = tuple(vertices)
         index: dict[int, list[Simplex]] = {}
-        for s in sorted({tuple(sorted(s)) for s in simplices} - {()}):
+        star: dict[str, list[Simplex]] = {v: [] for v in vertices}
+        for s in sorted({tuple(sorted(s)) for s in simplices} - {()}, key=lambda s: (len(s), s)):
             index.setdefault(len(s) - 1, []).append(s)
-        self._index(tuple(vertices), {d: tuple(index[d]) for d in sorted(index)})
+            for v in s:
+                star.setdefault(v, []).append(s)
+        # The edges at v come in lexicographic order, so its neighbors come out sorted.
+        near = {v: tuple(x for e in ss if len(e) == 2 for x in e if x != v) for v, ss in star.items()}
+        self._index(vertices, {d: tuple(index[d]) for d in sorted(index)}, (star, near))
 
     @classmethod
-    def _presorted(cls, vertices: tuple[str, ...], by_dim: dict, maps=None):
+    def _presorted(cls, vertices: tuple[str, ...], by_dim: dict, maps):
         """The private constructor: simplices distinct, sorted, and lexicographic per dimension."""
         complex_ = cls.__new__(cls)
         complex_._index(vertices, by_dim, maps)
         return complex_
 
-    def _index(self, vertices, by_dim, maps=None) -> None:
-        """Store the simplices, then build the star and neighbor maps unless they are given."""
+    def _index(self, vertices, by_dim, maps) -> None:
+        """Store the simplices and the given star and neighbor maps."""
         self.vertices: tuple[str, ...] = vertices
         self._by_dim: dict[int, tuple[Simplex, ...]] = by_dim
         self._simplex_set = {s for group in by_dim.values() for s in group}
-        if maps is None:
-            star: dict[str, list[Simplex]] = {v: [] for v in vertices}
-            for s in self.simplices():
-                for v in s:
-                    star.setdefault(v, []).append(s)
-            # The edges at v come in lexicographic order, so its neighbors come out sorted.
-            near = {v: tuple(x for e in ss if len(e) == 2 for x in e if x != v) for v, ss in star.items()}
-            maps = star, near
         self._star, self._neighbors = maps
         self._sphere = self._components = None  # held by recognize_sphere and skeleton_components
 
@@ -86,11 +85,6 @@ class SimplicialComplex:
         neighbors = {v: tuple(u for u in self._neighbors[v] if u in keep) for v in vertices}
         by_dim = {d: tuple(by_dim[d]) for d in sorted(by_dim)}
         return (cls or SimplicialComplex)._presorted(vertices, by_dim, (star, neighbors))
-
-    def _spanned(self, vertices) -> list[Simplex]:
-        """The simplices on some vertices, each read from the stars once, at its least vertex."""
-        keep = set(vertices)
-        return [s for v in keep for s in self._star[v] if s[0] == v and keep.issuperset(s)]
 
     @property
     def dimension(self) -> int:
@@ -148,8 +142,8 @@ class Nerve(SimplicialComplex):
     _chi = _verdict = None  # held on the object by invariants.chi_orb and invariants.betti
 
     @classmethod
-    def _assembled(cls, spec: CoxeterSpec, by_dim: dict, orders: dict[Simplex, int], maps=None) -> "Nerve":
-        """The nerve from its simplices, sorted per dimension and keying orders; the spec holds it weakly."""
+    def _assembled(cls, spec: CoxeterSpec, by_dim: dict, orders: dict[Simplex, int], maps) -> "Nerve":
+        """The nerve build_nerve enumerated, with its orders and both maps; the spec holds it weakly."""
         nerve = cls._presorted(spec.vertices, by_dim, maps)
         nerve.spec, nerve._orders = spec, orders
         spec._nerve = weakref.ref(nerve)
@@ -479,7 +473,8 @@ def link(complex_: SimplicialComplex, v: str) -> SimplicialComplex:
 
 def _is_full(ambient: SimplicialComplex, vertices, simplices) -> bool:
     """Are the given simplices (a set) exactly the ambient simplices spanned by the vertices?"""
-    spanned = ambient._spanned(vertices)
+    keep = set(vertices)  # each spanned simplex is read from the stars once, at its least vertex
+    spanned = [s for v in keep for s in ambient._star[v] if s[0] == v and keep.issuperset(s)]
     return len(spanned) == len(simplices) and all(s in simplices for s in spanned)
 
 
@@ -527,11 +522,6 @@ def join2(n1: Nerve, n2: Nerve) -> Nerve:
     labels are 2.
     """
     return build_nerve(join_spec(n1.spec, n2.spec))
-
-
-def cone2(n: Nerve) -> Nerve:
-    """Right-angled cone: join with a single vertex P (primed by join_spec if that is taken)."""
-    return build_nerve(join_spec(n.spec, CoxeterSpec(["P"], {})))
 
 
 class SphereKind(enum.Enum):

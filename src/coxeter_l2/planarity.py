@@ -68,16 +68,15 @@ def cone_construction(
     walk; empty 3-cycles (triangles of the skeleton that are not
     simplices) count as regions and are coned.  The input complex becomes
     a full subcomplex with right-angled complement of the resulting
-    2-sphere nerve.  That nerve is assembled from the input nerve, not
-    rebuilt: a cone vertex adds itself (order 2) and itself joined to each
-    simplex T on its boundary (order 2|W_T|), and nothing is classified.
-    Its spec extends the input's checked labels by the apex labels, all 2,
-    without validating them again.
-    The simplices a boundary spans are read from the input's stars.  The
-    result is still checked to be a 2-sphere holding the input as a full
-    subcomplex: each added simplex holds one apex, the rest of it an input
-    simplex.  The input's components are searched once: the connectivity
-    check holds them on the nerve for the face tracer.
+    2-sphere nerve.  That nerve is built by build_nerve from the coned spec,
+    which extends the input's checked labels by the apex labels, all 2,
+    without validating them again.  Every label at an apex is 2, so the
+    build reads the apex simplices' orders off the labels.  The input is a
+    full subcomplex of the result because sphericity depends only on the
+    induced labels; the result is still checked to be a 2-sphere whose
+    complement of the input is right-angled.  The input's components are
+    searched once: the connectivity check holds them on the nerve for the
+    face tracer.
     """
     if not nerve.vertices:
         raise ValueError("cannot cone an empty complex")
@@ -95,34 +94,19 @@ def cone_construction(
     to_cone = [b for b in boundaries if not (len(b) == 3 and nerve.has_simplex(b))]
     taken = set(nerve.spec.vertices)
     apexes: dict[str, tuple[str, ...]] = {}
-    by_dim = {d: list(group) for d, group in nerve._by_dim.items()}
-    orders = dict(nerve._orders)
-    added = []
     for i, boundary in enumerate(to_cone):
         name = _disjoint_rename(taken, f"{CONE_PREFIX}{i}")
         taken.add(name)
         apexes[name] = boundary
-        # The apex commutes with its face and has infinite labels elsewhere, so
-        # its simplices are the apex alone and the apex with each simplex the face spans.
-        for s in ((), *nerve._spanned(boundary)):
-            t = tuple(sorted((*s, name)))
-            by_dim.setdefault(len(s), []).append(t)
-            orders[t] = 2 * orders.get(s, 1)
-            added.append(t)
-    coned = Nerve._assembled(
-        nerve.spec._coned(apexes), {d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)}, orders
-    )
+    coned = build_nerve(nerve.spec._coned(apexes))
 
     if recognize_sphere(coned) is not SphereKind.TWO_SPHERE:
         raise NotSpherical(
             "coning did not yield a 2-sphere triangulation "
             "(a face boundary likely has a chord)"
         )
-    rests = [(t, tuple(x for x in t if x not in apexes)) for t in added]
     witness = _witness(coned, tuple(sorted(nerve.vertices)))
-    if not witness.right_angled_complement or any(
-        len(rest) != len(t) - 1 or rest and rest not in nerve._simplex_set for t, rest in rests
-    ):
+    if not witness.right_angled_complement:
         raise NotSpherical("coned complex does not contain the input as expected")
     return coned, witness
 

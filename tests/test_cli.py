@@ -130,6 +130,14 @@ def test_betti_with_ambient(docs, capsys, tmp_path):
     assert "R-sub1" in out
 
 
+def test_betti_with_mismatched_ambient_is_an_error(capsys):
+    data = Path(__file__).resolve().parent.parent / "demos" / "data"
+    argv = ["betti", str(data / "k4.json"), "--ambient", str(data / "hexagon.json"), "--subset", "v0,v1,v2,v3"]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err == "error: target spec does not match the induced subcomplex of the ambient\n"
+
+
 def test_betti_with_embedding(docs, capsys, tmp_path):
     spec = complete_graph_spec(4, 3)
     sp = tmp_path / "k4.json"

@@ -5,7 +5,10 @@ modules; keeping imports at the top keeps the module graph acyclic and
 visible.  A functools cache keeps every key it has seen alive for the life
 of the process; reuse belongs on the objects that own it, held weakly.
 The package exports exactly what its __init__ imports, so a deleted name
-cannot linger in __all__.
+cannot linger in __all__.  The private constructors (_presorted,
+_assembled, _index, _view) are called only in the nerve module, which keeps
+their preconditions; elsewhere complexes come from SimplicialComplex,
+build_nerve or induced_nerve.
 """
 
 import ast
@@ -61,3 +64,21 @@ def test_all_lists_exactly_the_imported_names():
     ]
     assert len(coxeter_l2.__all__) == len(set(coxeter_l2.__all__))
     assert sorted(coxeter_l2.__all__) == sorted(imported)
+
+
+def test_complexes_are_constructed_only_in_nerve():
+    # The private constructors trust their callers for sorted simplices and matching maps.
+    private = {"_presorted", "_assembled", "_index", "_view"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "nerve.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = (
+                [node.attr] if isinstance(node, ast.Attribute)
+                else [node.id] if isinstance(node, ast.Name)
+                else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                else []
+            )
+            found += [f"{path.name}:{node.lineno} references {name}" for name in names if name in private]
+    assert found == []

@@ -13,7 +13,7 @@ from coxeter_l2.catalog import (
     octahedron_spec,
     points_spec,
 )
-from coxeter_l2.nerve import build_nerve, cone2, full_subcomplex, join2
+from coxeter_l2.nerve import build_nerve, full_subcomplex, join2
 from coxeter_l2.invariants import (
     UNKNOWN,
     BettiVector,
@@ -121,7 +121,7 @@ def test_chi_join_multiplicative_and_cone_halving():
         a = build_nerve(random_spec(rng, max_vertices=4))
         b = build_nerve(random_spec(rng, max_vertices=4))
         assert chi_orb(join2(a, b)) == chi_orb(a) * chi_orb(b)
-        assert chi_orb(cone2(a)) == chi_orb(a) / 2
+        assert chi_orb(join2(a, build_nerve(CoxeterSpec(["P"], {})))) == chi_orb(a) / 2
 
 
 def test_betti_three_points():
@@ -232,6 +232,13 @@ def test_invalid_witness_rejected():
         betti(k5, RuleContext(witness=witness))
     with pytest.raises(InvalidWitness):
         betti(k5, RuleContext(embedding={v: [] for v in k5.vertices}))
+
+
+def test_witness_on_a_target_with_other_labels_is_rejected():
+    _, witness = full_subcomplex(build_nerve(cycle_spec(6, 2)), ["v0", "v1", "v2"])
+    target = build_nerve(CoxeterSpec(["v0", "v1", "v2"], {("v0", "v1"): 3, ("v1", "v2"): 2}))
+    with pytest.raises(InvalidWitness, match="^target is not the induced subsystem of the witness ambient$"):
+        betti(target, RuleContext(witness=witness))
 
 
 def test_join_factor_grouping_agreement():
@@ -370,5 +377,8 @@ def test_conflicting_assignments_abort():
         vector._assign(1, Fraction(1, 3), "conflict", "another value")
     with pytest.raises(ContradictoryRules):
         vector._assign(2, Fraction(-1, 2), "negative", "a negative value")
+    vector._assign(3, Fraction(0), "zero", "beyond the top is fine")
+    with pytest.raises(ContradictoryRules, match="assigned 1/2 beyond the top dimension 2"):
+        vector._assign(3, Fraction(1, 2), "beyond", "the top")
     assert vector.provenance_for(1) == "first: a value"
 

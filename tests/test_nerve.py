@@ -17,7 +17,6 @@ from coxeter_l2.nerve import (
     SimplicialComplex,
     SphereKind,
     build_nerve,
-    cone2,
     full_subcomplex,
     is_full_subcomplex,
     join2,
@@ -93,7 +92,7 @@ def test_induced_equals_full_subcomplex():
 
 def test_full_subcomplex_of_cone_recovers_base():
     k5 = build_nerve(complete_graph_spec(5, 3))
-    coned = cone2(k5)
+    coned = join2(k5, build_nerve(CoxeterSpec(["P"], {})))
     sub, witness = full_subcomplex(coned, k5.vertices)
     assert sub == k5
     assert is_full_subcomplex(coned, sub) and witness.right_angled_complement
@@ -122,7 +121,7 @@ def witness_of(nerve, subset):
 
 def test_right_angled_complement():
     k5 = build_nerve(complete_graph_spec(5, 3))
-    coned = cone2(k5)
+    coned = join2(k5, build_nerve(CoxeterSpec(["P"], {})))
     assert witness_of(coned, k5.vertices).right_angled_complement
     assert witness_of(coned, coned.vertices).right_angled_complement  # vacuous
     # a 3-labelled edge with an endpoint outside the subset disqualifies
@@ -147,6 +146,11 @@ def test_link_octahedron_is_square():
     assert len(lk.vertices) == 4
 
 
+def test_link_of_a_missing_vertex_is_a_key_error():
+    with pytest.raises(KeyError, match="'missing' is not a vertex"):
+        link(build_nerve(cycle_spec(4, 2)), "missing")
+
+
 def test_link_k5_is_isolated_points():
     nerve = build_nerve(complete_graph_spec(5, 3))
     lk = link(nerve, "v0")
@@ -158,8 +162,17 @@ def test_link_k5_is_isolated_points():
 
 def test_link_of_cone_apex_is_base():
     base = build_nerve(cycle_spec(4, 2))
-    coned = cone2(base)
+    coned = join2(base, build_nerve(CoxeterSpec(["P"], {})))
     lk = link(coned, "P")
+    assert lk.vertices == base.vertices
+    assert set(lk.simplices()) == set(base.simplices())
+
+
+def test_cone_apex_is_primed_when_p_is_taken():
+    base = build_nerve(CoxeterSpec(["P", "Q"], {("P", "Q"): 3}))
+    coned = join2(base, build_nerve(CoxeterSpec(["P"], {})))
+    assert coned.vertices == ("P", "Q", "P'")
+    lk = link(coned, "P'")
     assert lk.vertices == base.vertices
     assert set(lk.simplices()) == set(base.simplices())
 
@@ -199,7 +212,7 @@ def test_join_renames_collisions():
 
 def test_cone_is_square_pyramid():
     base = build_nerve(cycle_spec(4, 2, prefix="b"))
-    pyramid = cone2(base)
+    pyramid = join2(base, build_nerve(CoxeterSpec(["P"], {})))
     assert pyramid.counts() == (5, 8, 4)
     assert recognize_sphere(pyramid) is SphereKind.NEITHER  # open base
 
@@ -244,7 +257,7 @@ def test_detect_join_octahedron_three_factors():
 
 
 def test_detect_join_square_pyramid():
-    pyramid = cone2(build_nerve(cycle_spec(4, 2, prefix="b")))
+    pyramid = join2(build_nerve(cycle_spec(4, 2, prefix="b")), build_nerve(CoxeterSpec(["P"], {})))
     factors = factors_of(pyramid)
     # finest factorization: the apex plus the two diagonal point pairs
     assert factors == [("P",), ("b0", "b2"), ("b1", "b3")]

@@ -128,6 +128,13 @@ def test_faces_k5_all_rotations_fail():
     assert failures == total
 
 
+def test_validate_embedding_refuses_dimension_three():
+    nerve = build_nerve(complete_graph_spec(4, 2))  # right-angled K4: a solid tetrahedron
+    assert nerve.dimension == 3
+    with pytest.raises(ValueError, match="only apply to complexes of dimension <= 2"):
+        validate_embedding(nerve, K4_ROT)
+
+
 def test_validate_embedding_isolated_points():
     nerve = build_nerve(points_spec(3))
     out = validate_embedding(nerve, {"p0": [], "p1": [], "p2": []})
@@ -226,6 +233,15 @@ def test_kuratowski_type_rejects_other_graphs():
          **{(u, v): 2 for u in ("a0", "w1", "w2") for v in ("w3", "w4", "w5")}},
     )
     assert kuratowski_type(skeleton_of(twice)) is None
+    # a cycle of degree-2 vertices hanging at a branch vertex of K5 leads back to it
+    k5 = complete_graph_spec(5, 3)
+    loop = ("v0", "w1", "w2", "w3")
+    hanging = CoxeterSpec(
+        k5.vertices + loop[1:],
+        {**{(u, v): 3 for u, v, _ in k5.finite_edges()},
+         **{tuple(sorted((loop[i], loop[(i + 1) % 4]))): 2 for i in range(4)}},
+    )
+    assert kuratowski_type(skeleton_of(hanging)) is None
 
 
 def test_cone_hexagon_is_bipyramid():

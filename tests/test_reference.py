@@ -75,7 +75,6 @@ from coxeter_l2.nerve import (
     RotationSystem,
     SphereKind,
     build_nerve,
-    cone2,
     full_subcomplex,
     induced_nerve,
     join2,
@@ -1587,11 +1586,13 @@ def test_assembled_cone_equals_rebuilt_cone(case):
 def test_cone_of_c200_builds_and_matches_nothing(monkeypatch):
     nerve = build_nerve(cycle_spec(200, 2))
     rot = {v: list(nerve.neighbors(v)) for v in nerve.vertices}
-    calls = Counter()
+    calls, built = Counter(), []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "build_nerve":
+                built.append(args[0])
             return fn(*args, **kwargs)
         return wrapper
 
@@ -1601,9 +1602,11 @@ def test_cone_of_c200_builds_and_matches_nothing(monkeypatch):
         monkeypatch.setattr(module, "_match_component", counting("match", module._match_component))
     coned, witness = cone_construction(nerve, rot)
     assert coned.counts() == (202, 600, 400) and witness.right_angled_complement
-    assert calls == Counter()
+    # One build, of the coned spec; every label at an apex is 2, so nothing is matched.
+    assert calls == {"build_nerve": 1} and built == [coned.spec]
     build_nerve(cycle_spec(3, 3))
-    assert calls == {"match": 1}  # the counters do see the nerve module: the triangle (edges read their labels)
+    # The counters do see the nerve module: the triangle (edges read their labels).
+    assert calls == {"build_nerve": 1, "match": 1}
 
 
 def reference_trace_vanishing(ambient, target):
@@ -1971,7 +1974,7 @@ def betti_inputs(draw):
     elif kind == "join":
         nerve = join2(random_nerve(rnd), random_nerve(rnd))
     elif kind == "cone":
-        nerve = cone2(random_nerve(rnd))
+        nerve = join2(random_nerve(rnd), build_nerve(CoxeterSpec(["P"], {})))
     elif kind == "planted":
         nerve = build_nerve(draw(st.sampled_from([complete_graph_spec(5, 3), complete_bipartite_spec(3, 3)])))
     elif kind == "witness":
@@ -2010,8 +2013,20 @@ def test_betti_equals_builder_reference(case):
     assert betti_outcome(betti, nerve, ctx) == betti_outcome(reference_betti, nerve, ctx)
 
 
+def reference_index(vertices, by_dim):
+    """The star and neighbor maps rebuilt from the simplices, as _index once built them."""
+    star: dict[str, list[tuple[str, ...]]] = {v: [] for v in vertices}
+    for group in by_dim.values():
+        for s in group:
+            for v in s:
+                star.setdefault(v, []).append(s)
+    # The edges at v come in lexicographic order, so its neighbors come out sorted.
+    near = {v: tuple(x for e in ss if len(e) == 2 for x in e if x != v) for v, ss in star.items()}
+    return star, near
+
+
 def reference_build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
-    """build_nerve as it was: every edge through the matcher, the maps rebuilt by _index."""
+    """build_nerve as it was: every edge through the matcher, the maps rebuilt by reference_index."""
     held = spec._nerve and spec._nerve()
     if held is not None and len(held._simplex_set) <= simplex_cap:
         return held
@@ -2054,7 +2069,8 @@ def reference_build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> N
                 near = finite_adj[w]
                 nxt.append((t, [x for x in candidates[i + 1:] if x in near], (*kept, comp)))
         frontier = nxt
-    nerve = Nerve._presorted(spec.vertices, dict(enumerate(by_dim)))
+    by_dim = dict(enumerate(by_dim))
+    nerve = Nerve._presorted(spec.vertices, by_dim, reference_index(spec.vertices, by_dim))
     nerve.spec, nerve._orders = spec, orders
     spec._nerve = weakref.ref(nerve)
     return nerve
@@ -2145,16 +2161,21 @@ def test_suspension_poles_cost_no_quadratic_scan(poles):
 
 
 def test_built_nerve_is_indexed_with_its_maps(monkeypatch):
-    given_maps = []
+    given = []
     original = SimplicialComplex._index
 
-    def recording(self, vertices, by_dim, maps=None):
-        given_maps.append(maps is not None)
+    def recording(self, vertices, by_dim, maps):
+        given.append((maps, reference_index(vertices, by_dim)))
         original(self, vertices, by_dim, maps)
 
     monkeypatch.setattr(SimplicialComplex, "_index", recording)
-    for spec in (complete_graph_spec(5, 3), suspension_spec(20), CoxeterSpec(["a", "b"], {})):
-        build_nerve(spec)
-    assert given_maps == [True, True, True]
-    SimplicialComplex(["a", "b"], [("a", "b")])
-    assert given_maps[-1] is False  # the recorder does see a complex indexed from scratch
+    systems = (complete_graph_spec(5, 3), suspension_spec(20), CoxeterSpec(["b", "a"], {}))
+    nerves = [build_nerve(spec) for spec in systems]
+    nerves[1]._view(nerves[1].vertices[::3])
+    link(nerves[1], "n")
+    SimplicialComplex(["c", "a"], [("c", "a", "b"), ("b",), ("a", "c")])  # b is not listed as a vertex
+    # Every constructor hands _index maps equal, in key order and per-vertex order, to a rebuild.
+    assert len(given) == 6
+    for (star, near), (ref_star, ref_near) in given:
+        assert list(star.items()) == list(ref_star.items())
+        assert list(near.items()) == list(ref_near.items())
