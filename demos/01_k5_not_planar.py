@@ -12,11 +12,11 @@ embed in the 2-sphere.
 
 from coxeter_l2 import (
     betti,
-    brute_force_planar,
     build_nerve,
     certify_nonplanar,
     chi_orb,
     chi_orb_chain_sum,
+    planar_rotation,
 )
 from coxeter_l2.catalog import complete_graph_spec
 from coxeter_l2.nerve import SimplicialComplex
@@ -46,8 +46,8 @@ def main():
         spec.vertices,
         [(v,) for v in spec.vertices] + [(u, v) for u, v, _ in spec.finite_edges()],
     )
-    print(f"\nclassical cross-check (exhaustive rotation search): "
-          f"planar = {brute_force_planar(skeleton)}")
+    print(f"\nclassical cross-check (left-right planarity test): "
+          f"planar = {planar_rotation(skeleton) is not None}")
 
 
 if __name__ == "__main__":

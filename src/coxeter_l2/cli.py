@@ -24,9 +24,9 @@ from coxeter_l2.invariants import (
 from coxeter_l2.model import CoxeterSpec, parse_spec
 from coxeter_l2.nerve import RotationSystem, SimplicialComplex, build_nerve, full_subcomplex
 from coxeter_l2.planarity import (
-    brute_force_planar,
     certify_nonplanar,
     cone_construction,
+    planar_rotation,
     trace_vanishing,
 )
 from coxeter_l2.spherical import classify
@@ -240,7 +240,7 @@ def _cmd_planar_oracle(args) -> int:
         spec.vertices,
         [(v,) for v in spec.vertices] + [(u, v) for u, v, _ in spec.finite_edges()],
     )
-    verdict = brute_force_planar(skeleton)
+    verdict = planar_rotation(skeleton) is not None
     _emit(args, [f"planar: {'true' if verdict else 'false'}"], {"planar": verdict})
     return 0
 
@@ -323,7 +323,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc).replace("\r", "\\r").replace("\n", "\\n")  # a vertex name may hold a line break
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from coxeter_l2.model import induced_subspec
 from coxeter_l2.nerve import (
@@ -83,33 +83,29 @@ def chi_orb_chain_sum(nerve: Nerve, *, chain_cap: int = 10 ** 7) -> Fraction:
     Simplices of the fundamental chamber are the chains of spherical
     subsets ordered by inclusion, the empty set included as a poset
     element; a chain of k+1 elements has dimension k and stabilizer order
-    |W_T| for its minimum T.  Every chain is enumerated literally.
+    |W_T| for its minimum T.  Every chain is enumerated literally; supersets
+    are read from stars as chains reach them, so chain_cap bounds the work.
     """
-    elements: list[frozenset[str]] = [frozenset()]
-    order_of: dict[frozenset[str], int] = {frozenset(): 1}
-    for s in nerve.simplices():
-        fs = frozenset(s)
-        elements.append(fs)
-        order_of[fs] = nerve.order(s)
-    elements.sort(key=lambda e: (len(e), tuple(sorted(e))))
-    above: dict[frozenset[str], list[frozenset[str]]] = {
-        e: [f for f in elements if e < f] for e in elements
-    }
-
+    simplices = nerve.simplices()
+    above: dict[tuple[str, ...], Sequence] = {(): simplices}  # every simplex is above the empty set
     total = Fraction(0)
     seen = 0
 
-    def extend(min_order: int, last: frozenset[str], length: int):
+    def extend(min_order: int, last: tuple[str, ...], length: int):
         nonlocal total, seen
         seen += 1
         if seen > chain_cap:
             raise CapExceeded(f"chain enumeration exceeds {chain_cap} chains")
         total += Fraction((-1) ** (length - 1), min_order)
-        for f in above[last]:
-            extend(min_order, f, length + 1)
+        if last not in above:  # each proper superset lies in the star of every vertex of last
+            star = min((nerve._star[v] for v in last), key=len)
+            above[last] = [t for t in star if len(t) > len(last) and set(last).issubset(t)]
+        for t in above[last]:
+            extend(min_order, t, length + 1)
 
-    for e in elements:
-        extend(order_of[e], e, 1)
+    extend(1, (), 1)
+    for s in simplices:
+        extend(nerve.order(s), s, 1)
     return total
 
 
@@ -198,9 +194,8 @@ class BettiVector:
     def fully_known(self) -> bool:
         return all(e is not UNKNOWN for e in self._entries)
 
-    def as_tuple(self, upto: int | None = None) -> tuple:
-        n = self.top if upto is None else upto
-        return tuple(self.get(i) for i in range(n + 1))
+    def as_tuple(self) -> tuple:
+        return tuple(self._entries)
 
     def __repr__(self) -> str:
         inner = ", ".join("?" if e is UNKNOWN else str(e) for e in self._entries)

@@ -56,10 +56,11 @@ class CoxeterSpec:
     subsets, components and serialization.  The constructor and parse_spec
     share one validator (_fill): both take a label as an integer >= 2,
     INFINITY or "inf", and both reject the same labels, conflicting pairs
-    such as 2 against INFINITY included, with the same first error.
+    such as 2 against INFINITY included, with the same first error.  Vertex
+    membership reads the commuting map's keys; the hash is computed on demand.
     """
 
-    __slots__ = ("vertices", "_labels", "_vertex_set", "_commuting", "_hash", "_nerve", "__weakref__")
+    __slots__ = ("vertices", "_labels", "_commuting", "_nerve", "__weakref__")
 
     def __init__(self, vertices: Iterable[str], labels: Mapping[tuple[str, str], int] | None = None):
         self._fill(tuple(vertices), ((u, v, m) for (u, v), m in (labels or {}).items()))
@@ -94,23 +95,19 @@ class CoxeterSpec:
                 raise DuplicateVertex(f"duplicate vertex {v!r}")
             seen.add(v)
         self.vertices = vertices
-        self._vertex_set = vertex_set
         self._labels = dict(sorted((key, m) for key, m in given.items() if m != INFINITY))
         self._commuting: dict[str, set[str]] = {v: set() for v in vertices}
         for (u, v), m in self._labels.items():
             if m == 2:
                 self._commuting[u].add(v)
                 self._commuting[v].add(u)
-        self._hash = hash((vertices, tuple(self._labels.items())))
         self._nerve = None  # a weak reference to the nerve built last, set by build_nerve
 
     @classmethod
     def _trusted(cls, vertices: tuple[str, ...], labels: dict, commuting: dict[str, set[str]]) -> CoxeterSpec:
         """A system from parts already checked: distinct vertices, labels sorted by pair, commuting sets."""
         spec = object.__new__(cls)
-        spec.vertices, spec._vertex_set, spec._nerve = vertices, frozenset(vertices), None
-        spec._labels, spec._commuting = labels, commuting
-        spec._hash = hash((vertices, tuple(labels.items())))
+        spec.vertices, spec._labels, spec._commuting, spec._nerve = vertices, labels, commuting, None
         return spec
 
     def _restrict(self, vertices: tuple[str, ...], keep: set[str], pairs) -> CoxeterSpec:
@@ -130,7 +127,7 @@ class CoxeterSpec:
         return self._trusted((*self.vertices, *apexes), dict(sorted(labels.items())), commuting)
 
     def label(self, u: str, v: str) -> Label:
-        if u not in self._vertex_set or v not in self._vertex_set:
+        if u not in self._commuting or v not in self._commuting:
             raise UnknownVertex(f"({u!r}, {v!r}) is not a vertex pair of this system")
         if u == v:
             return 1
@@ -146,11 +143,11 @@ class CoxeterSpec:
 
     def check_subset(self, subset: Iterable[str]) -> VertexSubset:
         """Canonicalize a vertex subset (sorted, deduplicated), validating membership."""
-        out = sorted(set(subset))
-        if not self._vertex_set.issuperset(out):
-            unknown = next(v for v in out if v not in self._vertex_set)  # the least one
+        given = set(subset)
+        if not self._commuting.keys() >= given:
+            unknown = min(given - self._commuting.keys())  # the least one
             raise UnknownVertex(f"{unknown!r} is not a vertex of this system")
-        return tuple(out)
+        return tuple(sorted(given))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -161,7 +158,7 @@ class CoxeterSpec:
         return self.vertices == other.vertices and self._labels == other._labels
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.vertices, tuple(self._labels.items())))
 
     def __repr__(self) -> str:
         return f"CoxeterSpec({len(self.vertices)} vertices, {len(self._labels)} finite labels)"

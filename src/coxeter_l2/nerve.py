@@ -43,7 +43,9 @@ class SimplicialComplex:
     Every constructor hands _index both maps: __init__, the one constructor
     that takes unsorted simplices, builds them from the simplices; a full
     subcomplex is a view filtered in order from the ambient maps (_view);
-    and build_nerve fills a nerve's maps as it enumerates.
+    and build_nerve fills a nerve's maps as it enumerates.  All of them list
+    simplices in canonical order, so equality and hashing read _by_dim, and
+    membership reads the stars.
     """
 
     def __init__(self, vertices: Iterable[str], simplices: Iterable[Simplex]):
@@ -69,7 +71,6 @@ class SimplicialComplex:
         """Store the simplices and the given star and neighbor maps."""
         self.vertices: tuple[str, ...] = vertices
         self._by_dim: dict[int, tuple[Simplex, ...]] = by_dim
-        self._simplex_set = {s for group in by_dim.values() for s in group}
         self._star, self._neighbors = maps
         self._sphere = self._components = None  # held by recognize_sphere and skeleton_components
 
@@ -97,7 +98,9 @@ class SimplicialComplex:
         return tuple(s for group in self._by_dim.values() for s in group)  # dimensions ascend
 
     def has_simplex(self, s: Iterable[str]) -> bool:
-        return tuple(sorted(s)) in self._simplex_set
+        """Is s a nonempty simplex?  It is looked for in the shortest star of its vertices."""
+        s = tuple(sorted(s))
+        return bool(s) and s in min((self._star.get(v, ()) for v in s), key=len)
 
     @property
     def edges(self) -> tuple[Simplex, ...]:
@@ -127,10 +130,10 @@ class SimplicialComplex:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self.vertices == other.vertices and self._simplex_set == other._simplex_set
+        return self.vertices == other.vertices and self._by_dim == other._by_dim
 
     def __hash__(self) -> int:
-        return hash((self.vertices, frozenset(self._simplex_set)))
+        return hash((self.vertices, tuple(self._by_dim.items())))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(V={len(self.vertices)}, counts={self.counts()})"
@@ -167,10 +170,10 @@ class Nerve(SimplicialComplex):
     def __eq__(self, other) -> bool:
         if not isinstance(other, Nerve):
             return NotImplemented
-        return self.spec == other.spec and self._simplex_set == other._simplex_set
+        return self.spec == other.spec and self._by_dim == other._by_dim
 
     def __hash__(self) -> int:
-        return hash((self.spec, frozenset(self._simplex_set)))
+        return hash((self.spec, tuple(self._by_dim.items())))
 
 
 class NotSpherical(ValueError):
@@ -316,7 +319,7 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
     returns it instead, unless it has more than ``simplex_cap`` simplices.
     """
     held = spec._nerve and spec._nerve()
-    if held is not None and len(held._simplex_set) <= simplex_cap:
+    if held is not None and len(held._orders) <= simplex_cap:
         return held
     labels = spec._labels
     star: dict[str, list[Simplex]] = {v: [(v,)] for v in spec.vertices}
@@ -480,7 +483,8 @@ def _is_full(ambient: SimplicialComplex, vertices, simplices) -> bool:
 
 def is_full_subcomplex(ambient: SimplicialComplex, sub: SimplicialComplex) -> bool:
     """Does the subcomplex contain every ambient simplex spanned by its vertices, and no other?"""
-    return all(v in ambient._star for v in sub.vertices) and _is_full(ambient, sub.vertices, sub._simplex_set)
+    known = all(v in ambient._star for v in sub.vertices)
+    return known and _is_full(ambient, sub.vertices, set(sub.simplices()))
 
 
 def _disjoint_rename(taken: set[str], name: str) -> str:

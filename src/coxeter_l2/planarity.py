@@ -593,8 +593,8 @@ def planar_rotation(graph: SimplicialComplex) -> RotationSystem | None:
 def brute_force_planar(graph: SimplicialComplex) -> bool:
     """Planarity of the 1-skeleton by the left-right test (see planar_rotation).
 
-    The name is kept from the exhaustive rotation search this replaced,
-    because existing callers import it.
+    The name is kept from the exhaustive rotation search this replaced only
+    because the benchmark imports it; the library calls planar_rotation.
     """
     return planar_rotation(graph) is not None
 

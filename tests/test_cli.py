@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coxeter_l2
 from coxeter_l2 import cli
@@ -175,6 +179,18 @@ def test_certify_out_to_missing_directory_is_an_error(docs, capsys, tmp_path):
     assert not out_path.parent.exists()
 
 
+def test_certify_names_the_witnessing_component(capsys, tmp_path):
+    spec = complete_graph_spec(5, 3)
+    doc = tmp_path / "k5_and_point.json"
+    doc.write_text(json.dumps({**spec.to_document(), "vertices": [*spec.vertices, "w"]}))
+    code, out, err = run(capsys, ["certify", str(doc)])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-2:] == [
+        "note: subject has 2 components; certified per component, a non-planar component makes the whole non-planar",
+        "note: witnessing component: {v0,v1,v2,v3,v4}",
+    ]
+
+
 def test_certify_inconclusive_exit_two(docs, capsys):
     code, out, _ = run(capsys, ["certify", docs["hexagon.json"]])
     assert code == 2
@@ -272,9 +288,103 @@ def test_edge_with_list_endpoint_is_an_error(capsys, tmp_path):
     _one_line_error(code, err)
 
 
+def test_line_break_in_a_vertex_name_stays_on_the_error_line(capsys, tmp_path):
+    doc = tmp_path / "newline.json"
+    doc.write_text(json.dumps({"vertices": ["a\nb", "c"], "edges": [{"u": "a\nb", "v": "c", "m": 1}]}))
+    code, _, err = run(capsys, ["validate", str(doc)])
+    _one_line_error(code, err)
+    assert err == "error: label m(a\\nb,c) = 1 is below 2\n"
+
+
 def test_enumerate_rejects_negative_cap(docs, capsys):
     code, out, err = run(
         capsys, ["enumerate", docs["k5.json"], "--subset", "v0,v1", "--cap", "-5"]
     )
     _one_line_error(code, err)
     assert "ExceedsCap" not in out
+
+
+# CLI fuzzing: arbitrary documents, subsets and caps through every subcommand.
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)  # writable as UTF-8
+NAMES = st.one_of(st.sampled_from("abcde"), TEXT)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+LABELS = st.one_of(st.integers(-1, 7), st.just("inf"), JSON)
+EDGES = st.one_of(st.fixed_dictionaries({"u": NAMES, "v": NAMES, "m": LABELS}), JSON)
+
+
+@st.composite
+def systems(draw) -> dict:
+    """A valid document: distinct nonempty names, each edge between two of them, listed once."""
+    names = st.one_of(st.sampled_from("abcde"), TEXT.filter(bool))
+    vertices = draw(st.lists(names, min_size=1, max_size=6, unique=True))
+    pairs = [(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=8, unique=True)) if pairs else []
+    labels = st.sampled_from([2, 3, 4, 5, 6, "inf"])
+    return {"vertices": vertices, "edges": [{"u": u, "v": v, "m": draw(labels)} for u, v in edges]}
+
+
+SPEC_DOCUMENTS = st.one_of(
+    JSON,
+    st.fixed_dictionaries({
+        "vertices": st.one_of(st.lists(NAMES, max_size=6, unique=True), st.lists(JSON, max_size=4)),
+        "edges": st.lists(EDGES, max_size=10),
+    }),
+)
+ROTATION_DOCUMENTS = st.one_of(JSON, st.dictionaries(NAMES, st.lists(NAMES, max_size=4), max_size=6))
+
+
+def files(*documents):
+    """File contents: a document as JSON, or arbitrary text."""
+    return st.one_of(*(d.map(json.dumps) for d in documents), TEXT)
+
+
+@st.composite
+def invocations(draw):
+    """An argv for one subcommand, with {spec}, {ambient}, {rotation} and {out} standing for paths."""
+    command = draw(st.sampled_from([
+        "validate", "nerve", "classify", "chi", "betti", "certify", "cone", "trace", "enumerate", "planar-oracle",
+    ]))
+    argv = ["--format", draw(st.sampled_from(["text", "structured"])), command, "{spec}"]
+    subset = st.one_of(TEXT, st.lists(NAMES, max_size=4).map(",".join)).map(lambda s: f"--subset={s}")
+    if command in ("classify", "trace", "enumerate"):
+        argv.append(draw(subset))
+    if command == "enumerate":
+        argv.append(f"--cap={draw(st.integers(-2, 300))}")
+    if command == "chi" and draw(st.booleans()):
+        argv.append("--chain-oracle")
+    if command == "betti":
+        argv += draw(st.sampled_from([[], ["--ambient", "{ambient}"]]))
+        argv += draw(st.one_of(st.just([]), subset.map(lambda s: [s])))
+        argv += draw(st.sampled_from([[], ["--embedding", "{rotation}"]]))
+    if command == "cone":
+        argv += ["--embedding", "{rotation}"]
+    if command == "certify":
+        argv += draw(st.sampled_from([[], ["--out", "{out}"]]))
+    contents = {
+        "{spec}": draw(files(systems(), SPEC_DOCUMENTS)),
+        "{ambient}": draw(files(systems(), SPEC_DOCUMENTS)),
+        "{rotation}": draw(files(ROTATION_DOCUMENTS)),
+    }
+    return argv, contents
+
+
+@settings(max_examples=300, deadline=None)
+@given(invocations())
+def test_fuzzed_invocations_exit_cleanly(case):
+    argv, contents = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"{out}": os.path.join(tmp, "cert.json")}
+        for key, text in contents.items():
+            paths[key] = os.path.join(tmp, key.strip("{}") + ".json")
+            Path(paths[key]).write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([paths.get(arg, arg) for arg in argv])
+    assert code in (0, 1, 2)
+    if code == 1:
+        _one_line_error(code, err.getvalue())

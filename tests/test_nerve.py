@@ -18,6 +18,7 @@ from coxeter_l2.nerve import (
     SphereKind,
     build_nerve,
     full_subcomplex,
+    induced_nerve,
     is_full_subcomplex,
     join2,
     link,
@@ -88,6 +89,34 @@ def test_induced_equals_full_subcomplex():
         assert sub == build_nerve(induced_subspec(spec, subset))
         assert witness.vertex_set == tuple(subset)
         assert is_full_subcomplex(nerve, sub)
+
+
+def test_construction_paths_agree_on_equality_hash_and_membership():
+    # build_nerve, a view and __init__ on shuffled, unsorted simplices must store the same complex.
+    rng = random.Random(31)
+    for _ in range(40):
+        spec = random_spec(rng, max_vertices=6)
+        subset = [v for v in spec.vertices if rng.random() < 0.7]
+        nerve = build_nerve(spec)
+        view = induced_nerve(nerve, subset)
+        rebuilt = build_nerve(induced_subspec(spec, subset))
+        assert view == rebuilt and hash(view) == hash(rebuilt)
+        simplices = [tuple(reversed(s)) for s in view.simplices()]
+        rng.shuffle(simplices)
+        plain = SimplicialComplex(view.vertices, simplices)
+        plain_view = nerve._view(view.vertices)
+        assert plain == plain_view == view and hash(plain) == hash(plain_view)
+        assert SimplicialComplex.__hash__(view) == hash(plain)
+        if simplices:
+            assert SimplicialComplex(view.vertices, view.simplices()[:-1]) != plain
+        for complex_ in (view, rebuilt, plain, plain_view):
+            for k in range(len(spec.vertices) + 1):
+                for sub in combinations(spec.vertices, k):
+                    expected = bool(sub) and set(sub) <= set(subset) and classify(spec, sub).spherical
+                    assert complex_.has_simplex(reversed(sub)) == expected
+            assert not complex_.has_simplex(())
+            assert not complex_.has_simplex(("nowhere",))
+            assert not complex_.has_simplex((*subset[:1], "nowhere"))
 
 
 def test_full_subcomplex_of_cone_recovers_base():

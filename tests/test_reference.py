@@ -2028,7 +2028,7 @@ def reference_index(vertices, by_dim):
 def reference_build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
     """build_nerve as it was: every edge through the matcher, the maps rebuilt by reference_index."""
     held = spec._nerve and spec._nerve()
-    if held is not None and len(held._simplex_set) <= simplex_cap:
+    if held is not None and len(held._orders) <= simplex_cap:
         return held
     by_dim: list[tuple[tuple[str, ...], ...]] = []
     finite_adj: dict[str, set[str]] = {v: set() for v in spec.vertices}
@@ -2129,7 +2129,7 @@ def test_build_nerve_equals_reindexing_reference(spec):
         assert list(got._orders.items()) == list(ref._orders.items())
         assert list(got._star.items()) == list(ref._star.items())
         assert list(got._neighbors.items()) == list(ref._neighbors.items())
-        assert got._simplex_set == ref._simplex_set
+        assert got.simplices() == ref.simplices()
         # The reference also matched each edge whose label is not 2; nothing else differs,
         # so no candidate outside the common neighbors reached the matcher.
         assert matched == ref_matched - sum(m != 2 for _, _, m in spec.finite_edges())
