@@ -27,11 +27,8 @@ from coxeter_l2.model import (
 from coxeter_l2.spherical import (
     FiniteTypeComponent,
     SphericalVerdict,
-    IndeterminateNumeric,
     diagram_components,
     classify,
-    cosine_matrix_test,
-    spherical_by_cosine,
 )
 from coxeter_l2.nerve import (
     CapExceeded,
@@ -75,6 +72,9 @@ from coxeter_l2.planarity import (
 )
 from coxeter_l2.enumeration import (
     NumericCollision,
+    IndeterminateNumeric,
+    cosine_matrix_test,
+    spherical_by_cosine,
     reflection_generators,
     enumerate_order,
     verify_classification,
@@ -95,11 +95,8 @@ __all__ = [
     "induced_subspec",
     "FiniteTypeComponent",
     "SphericalVerdict",
-    "IndeterminateNumeric",
     "diagram_components",
     "classify",
-    "cosine_matrix_test",
-    "spherical_by_cosine",
     "CapExceeded",
     "SimplicialComplex",
     "Nerve",
@@ -135,6 +132,9 @@ __all__ = [
     "kuratowski_subgraph",
     "kuratowski_type",
     "NumericCollision",
+    "IndeterminateNumeric",
+    "cosine_matrix_test",
+    "spherical_by_cosine",
     "reflection_generators",
     "enumerate_order",
     "verify_classification",

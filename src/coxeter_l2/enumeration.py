@@ -1,14 +1,15 @@
-"""Brute-force order verification via the geometric reflection representation.
+"""Numeric oracles on the cosine form: positive definiteness and brute-force order.
 
-Each generator acts on R^|T| by the standard reflection matrices built
-from the cosine form; breadth-first closure under generator products
-counts group elements exactly when the group is finite.  Matrices are
-snapped to a fine grid and deduplicated on 1e-6 equality cells (entries
-within a cell are the same element), one matmul and one bulk key pass per
-breadth-first layer; every count is re-run on a half-cell-shifted grid to
-guard against boundary collisions.  Each stored key holds n*n*8 bytes, so
-memory, not time, bounds the largest group.  This is a desk-scale
-numerical oracle, not a proof.
+The cosine test checks the leading minors of the matrix c_st =
+-cos(pi / m_st).  Enumeration lets each generator act on R^|T| by the
+standard reflection matrices built from the same form; breadth-first
+closure under generator products counts group elements exactly when the
+group is finite.  Matrices are snapped to a fine grid and deduplicated on
+1e-6 equality cells (entries within a cell are the same element), one
+matmul and one bulk key pass per breadth-first layer; every count is re-run
+on a half-cell-shifted grid to guard against boundary collisions.  Each
+stored key holds n*n*8 bytes, so memory, not time, bounds the largest
+group.  These are desk-scale numerical oracles, not proofs.
 """
 
 from __future__ import annotations
@@ -23,10 +24,62 @@ from coxeter_l2.spherical import classify
 _GRID = 1e-8  # snap resolution
 _CELL = 1e-6  # equality bucket: entries within one cell are the same element
 _CONSTRUCTION_TOL = 1e-8
+_COSINE_EPS = 1e-9  # a leading minor within this of zero is indeterminate
+_COSINE_MAX_RANK = 12
 
 
 class NumericCollision(ArithmeticError):
     """Grid-shifted enumerations persistently disagree on the closure size."""
+
+
+class IndeterminateNumeric(ArithmeticError):
+    """A principal minor fell within tolerance of zero; fall back to classify."""
+
+
+def _cosine_matrix(spec: CoxeterSpec, T: tuple[str, ...]) -> np.ndarray:
+    """The cosine form on a checked subset, -1 at an infinite label; the diagonal label 1 gives 1.0."""
+    n = len(T)
+    rows = [[-1.0 if (m := spec.label(u, v)) == INFINITY else -math.cos(math.pi / m) for v in T] for u in T]
+    return np.reshape(np.array(rows, dtype=float), (n, n))
+
+
+def cosine_matrix_test(spec: CoxeterSpec, subset) -> bool:
+    """Numeric finiteness check: is the cosine matrix positive definite?
+
+    True iff every leading principal minor exceeds the fixed tolerance
+    _COSINE_EPS; raises IndeterminateNumeric when a minor lands within
+    +/-_COSINE_EPS of zero, in which case the caller should fall back to
+    classify.  Subsets above rank _COSINE_MAX_RANK raise ValueError.
+    """
+    T = spec.check_subset(subset)
+    n = len(T)
+    if n > _COSINE_MAX_RANK:
+        raise ValueError(f"subset rank {n} exceeds the numeric bound {_COSINE_MAX_RANK}")
+    C = _cosine_matrix(spec, T)
+    for k in range(1, n + 1):
+        minor = float(np.linalg.det(C[:k, :k]))
+        if abs(minor) <= _COSINE_EPS:
+            raise IndeterminateNumeric(
+                f"leading {k}x{k} minor {minor:.3e} within {_COSINE_EPS} of zero"
+            )
+        if minor < 0:
+            return False
+    return True
+
+
+def spherical_by_cosine(spec: CoxeterSpec, subset) -> bool:
+    """Cosine test with indeterminate cases adjudicated exactly.
+
+    An infinite label forces non-sphericity outright (infinite dihedral
+    subgroup); any other indeterminate minor is resolved by classify.
+    """
+    T = spec.check_subset(subset)
+    try:
+        return cosine_matrix_test(spec, T)
+    except IndeterminateNumeric:
+        if any(spec.label(u, v) == INFINITY for i, u in enumerate(T) for v in T[i + 1:]):
+            return False
+        return classify(spec, T).spherical
 
 
 def reflection_generators(spec: CoxeterSpec, subset) -> tuple[tuple[str, ...], np.ndarray]:
@@ -38,15 +91,13 @@ def reflection_generators(spec: CoxeterSpec, subset) -> tuple[tuple[str, ...], n
     """
     T = spec.check_subset(subset)
     n = len(T)
-    labels = [[spec.label(u, v) for v in T] for u in T]
-    B = [[-1.0 if m == INFINITY else -math.cos(math.pi / m) for m in row] for row in labels]
     eye = np.eye(n)
     gens = np.tile(eye, (n, 1, 1))
-    gens[np.arange(n), np.arange(n)] -= 2.0 * np.reshape(B, (n, n))
+    gens[np.arange(n), np.arange(n)] -= 2.0 * _cosine_matrix(spec, T)
     involution = np.isclose(gens @ gens, eye, atol=_CONSTRUCTION_TOL).all(axis=(1, 2))
     if not involution.all():
         raise ArithmeticError(f"generator {T[np.argmin(involution)]} is not an involution")
-    pairs = [(i, j, m) for i in range(n) for j in range(i + 1, n) if (m := labels[i][j]) != INFINITY]
+    pairs = [(i, j, m) for i in range(n) for j in range(i + 1, n) if (m := spec.label(T[i], T[j])) != INFINITY]
     if pairs:
         powers = np.stack([np.linalg.matrix_power(gens[i] @ gens[j], m) for i, j, m in pairs])
         braid = np.isclose(powers, eye, atol=1e-6).all(axis=(1, 2))

@@ -23,6 +23,7 @@ from coxeter_l2.nerve import (
     Nerve,
     SphereKind,
     SubcomplexWitness,
+    _right_angled_outside,
     induced_nerve,
     recognize_sphere,
     validate_embedding,
@@ -217,6 +218,8 @@ def _validate_witness(nerve: Nerve, witness: SubcomplexWitness) -> None:
         raise InvalidWitness("witness vertex set does not match the target nerve")
     if induced_subspec(witness.ambient.spec, witness.vertex_set) != nerve.spec:
         raise InvalidWitness("target is not the induced subsystem of the witness ambient")
+    if witness.right_angled_complement != _right_angled_outside(witness.ambient, target_set):
+        raise InvalidWitness("witness right-angled flag does not match the ambient labels")
 
 
 def betti(nerve: Nerve, ctx: RuleContext | None = None) -> BettiVector:

@@ -172,8 +172,7 @@ class Nerve(SimplicialComplex):
             return NotImplemented
         return self.spec == other.spec and self._by_dim == other._by_dim
 
-    def __hash__(self) -> int:
-        return hash((self.spec, tuple(self._by_dim.items())))
+    __hash__ = SimplicialComplex.__hash__  # a nerve may equal a plain complex, so both hash the same fields
 
 
 class NotSpherical(ValueError):
@@ -409,15 +408,24 @@ def _straddling_pairs(spec: CoxeterSpec, A: set[str]):
                 yield u, pool[i]
 
 
+def _right_angled_outside(nerve: Nerve, keep: set[str]) -> bool:
+    """Does each vertex outside keep have only commuting neighbors, so its complement is right-angled?
+
+    Every finite label is an edge of the nerve, so a vertex's commuting
+    labels are all of its edges exactly when they are as many.
+    """
+    return all(len(nerve.spec.commuting(u)) == len(nerve.neighbors(u)) for u in nerve.vertices if u not in keep)
+
+
 def _witness(nerve: Nerve, A: VertexSubset) -> SubcomplexWitness:
     """The fullness witness of a checked, sorted subset, read from the neighbors outside it.
 
-    Every finite label is an edge of the nerve, so the complement is
-    right-angled when each vertex outside A has only commuting neighbors;
-    infinite pairs are not edges, so a straddling one does not disqualify
-    and is only noted.  Straddling infinite pairs are counted in closed form
-    (all pairs not inside A, minus the edges at vertices outside A), and
-    only the first four are enumerated for the note.
+    The complement is right-angled when each vertex outside A has only
+    commuting neighbors; infinite pairs are not edges, so a straddling one
+    does not disqualify and is only noted.  Straddling infinite pairs are
+    counted in closed form (all pairs not inside A, minus the edges at
+    vertices outside A), and only the first four are enumerated for the
+    note.
     """
     keep = set(A)
     near = {u: nerve.neighbors(u) for u in set(nerve.vertices) - keep}
@@ -432,8 +440,7 @@ def _witness(nerve: Nerve, A: VertexSubset) -> SubcomplexWitness:
             f"{count} infinite-label pair(s) not contained in the "
             f"subcomplex: {shown}{more} (permitted: infinite pairs are not edges)",
         )
-    right_angled = all(len(nerve.spec.commuting(u)) == len(ns) for u, ns in near.items())
-    return SubcomplexWitness(nerve, A, right_angled, notes)
+    return SubcomplexWitness(nerve, A, _right_angled_outside(nerve, keep), notes)
 
 
 def induced_nerve(nerve: Nerve, subset) -> Nerve:

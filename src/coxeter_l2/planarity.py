@@ -199,9 +199,12 @@ def certify_nonplanar(spec: CoxeterSpec) -> Certificate:
     for the dimension-2 Betti entry is derived, Inconclusive otherwise
     (never "Planar").  Disconnected subjects are certified per component,
     each on its sub-nerve filtered from the subject's nerve; one non-planar
-    component suffices.  While the caller holds the nerve of this spec,
-    build_nerve hands it back, so nothing is built again.  Each component
-    goes straight to the connected path, without being split again.
+    component suffices.  Components are certified smallest first, and the
+    first size that certifies cites its largest bound (the first such
+    component on a tie), so the bound does not depend on vertex names.
+    While the caller holds the nerve of this spec, build_nerve hands it
+    back, so nothing is built again.  Each component goes straight to the
+    connected path, without being split again.
     """
     nerve = build_nerve(spec)
     if nerve.dimension > 2:
@@ -217,27 +220,22 @@ def certify_nonplanar(spec: CoxeterSpec) -> Certificate:
             f"subject has {len(components)} components; certified per component, "
             "a non-planar component makes the whole non-planar"
         ]
-        for comp in components:
+        witness = None
+        for comp in sorted(components, key=len):  # stable: component order within a size
+            if witness is not None and len(comp) > len(witness[0]):
+                break
             sub_cert = _certify_connected(induced_nerve(nerve, comp))
-            if sub_cert.verdict == "NotPlanar":
-                return Certificate(
-                    "NotPlanar",
-                    spec,
-                    sub_cert.bound,
-                    sub_cert.chain,
-                    notes=tuple(notes + [f"witnessing component: {{{','.join(comp)}}}"]),
-                )
-            notes.append(
-                f"component {{{','.join(comp)}}}: {sub_cert.reason or 'ObstructionSilent'}"
+            if sub_cert.verdict != "NotPlanar":
+                notes.append(f"component {{{','.join(comp)}}}: {sub_cert.reason or 'ObstructionSilent'}")
+            elif witness is None or sub_cert.bound > witness[1].bound:
+                witness = (comp, sub_cert)
+        if witness is None:
+            return Certificate(
+                "Inconclusive", spec, Fraction(0), (), reason="ObstructionSilent", notes=tuple(notes)
             )
-        return Certificate(
-            "Inconclusive",
-            spec,
-            Fraction(0),
-            (),
-            reason="ObstructionSilent",
-            notes=tuple(notes),
-        )
+        comp, sub_cert = witness
+        notes.append(f"witnessing component: {{{','.join(comp)}}}")
+        return Certificate("NotPlanar", spec, sub_cert.bound, sub_cert.chain, notes=tuple(notes))
     return _certify_connected(nerve)
 
 

@@ -4,9 +4,9 @@ A vertex subset is spherical when the subgroup it generates is finite.
 Finiteness is decided exactly by matching each connected component of the
 Coxeter diagram (edges are pairs with label >= 3 or infinity; label-2
 pairs commute and disconnect the diagram) against the classification of
-irreducible finite reflection groups.  A floating-point positive
-definiteness test on the cosine matrix serves as an independent numeric
-cross-check, never as the decision procedure.
+irreducible finite reflection groups, in exact integer arithmetic.  The
+numeric cross-checks (the cosine-matrix test and enumeration of the
+reflection representation) live in coxeter_l2.enumeration.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from coxeter_l2.model import INFINITY, CoxeterSpec, VertexSubset, components
+from coxeter_l2.model import CoxeterSpec, VertexSubset, components
 
 _E_ORDERS = {6: 51840, 7: 2903040, 8: 696729600}
 _H_ORDERS = {3: 120, 4: 14400}
@@ -55,10 +53,6 @@ class SphericalVerdict:
 
     def __bool__(self) -> bool:
         return self.spherical
-
-
-class IndeterminateNumeric(ArithmeticError):
-    """A principal minor fell within tolerance of zero; fall back to classify."""
 
 
 def diagram_components(spec: CoxeterSpec, subset) -> list[VertexSubset]:
@@ -175,56 +169,3 @@ def classify(spec: CoxeterSpec, subset) -> SphericalVerdict:
         comps.append(FiniteTypeComponent(kind, rank, comp_order, comp, m))
         order *= comp_order
     return SphericalVerdict(True, tuple(comps), order, diagram)
-
-
-_COSINE_EPS = 1e-9  # a leading minor within this of zero is indeterminate
-_COSINE_MAX_RANK = 12
-
-
-def cosine_matrix_test(spec: CoxeterSpec, subset) -> bool:
-    """Numeric finiteness check: is the cosine matrix positive definite?
-
-    Entries are c_ss = 1 and c_st = -cos(pi/m_st), with infinite labels
-    contributing -1.  True iff every leading principal minor exceeds the
-    fixed tolerance _COSINE_EPS; raises IndeterminateNumeric when a minor
-    lands within +/-_COSINE_EPS of zero, in which case the caller should
-    fall back to classify.  Subsets above rank _COSINE_MAX_RANK raise
-    ValueError.
-    """
-    T = spec.check_subset(subset)
-    n = len(T)
-    if n > _COSINE_MAX_RANK:
-        raise ValueError(f"subset rank {n} exceeds the numeric bound {_COSINE_MAX_RANK}")
-    if n == 0:
-        return True
-    C = np.ones((n, n))
-    for i, u in enumerate(T):
-        for j, v in enumerate(T):
-            if i == j:
-                continue
-            m = spec.label(u, v)
-            C[i, j] = -1.0 if m == INFINITY else -math.cos(math.pi / m)
-    for k in range(1, n + 1):
-        minor = float(np.linalg.det(C[:k, :k]))
-        if abs(minor) <= _COSINE_EPS:
-            raise IndeterminateNumeric(
-                f"leading {k}x{k} minor {minor:.3e} within {_COSINE_EPS} of zero"
-            )
-        if minor < 0:
-            return False
-    return True
-
-
-def spherical_by_cosine(spec: CoxeterSpec, subset) -> bool:
-    """Cosine test with indeterminate cases adjudicated exactly.
-
-    An infinite label forces non-sphericity outright (infinite dihedral
-    subgroup); any other indeterminate minor is resolved by classify.
-    """
-    T = spec.check_subset(subset)
-    try:
-        return cosine_matrix_test(spec, T)
-    except IndeterminateNumeric:
-        if any(spec.label(u, v) == INFINITY for i, u in enumerate(T) for v in T[i + 1:]):
-            return False
-        return classify(spec, T).spherical

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,13 @@ def test_chi_chain_oracle(docs, capsys):
     assert "1/6" in out and "agrees" in out
 
 
+def test_chi_chain_oracle_mismatch_is_an_error(docs, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "chi_orb_chain_sum", lambda nerve: Fraction(1, 7))
+    code, out, err = run(capsys, ["chi", docs["k5.json"], "--chain-oracle"])
+    assert (code, out) == (1, "")
+    assert err == "error: chain oracle mismatch: collapsed 1/6 vs chains 1/7\n"
+
+
 def test_betti_k33(docs, capsys):
     code, out, _ = run(capsys, ["betti", docs["k33.json"]])
     assert code == 0
@@ -185,8 +193,9 @@ def test_certify_names_the_witnessing_component(capsys, tmp_path):
     doc.write_text(json.dumps({**spec.to_document(), "vertices": [*spec.vertices, "w"]}))
     code, out, err = run(capsys, ["certify", str(doc)])
     assert (code, err) == (0, "")
-    assert out.splitlines()[-2:] == [
+    assert out.splitlines()[-3:] == [
         "note: subject has 2 components; certified per component, a non-planar component makes the whole non-planar",
+        "note: component {w}: FiniteGroup",
         "note: witnessing component: {v0,v1,v2,v3,v4}",
     ]
 

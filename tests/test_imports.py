@@ -8,7 +8,10 @@ The package exports exactly what its __init__ imports, so a deleted name
 cannot linger in __all__.  The private constructors (_presorted,
 _assembled, _index, _view) are called only in the nerve module, which keeps
 their preconditions; elsewhere complexes come from SimplicialComplex,
-build_nerve or induced_nerve.
+build_nerve or induced_nerve.  Floating point stays in the numeric
+oracles: enumeration is the only module that imports numpy, so no module
+of the exact decision path (classification, nerves, invariants,
+certificates) depends on it.
 """
 
 import ast
@@ -82,3 +85,17 @@ def test_complexes_are_constructed_only_in_nerve():
             )
             found += [f"{path.name}:{node.lineno} references {name}" for name in names if name in private]
     assert found == []
+
+
+def test_only_the_numeric_oracle_imports_numpy():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            modules = (
+                [alias.name for alias in node.names] if isinstance(node, ast.Import)
+                else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                else []
+            )
+            if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+                found.append(path.name)
+    assert sorted(set(found)) == ["enumeration.py"]

@@ -14,7 +14,7 @@ from coxeter_l2.catalog import (
     octahedron_spec,
     points_spec,
 )
-from coxeter_l2.nerve import CapExceeded, build_nerve, full_subcomplex, join2, join_spec
+from coxeter_l2.nerve import CapExceeded, SubcomplexWitness, build_nerve, full_subcomplex, join2, join_spec
 from coxeter_l2.invariants import (
     UNKNOWN,
     BettiVector,
@@ -249,6 +249,17 @@ def test_witness_on_a_target_with_other_labels_is_rejected():
     target = build_nerve(CoxeterSpec(["v0", "v1", "v2"], {("v0", "v1"): 3, ("v1", "v2"): 2}))
     with pytest.raises(InvalidWitness, match="^target is not the induced subsystem of the witness ambient$"):
         betti(target, RuleContext(witness=witness))
+
+
+def test_witness_with_a_forged_right_angled_flag_is_rejected():
+    # x0 has the label-3 neighbor y0, so the complement of the other five vertices is not right-angled
+    ambient = build_nerve(octahedron_spec({("x0", "y0"): 3}))
+    target, witness = full_subcomplex(ambient, ["x1", "y0", "y1", "z0", "z1"])
+    assert not witness.right_angled_complement
+    assert betti(target, RuleContext(witness=witness)).rule_for(2) != "R-sub2"
+    forged = SubcomplexWitness(ambient, witness.vertex_set, True)
+    with pytest.raises(InvalidWitness, match="^witness right-angled flag does not match the ambient labels$"):
+        betti(target, RuleContext(witness=forged))
 
 
 def test_join_factor_grouping_agreement():

@@ -220,6 +220,12 @@ def test_induced_examples():
         induced_subspec(k5, ["v0", "nope"])
 
 
+@pytest.mark.parametrize("u, v", [("v0", "nope"), ("nope", "v0"), ("nope", "nope")])
+def test_label_of_an_unknown_vertex_raises(u, v):
+    with pytest.raises(UnknownVertex, match="is not a vertex pair of this system"):
+        complete_graph_spec(5, 3).label(u, v)
+
+
 def test_random_corruption_rejected_or_roundtrips():
     # Documents mutated at random either parse to a consistent spec or
     # raise a SpecError subclass; nothing else leaks through.

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxeter_l2.model import CoxeterSpec, INFINITY, induced_subspec
 from coxeter_l2.catalog import (
@@ -24,6 +25,7 @@ from coxeter_l2.nerve import (
     link,
     recognize_sphere,
 )
+from coxeter_l2.planarity import cone_construction
 from coxeter_l2.spherical import classify, diagram_components
 
 from conftest import random_spec
@@ -117,6 +119,27 @@ def test_construction_paths_agree_on_equality_hash_and_membership():
             assert not complex_.has_simplex(())
             assert not complex_.has_simplex(("nowhere",))
             assert not complex_.has_simplex((*subset[:1], "nowhere"))
+
+
+@st.composite
+def complexes_of_every_constructor(draw) -> list[SimplicialComplex]:
+    """A random system's nerve, a view and a rebuild on a subset, a coned cycle, and plain copies of each."""
+    spec = random_spec(draw(st.randoms(use_true_random=False)), max_vertices=6)
+    subset = draw(st.lists(st.sampled_from(spec.vertices), unique=True)) if spec.vertices else []
+    nerve = build_nerve(spec)
+    cycle = build_nerve(cycle_spec(draw(st.integers(4, 7)), draw(st.sampled_from((2, 3, 4, 5)))))
+    cone, _ = cone_construction(cycle, {v: list(cycle.neighbors(v)) for v in cycle.vertices})
+    built = [nerve, induced_nerve(nerve, subset), build_nerve(induced_subspec(spec, subset)), cycle, cone]
+    return built + [SimplicialComplex(c.vertices, c.simplices()) for c in built]
+
+
+@settings(max_examples=100, deadline=None)
+@given(complexes_of_every_constructor())
+def test_equal_complexes_hash_equally(pool):
+    for a in pool:
+        for b in pool:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
 
 
 def test_full_subcomplex_of_cone_recovers_base():

@@ -1122,16 +1122,23 @@ def reference_certify(nerve) -> Certificate:
             f"subject has {len(components)} components; certified per component, "
             "a non-planar component makes the whole non-planar"
         ]
-        for comp in components:
-            sub_cert = reference_certify(build_nerve(induced_subspec(spec, comp)))
-            if sub_cert.verdict == "NotPlanar":
+        # Certify by size tier, smallest first; the first tier that certifies cites its largest bound.
+        for size in sorted({len(comp) for comp in components}):
+            tier = [
+                (comp, reference_certify(build_nerve(induced_subspec(spec, comp))))
+                for comp in components if len(comp) == size
+            ]
+            notes += [
+                f"component {{{','.join(comp)}}}: {cert.reason or 'ObstructionSilent'}"
+                for comp, cert in tier if cert.verdict != "NotPlanar"
+            ]
+            certified = [(comp, cert) for comp, cert in tier if cert.verdict == "NotPlanar"]
+            if certified:
+                comp, sub_cert = max(certified, key=lambda pair: pair[1].bound)  # the first on a tie
                 notes.append(f"witnessing component: {{{','.join(comp)}}}")
                 return Certificate(
                     "NotPlanar", spec, sub_cert.bound, sub_cert.chain, notes=tuple(notes)
                 )
-            notes.append(
-                f"component {{{','.join(comp)}}}: {sub_cert.reason or 'ObstructionSilent'}"
-            )
         return Certificate(
             "Inconclusive", spec, Fraction(0), (), reason="ObstructionSilent", notes=tuple(notes)
         )

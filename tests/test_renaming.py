@@ -8,6 +8,8 @@ order, and chi_orb, the Betti tuple and the certificate must not change.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
 from coxeter_l2.catalog import complete_bipartite_spec, complete_graph_spec
@@ -32,13 +34,17 @@ def systems(draw, max_vertices: int = 7, prefix: str = "v") -> CoxeterSpec:
     return CoxeterSpec(vertices, labels)
 
 
+def side_by_side(a: CoxeterSpec, b: CoxeterSpec) -> CoxeterSpec:
+    """Two systems on disjoint names, with no finite label between them."""
+    labels = {(u, v): m for u, v, m in (*a.finite_edges(), *b.finite_edges())}
+    return CoxeterSpec((*a.vertices, *b.vertices), labels)
+
+
 @st.composite
 def planted_unions(draw) -> CoxeterSpec:
-    """A random system beside a K5@3 or a right-angled K3,3, with no finite label between them."""
-    base = draw(systems())
+    """A random system beside a K5@3 or a right-angled K3,3."""
     planted = draw(st.sampled_from([complete_graph_spec(5, 3, prefix="p"), complete_bipartite_spec(3, 3)]))
-    labels = {(u, v): m for u, v, m in (*base.finite_edges(), *planted.finite_edges())}
-    return CoxeterSpec((*base.vertices, *planted.vertices), labels)
+    return side_by_side(draw(systems()), planted)
 
 
 @st.composite
@@ -75,16 +81,20 @@ def test_answers_survive_renaming(case):
     spec, other, name = case
     chi, vector, verdict, bound = answers(spec)
     other_chi, other_vector, other_verdict, other_bound = answers(other)
-    assert (chi, vector, verdict) == (other_chi, other_vector, other_verdict)
+    assert (chi, vector, verdict, bound) == (other_chi, other_vector, other_verdict, other_bound)
 
     # Per component, on its induced subsystem, the whole certificate survives.
-    certifying = 0
     for comp in build_nerve(spec).skeleton_components():
         cert = certify_nonplanar(induced_subspec(spec, comp))
         other_cert = certify_nonplanar(induced_subspec(other, [name[v] for v in comp]))
         assert (cert.verdict, cert.bound) == (other_cert.verdict, other_cert.bound)
-        certifying += cert.verdict == "NotPlanar"
-    # With two certifying components the bound cited is the first one's, so it
-    # depends on which names sort first; with at most one it is that component's.
-    if certifying <= 1:
-        assert bound == other_bound
+
+
+def test_k5_beside_k33_cites_k5_under_either_name_order():
+    # Both certify (1/6 and 1/4); K5@3 has fewer vertices, so it is cited whichever names sort first.
+    k33 = complete_bipartite_spec(3, 3)  # vertices a0..a2, b0..b2
+    for prefix in ("K", "k"):  # before and after the K3,3 names
+        k5 = complete_graph_spec(5, 3, prefix=prefix)
+        cert = certify_nonplanar(side_by_side(k5, k33))
+        assert (cert.verdict, cert.bound) == ("NotPlanar", Fraction(1, 6))
+        assert cert.notes[-1] == f"witnessing component: {{{','.join(k5.vertices)}}}"

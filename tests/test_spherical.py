@@ -10,13 +10,8 @@ from coxeter_l2.catalog import (
     complete_graph_spec,
     path_spec,
 )
-from coxeter_l2.spherical import (
-    IndeterminateNumeric,
-    classify,
-    cosine_matrix_test,
-    diagram_components,
-    spherical_by_cosine,
-)
+from coxeter_l2.enumeration import IndeterminateNumeric, cosine_matrix_test, spherical_by_cosine
+from coxeter_l2.spherical import classify, diagram_components
 
 from conftest import random_spec
 
