@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Finite-type classification cross-checked by matrix enumeration.
+"""Finite-type classification cross-checked by chamber-orbit enumeration.
 
 The diagram classifier decides sphericity exactly; the reflection
 representation provides an independent brute-force count of the group
-elements.  The two must agree on every finite type, and the enumeration
-must fail to close for affine shapes such as the (3,3,3) triangle.
+elements, one breadth-first pass over the orbit of a point of the
+fundamental chamber.  The two must agree on every finite type, and the
+enumeration must fail to close for affine shapes such as the (3,3,3)
+triangle.
 """
 
 from coxeter_l2 import classify, enumerate_order, verify_classification

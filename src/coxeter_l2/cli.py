@@ -245,8 +245,15 @@ def _cmd_planar_oracle(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so main reports them like any other bad input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coxl2",
         description="l2-invariants of Coxeter nerves and non-planarity certificates",
     )
@@ -319,8 +326,8 @@ PARSER = build_parser()  # built once; parse_args keeps no state between calls
 
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
     try:
+        args = PARSER.parse_args(argv)
         return args.func(args)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         message = str(exc).replace("\r", "\\r").replace("\n", "\\n")  # a vertex name may hold a line break

@@ -1,15 +1,19 @@
 """Numeric oracles on the cosine form: positive definiteness and brute-force order.
 
 The cosine test checks the leading minors of the matrix c_st =
--cos(pi / m_st).  Enumeration lets each generator act on R^|T| by the
-standard reflection matrices built from the same form; breadth-first
-closure under generator products counts group elements exactly when the
-group is finite.  Matrices are snapped to a fine grid and deduplicated on
-1e-6 equality cells (entries within a cell are the same element), one
-matmul and one bulk key pass per breadth-first layer; every count is re-run
-on a half-cell-shifted grid to guard against boundary collisions.  Each
-stored key holds n*n*8 bytes, so memory, not time, bounds the largest
-group.  These are desk-scale numerical oracles, not proofs.
+-cos(pi / m_st).  Enumeration lets each generator act on row vectors by
+the standard reflection matrices built from the same form and counts the
+orbit of x = (1, ..., 1), a point of the open fundamental chamber of the
+Tits cone.  W acts simply transitively on the chambers, so the orbit has
+one point per group element, and (x w)_s < 0 exactly when s is a right
+descent of w (Humphreys, Reflection Groups and Coxeter Groups, 5.4 and
+5.13).  One breadth-first pass by length makes each w != 1 once, from
+w s with s its least right descent, so nothing is hashed or stored beyond
+the current layer.  Each coordinate (x w)_t is the coefficient sum of the
+root w(alpha_t), and every nonzero root coefficient is at least 1 in
+magnitude, so a sign read within 1/2 of zero, or on a coordinate large
+enough for rounding to reach that margin, raises NumericCollision.
+These are desk-scale numerical oracles, not proofs.
 """
 
 from __future__ import annotations
@@ -21,15 +25,15 @@ import numpy as np
 from coxeter_l2.model import INFINITY, CoxeterSpec
 from coxeter_l2.spherical import classify
 
-_GRID = 1e-8  # snap resolution
-_CELL = 1e-6  # equality bucket: entries within one cell are the same element
+_MARGIN = 0.5  # exact chamber coordinates have magnitude at least 1
+_LARGEST = 2.0 ** 30  # past this, rounding could carry a coordinate across the margin
 _CONSTRUCTION_TOL = 1e-8
 _COSINE_EPS = 1e-9  # a leading minor within this of zero is indeterminate
 _COSINE_MAX_RANK = 12
 
 
 class NumericCollision(ArithmeticError):
-    """Grid-shifted enumerations persistently disagree on the closure size."""
+    """A chamber coordinate left the range where its sign can be trusted."""
 
 
 class IndeterminateNumeric(ArithmeticError):
@@ -107,41 +111,31 @@ def reflection_generators(spec: CoxeterSpec, subset) -> tuple[tuple[str, ...], n
     return T, gens
 
 
-def _closure_size(gens: np.ndarray, cap: int, offset: float) -> int | None:
-    """BFS closure size under generator right-multiplication; None past cap.
+def _orbit_size(gens: np.ndarray, cap: int) -> int | None:
+    """Orbit size of x = (1, ..., 1) under right multiplication; None past cap.
 
-    Each layer forms all frontier-by-generator products with one matmul
-    (frontier-major, generator-minor order) and keys them in bulk: entries
-    are snapped to the fine grid, bucketed into equality cells, and each
-    int64 row is read as one n*n*8-byte string.  The first product in that
-    order to reach an unseen key represents its element in the next
-    frontier.  Representatives of one group element drift by far less than
-    a cell (measured ~1e-12 even for the deepest rank-4 groups), while
-    distinct elements differ by entry gaps many orders of magnitude above it.
+    Each layer holds x w for the elements w of one length.  One matmul by
+    the generators stacked side by side gives every x w s; x w s is kept
+    when s is an ascent of w and the least descent of w s, which is then s
+    itself, the first negative coordinate of x w s.
     """
-    n = gens.shape[1]
-    cells_per_snap = _CELL / _GRID
-    key_dtype = np.dtype((np.void, n * n * 8))
-
-    def keys(batch: np.ndarray) -> list[bytes]:
-        snapped = np.round(batch / _GRID)
-        q = np.round(snapped / cells_per_snap + offset).astype(np.int64)
-        return q.reshape(len(batch), -1).view(key_dtype).ravel().tolist()
-
-    frontier = np.eye(n)[None, :, :]
-    store = set(keys(frontier))
+    n = len(gens)
+    stacked = gens.transpose(1, 0, 2).reshape(n, n * n)
+    own = np.arange(n)
+    frontier = np.ones((1, n))
     count = 1
     while len(frontier):
-        products = np.matmul(frontier[:, None], gens).reshape(-1, n, n)
-        fresh = []
-        for i, key in enumerate(keys(products)):
-            if key not in store:
-                store.add(key)
-                fresh.append(i)
-        count += len(fresh)
+        products = np.matmul(frontier, stacked).reshape(-1, n, n)
+        sizes = np.abs(products)
+        if sizes.min() < _MARGIN or sizes.max() > _LARGEST:
+            raise NumericCollision(
+                f"chamber coordinates span {sizes.min():.3g}..{sizes.max():.3g}, "
+                f"outside [{_MARGIN}, {_LARGEST:.0f}]"
+            )
+        frontier = products[(frontier > 0) & ((products < 0).argmax(axis=2) == own)]
+        count += len(frontier)
         if count > cap:
             return None
-        frontier = products[fresh]
     return count
 
 
@@ -150,7 +144,8 @@ def enumerate_order(spec: CoxeterSpec, subset, cap: int = 10 ** 6) -> int | None
 
     An infinite label inside the subset short-circuits to None (the pair
     already generates an infinite dihedral group).  Raises
-    NumericCollision if shifted-grid re-runs cannot agree.
+    NumericCollision if a chamber coordinate is too close to zero, or too
+    large, for its sign to be trusted.
     """
     T = spec.check_subset(subset)
     if len(T) > 8:
@@ -164,20 +159,7 @@ def enumerate_order(spec: CoxeterSpec, subset, cap: int = 10 ** 6) -> int | None
             if spec.label(u, v) == INFINITY:
                 return None
     _, gens = reflection_generators(spec, T)
-    # Exact entries (0, +-1/2, +-1, ...) are cell multiples, so offsets 0 and
-    # 1/2 would park them on cell boundaries; quarter-cell offsets stay half a
-    # cell apart from each other while keeping such values mid-cell.
-    first = _closure_size(gens, cap, 0.25)
-    second = _closure_size(gens, cap, 0.75)
-    if first == second:
-        return first
-    third = _closure_size(gens, cap, 0.125)
-    fourth = _closure_size(gens, cap, 0.625)
-    if third == fourth:
-        return third
-    raise NumericCollision(
-        f"closure sizes disagree across grid offsets: {first}, {second}, {third}, {fourth}"
-    )
+    return _orbit_size(gens, cap)
 
 
 def verify_classification(spec: CoxeterSpec, subset, *, infinite_cap: int = 20000) -> bool:

@@ -313,6 +313,25 @@ def test_enumerate_rejects_negative_cap(docs, capsys):
     assert "ExceedsCap" not in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["certify", "{k5}", "--bogus"], "unrecognized arguments: --bogus"),
+    (["enumerate", "{k5}", "--subset", "v0,v1", "--cap", "abc"], "argument --cap: invalid int value: 'abc'"),
+    (["enumerate", "{k5}"], "the following arguments are required: --subset"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_exit_one_with_one_error_line(docs, capsys, argv, message):
+    code, out, err = run(capsys, [docs["k5.json"] if arg == "{k5}" else arg for arg in argv])
+    _one_line_error(code, err)
+    assert err == f"error: {message}\n" and out == ""
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["enumerate", "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: coxl2 enumerate")
+
+
 # CLI fuzzing: arbitrary documents, subsets and caps through every subcommand.
 
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)  # writable as UTF-8
@@ -363,7 +382,7 @@ def invocations(draw):
     if command in ("classify", "trace", "enumerate"):
         argv.append(draw(subset))
     if command == "enumerate":
-        argv.append(f"--cap={draw(st.integers(-2, 300))}")
+        argv.append(f"--cap={draw(st.one_of(st.integers(-2, 300), TEXT))}")
     if command == "chi" and draw(st.booleans()):
         argv.append("--chain-oracle")
     if command == "betti":
@@ -395,5 +414,7 @@ def test_fuzzed_invocations_exit_cleanly(case):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([paths.get(arg, arg) for arg in argv])
     assert code in (0, 1, 2)
+    if code == 2:
+        assert argv[2] == "certify"  # an inconclusive certificate, never a usage error
     if code == 1:
         _one_line_error(code, err.getvalue())

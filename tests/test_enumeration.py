@@ -102,6 +102,23 @@ def test_verify_f4():
     assert verify_classification(spec, spec.vertices)
 
 
+def test_verify_e6_and_h4():
+    vertices = [f"v{i}" for i in range(6)]
+    bonds = {("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v2", "v5")}
+    e6 = CoxeterSpec(vertices, {
+        (u, v): 3 if (u, v) in bonds else 2 for i, u in enumerate(vertices) for v in vertices[i + 1:]
+    })
+    h4 = path_spec([5, 3, 3])
+    assert [classify(spec, spec.vertices).order for spec in (e6, h4)] == [51840, 14400]
+    assert verify_classification(e6, e6.vertices)
+    assert verify_classification(h4, h4.vertices)
+
+
+def test_affine_triangle_exceeds_the_default_cap():
+    spec = complete_graph_spec(3, 3)
+    assert enumerate_order(spec, spec.vertices) is None
+
+
 def test_verify_non_spherical():
     spec = complete_graph_spec(3, 3)
     assert verify_classification(spec, spec.vertices, infinite_cap=2000)
@@ -134,29 +151,15 @@ def test_verify_refuses_a_cap_past_the_budget_without_enumerating(monkeypatch):
         verify_classification(spec, vertices)
 
 
-def scripted_closure(monkeypatch, sizes):
-    offsets = []
-
-    def closure(gens, cap, offset):
-        offsets.append(offset)
-        return sizes[len(offsets) - 1]
-
-    monkeypatch.setattr(enumeration, "_closure_size", closure)
-    return offsets
+def test_a_pairing_below_the_margin_raises_numeric_collision():
+    # a 1x1 generator of 0 sends x = (1) to a coordinate whose sign cannot be read
+    with pytest.raises(NumericCollision, match=r"span 0\.\.0, outside \[0\.5, 1073741824\]"):
+        enumeration._orbit_size(np.zeros((1, 1, 1)), 10)
 
 
-def test_third_offset_decides_when_the_first_two_disagree(monkeypatch):
-    offsets = scripted_closure(monkeypatch, [5, 7, 6, 6])
-    spec = path_spec([3])
-    assert enumerate_order(spec, spec.vertices, cap=20) == 6
-    assert offsets == [0.25, 0.75, 0.125, 0.625]
-
-
-def test_four_disagreeing_offsets_raise_numeric_collision(monkeypatch):
-    scripted_closure(monkeypatch, [5, 7, 6, None])
-    spec = path_spec([3])
-    with pytest.raises(NumericCollision, match="5, 7, 6, None"):
-        enumerate_order(spec, spec.vertices, cap=20)
+def test_a_pairing_past_the_size_bound_raises_numeric_collision():
+    with pytest.raises(NumericCollision, match=r"span 2\.15e\+09\.\.2\.15e\+09, outside"):
+        enumeration._orbit_size(np.full((1, 1, 1), -2.0 ** 31), 10)
 
 
 def test_construction_names_the_first_generator_that_is_not_an_involution(monkeypatch):

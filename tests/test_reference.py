@@ -1719,14 +1719,17 @@ def test_matcher_rejects_a_non_tree_before_reading_labels():
     assert classify(spec, ["v0", "v1"]).order == 6 and calls == {"get": 1}  # one read for a pair
 
 
+GRID, CELL = 1e-8, 1e-6  # the retired grid closure's snap resolution and equality cell
+
+
 def reference_closure_size(gens, cap, offset):
     """The closure as first written: einsum products, one key per row in Python."""
     n = gens.shape[1]
     eye = np.eye(n)
-    cells_per_snap = enumeration._CELL / enumeration._GRID
+    cells_per_snap = CELL / GRID
 
     def keys(batch):
-        snapped = np.round(batch / enumeration._GRID)
+        snapped = np.round(batch / GRID)
         q = np.round(snapped / cells_per_snap + offset).astype(np.int64)
         return [row.tobytes() for row in q.reshape(len(batch), -1)]
 
@@ -1745,9 +1748,6 @@ def reference_closure_size(gens, cap, offset):
                     return None
         frontier = np.array(fresh) if fresh else np.empty((0, n, n))
     return count
-
-
-OFFSETS = (0.25, 0.75, 0.125, 0.625)
 
 
 def triangle_spec(p, q, r) -> CoxeterSpec:
@@ -1779,13 +1779,11 @@ def enumeration_systems(draw):
 @given(enumeration_systems(), st.integers(1, 3000))
 def test_closure_equals_einsum_reference(spec, cap):
     _, gens = enumeration.reflection_generators(spec, spec.vertices)
-    for offset in OFFSETS:
-        assert enumeration._closure_size(gens, cap, offset) == reference_closure_size(gens, cap, offset)
+    assert enumeration._orbit_size(gens, cap) == reference_closure_size(gens, cap, 0.25)
     verdict = classify(spec, spec.vertices)
     if verdict.spherical and verdict.order <= 3000:
-        for offset in OFFSETS:
-            assert enumeration._closure_size(gens, verdict.order - 1, offset) is None
-            assert enumeration._closure_size(gens, verdict.order, offset) == verdict.order
+        assert enumeration._orbit_size(gens, verdict.order - 1) is None
+        assert enumeration._orbit_size(gens, verdict.order) == verdict.order
 
 
 def test_closure_makes_one_matmul_per_layer(monkeypatch):
@@ -1802,11 +1800,10 @@ def test_closure_makes_one_matmul_per_layer(monkeypatch):
     _, gens = enumeration.reflection_generators(path_spec([3, 4, 3]), ["v0", "v1", "v2", "v3"])
     monkeypatch.setattr(np, "matmul", counting)
     monkeypatch.setattr(np, "einsum", einsum)
-    for offset in OFFSETS:
-        assert enumeration._closure_size(gens, 2400, offset) == 1152
+    assert enumeration._orbit_size(gens, 2400) == 1152
     # F4's longest element has length 24, its number of reflections: layers 0..24,
     # the last one finding nothing new
-    assert calls == {"matmul": 4 * 25}
+    assert calls == {"matmul": 25}
 
 
 class ReferenceBettiVector:

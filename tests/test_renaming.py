@@ -1,7 +1,8 @@
 """Metamorphic property: answers do not depend on what the vertices are called.
 
 Three kinds of system are drawn: small random systems, disjoint unions of
-one with a planted K5@3 or right-angled K3,3, and right-angled joins of two.
+one with one or two planted components (K5@3 or a right-angled K3,3), and
+right-angled joins of two.
 Each is renamed by a random bijection onto fresh names, listed in a random
 order, and chi_orb, the Betti tuple and the certificate must not change.
 """
@@ -40,11 +41,20 @@ def side_by_side(a: CoxeterSpec, b: CoxeterSpec) -> CoxeterSpec:
     return CoxeterSpec((*a.vertices, *b.vertices), labels)
 
 
+PLANTED = (complete_graph_spec(5, 3, prefix="p"), complete_graph_spec(5, 3, prefix="q"), complete_bipartite_spec(3, 3))
+
+
 @st.composite
 def planted_unions(draw) -> CoxeterSpec:
-    """A random system beside a K5@3 or a right-angled K3,3."""
-    planted = draw(st.sampled_from([complete_graph_spec(5, 3, prefix="p"), complete_bipartite_spec(3, 3)]))
-    return side_by_side(draw(systems()), planted)
+    """A random system beside one or two distinct planted components, each a K5@3 or a right-angled K3,3.
+
+    With two certifying components, a certificate that picked its witness
+    by name order would change under renaming.
+    """
+    spec = draw(systems())
+    for planted in draw(st.lists(st.sampled_from(PLANTED), min_size=1, max_size=2, unique=True)):
+        spec = side_by_side(spec, planted)
+    return spec
 
 
 @st.composite
