@@ -3,9 +3,10 @@
 
 The diagram classifier decides sphericity exactly; the reflection
 representation provides an independent brute-force count of the group
-elements, one breadth-first pass over the orbit of a point of the
-fundamental chamber.  The two must agree on every finite type, and the
-enumeration must fail to close for affine shapes such as the (3,3,3)
+order, as the product of the indices along a chain of parabolic
+subgroups, each the size of the orbit of a point on the walls of the
+closed fundamental chamber.  The two must agree on every finite type, and
+the enumeration must fail to close for affine shapes such as the (3,3,3)
 triangle.
 """
 

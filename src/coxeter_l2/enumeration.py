@@ -1,31 +1,37 @@
 """Numeric oracles on the cosine form: positive definiteness and brute-force order.
 
 The cosine test checks the leading minors of the matrix c_st =
--cos(pi / m_st).  Enumeration lets each generator act on row vectors by
-the standard reflection matrices built from the same form and counts the
-orbit of x = (1, ..., 1), a point of the open fundamental chamber of the
-Tits cone.  W acts simply transitively on the chambers, so the orbit has
-one point per group element, and (x w)_s < 0 exactly when s is a right
-descent of w (Humphreys, Reflection Groups and Coxeter Groups, 5.4 and
-5.13).  One breadth-first pass by length makes each w != 1 once, from
-w s with s its least right descent, so nothing is hashed or stored beyond
-the current layer.  Each coordinate (x w)_t is the coefficient sum of the
-root w(alpha_t), and every nonzero root coefficient is at least 1 in
-magnitude, so a sign read within 1/2 of zero, or on a coordinate large
-enough for rounding to reach that margin, raises NumericCollision.
-These are desk-scale numerical oracles, not proofs.
+-cos(pi / m_st), each the running product of the pivots of Gaussian
+elimination.  Enumeration lets each generator act on row vectors by the
+standard reflection matrices built from the same form.  With s_0 < ... <
+s_{n-1} the sorted subset and T_k = {s_0, ..., s_k}, the row vector e_k
+lies in the closed fundamental chamber of W_{T_k}, on the walls of
+T_{k-1}, so its stabiliser is the parabolic subgroup W_{T_{k-1}} and its
+orbit has [W_{T_k} : W_{T_{k-1}}] points; the order is the product of
+these indices (Humphreys, Reflection Groups and Coxeter Groups, 1.10 and
+5.13).  Each orbit is walked breadth-first by length: y g_s is formed only
+when y_s > 0 and kept when s is its first negative coordinate, so every
+point is made once, from its parent by least descent, and nothing is
+hashed or stored beyond the current layer.  Coordinate t of e_k w is the
+alpha_k-coefficient of the root w(alpha_t), and a nonzero root
+coefficient has magnitude at least 1 (Brink and Howlett, Math. Ann. 296,
+1993), so a computed coordinate within 1/4 of zero reads as exactly 0,
+and one in [1/4, 1/2), or large enough for rounding to reach that band,
+raises NumericCollision.  These are desk-scale numerical oracles, not
+proofs.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from coxeter_l2.model import INFINITY, CoxeterSpec
 from coxeter_l2.spherical import classify
 
-_MARGIN = 0.5  # exact chamber coordinates have magnitude at least 1
+_Matrix = tuple[tuple[float, ...], ...]
+
+_ZERO = 0.25  # a computed coordinate this close to zero is exactly 0
+_MARGIN = 0.5  # nonzero exact coordinates have magnitude at least 1
 _LARGEST = 2.0 ** 30  # past this, rounding could carry a coordinate across the margin
 _CONSTRUCTION_TOL = 1e-8
 _COSINE_EPS = 1e-9  # a leading minor within this of zero is indeterminate
@@ -33,18 +39,16 @@ _COSINE_MAX_RANK = 12
 
 
 class NumericCollision(ArithmeticError):
-    """A chamber coordinate left the range where its sign can be trusted."""
+    """A computed root coefficient is neither near 0 nor safely past the margin."""
 
 
 class IndeterminateNumeric(ArithmeticError):
     """A principal minor fell within tolerance of zero; fall back to classify."""
 
 
-def _cosine_matrix(spec: CoxeterSpec, T: tuple[str, ...]) -> np.ndarray:
+def _cosine_matrix(spec: CoxeterSpec, T: tuple[str, ...]) -> list[list[float]]:
     """The cosine form on a checked subset, -1 at an infinite label; the diagonal label 1 gives 1.0."""
-    n = len(T)
-    rows = [[-1.0 if (m := spec.label(u, v)) == INFINITY else -math.cos(math.pi / m) for v in T] for u in T]
-    return np.reshape(np.array(rows, dtype=float), (n, n))
+    return [[-1.0 if (m := spec.label(u, v)) == INFINITY else -math.cos(math.pi / m) for v in T] for u in T]
 
 
 def cosine_matrix_test(spec: CoxeterSpec, subset) -> bool:
@@ -54,20 +58,27 @@ def cosine_matrix_test(spec: CoxeterSpec, subset) -> bool:
     _COSINE_EPS; raises IndeterminateNumeric when a minor lands within
     +/-_COSINE_EPS of zero, in which case the caller should fall back to
     classify.  Subsets above rank _COSINE_MAX_RANK raise ValueError.
+    Elimination stops at the first minor that is not positive, so every
+    pivot it divides by is positive.
     """
     T = spec.check_subset(subset)
     n = len(T)
     if n > _COSINE_MAX_RANK:
         raise ValueError(f"subset rank {n} exceeds the numeric bound {_COSINE_MAX_RANK}")
     C = _cosine_matrix(spec, T)
-    for k in range(1, n + 1):
-        minor = float(np.linalg.det(C[:k, :k]))
+    minor = 1.0
+    for k, row in enumerate(C):
+        minor *= row[k]
         if abs(minor) <= _COSINE_EPS:
             raise IndeterminateNumeric(
-                f"leading {k}x{k} minor {minor:.3e} within {_COSINE_EPS} of zero"
+                f"leading {k + 1}x{k + 1} minor {minor:.3e} within {_COSINE_EPS} of zero"
             )
         if minor < 0:
             return False
+        for below in C[k + 1:]:
+            factor = below[k] / row[k]
+            for j in range(k + 1, n):
+                below[j] -= factor * row[j]
     return True
 
 
@@ -86,57 +97,107 @@ def spherical_by_cosine(spec: CoxeterSpec, subset) -> bool:
         return classify(spec, T).spherical
 
 
-def reflection_generators(spec: CoxeterSpec, subset) -> tuple[tuple[str, ...], np.ndarray]:
+def _close(y: list[float], s: int, atol: float) -> bool:
+    """y is within atol + 1e-5 |e_s| of the basis row e_s, entry by entry."""
+    return abs(y[s] - 1.0) <= atol + 1e-5 and max(map(abs, y[:s] + y[s + 1:]), default=0.0) <= atol
+
+
+def reflection_generators(spec: CoxeterSpec, subset) -> tuple[tuple[str, ...], tuple[_Matrix, ...]]:
     """Reflection matrices for the induced subsystem, one per subset vertex.
 
     Generator s sends its own basis vector e_s to -e_s and every other
     e_t to e_t + 2 cos(pi / m_st) e_s.  Involutivity and the dihedral
-    orders of generator pairs are verified at construction.
+    orders of generator pairs are verified at construction.  g_s is the
+    identity but for its row r_s, so y g_s = y + y_s (r_s - e_s): only row
+    s of g_s g_s, and rows i and j of (g_i g_j)^m, can differ from the
+    identity, and e_i (g_i g_j)^m is e_i plus a multiple of r_i - e_i and
+    one of r_j - e_j, each the sum of the coordinates its steps read.
     """
     T = spec.check_subset(subset)
     n = len(T)
-    eye = np.eye(n)
-    gens = np.tile(eye, (n, 1, 1))
-    gens[np.arange(n), np.arange(n)] -= 2.0 * _cosine_matrix(spec, T)
-    involution = np.isclose(gens @ gens, eye, atol=_CONSTRUCTION_TOL).all(axis=(1, 2))
-    if not involution.all():
-        raise ArithmeticError(f"generator {T[np.argmin(involution)]} is not an involution")
-    pairs = [(i, j, m) for i in range(n) for j in range(i + 1, n) if (m := spec.label(T[i], T[j])) != INFINITY]
-    if pairs:
-        powers = np.stack([np.linalg.matrix_power(gens[i] @ gens[j], m) for i, j, m in pairs])
-        braid = np.isclose(powers, eye, atol=1e-6).all(axis=(1, 2))
-        if not braid.all():
-            i, j, m = pairs[np.argmin(braid)]
-            raise ArithmeticError(f"product of {T[i]}, {T[j]} does not have order {m}")
+    C = _cosine_matrix(spec, T)
+    rows = [tuple(float(s == t) - 2.0 * c for t, c in enumerate(C[s])) for s in range(n)]
+    eye = [tuple(float(r == t) for t in range(n)) for r in range(n)]
+    gens = tuple(tuple(rows[s] if r == s else eye[r] for r in range(n)) for s in range(n))
+    for s, row in enumerate(rows):
+        if not _close([c + row[s] * (c - (t == s)) for t, c in enumerate(row)], s, _CONSTRUCTION_TOL):
+            raise ArithmeticError(f"generator {T[s]} is not an involution")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (m := spec.label(T[i], T[j])) == INFINITY:
+                continue
+            ri, rj = rows[i], rows[j]
+            for start in (i, j):
+                a, b, A, B = float(start == i), float(start == j), 0.0, 0.0
+                for _ in range(m):
+                    A += a
+                    a, b = a * ri[i], b + a * ri[j]
+                    B += b
+                    a, b = a + b * rj[i], b * rj[j]
+                y = [(t == start) + A * (ri[t] - (t == i)) + B * (rj[t] - (t == j)) for t in range(n)]
+                if not _close(y, start, 1e-6):
+                    raise ArithmeticError(f"product of {T[i]}, {T[j]} does not have order {m}")
     return T, gens
 
 
-def _orbit_size(gens: np.ndarray, cap: int) -> int | None:
-    """Orbit size of x = (1, ..., 1) under right multiplication; None past cap.
+def _exact(v: float) -> float:
+    """A computed root coefficient, read as 0 near zero; raises where its value is in doubt."""
+    size = abs(v)
+    if size < _ZERO:
+        return 0.0
+    if size < _MARGIN or size > _LARGEST:
+        raise NumericCollision(
+            f"root coefficient {v:.6g} is neither within {_ZERO} of 0 nor in [{_MARGIN}, {_LARGEST:.0f}]"
+        )
+    return v
 
-    Each layer holds x w for the elements w of one length.  One matmul by
-    the generators stacked side by side gives every x w s; x w s is kept
-    when s is an ascent of w and the least descent of w s, which is then s
-    itself, the first negative coordinate of x w s.
+
+def _orbit_count(gens: tuple[_Matrix, ...], k: int, bound: int) -> int | None:
+    """Size of the orbit of e_k under g_0, ..., g_k on coordinates 0..k; None past bound.
+
+    y g_s scales coordinate s by g_s[s][s] and adds y_s g_s[s][t] to each
+    diagram neighbour t of s; the other coordinates stay, so only the
+    changed ones are computed and checked.
     """
-    n = len(gens)
-    stacked = gens.transpose(1, 0, 2).reshape(n, n * n)
-    own = np.arange(n)
-    frontier = np.ones((1, n))
+    moves = []
+    for s in range(k + 1):
+        row = gens[s][s]
+        moves.append((s, row[s], [(t, c) for t in range(k + 1) if t != s and (c := _exact(row[t]))]))
+    frontier = [[0.0] * k + [1.0]]
     count = 1
-    while len(frontier):
-        products = np.matmul(frontier, stacked).reshape(-1, n, n)
-        sizes = np.abs(products)
-        if sizes.min() < _MARGIN or sizes.max() > _LARGEST:
-            raise NumericCollision(
-                f"chamber coordinates span {sizes.min():.3g}..{sizes.max():.3g}, "
-                f"outside [{_MARGIN}, {_LARGEST:.0f}]"
-            )
-        frontier = products[(frontier > 0) & ((products < 0).argmax(axis=2) == own)]
-        count += len(frontier)
-        if count > cap:
-            return None
+    while frontier:
+        layer = []
+        for y in frontier:
+            for s, own, neighbours in moves:
+                ys = y[s]
+                if ys <= 0.0:
+                    continue
+                z = y.copy()
+                z[s] = v = _exact(ys * own)
+                for t, c in neighbours:
+                    z[t] = _exact(z[t] + c * ys)
+                if v < 0 and min(z[:s], default=0.0) >= 0:
+                    layer.append(z)
+                    count += 1
+                    if count > bound:
+                        return None
+        frontier = layer
     return count
+
+
+def _order(gens: tuple[_Matrix, ...], cap: int) -> int | None:
+    """|W_T| as the product of the indices [W_{T_k} : W_{T_{k-1}}]; None past cap.
+
+    Stage k stops once its index passes cap // (order so far), so the
+    result is the order when it is at most cap and None otherwise.
+    """
+    order = 1
+    for k in range(len(gens)):
+        count = _orbit_count(gens, k, cap // order)
+        if count is None:
+            return None
+        order *= count
+    return order
 
 
 def enumerate_order(spec: CoxeterSpec, subset, cap: int = 10 ** 6) -> int | None:
@@ -144,8 +205,8 @@ def enumerate_order(spec: CoxeterSpec, subset, cap: int = 10 ** 6) -> int | None
 
     An infinite label inside the subset short-circuits to None (the pair
     already generates an infinite dihedral group).  Raises
-    NumericCollision if a chamber coordinate is too close to zero, or too
-    large, for its sign to be trusted.
+    NumericCollision if a computed root coefficient is too close to the
+    margin, or too large, for its value to be trusted.
     """
     T = spec.check_subset(subset)
     if len(T) > 8:
@@ -159,7 +220,7 @@ def enumerate_order(spec: CoxeterSpec, subset, cap: int = 10 ** 6) -> int | None
             if spec.label(u, v) == INFINITY:
                 return None
     _, gens = reflection_generators(spec, T)
-    return _orbit_size(gens, cap)
+    return _order(gens, cap)
 
 
 def verify_classification(spec: CoxeterSpec, subset, *, infinite_cap: int = 20000) -> bool:

@@ -50,6 +50,7 @@ def test_empty_subset_is_trivial_group():
 def test_generators_are_involutions_with_braid_orders():
     spec = path_spec([3, 4, 3])
     T, gens = reflection_generators(spec, spec.vertices)
+    gens = np.array(gens)
     eye = np.eye(len(T))
     for g in gens:
         assert np.allclose(g @ g, eye, atol=1e-9)
@@ -152,14 +153,77 @@ def test_verify_refuses_a_cap_past_the_budget_without_enumerating(monkeypatch):
 
 
 def test_a_pairing_below_the_margin_raises_numeric_collision():
-    # a 1x1 generator of 0 sends x = (1) to a coordinate whose sign cannot be read
-    with pytest.raises(NumericCollision, match=r"span 0\.\.0, outside \[0\.5, 1073741824\]"):
-        enumeration._orbit_size(np.zeros((1, 1, 1)), 10)
+    # a 1x1 generator of -0.3 sends e_0 to a coordinate in the [1/4, 1/2) band,
+    # which is neither an exact 0 nor a root coefficient of magnitude at least 1
+    with pytest.raises(
+        NumericCollision, match=r"^root coefficient -0\.3 is neither within 0\.25 of 0 nor in \[0\.5, 1073741824\]$"
+    ):
+        enumeration._order((((-0.3,),),), 10)
+    # below 1/4 the coordinate reads as exactly 0: e_0 is fixed and its orbit is one point
+    assert enumeration._order((((-0.2,),),), 10) == 1
 
 
 def test_a_pairing_past_the_size_bound_raises_numeric_collision():
-    with pytest.raises(NumericCollision, match=r"span 2\.15e\+09\.\.2\.15e\+09, outside"):
-        enumeration._orbit_size(np.full((1, 1, 1), -2.0 ** 31), 10)
+    with pytest.raises(NumericCollision, match=r"^root coefficient -2\.14748e\+09 is neither"):
+        enumeration._order((((-2.0 ** 31,),),), 10)
+
+
+def test_every_computed_coordinate_is_checked():
+    # the band is caught on a neighbour coordinate and on a generator entry, not only on y_s:
+    # e_1 g_1 = (1, -1), and then (1, -1) g_0 = (-1, -1 + 1.3)
+    with pytest.raises(NumericCollision, match=r"^root coefficient 0\.3 "):
+        enumeration._order((((-1.0, 1.3), (0.0, 1.0)), ((1.0, 0.0), (1.0, -1.0))), 10)
+    with pytest.raises(NumericCollision, match=r"^root coefficient 0\.3 "):
+        enumeration._order((((-1.0, 0.3), (0.0, 1.0)), ((1.0, 0.0), (0.0, -1.0))), 10)
+
+
+def _dynkin(rank, bonds):
+    """A system on v0..v{rank-1}: label 3 on each bond unless given, 2 elsewhere."""
+    vertices = [f"v{i}" for i in range(rank)]
+    labels = {(f"v{i}", f"v{j}"): 2 for i in range(rank) for j in range(i + 1, rank)}
+    for bond in bonds:
+        i, j, m = bond if len(bond) == 3 else (*bond, 3)
+        labels[(f"v{min(i, j)}", f"v{max(i, j)}")] = m
+    return CoxeterSpec(vertices, labels)
+
+
+A8 = _dynkin(8, [(i, i + 1) for i in range(7)])
+B7 = _dynkin(7, [(i, i + 1) for i in range(5)] + [(5, 6, 4)])
+B8 = _dynkin(8, [(i, i + 1) for i in range(6)] + [(6, 7, 4)])
+D8 = _dynkin(8, [(i, i + 1) for i in range(6)] + [(5, 7)])
+E6 = _dynkin(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+E8 = _dynkin(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7)])
+
+
+def test_a8_and_b7_enumerate_to_their_orders():
+    assert [classify(spec, spec.vertices).order for spec in (A8, B7)] == [362880, 645120]
+    assert enumerate_order(A8, A8.vertices) == 362880
+    assert enumerate_order(B7, B7.vertices) == 645120
+
+
+def test_rank_eight_groups_past_the_default_cap():
+    # |B8| = 10,321,920, |D8| = 5,160,960, |E8| = 696,729,600
+    for spec in (B8, D8, E8):
+        assert classify(spec, spec.vertices).order > 10 ** 6
+        assert enumerate_order(spec, spec.vertices) is None
+
+
+def test_verify_a8():
+    assert verify_classification(A8, A8.vertices)
+
+
+@pytest.mark.parametrize("spec", [E6, path_spec([3, 4, 3]), path_spec([3, 3, 5])], ids=["E6", "F4", "H4"])
+def test_order_is_unchanged_under_renaming(spec):
+    # a renaming reorders the sorted subset, and with it the chain of parabolic subgroups
+    order = classify(spec, spec.vertices).order
+    rng = random.Random(order)
+    for _ in range(10):
+        names = dict(zip(spec.vertices, (f"w{i}" for i in rng.sample(range(100), len(spec.vertices)))))
+        renamed = CoxeterSpec(
+            [names[v] for v in spec.vertices],
+            {(names[u], names[v]): spec.label(u, v) for i, u in enumerate(spec.vertices) for v in spec.vertices[i + 1:]},
+        )
+        assert enumerate_order(renamed, renamed.vertices) == order
 
 
 def test_construction_names_the_first_generator_that_is_not_an_involution(monkeypatch):

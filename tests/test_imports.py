@@ -8,13 +8,16 @@ The package exports exactly what its __init__ imports, so a deleted name
 cannot linger in __all__.  The private constructors (_presorted,
 _assembled, _index, _view) are called only in the nerve module, which keeps
 their preconditions; elsewhere complexes come from SimplicialComplex,
-build_nerve or induced_nerve.  Floating point stays in the numeric
-oracles: enumeration is the only module that imports numpy, so no module
-of the exact decision path (classification, nerves, invariants,
-certificates) depends on it.
+build_nerve or induced_nerve.  No module imports numpy: floating point
+stays in the numeric oracles, which need only the standard library, so
+numpy is a test dependency and no `coxl2` run loads it, not even an
+`enumerate`.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import coxeter_l2
@@ -87,7 +90,7 @@ def test_complexes_are_constructed_only_in_nerve():
     assert found == []
 
 
-def test_only_the_numeric_oracle_imports_numpy():
+def test_no_module_imports_numpy():
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -97,5 +100,20 @@ def test_only_the_numeric_oracle_imports_numpy():
                 else []
             )
             if any(m == "numpy" or m.startswith("numpy.") for m in modules):
-                found.append(path.name)
-    assert sorted(set(found)) == ["enumeration.py"]
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_an_enumerate_run_leaves_numpy_unloaded():
+    k5 = SRC.parent.parent / "demos" / "data" / "k5.json"
+    script = (
+        "import sys\n"
+        "import coxeter_l2, coxeter_l2.cli\n"
+        f"code = coxeter_l2.cli.main(['enumerate', {str(k5)!r}, '--subset', 'v0,v1,v2', '--cap', '500'])\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ExceedsCap\n"

@@ -10,7 +10,8 @@ provenance text is parsed, the component matcher that reads labels through
 label() and returns a record, document parsing that checked every label
 before the constructor checked it again, coning by rebuilding the coned
 spec's nerve, the enumeration closure that formed each layer's
-products with einsum and keyed them one row at a time, the Betti
+products with einsum and keyed them one row at a time, the cosine test
+that took each leading minor with numpy's determinant, the Betti
 engine that filled a separate builder and summed the finished vector again,
 the right-angled-complement flag and straddling pairs that each scanned
 the labels on their own before one witness scan replaced them, the
@@ -1779,31 +1780,49 @@ def enumeration_systems(draw):
 @given(enumeration_systems(), st.integers(1, 3000))
 def test_closure_equals_einsum_reference(spec, cap):
     _, gens = enumeration.reflection_generators(spec, spec.vertices)
-    assert enumeration._orbit_size(gens, cap) == reference_closure_size(gens, cap, 0.25)
+    assert enumeration._order(gens, cap) == reference_closure_size(np.asarray(gens), cap, 0.25)
     verdict = classify(spec, spec.vertices)
     if verdict.spherical and verdict.order <= 3000:
-        assert enumeration._orbit_size(gens, verdict.order - 1) is None
-        assert enumeration._orbit_size(gens, verdict.order) == verdict.order
+        assert enumeration._order(gens, verdict.order - 1) is None
+        assert enumeration._order(gens, verdict.order) == verdict.order
 
 
-def test_closure_makes_one_matmul_per_layer(monkeypatch):
-    calls = Counter()
-    original = np.matmul
+def reference_cosine_matrix_test(spec, subset) -> bool:
+    """The cosine test as it was: each leading minor from numpy's determinant."""
+    T = spec.check_subset(subset)
+    n = len(T)
+    if n > 12:
+        raise ValueError(f"subset rank {n} exceeds the numeric bound 12")
+    rows = [[-1.0 if (m := spec.label(u, v)) == INFINITY else -math.cos(math.pi / m) for v in T] for u in T]
+    C = np.reshape(np.array(rows, dtype=float), (n, n))
+    for k in range(1, n + 1):
+        minor = float(np.linalg.det(C[:k, :k]))
+        if abs(minor) <= 1e-9:
+            raise enumeration.IndeterminateNumeric(f"leading {k}x{k} minor {minor:.3e} within 1e-09 of zero")
+        if minor < 0:
+            return False
+    return True
 
-    def counting(*args):
-        calls["matmul"] += 1
-        return original(*args)
 
-    def einsum(*args):
-        raise AssertionError("einsum called")
+@st.composite
+def cosine_systems(draw):
+    """Systems of rank at most 12, labels in {2..12, inf}, mostly 2 so that some stay spherical."""
+    rank = draw(st.integers(0, 12))
+    vertices = [f"v{i}" for i in range(rank)]
+    label = st.one_of(st.just(2), st.sampled_from([*range(2, 13), INFINITY]))
+    return CoxeterSpec(vertices, {(u, v): draw(label) for i, u in enumerate(vertices) for v in vertices[i + 1:]})
 
-    _, gens = enumeration.reflection_generators(path_spec([3, 4, 3]), ["v0", "v1", "v2", "v3"])
-    monkeypatch.setattr(np, "matmul", counting)
-    monkeypatch.setattr(np, "einsum", einsum)
-    assert enumeration._orbit_size(gens, 2400) == 1152
-    # F4's longest element has length 24, its number of reflections: layers 0..24,
-    # the last one finding nothing new
-    assert calls == {"matmul": 25}
+
+@settings(max_examples=300, deadline=None)
+@given(cosine_systems())
+def test_cosine_test_equals_determinant_reference(spec):
+    def outcome(test):
+        try:
+            return test(spec, spec.vertices)
+        except enumeration.IndeterminateNumeric:
+            return "indeterminate"
+
+    assert outcome(enumeration.cosine_matrix_test) == outcome(reference_cosine_matrix_test)
 
 
 class ReferenceBettiVector:
