@@ -2,8 +2,8 @@
 
 The cosine test checks the leading minors of the matrix c_st =
 -cos(pi / m_st), each the running product of the pivots of Gaussian
-elimination.  Enumeration lets each generator act on row vectors by the
-standard reflection matrices built from the same form.  With s_0 < ... <
+elimination.  Enumeration acts on row vectors by the reflections in the
+same form, each kept as its one row off the identity.  With s_0 < ... <
 s_{n-1} the sorted subset and T_k = {s_0, ..., s_k}, the row vector e_k
 lies in the closed fundamental chamber of W_{T_k}, on the walls of
 T_{k-1}, so its stabiliser is the parabolic subgroup W_{T_{k-1}} and its
@@ -46,9 +46,14 @@ class IndeterminateNumeric(ArithmeticError):
     """A principal minor fell within tolerance of zero; fall back to classify."""
 
 
-def _cosine_matrix(spec: CoxeterSpec, T: tuple[str, ...]) -> list[list[float]]:
-    """The cosine form on a checked subset, -1 at an infinite label; the diagonal label 1 gives 1.0."""
-    return [[-1.0 if (m := spec.label(u, v)) == INFINITY else -math.cos(math.pi / m) for v in T] for u in T]
+def _labels(spec: CoxeterSpec, T: tuple[str, ...]) -> list[list]:
+    """The labels on a checked subset, one read per ordered pair; the diagonal label is 1."""
+    return [[spec.label(u, v) for v in T] for u in T]
+
+
+def _cosine(m) -> float:
+    """The cosine form at label m: -1 at an infinite label, 1.0 on the diagonal."""
+    return -1.0 if m == INFINITY else -math.cos(math.pi / m)
 
 
 def cosine_matrix_test(spec: CoxeterSpec, subset) -> bool:
@@ -65,7 +70,7 @@ def cosine_matrix_test(spec: CoxeterSpec, subset) -> bool:
     n = len(T)
     if n > _COSINE_MAX_RANK:
         raise ValueError(f"subset rank {n} exceeds the numeric bound {_COSINE_MAX_RANK}")
-    C = _cosine_matrix(spec, T)
+    C = [[_cosine(m) for m in row] for row in _labels(spec, T)]
     minor = 1.0
     for k, row in enumerate(C):
         minor *= row[k]
@@ -83,17 +88,11 @@ def cosine_matrix_test(spec: CoxeterSpec, subset) -> bool:
 
 
 def spherical_by_cosine(spec: CoxeterSpec, subset) -> bool:
-    """Cosine test with indeterminate cases adjudicated exactly.
-
-    An infinite label forces non-sphericity outright (infinite dihedral
-    subgroup); any other indeterminate minor is resolved by classify.
-    """
+    """Cosine test with indeterminate cases, an infinite label among them, adjudicated by classify."""
     T = spec.check_subset(subset)
     try:
         return cosine_matrix_test(spec, T)
     except IndeterminateNumeric:
-        if any(spec.label(u, v) == INFINITY for i, u in enumerate(T) for v in T[i + 1:]):
-            return False
         return classify(spec, T).spherical
 
 
@@ -102,29 +101,24 @@ def _close(y: list[float], s: int, atol: float) -> bool:
     return abs(y[s] - 1.0) <= atol + 1e-5 and max(map(abs, y[:s] + y[s + 1:]), default=0.0) <= atol
 
 
-def reflection_generators(spec: CoxeterSpec, subset) -> tuple[tuple[str, ...], tuple[_Matrix, ...]]:
-    """Reflection matrices for the induced subsystem, one per subset vertex.
+def _reflection_rows(T: tuple[str, ...], labels: list[list]) -> list[tuple[float, ...]]:
+    """Row r_s of each generator g_s, checked; g_s is the identity but for that row.
 
-    Generator s sends its own basis vector e_s to -e_s and every other
-    e_t to e_t + 2 cos(pi / m_st) e_s.  Involutivity and the dihedral
-    orders of generator pairs are verified at construction.  g_s is the
-    identity but for its row r_s, so y g_s = y + y_s (r_s - e_s): only row
-    s of g_s g_s, and rows i and j of (g_i g_j)^m, can differ from the
-    identity, and e_i (g_i g_j)^m is e_i plus a multiple of r_i - e_i and
-    one of r_j - e_j, each the sum of the coordinates its steps read.
+    Generator s sends e_s to -e_s and every other e_t to e_t + 2 cos(pi / m_st) e_s,
+    so y g_s = y + y_s (r_s - e_s).  Involutivity and the dihedral orders of
+    generator pairs are verified here: only row s of g_s g_s, and rows i and
+    j of (g_i g_j)^m, can differ from the identity, and e_i (g_i g_j)^m is
+    e_i plus a multiple of r_i - e_i and one of r_j - e_j, each the sum of
+    the coordinates its steps read.
     """
-    T = spec.check_subset(subset)
     n = len(T)
-    C = _cosine_matrix(spec, T)
-    rows = [tuple(float(s == t) - 2.0 * c for t, c in enumerate(C[s])) for s in range(n)]
-    eye = [tuple(float(r == t) for t in range(n)) for r in range(n)]
-    gens = tuple(tuple(rows[s] if r == s else eye[r] for r in range(n)) for s in range(n))
+    rows = [tuple(float(s == t) - 2.0 * _cosine(m) for t, m in enumerate(labels[s])) for s in range(n)]
     for s, row in enumerate(rows):
         if not _close([c + row[s] * (c - (t == s)) for t, c in enumerate(row)], s, _CONSTRUCTION_TOL):
             raise ArithmeticError(f"generator {T[s]} is not an involution")
     for i in range(n):
         for j in range(i + 1, n):
-            if (m := spec.label(T[i], T[j])) == INFINITY:
+            if (m := labels[i][j]) == INFINITY:
                 continue
             ri, rj = rows[i], rows[j]
             for start in (i, j):
@@ -137,7 +131,15 @@ def reflection_generators(spec: CoxeterSpec, subset) -> tuple[tuple[str, ...], t
                 y = [(t == start) + A * (ri[t] - (t == i)) + B * (rj[t] - (t == j)) for t in range(n)]
                 if not _close(y, start, 1e-6):
                     raise ArithmeticError(f"product of {T[i]}, {T[j]} does not have order {m}")
-    return T, gens
+    return rows
+
+
+def reflection_generators(spec: CoxeterSpec, subset) -> tuple[tuple[str, ...], tuple[_Matrix, ...]]:
+    """Reflection matrices for the induced subsystem: matrix s is the identity with row s set to r_s."""
+    T = spec.check_subset(subset)
+    eye = [tuple(float(r == t) for t in range(len(T))) for r in range(len(T))]
+    rows = _reflection_rows(T, _labels(spec, T))
+    return T, tuple(tuple(row if r == s else eye[r] for r in range(len(T))) for s, row in enumerate(rows))
 
 
 def _exact(v: float) -> float:
@@ -152,16 +154,16 @@ def _exact(v: float) -> float:
     return v
 
 
-def _orbit_count(gens: tuple[_Matrix, ...], k: int, bound: int) -> int | None:
+def _orbit_count(rows, k: int, bound: int) -> int | None:
     """Size of the orbit of e_k under g_0, ..., g_k on coordinates 0..k; None past bound.
 
-    y g_s scales coordinate s by g_s[s][s] and adds y_s g_s[s][t] to each
+    y g_s scales coordinate s by r_s[s] and adds y_s r_s[t] to each
     diagram neighbour t of s; the other coordinates stay, so only the
     changed ones are computed and checked.
     """
     moves = []
     for s in range(k + 1):
-        row = gens[s][s]
+        row = rows[s]
         moves.append((s, row[s], [(t, c) for t in range(k + 1) if t != s and (c := _exact(row[t]))]))
     frontier = [[0.0] * k + [1.0]]
     count = 1
@@ -185,15 +187,15 @@ def _orbit_count(gens: tuple[_Matrix, ...], k: int, bound: int) -> int | None:
     return count
 
 
-def _order(gens: tuple[_Matrix, ...], cap: int) -> int | None:
+def _order(rows, cap: int) -> int | None:
     """|W_T| as the product of the indices [W_{T_k} : W_{T_{k-1}}]; None past cap.
 
     Stage k stops once its index passes cap // (order so far), so the
     result is the order when it is at most cap and None otherwise.
     """
     order = 1
-    for k in range(len(gens)):
-        count = _orbit_count(gens, k, cap // order)
+    for k in range(len(rows)):
+        count = _orbit_count(rows, k, cap // order)
         if count is None:
             return None
         order *= count
@@ -203,24 +205,20 @@ def _order(gens: tuple[_Matrix, ...], cap: int) -> int | None:
 def enumerate_order(spec: CoxeterSpec, subset, cap: int = 10 ** 6) -> int | None:
     """Exact order of the subgroup generated by a subset, or None past the cap.
 
-    An infinite label inside the subset short-circuits to None (the pair
-    already generates an infinite dihedral group).  Raises
-    NumericCollision if a computed root coefficient is too close to the
-    margin, or too large, for its value to be trusted.
+    The labels are read once.  A pair with label m generates a dihedral
+    group of order 2m, so 2m > cap (an infinite label included) gives None
+    at once.  Raises NumericCollision if a computed root coefficient is too
+    close to the margin, or too large, for its value to be trusted.
     """
     T = spec.check_subset(subset)
     if len(T) > 8:
         raise ValueError("enumeration is limited to subsets of at most 8 vertices")
     if not 1 <= cap <= 10 ** 6:
         raise ValueError(f"cap must be between 1 and 10^6, got {cap}")
-    if not T:
-        return 1
-    for i, u in enumerate(T):
-        for v in T[i + 1:]:
-            if spec.label(u, v) == INFINITY:
-                return None
-    _, gens = reflection_generators(spec, T)
-    return _order(gens, cap)
+    labels = _labels(spec, T)
+    if any(2 * m > cap for i, row in enumerate(labels) for m in row[i + 1:]):
+        return None
+    return _order(_reflection_rows(T, labels), cap)
 
 
 def verify_classification(spec: CoxeterSpec, subset, *, infinite_cap: int = 20000) -> bool:

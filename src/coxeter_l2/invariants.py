@@ -28,7 +28,7 @@ from coxeter_l2.nerve import (
     recognize_sphere,
     validate_embedding,
 )
-from coxeter_l2.spherical import classify
+from coxeter_l2.spherical import diagram_components
 
 
 def _rational(q: Fraction) -> str:
@@ -231,21 +231,20 @@ def betti(nerve: Nerve, ctx: RuleContext | None = None) -> BettiVector:
     right-angled join); a final step takes the alternating sum of the known
     entries once: it fills a single missing entry from the Euler
     characteristic, and a fully known vector must sum to it.  Conflicting assignments raise
-    ContradictoryRules.  R-fin and R-join read the nerve's held verdict.
+    ContradictoryRules.  R-fin reads the nerve: W is finite exactly when its
+    whole vertex set is a simplex (the empty system included), and the
+    nerve holds its order.  R-join takes its factors from diagram_components.
     """
     top = nerve.dimension + 1
     chi = chi_orb(nerve)
     vector = BettiVector(top, chi)
-    if nerve._verdict is None:
-        nerve._verdict = classify(nerve.spec, nerve.vertices)
-    full_verdict = nerve._verdict
 
     # R-fin / R-b0: a finite group has compact contractible group complex.
-    if full_verdict.spherical:
-        order = f"|W| = {full_verdict.order}"
-        vector._assign(0, Fraction(1, full_verdict.order), "R-fin", order)
+    if nerve.dimension == len(nerve.vertices) - 1:
+        order = nerve.order(nerve.vertices)
+        vector._assign(0, Fraction(1, order), "R-fin", f"|W| = {order}")
         for i in range(1, top + 1):
-            vector._assign(i, Fraction(0), "R-fin", order)
+            vector._assign(i, Fraction(0), "R-fin", f"|W| = {order}")
     else:
         vector._assign(0, Fraction(0), "R-b0", "W infinite")
 
@@ -282,8 +281,8 @@ def betti(nerve: Nerve, ctx: RuleContext | None = None) -> BettiVector:
         vector._assign(2, Fraction(0), "R-planar", "sphere-embedding witness")
 
     # R-join: Kunneth over a right-angled join, once factor vectors are known.
-    if len(full_verdict.diagram) >= 2:
-        factors = full_verdict.diagram
+    factors = diagram_components(nerve.spec, nerve.vertices)
+    if len(factors) >= 2:
         factor_vectors = [betti(induced_nerve(nerve, f)) for f in factors]
         if all(v.fully_known for v in factor_vectors):
             conv = [Fraction(1)]

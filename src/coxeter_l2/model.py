@@ -241,5 +241,7 @@ def components(
             found = remaining.difference(near) if complement else remaining.intersection(near)
             remaining -= found
             comp += found
+            if not remaining:  # the rest of the queue can find nothing
+                break
         comps.append(tuple(sorted(comp)))
     return comps

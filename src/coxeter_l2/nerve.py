@@ -142,7 +142,7 @@ class SimplicialComplex:
 class Nerve(SimplicialComplex):
     """The nerve of a Coxeter system, with subgroup orders per simplex."""
 
-    _chi = _verdict = None  # held on the object by invariants.chi_orb and invariants.betti
+    _chi = None  # held on the object by invariants.chi_orb
 
     @classmethod
     def _assembled(cls, spec: CoxeterSpec, by_dim: dict, orders: dict[Simplex, int], maps) -> "Nerve":

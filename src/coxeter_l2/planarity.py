@@ -154,9 +154,9 @@ def _certify_connected(nerve: Nerve) -> Certificate:
     and is cited in place of that bound.  Without a rule context no other
     rule sets a positive entry 2: it is 0 (R-S0/S1, R-S2) or Unknown.
     """
-    vector = betti(nerve)
-    if vector.rule_for(0) == "R-fin":
+    if nerve.dimension == len(nerve.vertices) - 1:  # the whole vertex set is a simplex: W is finite
         return Certificate("Inconclusive", nerve.spec, Fraction(0), (), reason="FiniteGroup")
+    vector = betti(nerve)
     chi = vector.chi
     chain = [
         CitedStep(

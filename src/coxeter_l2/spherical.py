@@ -49,7 +49,6 @@ class SphericalVerdict:
     spherical: bool
     components: tuple[FiniteTypeComponent, ...]
     order: int  # product of component orders; 1 for the empty subset
-    diagram: tuple[VertexSubset, ...] = ()  # the diagram components, finite or not
 
     def __bool__(self) -> bool:
         return self.spherical
@@ -156,16 +155,16 @@ def classify(spec: CoxeterSpec, subset) -> SphericalVerdict:
     """Decide whether a subset is spherical and compute the subgroup order.
 
     The empty subset is spherical with order 1.  A non-spherical verdict
-    carries no finite-type components and order 0, but still its diagram.
+    carries no finite-type components and order 0.  The nerve path reads
+    finiteness and orders off the nerve and never calls this.
     """
-    diagram = tuple(diagram_components(spec, subset))
     comps = []
     order = 1
-    for comp in diagram:
+    for comp in diagram_components(spec, subset):
         match = _match_component(spec, comp)
         if match is None:
-            return SphericalVerdict(False, (), 0, diagram)
+            return SphericalVerdict(False, (), 0)
         kind, rank, comp_order, m = match
         comps.append(FiniteTypeComponent(kind, rank, comp_order, comp, m))
         order *= comp_order
-    return SphericalVerdict(True, tuple(comps), order, diagram)
+    return SphericalVerdict(True, tuple(comps), order)

@@ -1,6 +1,8 @@
 import math
 import random
+import time
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -153,28 +155,28 @@ def test_verify_refuses_a_cap_past_the_budget_without_enumerating(monkeypatch):
 
 
 def test_a_pairing_below_the_margin_raises_numeric_collision():
-    # a 1x1 generator of -0.3 sends e_0 to a coordinate in the [1/4, 1/2) band,
+    # a generator whose row is (-0.3,) sends e_0 to a coordinate in the [1/4, 1/2) band,
     # which is neither an exact 0 nor a root coefficient of magnitude at least 1
     with pytest.raises(
         NumericCollision, match=r"^root coefficient -0\.3 is neither within 0\.25 of 0 nor in \[0\.5, 1073741824\]$"
     ):
-        enumeration._order((((-0.3,),),), 10)
+        enumeration._order(((-0.3,),), 10)
     # below 1/4 the coordinate reads as exactly 0: e_0 is fixed and its orbit is one point
-    assert enumeration._order((((-0.2,),),), 10) == 1
+    assert enumeration._order(((-0.2,),), 10) == 1
 
 
 def test_a_pairing_past_the_size_bound_raises_numeric_collision():
     with pytest.raises(NumericCollision, match=r"^root coefficient -2\.14748e\+09 is neither"):
-        enumeration._order((((-2.0 ** 31,),),), 10)
+        enumeration._order(((-2.0 ** 31,),), 10)
 
 
 def test_every_computed_coordinate_is_checked():
     # the band is caught on a neighbour coordinate and on a generator entry, not only on y_s:
     # e_1 g_1 = (1, -1), and then (1, -1) g_0 = (-1, -1 + 1.3)
     with pytest.raises(NumericCollision, match=r"^root coefficient 0\.3 "):
-        enumeration._order((((-1.0, 1.3), (0.0, 1.0)), ((1.0, 0.0), (1.0, -1.0))), 10)
+        enumeration._order(((-1.0, 1.3), (1.0, -1.0)), 10)
     with pytest.raises(NumericCollision, match=r"^root coefficient 0\.3 "):
-        enumeration._order((((-1.0, 0.3), (0.0, 1.0)), ((1.0, 0.0), (0.0, -1.0))), 10)
+        enumeration._order(((-1.0, 0.3), (0.0, -1.0)), 10)
 
 
 def _dynkin(rank, bonds):
@@ -249,3 +251,27 @@ def test_construction_names_the_first_pair_of_wrong_order(monkeypatch, m, first)
     spec = path_spec([3, 4, 3])
     with pytest.raises(ArithmeticError, match=f"^product of {first} does not have order {m}$"):
         reflection_generators(spec, spec.vertices)
+
+
+def test_a_dihedral_pair_past_the_cap_returns_none_at_once():
+    # a pair with label m generates I2(m), of order 2m, so 2m past the cap decides without a braid check
+    spec = path_spec([10 ** 9])
+    start = time.perf_counter()
+    assert enumerate_order(spec, spec.vertices) is None
+    assert time.perf_counter() - start < 0.1
+    dihedral = path_spec([3000])
+    assert enumerate_order(dihedral, dihedral.vertices) == 6000
+
+
+def test_enumeration_reads_each_label_once(monkeypatch):
+    calls = Counter()
+    original = CoxeterSpec.label
+
+    def counting(self, u, v):
+        calls[(u, v)] += 1
+        return original(self, u, v)
+
+    monkeypatch.setattr(CoxeterSpec, "label", counting)
+    spec = path_spec([3, 4, 3])
+    assert enumerate_order(spec, spec.vertices) == 1152
+    assert sum(calls.values()) == 16 and set(calls.values()) == {1}  # one read per ordered pair

@@ -184,7 +184,6 @@ def test_induced_nerve_view_equals_rebuilds(case):
     assert [view.order(s) for s in view.simplices()] == [rebuilt.order(s) for s in rebuilt.simplices()]
     assert chi_orb(view) == chi_orb(rebuilt)
     assert repr(betti(view)) == repr(betti(rebuilt))
-    assert view._verdict == rebuilt._verdict == classify(spec, subset)
 
 
 @settings(max_examples=150)
@@ -618,15 +617,11 @@ def test_held_nerve_is_reused(monkeypatch):
 def test_suspension_is_recognized_and_summed_once(monkeypatch):
     nerve = build_nerve(suspension_spec(400))
     calls = Counter()
-    recognize, classify_ = nerve_module._recognize_sphere, invariants.classify
+    recognize = nerve_module._recognize_sphere
 
     def counting_recognize(complex_):
         calls["recognize"] += complex_ is nerve
         return recognize(complex_)
-
-    def counting_classify(spec, subset):
-        calls["classify"] += spec is nerve.spec and set(subset) == set(nerve.vertices)
-        return classify_(spec, subset)
 
     class CountingOrders(dict):
         def items(self):  # chi_orb sums the simplices through their orders
@@ -634,7 +629,7 @@ def test_suspension_is_recognized_and_summed_once(monkeypatch):
             return super().items()
 
     monkeypatch.setattr(nerve_module, "_recognize_sphere", counting_recognize)
-    monkeypatch.setattr(invariants, "classify", counting_classify)
+    count_whole_set_classifications(monkeypatch, calls, nerve.vertices)
     nerve._orders = CountingOrders(nerve._orders)
     assert recognize_sphere(nerve) is SphereKind.TWO_SPHERE
     assert chi_orb(nerve) == 0
@@ -644,8 +639,8 @@ def test_suspension_is_recognized_and_summed_once(monkeypatch):
     assert betti(sub, RuleContext(witness=witness)).as_tuple()[2:] == (0, 0)
     target = [v for v in nerve.vertices if v not in ("c397", "c398", "c399")]
     assert len(trace_vanishing(nerve, target).steps) == 3
-    assert betti(nerve).as_tuple() == (0, 0, 0, 0)  # a second call reads the held verdict
-    assert calls == {"recognize": 1, "chi_sum": 1, "classify": 1}
+    assert betti(nerve).as_tuple() == (0, 0, 0, 0)  # a second call reads the held sphere kind
+    assert calls == {"recognize": 1, "chi_sum": 1}  # and nothing classifies the whole vertex set
 
 
 def test_cap_below_held_nerve_still_raises():
@@ -1225,23 +1220,38 @@ def test_beta2_bound_errors():
         betti_lower_bound_dim2(deep)
 
 
-def test_certify_k5_computes_chi_and_full_classification_once(monkeypatch):
-    spec = complete_graph_spec(5, 3)
-    calls = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            if name == "chi_orb" or set(args[1]) == set(spec.vertices):
-                calls[name] += 1
-            return fn(*args, **kwargs)
+def count_whole_set_classifications(monkeypatch, calls, vertices):
+    """Count, under "classify", each classify or matcher call on the whole vertex set, wherever it is reachable."""
+    def counting(fn):
+        def wrapper(spec, subset):
+            if set(subset) == set(vertices):
+                calls["classify"] += 1
+            return fn(spec, subset)
         return wrapper
 
-    for module in (nerve_module, invariants, planarity):
-        for name in ("chi_orb", "classify"):
+    for module in (spherical_module, nerve_module, invariants, planarity):
+        for name in ("classify", "_match_component"):
             if hasattr(module, name):
-                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+
+
+def test_certify_k5_computes_chi_once_and_classifies_nothing_whole(monkeypatch):
+    # W's finiteness is read off the nerve, so nothing classifies the whole vertex set
+    spec = complete_graph_spec(5, 3)
+    calls = Counter()
+    original_chi = invariants.chi_orb
+
+    def counting_chi(nerve):
+        calls["chi_orb"] += 1
+        return original_chi(nerve)
+
+    monkeypatch.setattr(invariants, "chi_orb", counting_chi)
+    count_whole_set_classifications(monkeypatch, calls, spec.vertices)
+    assert not spherical_module.classify(spec, spec.vertices).spherical
+    assert calls == {"classify": 2}  # the counter sees classify and its matcher on the whole set
+    calls.clear()
     assert certify_nonplanar(spec).verdict == "NotPlanar"
-    assert calls == {"chi_orb": 1, "classify": 1}
+    assert calls == {"chi_orb": 1}
 
 
 # Front end: one-pass spec validation, the tuple matcher, the assembled cone --------------
@@ -1326,15 +1336,14 @@ def reference_match_component(spec, comp):
 
 
 def reference_classify(spec, subset) -> SphericalVerdict:
-    diagram = tuple(diagram_components(spec, subset))
     comps, order = [], 1
-    for comp in diagram:
+    for comp in diagram_components(spec, subset):
         match = reference_match_component(spec, comp)
         if match is None:
-            return SphericalVerdict(False, (), 0, diagram)
+            return SphericalVerdict(False, (), 0)
         comps.append(match)
         order *= match.order
-    return SphericalVerdict(True, tuple(comps), order, diagram)
+    return SphericalVerdict(True, tuple(comps), order)
 
 
 @st.composite
@@ -1349,7 +1358,7 @@ def labelled_specs_with_subset(draw):
 def test_classify_equals_record_matcher(case):
     spec, subset = case
     verdict, ref = classify(spec, subset), reference_classify(spec, subset)
-    assert verdict == ref  # spherical, order, diagram, and kind, rank, order, m per component
+    assert verdict == ref  # spherical, order, and kind, rank, order, m per component
     assert [c.name for c in verdict.components] == [c.name for c in ref.components]
 
 
@@ -1780,11 +1789,12 @@ def enumeration_systems(draw):
 @given(enumeration_systems(), st.integers(1, 3000))
 def test_closure_equals_einsum_reference(spec, cap):
     _, gens = enumeration.reflection_generators(spec, spec.vertices)
-    assert enumeration._order(gens, cap) == reference_closure_size(np.asarray(gens), cap, 0.25)
+    rows = [g[s] for s, g in enumerate(gens)]
+    assert enumeration._order(rows, cap) == reference_closure_size(np.asarray(gens), cap, 0.25)
     verdict = classify(spec, spec.vertices)
     if verdict.spherical and verdict.order <= 3000:
-        assert enumeration._order(gens, verdict.order - 1) is None
-        assert enumeration._order(gens, verdict.order) == verdict.order
+        assert enumeration._order(rows, verdict.order - 1) is None
+        assert enumeration._order(rows, verdict.order) == verdict.order
 
 
 def reference_cosine_matrix_test(spec, subset) -> bool:
@@ -1902,9 +1912,7 @@ def reference_betti(nerve, ctx=None):
     top = nerve.dimension + 1
     b = ReferenceBuilder(top)
     chi = chi_orb(nerve)
-    if nerve._verdict is None:
-        nerve._verdict = classify(nerve.spec, nerve.vertices)
-    full_verdict = nerve._verdict
+    full_verdict = classify(nerve.spec, nerve.vertices)
     if full_verdict.spherical:
         order = f"|W| = {full_verdict.order}"
         b.assign(0, Fraction(1, full_verdict.order), "R-fin", order)
@@ -1935,8 +1943,8 @@ def reference_betti(nerve, ctx=None):
         except Exception as exc:
             raise InvalidWitness(f"embedding witness rejected: {exc}") from exc
         b.assign(2, Fraction(0), "R-planar", "sphere-embedding witness")
-    if len(full_verdict.diagram) >= 2:
-        factors = full_verdict.diagram
+    factors = tuple(diagram_components(nerve.spec, nerve.vertices))
+    if len(factors) >= 2:
         factor_vectors = [reference_betti(induced_nerve(nerve, f)) for f in factors]
         if all(v.fully_known for v in factor_vectors):
             conv = [Fraction(1)]
@@ -2034,6 +2042,39 @@ def test_betti_equals_builder_reference(case):
     if shift is not None:
         nerve._chi = chi_orb(nerve) + shift  # both engines read the held value
     assert betti_outcome(betti, nerve, ctx) == betti_outcome(reference_betti, nerve, ctx)
+
+
+def finite_systems():
+    """Every FINITE_TYPES type alone and beside each other type, a single vertex, and the empty system."""
+    for types in [(name,) for name in FINITE_TYPES] + list(combinations(FINITE_TYPES, 2)):
+        rank = sum(FINITE_TYPES[name][0] for name in types)
+        yield product_spec(types, [f"v{i}" for i in range(rank)])
+    yield CoxeterSpec(["v0"], {})
+    yield CoxeterSpec([], {})
+
+
+def test_r_fin_reads_the_order_classify_gives():
+    for spec in finite_systems():
+        nerve, verdict = build_nerve(spec), classify(spec, spec.vertices)
+        vector = betti(nerve)
+        assert verdict.spherical and vector.rule_for(0) == "R-fin"
+        assert vector.detail_for(0) == f"|W| = {verdict.order}" and vector.get(0) == Fraction(1, verdict.order)
+        assert planarity._certify_connected(nerve).reason == "FiniteGroup"
+        reason = "FiniteGroup" if nerve.dimension <= 2 else "DimensionTooHigh"
+        assert certify_nonplanar(spec).reason == reason
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs_with_subset())
+def test_r_fin_fires_exactly_on_spherical_systems(case):
+    spec, subset = case
+    nerve = build_nerve(spec)
+    for target in (nerve, induced_nerve(nerve, subset)):
+        verdict = classify(target.spec, target.vertices)
+        vector = betti(target)
+        assert (vector.rule_for(0) == "R-fin") is verdict.spherical
+        if verdict.spherical:
+            assert vector.detail_for(0) == f"|W| = {verdict.order}"
 
 
 def reference_index(vertices, by_dim):
