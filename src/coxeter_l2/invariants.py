@@ -13,9 +13,8 @@ vector.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from coxeter_l2.model import induced_subspec
 from coxeter_l2.nerve import (
@@ -110,8 +109,7 @@ def chi_orb_chain_sum(nerve: Nerve, *, chain_cap: int = 10 ** 7) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class RuleContext:
+class RuleContext(NamedTuple):
     """Optional hypotheses handed to the Betti engine.
 
     witness: the target is the full subcomplex of witness.ambient on

@@ -77,23 +77,26 @@ class CoxeterSpec:
                 raise MalformedDocument(f"edge ({u!r}, {v!r}) is a self-loop")
             if u not in vertex_set or v not in vertex_set:
                 raise UnknownVertex(f"edge ({u!r}, {v!r}) mentions a non-vertex")
-            if m == "inf":  # the document spelling, accepted by both entry points
-                m = INFINITY
-            elif m != INFINITY:
-                if not isinstance(m, int) or isinstance(m, bool):
+            if type(m) is not int:  # a plain int needs only its bound
+                if m == "inf":  # the document spelling, accepted by both entry points
+                    m = INFINITY
+                elif m != INFINITY and (not isinstance(m, int) or isinstance(m, bool)):
                     raise LabelOutOfRange(f"label m({u},{v}) = {m!r} is neither an integer nor 'inf'")
-                if m < 2:
-                    raise LabelOutOfRange(f"label m({u},{v}) = {m} is below 2")
-            key = _pair(u, v)
+            if m < 2:  # never true of INFINITY
+                raise LabelOutOfRange(f"label m({u},{v}) = {m} is below 2")
+            key = (u, v) if u < v else (v, u)
             if given.setdefault(key, m) != m:  # INFINITY prints as inf
                 raise ConflictingLabel(f"edge {key} listed with labels {given[key]} and {m}")
-        seen = set()  # empty and repeated names come after any label fault, as parse_spec always had
-        for v in vertices:
-            if not v:
-                raise MalformedDocument(f"vertex identifier must be a non-empty string, got {v!r}")
-            if v in seen:
-                raise DuplicateVertex(f"duplicate vertex {v!r}")
-            seen.add(v)
+        # Empty and repeated names come after any label fault, as parse_spec always had; the
+        # scan for the first one runs only when there is one.
+        if len(vertex_set) < len(vertices) or "" in vertex_set:
+            seen = set()
+            for v in vertices:
+                if not v:
+                    raise MalformedDocument(f"vertex identifier must be a non-empty string, got {v!r}")
+                if v in seen:
+                    raise DuplicateVertex(f"duplicate vertex {v!r}")
+                seen.add(v)
         self.vertices = vertices
         self._labels = dict(sorted((key, m) for key, m in given.items() if m != INFINITY))
         self._commuting: dict[str, set[str]] = {v: set() for v in vertices}

@@ -18,8 +18,7 @@ import bisect
 import enum
 import itertools
 import weakref
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from coxeter_l2.model import INFINITY, CoxeterSpec, VertexSubset, components
 from coxeter_l2.spherical import _match_component
@@ -284,8 +283,7 @@ def validate_embedding(
     return out
 
 
-@dataclass(frozen=True)
-class SubcomplexWitness:
+class SubcomplexWitness(NamedTuple):
     """Record that a vertex set spans a full subcomplex of an ambient nerve.
 
     The subcomplex is always full: it is the induced nerve on vertex_set.
@@ -294,7 +292,7 @@ class SubcomplexWitness:
     ambient: Nerve
     vertex_set: VertexSubset
     right_angled_complement: bool
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
 
 def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
@@ -307,10 +305,11 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
     exhaustive.  Each frontier set carries its diagram components with their
     orders, so s + w is classified by matching one component: w merged with
     the components of s it does not commute with (w alone doubles the
-    order).  Only the order of the matcher's (kind, rank, order, m) fields
-    is kept.  Simplices come out in canonical order, so each is appended to
-    its vertices' stars as it is made, and the sorted labels list each
-    vertex's neighbors in order: the nerve is indexed as it is enumerated.
+    order, and w with one vertex v is I2(m(v, w)), of order 2m).  Only the
+    order of the matcher's (kind, rank, order, m) fields is kept.
+    Simplices come out in canonical order, so each is appended to its
+    vertices' stars as it is made, and the sorted labels list each vertex's
+    neighbors in order: the nerve is indexed as it is enumerated.
     Raises CapExceeded past ``simplex_cap`` simplices.
 
     The spec keeps a weak reference to the nerve built last, so while a
@@ -369,6 +368,9 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
                         merged += comp[0]
                 if len(merged) == 1:
                     comp = ((w,), 2)
+                elif len(merged) == 2:  # I2(m): the other vertex sorts before w, and their label is finite
+                    key = (merged[1], w)
+                    comp = (key, 2 * labels[key])
                 else:
                     key = tuple(sorted(merged))
                     match = _match_component(spec, key)

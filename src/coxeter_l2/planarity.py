@@ -13,9 +13,8 @@ extracted for the non-planar answer.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from coxeter_l2.model import CoxeterSpec, VertexSubset
 from coxeter_l2.nerve import (
@@ -111,8 +110,7 @@ def cone_construction(
     return coned, witness
 
 
-@dataclass(frozen=True)
-class CitedStep:
+class CitedStep(NamedTuple):
     statement: str
     applied_to: str
     values: dict
@@ -121,8 +119,7 @@ class CitedStep:
         return {"statement": self.statement, "applied_to": self.applied_to, "values": self.values}
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Machine-checkable non-planarity deduction for a labelled complex."""
 
     verdict: str  # "NotPlanar" | "Inconclusive"
@@ -130,7 +127,7 @@ class Certificate:
     bound: Fraction
     chain: tuple[CitedStep, ...]
     reason: str | None = None
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
     def to_document(self) -> dict:
         doc = {
@@ -239,8 +236,7 @@ def certify_nonplanar(spec: CoxeterSpec) -> Certificate:
     return _certify_connected(nerve)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     removed: str
     before: VertexSubset
     after: VertexSubset
@@ -258,15 +254,14 @@ class TraceStep:
         }
 
 
-@dataclass(frozen=True)
-class ProofTrace:
+class ProofTrace(NamedTuple):
     """Vertex-removal induction transferring sphere vanishing to a subcomplex."""
 
     ambient: Nerve
     target: VertexSubset
     steps: tuple[TraceStep, ...]
     conclusion: str
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
     def to_document(self) -> dict:
         return {

@@ -12,7 +12,7 @@ reflection representation) live in coxeter_l2.enumeration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from coxeter_l2.model import CoxeterSpec, VertexSubset, components
 
@@ -20,8 +20,7 @@ _E_ORDERS = {6: 51840, 7: 2903040, 8: 696729600}
 _H_ORDERS = {3: 120, 4: 14400}
 
 
-@dataclass(frozen=True)
-class FiniteTypeComponent:
+class FiniteTypeComponent(NamedTuple):
     """One irreducible factor of a finite subsystem.
 
     kind is one of "A", "B", "D", "E6", "E7", "E8", "F4", "H3", "H4",
@@ -44,8 +43,7 @@ class FiniteTypeComponent:
         return self.kind  # E6/E7/E8/F4/H3/H4 carry their rank already
 
 
-@dataclass(frozen=True)
-class SphericalVerdict:
+class SphericalVerdict(NamedTuple):
     spherical: bool
     components: tuple[FiniteTypeComponent, ...]
     order: int  # product of component orders; 1 for the empty subset

@@ -11,7 +11,9 @@ their preconditions; elsewhere complexes come from SimplicialComplex,
 build_nerve or induced_nerve.  No module imports numpy: floating point
 stays in the numeric oracles, which need only the standard library, so
 numpy is a test dependency and no `coxl2` run loads it, not even an
-`enumerate`.
+`enumerate`.  No module imports dataclasses either: the result records are
+NamedTuples, so importing the package and its CLI loads neither
+dataclasses nor the inspect, ast and tokenize modules it pulls in.
 """
 
 import ast
@@ -90,7 +92,8 @@ def test_complexes_are_constructed_only_in_nerve():
     assert found == []
 
 
-def test_no_module_imports_numpy():
+def importers_of(package: str) -> list[str]:
+    """The file:line of each import of package, or of one of its submodules, under src/."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -99,21 +102,42 @@ def test_no_module_imports_numpy():
                 else [node.module or ""] if isinstance(node, ast.ImportFrom)
                 else []
             )
-            if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+            if any(m == package or m.startswith(package + ".") for m in modules):
                 found.append(f"{path.name}:{node.lineno}")
-    assert found == []
+    return found
+
+
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run a script in a fresh interpreter that imports the library from src/."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_no_module_imports_numpy():
+    assert importers_of("numpy") == []
+
+
+def test_no_module_imports_dataclasses():
+    assert importers_of("dataclasses") == []
 
 
 def test_an_enumerate_run_leaves_numpy_unloaded():
     k5 = SRC.parent.parent / "demos" / "data" / "k5.json"
-    script = (
+    done = run_fresh(
         "import sys\n"
         "import coxeter_l2, coxeter_l2.cli\n"
         f"code = coxeter_l2.cli.main(['enumerate', {str(k5)!r}, '--subset', 'v0,v1,v2', '--cap', '500'])\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
         "sys.exit(code)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ExceedsCap\n"
+
+
+def test_importing_the_package_and_its_cli_leaves_dataclasses_unloaded():
+    done = run_fresh(
+        "import sys\n"
+        "import coxeter_l2, coxeter_l2.cli\n"
+        "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'\n"
+    )
+    assert done.returncode == 0, done.stderr

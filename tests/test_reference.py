@@ -38,6 +38,7 @@ from hypothesis import given, settings, strategies as st
 
 from coxeter_l2 import enumeration, invariants, nerve as nerve_module, planarity, spherical as spherical_module
 from coxeter_l2.catalog import (
+    K4_ROTATION,
     complete_bipartite_spec,
     complete_graph_spec,
     cycle_spec,
@@ -2159,18 +2160,21 @@ def nerve_specs(draw):
     ))
 
 
+def counting_matcher(match, calls: Counter):
+    """The matcher match, counting its calls in calls by the number of vertices matched."""
+    def counting(spec, comp):
+        calls[len(comp)] += 1
+        return match(spec, comp)
+    return counting
+
+
 def nerve_outcome(build, module, spec, cap):
     """The nerve or the CapExceeded message, with the matcher calls the build made through module."""
     calls = Counter()
     original = module._match_component
-
-    def counting(*args):
-        calls["match"] += 1
-        return original(*args)
-
-    module._match_component = counting
+    module._match_component = counting_matcher(original, calls)
     try:
-        return build(fresh_spec(spec), simplex_cap=cap), calls["match"]
+        return build(fresh_spec(spec), simplex_cap=cap), calls
     except CapExceeded as exc:
         return str(exc), None
     finally:
@@ -2194,9 +2198,21 @@ def test_build_nerve_equals_reindexing_reference(spec):
         assert list(got._star.items()) == list(ref._star.items())
         assert list(got._neighbors.items()) == list(ref._neighbors.items())
         assert got.simplices() == ref.simplices()
-        # The reference also matched each edge whose label is not 2; nothing else differs,
-        # so no candidate outside the common neighbors reached the matcher.
-        assert matched == ref_matched - sum(m != 2 for _, _, m in spec.finite_edges())
+        # The reference also matched every two-vertex component: each edge whose label is
+        # not 2, and each pair merged above it.  The label gives the order of both.
+        assert ref_matched[2] >= sum(m != 2 for _, _, m in spec.finite_edges())
+        # Nothing else differs, so no candidate outside the common neighbors reached the matcher.
+        assert matched == ref_matched - Counter({2: ref_matched[2]})
+
+
+def test_k4_cone_matches_only_its_three_vertex_components(monkeypatch):
+    nerve = build_nerve(complete_graph_spec(4, 3))
+    calls = Counter()
+    monkeypatch.setattr(nerve_module, "_match_component", counting_matcher(nerve_module._match_component, calls))
+    coned, _ = cone_construction(nerve, K4_ROTATION)
+    # The apexes c0..c3 sort before v0..v3, so each apex triangle (c, u, w) merges u and w
+    # into one I2(3) component, whose order the label gives: 12 such pairs skip the matcher.
+    assert coned.counts() == (8, 18, 12) and calls == {3: 8}
 
 
 def test_fresh_k5_build_matches_only_its_triangles(monkeypatch):
