@@ -135,13 +135,13 @@ def _cmd_betti(args) -> int:
     witness = None
     if args.ambient:
         ambient = build_nerve(_load_spec(args.ambient))
-        subset = _subset(args.subset) if args.subset else spec.vertices
+        subset = _subset(args.subset) if args.subset is not None else spec.vertices
         target, witness = full_subcomplex(ambient, subset)
         if target.spec != spec:
             raise ValueError(
                 "target spec does not match the induced subcomplex of the ambient"
             )
-    elif args.subset:
+    elif args.subset is not None:
         ambient = build_nerve(spec)
         target, witness = full_subcomplex(ambient, _subset(args.subset))
     else:

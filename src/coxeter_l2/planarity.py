@@ -1,9 +1,10 @@
 """Planarity pipeline: face coning, certificates, proof traces, the planarity oracle.
 
 Embeddings are witnessed by rotation systems and checked by face tracing
-(see coxeter_l2.nerve).  The non-planarity certificate derives a
-positive lower bound for the dimension-2 l2-Betti entry of a labelled
-complex and cites the vanishing statement it contradicts.  The left-right
+(see coxeter_l2.nerve).  The non-planarity certificate reads a lower
+bound for the dimension-2 l2-Betti entry of a labelled complex off its
+Betti vector, citing the entries the engine set, and cites the vanishing
+statement a positive bound contradicts.  The left-right
 planarity test (de Fraysseix and Rosenstiehl, as written up by Brandes)
 acts as an independent planarity oracle for cross-validation; it returns a
 rotation system checked by face tracing, and a Kuratowski subgraph can be
@@ -33,13 +34,11 @@ from coxeter_l2.nerve import (
     recognize_sphere,
     validate_embedding,
 )
-from coxeter_l2.invariants import _rational, betti
+from coxeter_l2.invariants import UNKNOWN, BettiVector, _rational, betti
 
 # Stable statement identifiers cited by certificates and proof traces.
 STMT_CHI = "chi-orb"
-STMT_B0 = "R-b0"
 STMT_ATIYAH_BOUND = "atiyah-bound"
-STMT_JOIN = "R-join"
 STMT_PLANAR_VANISHING = "planar-vanishing"
 STMT_SPHERE_VANISHING = "sphere-vanishing"
 STMT_CIRCLE_SUBCOMPLEX = "circle-subcomplex-vanishing"
@@ -142,32 +141,32 @@ class Certificate(NamedTuple):
         return doc
 
 
-def _certify_connected(nerve: Nerve) -> Certificate:
-    """Certify a connected nerve of dimension <= 2 from its Betti vector (W finite: inconclusive).
+def _cited_entry(vector: BettiVector, i: int) -> CitedStep:
+    """Betti entry i, cited by the (rule id, detail) pair of the rule that set it."""
+    return CitedStep(vector.rule_for(i), vector.detail_for(i), {f"beta_{i}": _rational(vector.get(i))})
 
-    With beta_0 = 0 and no chains above dimension 3, the alternating-sum
-    identity gives chi_orb <= beta_2, so max(chi_orb, 0) bounds beta_2.  An
-    R-join entry is exact on a fully known vector, so it is at least chi_orb
-    and is cited in place of that bound.  Without a rule context no other
-    rule sets a positive entry 2: it is 0 (R-S0/S1, R-S2) or Unknown.
+
+def _certify_connected(nerve: Nerve) -> Certificate:
+    """Certify a connected nerve of dimension <= 2 by reading its Betti vector.
+
+    beta_0 = 1/|W| is positive exactly when W is finite (the empty system
+    too): inconclusive.  Otherwise the chain cites entries 0 and 2 as the
+    engine set them.  The bound is an exact positive beta_2, else
+    max(chi_orb, 0): with beta_0 = 0 and no chains above dimension 3, the
+    alternating-sum identity gives chi_orb <= beta_2, exact or not.
     """
-    if nerve.dimension == len(nerve.vertices) - 1:  # the whole vertex set is a simplex: W is finite
-        return Certificate("Inconclusive", nerve.spec, Fraction(0), (), reason="FiniteGroup")
     vector = betti(nerve)
-    chi = vector.chi
+    if vector.get(0) > 0:
+        return Certificate("Inconclusive", nerve.spec, Fraction(0), (), reason="FiniteGroup")
     chain = [
-        CitedStep(
-            STMT_CHI,
-            f"nerve on {len(nerve.vertices)} vertices",
-            {"chi_orb": _rational(chi)},
-        ),
-        CitedStep(STMT_B0, "W infinite", {"beta_0": "0/1"}),
+        CitedStep(STMT_CHI, f"nerve on {len(nerve.vertices)} vertices", {"chi_orb": _rational(vector.chi)}),
+        _cited_entry(vector, 0),
     ]
-    if vector.rule_for(2) == "R-join":
-        bound = vector.get(2)
-        chain.append(CitedStep(STMT_JOIN, vector.detail_for(2), {"beta_2": _rational(bound)}))
+    bound = vector.get(2)
+    if bound is not UNKNOWN and bound > 0:
+        chain.append(_cited_entry(vector, 2))
     else:
-        bound = max(chi, Fraction(0))
+        bound = max(vector.chi, Fraction(0))
         chain.append(
             CitedStep(
                 STMT_ATIYAH_BOUND,

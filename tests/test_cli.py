@@ -128,6 +128,12 @@ def test_betti_with_subset(docs, capsys):
     assert "R-sub1" in out
 
 
+def test_betti_with_the_empty_subset(docs, capsys):
+    # "" names the empty subset, as it does for classify, enumerate and trace
+    code, out, _ = run(capsys, ["betti", docs["hexagon.json"], "--subset", ""])
+    assert (code, out) == (0, "(1)\nbeta_0 = 1  [R-fin: |W| = 1]\n")
+
+
 def test_betti_with_ambient(docs, capsys, tmp_path):
     from coxeter_l2.model import induced_subspec
 

@@ -64,6 +64,19 @@ def test_generators_are_involutions_with_braid_orders():
             )
 
 
+def test_generators_skip_the_braid_check_of_an_infinite_pair():
+    spec = CoxeterSpec(["a", "b", "c"], {("a", "b"): 3})  # (a,c) and (b,c) are infinite
+    T, gens = reflection_generators(spec, spec.vertices)
+    assert T == ("a", "b", "c")
+    gens = np.array(gens)
+    eye = np.eye(3)
+    assert all(np.allclose(g @ g, eye, atol=1e-9) for g in gens)
+    assert np.allclose(np.linalg.matrix_power(gens[0] @ gens[1], 3), eye, atol=1e-6)
+    for i in (0, 1):  # an infinite pair's product has no finite order
+        product = gens[i] @ gens[2]
+        assert not any(np.allclose(np.linalg.matrix_power(product, k), eye, atol=1e-6) for k in range(1, 13))
+
+
 def test_result_independent_of_vertex_listing():
     # the same system presented with permuted vertex order enumerates equally
     spec1 = CoxeterSpec(["a", "b", "c"], {("a", "b"): 3, ("b", "c"): 4, ("a", "c"): 2})

@@ -13,11 +13,15 @@ stays in the numeric oracles, which need only the standard library, so
 numpy is a test dependency and no `coxl2` run loads it, not even an
 `enumerate`.  No module imports dataclasses either: the result records are
 NamedTuples, so importing the package and its CLI loads neither
-dataclasses nor the inspect, ast and tokenize modules it pulls in.
+dataclasses nor the inspect, ast and tokenize modules it pulls in.  Betti
+rule ids are string constants of the invariants module alone: elsewhere a
+rule is cited as the engine recorded it, never named, so no other module
+can branch on one.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +93,20 @@ def test_complexes_are_constructed_only_in_nerve():
                 else []
             )
             found += [f"{path.name}:{node.lineno} references {name}" for name in names if name in private]
+    assert found == []
+
+
+def test_betti_rule_ids_are_constants_of_the_engine_alone():
+    rule_id = re.compile(r"R-[\w/]+")
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "invariants.py":
+            continue
+        found += [
+            f"{path.name}:{node.lineno} {node.value!r}"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and rule_id.fullmatch(node.value)
+        ]
     assert found == []
 
 

@@ -52,6 +52,12 @@ def test_octahedron_nerve():
         assert nerve.order(t) == 8
 
 
+def test_octahedron_refuses_a_label_on_an_antipodal_pair():
+    assert octahedron_spec({("x1", "y0"): 3}).label("x1", "y0") == 3
+    with pytest.raises(ValueError, match=r"^\('x0', 'x1'\) is an antipodal pair, not an edge$"):
+        octahedron_spec({("x0", "x1"): 3})
+
+
 def test_nerve_orders_match_classifier():
     nerve = build_nerve(complete_graph_spec(4, 3))
     for s in nerve.simplices():

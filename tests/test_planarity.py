@@ -27,7 +27,7 @@ from coxeter_l2.nerve import (
     recognize_sphere,
     validate_embedding,
 )
-from coxeter_l2.invariants import chi_orb
+from coxeter_l2.invariants import betti, chi_orb
 from coxeter_l2.planarity import (
     Certificate,
     HypothesisViolated,
@@ -346,12 +346,25 @@ def test_certify_k5():
 
 
 def test_certify_k33_via_join():
-    cert = certify_nonplanar(complete_bipartite_spec(3, 3))
+    spec = complete_bipartite_spec(3, 3)
+    cert = certify_nonplanar(spec)
     assert cert.verdict == "NotPlanar"
     assert cert.bound == Fraction(1, 4)
     statements = [s.statement for s in cert.chain]
     assert "R-join" in statements
     assert statements[-1] == "planar-vanishing"
+    vector = betti(build_nerve(spec))  # the third step cites entry 2 as the engine set it
+    assert cert.chain[2] == (vector.rule_for(2), vector.detail_for(2), {"beta_2": "1/4"})
+
+
+def test_certify_a_join_with_beta_2_zero_cites_the_atiyah_bound():
+    # R-join sets beta_2 = 0 here; a zero entry is no bound, so the Euler bound is cited
+    spec = join_spec(CoxeterSpec(["a"], {}), points_spec(2))
+    assert betti(build_nerve(spec)).rule_for(2) == "R-join"
+    cert = certify_nonplanar(spec)
+    assert (cert.verdict, cert.bound, cert.reason) == ("Inconclusive", Fraction(0), "ObstructionSilent")
+    assert [s.statement for s in cert.chain] == ["chi-orb", "R-b0", "atiyah-bound"]
+    assert cert.chain[2].values == {"beta_2_lower_bound": "0/1"}
 
 
 def test_certify_hexagon_inconclusive():

@@ -1079,14 +1079,15 @@ class Beta2Bound:
     value: Fraction
     provenance: str
     vector: BettiVector
+    cited: tuple[str, str] | None  # the engine's (rule, detail) pair when the bound is its exact entry
 
 
 def betti_lower_bound_dim2(nerve) -> Beta2Bound:
     """Certified lower bound for the dimension-2 entry, for nerves of dim <= 2.
 
     With W infinite and no chains above dimension 3, the alternating-sum
-    identity gives chi_orb <= beta_2; an exact entry from the rule engine
-    can only improve the bound.
+    identity gives chi_orb <= beta_2; an exact positive entry from the rule
+    engine can only improve the bound, and is then cited as the engine set it.
     """
     if nerve.dimension > 2:
         raise DimensionTooHigh(f"nerve dimension {nerve.dimension} > 2")
@@ -1100,14 +1101,15 @@ def betti_lower_bound_dim2(nerve) -> Beta2Bound:
         value = chi
         provenance = f"alternating-sum bound: chi_orb = {chi} <= beta_2"
     exact = vector.get(2)
-    if exact is not UNKNOWN and exact >= value:
-        value = exact
-        provenance = f"exact entry: {vector.provenance_for(2)}"
-    return Beta2Bound(value, provenance, vector)
+    if exact is not UNKNOWN and exact > 0 and exact >= value:
+        return Beta2Bound(
+            exact, f"exact entry: {vector.provenance_for(2)}", vector, (vector.rule_for(2), vector.detail_for(2))
+        )
+    return Beta2Bound(value, provenance, vector, None)
 
 
 def reference_certify(nerve) -> Certificate:
-    """The certificate derived through the bound, choosing its step from the provenance text."""
+    """The certificate derived through the bound, citing an exact bound's engine step."""
     spec = nerve.spec
     if nerve.dimension > 2:
         return Certificate("Inconclusive", spec, Fraction(0), (), reason="DimensionTooHigh")
@@ -1146,9 +1148,8 @@ def reference_certify(nerve) -> Certificate:
     ]
     bound = betti_lower_bound_dim2(nerve)
     value = _rational(bound.value)
-    if bound.provenance.startswith("exact entry") and "R-join" in bound.provenance:
-        factors = bound.vector.provenance_for(2).removeprefix("R-join: ")
-        chain.append(CitedStep("R-join", factors, {"beta_2": value}))
+    if bound.cited is not None:
+        chain.append(CitedStep(*bound.cited, {"beta_2": value}))
     else:
         chain.append(
             CitedStep(
