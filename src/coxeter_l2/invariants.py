@@ -12,6 +12,7 @@ vector.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
@@ -64,16 +65,19 @@ def chi_orb(nerve: Nerve) -> Fraction:
     """Orbihedral Euler characteristic, as the collapsed sum over spherical subsets.
 
     Each spherical subset T (the empty set included) contributes
-    (-1)^|T| / |W_T|; the empty set contributes +1.  Signs are tallied per
-    order first, so there is one exact division per distinct order; the
-    nerve holds the value.  Equality with the literal chain-level sum is the
-    job of chi_orb_chain_sum.
+    (-1)^|T| / |W_T|; the empty set contributes +1.  The orders of each
+    dimension are tallied at once, with the sign of its simplices' size,
+    and the signed counts are summed over the lcm of the orders, so there is
+    one exact division; the nerve holds the value.  Equality with the
+    literal chain-level sum is the job of chi_orb_chain_sum.
     """
     if nerve._chi is None:
-        weight: Counter[int] = Counter()
-        for s, order in nerve._orders.items():
-            weight[order] += -1 if len(s) % 2 else 1
-        nerve._chi = sum((Fraction(w, order) for order, w in weight.items()), Fraction(1))
+        weight, odd = Counter({1: 1}), Counter()  # the empty set: +1 / 1
+        for d, level in nerve._by_dim.items():  # a d-simplex has d + 1 vertices
+            (odd if d % 2 == 0 else weight).update(map(nerve._orders.__getitem__, level))
+        weight.subtract(odd)
+        lcm = math.lcm(*weight)
+        nerve._chi = Fraction(sum(w * (lcm // order) for order, w in weight.items()), lcm)
     return nerve._chi
 
 

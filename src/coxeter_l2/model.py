@@ -114,9 +114,17 @@ class CoxeterSpec:
         return spec
 
     def _restrict(self, vertices: tuple[str, ...], keep: set[str], pairs) -> CoxeterSpec:
-        """The subsystem on keep (listed as vertices) with its sorted pairs, filtered, not validated."""
+        """The subsystem on keep (listed as vertices) with its sorted pairs, filtered, not validated.
+
+        Commuting sets are never mutated once built, so one inside keep is
+        shared with this system, not copied.
+        """
         labels = {p: self._labels[p] for p in pairs}
-        return self._trusted(vertices, labels, {v: self._commuting[v] & keep for v in vertices})
+        commuting = {}
+        for v in vertices:
+            near = self._commuting[v]
+            commuting[v] = near if keep.issuperset(near) else near & keep
+        return self._trusted(vertices, labels, commuting)
 
     def _coned(self, apexes: Mapping[str, Iterable[str]]) -> CoxeterSpec:
         """This system plus fresh apexes, each commuting with its listed vertices only; not validated."""

@@ -41,10 +41,13 @@ class SimplicialComplex:
     time proportional to the simplices they touch, not to the whole complex.
     Every constructor hands _index both maps: __init__, the one constructor
     that takes unsorted simplices, builds them from the simplices; a full
-    subcomplex is a view filtered in order from the ambient maps (_view);
-    and build_nerve fills a nerve's maps as it enumerates.  All of them list
-    simplices in canonical order, so equality and hashing read _by_dim, and
-    membership reads the stars.
+    subcomplex is a view (_view) that shares the ambient star and neighbors
+    of each closed vertex, one whose neighbors are all kept, and filters
+    the others' in order; and build_nerve fills a nerve's maps as it
+    enumerates.  All of them list simplices in canonical order, so equality
+    and hashing read _by_dim, and membership reads the stars.  A star list
+    or neighbor tuple is never mutated once its complex is built, so views
+    may share them.
     """
 
     def __init__(self, vertices: Iterable[str], simplices: Iterable[Simplex]):
@@ -74,16 +77,25 @@ class SimplicialComplex:
         self._sphere = self._components = None  # held by recognize_sphere and skeleton_components
 
     def _view(self, vertices: tuple[str, ...], cls: type | None = None):
-        """The full subcomplex on some vertices, its maps filtered in order from their stars."""
+        """The full subcomplex on some vertices, its maps shared or filtered in order from the ambient.
+
+        A closed vertex, one whose neighbors are all kept, has no simplex
+        reaching outside the kept set, so its star and neighbors are shared.
+        Each simplex is listed once, at its least vertex, so each dimension
+        comes out lexicographic, and a stable sort by length splits them.
+        """
         keep = set(vertices)
-        star = {v: [s for s in self._star[v] if keep.issuperset(s)] for v in vertices}
-        by_dim: dict[int, list[Simplex]] = {}
-        for v in sorted(keep):  # a simplex is listed once, at its least vertex
-            for s in star[v]:
-                if s[0] == v:
-                    by_dim.setdefault(len(s) - 1, []).append(s)
-        neighbors = {v: tuple(u for u in self._neighbors[v] if u in keep) for v in vertices}
-        by_dim = {d: tuple(by_dim[d]) for d in sorted(by_dim)}
+        star, neighbors = {}, {}
+        for v in vertices:
+            near = self._neighbors[v]
+            if keep.issuperset(near):
+                star[v], neighbors[v] = self._star[v], near
+            else:
+                star[v] = list(filter(keep.issuperset, self._star[v]))
+                neighbors[v] = tuple(filter(keep.__contains__, near))
+        simplices = [s for v in sorted(keep) for s in star[v] if s[0] == v]
+        simplices.sort(key=len)
+        by_dim = {n - 1: tuple(level) for n, level in itertools.groupby(simplices, len)}
         return (cls or SimplicialComplex)._presorted(vertices, by_dim, (star, neighbors))
 
     @property
@@ -451,15 +463,18 @@ def induced_nerve(nerve: Nerve, subset) -> Nerve:
     Sphericity depends only on the induced labels, so the ambient simplices
     and orders inside the subset are exactly those of
     build_nerve(induced_subspec(nerve.spec, subset)); nothing is classified
-    again.  The result is a view, filtered in order from the ambient maps at
-    the cost of the kept vertices' stars; every finite label is an edge of
-    the nerve, so the restricted spec takes its labels from the kept edges.
+    again.  The result is a view of the ambient maps: closed vertices share
+    their stars, the others' are filtered in order, so a component's view
+    copies no star.  Every finite label is an edge of the nerve, so the
+    restricted spec takes its labels from the kept edges, and the orders
+    are looked up once per kept simplex.
     """
     keep = set(nerve.spec.check_subset(subset))
     vertices = tuple(v for v in nerve.vertices if v in keep)
     sub = nerve._view(vertices, Nerve)
     sub.spec = nerve.spec._restrict(vertices, keep, sub.edges)
-    sub._orders = {s: nerve._orders[s] for s in sub.simplices()}
+    simplices = sub.simplices()
+    sub._orders = dict(zip(simplices, map(nerve._orders.__getitem__, simplices)))
     return sub
 
 

@@ -173,6 +173,21 @@ def test_full_subcomplex_side_of_k33():
     assert witness.notes
 
 
+def test_a_view_shares_only_the_maps_of_closed_vertices():
+    # Skeleton components {a, b} and {c, d, e}; in a view on a, b, c, d only d has a neighbor outside.
+    spec = CoxeterSpec(["a", "b", "c", "d", "e"], {("a", "b"): 2, ("c", "d"): 3, ("d", "e"): 2})
+    nerve = build_nerve(spec)
+    component = induced_nerve(nerve, ["a", "b"])
+    assert all(component._star[v] is nerve._star[v] for v in "ab")
+    assert all(component.neighbors(v) is nerve.neighbors(v) for v in "ab")
+    assert all(component.spec.commuting(v) is spec.commuting(v) for v in "ab")
+    view = induced_nerve(nerve, ["a", "b", "c", "d"])
+    assert all(view._star[v] is nerve._star[v] for v in "abc")
+    assert view._star["d"] is not nerve._star["d"] and view._star["d"] == [("d",), ("c", "d")]
+    assert view.neighbors("d") == ("c",) and view.spec.commuting("d") == set()
+    assert nerve._star["d"] == [("d",), ("c", "d"), ("d", "e")] and spec.commuting("d") == {"e"}
+
+
 def witness_of(nerve, subset):
     return full_subcomplex(nerve, subset)[1]
 

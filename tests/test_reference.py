@@ -104,15 +104,15 @@ LABELS = st.sampled_from([2, 3, 4, 5, 6, INFINITY])
 
 
 @st.composite
-def specs(draw, max_vertices=7):
+def specs(draw, max_vertices=7, labels=LABELS):
     n = draw(st.integers(0, max_vertices))
     vertices = draw(st.permutations([f"v{i}" for i in range(n)]))
-    labels = {}
+    drawn = {}
     for u, v in combinations(vertices, 2):
-        m = draw(LABELS)
+        m = draw(labels)
         if m != INFINITY:
-            labels[(u, v)] = m
-    return CoxeterSpec(vertices, labels)
+            drawn[(u, v)] = m
+    return CoxeterSpec(vertices, drawn)
 
 
 @st.composite
@@ -162,8 +162,22 @@ def assert_same_spec(spec: CoxeterSpec, ref: CoxeterSpec):
     assert all(spec.commuting(v) == ref.commuting(v) for v in ref.vertices)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(specs_with_subset(), spheres_with_subset()))
+@st.composite
+def closed_or_factor_subsets(draw):
+    """A union of skeleton components, all of whose vertices are closed, or one join factor.
+
+    A factor of a join with two or more factors has no closed vertex.
+    """
+    if draw(st.booleans()):
+        spec = draw(specs(labels=st.sampled_from([2, 3, INFINITY, INFINITY])).filter(len))
+        chosen = draw(st.lists(st.sampled_from(build_nerve(spec).skeleton_components()), unique=True))
+        return spec, [v for comp in chosen for v in comp]
+    spec = join_spec(draw(specs(max_vertices=4).filter(len)), draw(specs(max_vertices=4).filter(len)))
+    return spec, list(draw(st.sampled_from(diagram_components(spec, spec.vertices))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(specs_with_subset(), spheres_with_subset(), closed_or_factor_subsets()))
 def test_induced_nerve_view_equals_rebuilds(case):
     spec, subset = case
     ambient = build_nerve(spec)
@@ -183,7 +197,7 @@ def test_induced_nerve_view_equals_rebuilds(case):
         assert view.is_connected() == other.is_connected()
         assert recognize_sphere(view) is recognize_sphere(other)
     assert [view.order(s) for s in view.simplices()] == [rebuilt.order(s) for s in rebuilt.simplices()]
-    assert chi_orb(view) == chi_orb(rebuilt)
+    assert chi_orb(view) == chi_orb(rebuilt) == chi_orb_chain_sum(view)
     assert repr(betti(view)) == repr(betti(rebuilt))
 
 
@@ -318,6 +332,7 @@ FINITE_TYPES = {
     "D5": (5, [(0, 1, 3), (1, 2, 3), (2, 3, 3), (2, 4, 3)], 1920),
     "E6": (6, [(0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3), (2, 5, 3)], 51840),
     "E7": (7, [(0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (2, 6, 3)], 2903040),
+    "E8": (8, [(0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (5, 6, 3), (2, 7, 3)], 696729600),
     "F4": (4, [(0, 1, 3), (1, 2, 4), (2, 3, 3)], 1152),
     "H3": (3, [(0, 1, 5), (1, 2, 3)], 120),
     "H4": (4, [(0, 1, 5), (1, 2, 3), (2, 3, 3)], 14400),
@@ -341,7 +356,8 @@ def product_spec(types, vertices) -> CoxeterSpec:
 def finite_type_specs(draw, max_vertices=7):
     """Products of finite types under a random naming, sometimes with a few labels redrawn."""
     types, n = [], 0
-    for name in draw(st.lists(st.sampled_from(sorted(FINITE_TYPES)), min_size=1, max_size=3)):
+    fitting = sorted(name for name, (rank, _, _) in FINITE_TYPES.items() if rank <= max_vertices)
+    for name in draw(st.lists(st.sampled_from(fitting), min_size=1, max_size=3)):
         if n + FINITE_TYPES[name][0] <= max_vertices:
             types.append(name)
             n += FINITE_TYPES[name][0]
@@ -625,9 +641,11 @@ def test_suspension_is_recognized_and_summed_once(monkeypatch):
         return recognize(complex_)
 
     class CountingOrders(dict):
-        def items(self):  # chi_orb sums the simplices through their orders
-            calls["chi_sum"] += 1
-            return super().items()
+        def __getitem__(self, simplex):  # a chi sum reads the order of every simplex
+            # This triangle lies in no join factor and outside the half view below,
+            # so its order is read by nothing else.
+            calls["chi_sum"] += simplex == ("c0", "c1", "s")
+            return super().__getitem__(simplex)
 
     monkeypatch.setattr(nerve_module, "_recognize_sphere", counting_recognize)
     count_whole_set_classifications(monkeypatch, calls, nerve.vertices)
@@ -2047,19 +2065,28 @@ def test_betti_equals_builder_reference(case):
 
 
 def finite_systems():
-    """Every FINITE_TYPES type alone and beside each other type, a single vertex, and the empty system."""
+    """Every FINITE_TYPES type alone and beside each other type, a single vertex, and the empty system.
+
+    Each comes with the order of its group.
+    """
     for types in [(name,) for name in FINITE_TYPES] + list(combinations(FINITE_TYPES, 2)):
         rank = sum(FINITE_TYPES[name][0] for name in types)
-        yield product_spec(types, [f"v{i}" for i in range(rank)])
-    yield CoxeterSpec(["v0"], {})
-    yield CoxeterSpec([], {})
+        order = math.prod(FINITE_TYPES[name][2] for name in types)
+        yield product_spec(types, [f"v{i}" for i in range(rank)]), order
+    yield CoxeterSpec(["v0"], {}), 2
+    yield CoxeterSpec([], {}), 1
+
+
+def test_chi_orb_of_a_finite_system_is_one_over_its_order():
+    for spec, order in finite_systems():
+        assert chi_orb(build_nerve(spec)) == Fraction(1, order)
 
 
 def test_r_fin_reads_the_order_classify_gives():
-    for spec in finite_systems():
+    for spec, order in finite_systems():
         nerve, verdict = build_nerve(spec), classify(spec, spec.vertices)
         vector = betti(nerve)
-        assert verdict.spherical and vector.rule_for(0) == "R-fin"
+        assert verdict.spherical and verdict.order == order and vector.rule_for(0) == "R-fin"
         assert vector.detail_for(0) == f"|W| = {verdict.order}" and vector.get(0) == Fraction(1, verdict.order)
         assert planarity._certify_connected(nerve).reason == "FiniteGroup"
         reason = "FiniteGroup" if nerve.dimension <= 2 else "DimensionTooHigh"
