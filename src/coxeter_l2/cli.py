@@ -137,7 +137,7 @@ def _cmd_betti(args) -> int:
         ambient = build_nerve(_load_spec(args.ambient))
         subset = _subset(args.subset) if args.subset is not None else spec.vertices
         target, witness = full_subcomplex(ambient, subset)
-        if target.spec != spec:
+        if set(target.vertices) != set(spec.vertices) or target.spec.finite_edges() != spec.finite_edges():
             raise ValueError(
                 "target spec does not match the induced subcomplex of the ambient"
             )

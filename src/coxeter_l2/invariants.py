@@ -218,7 +218,8 @@ def _validate_witness(nerve: Nerve, witness: SubcomplexWitness) -> None:
     target_set = set(nerve.vertices)
     if set(witness.vertex_set) != target_set:
         raise InvalidWitness("witness vertex set does not match the target nerve")
-    if induced_subspec(witness.ambient.spec, witness.vertex_set) != nerve.spec:
+    # The vertex sets agree, so the labels decide; the target may list its vertices in any order.
+    if induced_subspec(witness.ambient.spec, witness.vertex_set).finite_edges() != nerve.spec.finite_edges():
         raise InvalidWitness("target is not the induced subsystem of the witness ambient")
     if witness.right_angled_complement != _right_angled_outside(witness.ambient, target_set):
         raise InvalidWitness("witness right-angled flag does not match the ambient labels")

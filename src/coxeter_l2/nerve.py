@@ -47,7 +47,8 @@ class SimplicialComplex:
     enumerates.  All of them list simplices in canonical order, so equality
     and hashing read _by_dim, and membership reads the stars.  A star list
     or neighbor tuple is never mutated once its complex is built, so views
-    may share them.
+    may share them.  The view is the one restriction to a vertex subset:
+    is_full_subcomplex compares a subcomplex with the view on its vertices.
     """
 
     def __init__(self, vertices: Iterable[str], simplices: Iterable[Simplex]):
@@ -498,17 +499,14 @@ def link(complex_: SimplicialComplex, v: str) -> SimplicialComplex:
     return SimplicialComplex(complex_.neighbors(v), simplices)
 
 
-def _is_full(ambient: SimplicialComplex, vertices, simplices) -> bool:
-    """Are the given simplices (a set) exactly the ambient simplices spanned by the vertices?"""
-    keep = set(vertices)  # each spanned simplex is read from the stars once, at its least vertex
-    spanned = [s for v in keep for s in ambient._star[v] if s[0] == v and keep.issuperset(s)]
-    return len(spanned) == len(simplices) and all(s in simplices for s in spanned)
-
-
 def is_full_subcomplex(ambient: SimplicialComplex, sub: SimplicialComplex) -> bool:
-    """Does the subcomplex contain every ambient simplex spanned by its vertices, and no other?"""
+    """Does the subcomplex contain every ambient simplex spanned by its vertices, and no other?
+
+    It is full exactly when it equals the ambient's view on its vertex tuple:
+    _view is the one restriction of a complex to a vertex subset.
+    """
     known = all(v in ambient._star for v in sub.vertices)
-    return known and _is_full(ambient, sub.vertices, set(sub.simplices()))
+    return known and ambient._view(sub.vertices) == sub
 
 
 def _disjoint_rename(taken: set[str], name: str) -> str:

@@ -26,7 +26,6 @@ from coxeter_l2.nerve import (
     SphereKind,
     SubcomplexWitness,
     _disjoint_rename,
-    _is_full,
     _traced_faces,
     _witness,
     build_nerve,
@@ -248,7 +247,9 @@ class TraceStep(NamedTuple):
             "before": list(self.before),
             "after": list(self.after),
             "link": list(self.link_vertices),
-            "link_full": True,  # a step is only recorded once its link is full
+            # Every label at the removed vertex v is 2, so T + {v} is spherical exactly when
+            # T is spherical and lies among v's neighbors: W of T + {v} is W_T x Z/2.
+            "link_full": True,
             "justification": self.justification,
         }
 
@@ -279,12 +280,12 @@ def trace_vanishing(ambient: Nerve, target) -> ProofTrace:
     The ambient nerve must be a 2-sphere triangulation and the target a
     full subcomplex with right-angled complement.  Vertices outside the
     target are removed in lexicographic order; each step records the link
-    of the removed vertex, its fullness in the ambient nerve, and the
+    of the removed vertex, its neighbors not yet removed, and the
     decomposition justifying the transfer of vanishing.  Only the witness
-    is needed of the target, so its induced nerve is never built.  Each
-    link is one pass over the removed vertex's star in the remaining
-    vertices, checked full against the ambient stars of its vertices, so
-    no complex is built.
+    is needed of the target, so its induced nerve is never built and no
+    star is read.  The witness makes each link full in the ambient nerve:
+    every label at a removed vertex v is 2, so for T among v's neighbors,
+    W of T + {v} is W_T x Z/2, and T + {v} is spherical exactly when T is.
     """
     A = ambient.spec.check_subset(target)
     if recognize_sphere(ambient) is not SphereKind.TWO_SPHERE:
@@ -299,13 +300,7 @@ def trace_vanishing(ambient: Nerve, target) -> ProofTrace:
     steps = []
     for v in removal:
         before = after
-        # The star lists the edges at v first, in order, so the link vertices come out sorted.
-        faces = [tuple(x for x in s if x != v) for s in ambient._star[v] if len(s) > 1 and removed.isdisjoint(s)]
-        near = tuple(f[0] for f in faces if len(f) == 1)
-        if not _is_full(ambient, near, set(faces)):
-            raise HypothesisViolated(
-                f"link of {v} is not a full subcomplex of the ambient nerve"
-            )
+        near = tuple(u for u in ambient.neighbors(v) if u not in removed)  # sorted, as the neighbors are
         removed.add(v)
         i = bisect.bisect_left(before, v)
         after = before[:i] + before[i + 1:]

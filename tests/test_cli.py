@@ -156,6 +156,17 @@ def test_betti_with_mismatched_ambient_is_an_error(capsys):
     assert err == "error: target spec does not match the induced subcomplex of the ambient\n"
 
 
+def test_betti_with_ambient_accepts_a_target_in_another_vertex_order(docs, capsys, tmp_path):
+    square = [e for e in octahedron_spec().to_document()["edges"] if "z" not in e["u"] + e["v"]]
+    outputs = []
+    for vertices in (["x0", "x1", "y0", "y1"], ["y0", "x0", "x1", "y1"]):
+        p = tmp_path / "square.json"
+        p.write_text(json.dumps({"vertices": vertices, "edges": square}))
+        outputs.append(run(capsys, ["betti", str(p), "--ambient", docs["octahedron.json"]]))
+    assert outputs[0][0] == 0 and outputs[0][1].startswith("(0, 0, 0)\n")
+    assert outputs[1] == outputs[0]
+
+
 def test_betti_with_embedding(docs, capsys, tmp_path):
     spec = complete_graph_spec(4, 3)
     sp = tmp_path / "k4.json"

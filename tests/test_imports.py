@@ -8,12 +8,15 @@ The package exports exactly what its __init__ imports, so a deleted name
 cannot linger in __all__.  The private constructors (_presorted,
 _assembled, _index, _view) are called only in the nerve module, which keeps
 their preconditions; elsewhere complexes come from SimplicialComplex,
-build_nerve or induced_nerve.  No module imports numpy: floating point
-stays in the numeric oracles, which need only the standard library, so
-numpy is a test dependency and no `coxl2` run loads it, not even an
-`enumerate`.  No module imports dataclasses either: the result records are
-NamedTuples, so importing the package and its CLI loads neither
-dataclasses nor the inspect, ast and tokenize modules it pulls in.  Betti
+build_nerve or induced_nerve.  The planarity pipeline and the CLI read a
+complex through its public methods, never through its private maps
+(_star, _by_dim, _neighbors, _orders), whose invariants the nerve module
+keeps.  No module imports numpy: floating point stays in the numeric
+oracles, which need only the standard library, so numpy is a test
+dependency and no `coxl2` run loads it, not even an `enumerate`.  No
+module imports dataclasses either: the result records are NamedTuples, so
+importing the package and its CLI loads neither dataclasses nor the
+inspect, ast and tokenize modules it pulls in.  Betti
 rule ids are string constants of the invariants module alone: elsewhere a
 rule is cited as the engine recorded it, never named, so no other module
 can branch on one.
@@ -93,6 +96,18 @@ def test_complexes_are_constructed_only_in_nerve():
                 else []
             )
             found += [f"{path.name}:{node.lineno} references {name}" for name in names if name in private]
+    assert found == []
+
+
+def test_pipeline_and_cli_read_no_private_complex_map():
+    private = {"_star", "_by_dim", "_neighbors", "_orders"}
+    found = []
+    for name in ("planarity.py", "cli.py"):
+        found += [
+            f"{name}:{node.lineno} reads {node.attr}"
+            for node in ast.walk(ast.parse((SRC / name).read_text(), filename=name))
+            if isinstance(node, ast.Attribute) and node.attr in private
+        ]
     assert found == []
 
 

@@ -251,6 +251,19 @@ def test_witness_on_a_target_with_other_labels_is_rejected():
         betti(target, RuleContext(witness=witness))
 
 
+@pytest.mark.parametrize("order", [["y0", "x0", "x1", "y1"], ["y1", "y0", "x1", "x0"]])
+def test_witness_accepts_a_target_listing_its_vertices_in_another_order(order):
+    octa = octahedron_spec()
+    square = [(u, v, m) for u, v, m in octa.finite_edges() if "z" not in u + v]
+    _, witness = full_subcomplex(build_nerve(octa), order)
+    vectors = [
+        betti(build_nerve(CoxeterSpec(vertices, {(u, v): m for u, v, m in square})), RuleContext(witness=witness))
+        for vertices in (["x0", "x1", "y0", "y1"], order)
+    ]
+    assert vectors[0].as_tuple() == (0, 0, 0)
+    assert vectors[1].to_document() == vectors[0].to_document()
+
+
 def test_witness_with_a_forged_right_angled_flag_is_rejected():
     # x0 has the label-3 neighbor y0, so the complement of the other five vertices is not right-angled
     ambient = build_nerve(octahedron_spec({("x0", "y0"): 3}))

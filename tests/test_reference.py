@@ -79,6 +79,7 @@ from coxeter_l2.nerve import (
     build_nerve,
     full_subcomplex,
     induced_nerve,
+    is_full_subcomplex,
     join2,
     join_spec,
     link,
@@ -1071,6 +1072,43 @@ def test_planar_rotation_searches_components_once(monkeypatch):
     assert searches == {"components": 1}
 
 
+def reference_is_full(ambient, sub) -> bool:
+    """is_full_subcomplex as it was: the spanned simplices read off the ambient stars, compared as a set."""
+    if not all(v in ambient._star for v in sub.vertices):
+        return False
+    keep, simplices = set(sub.vertices), set(sub.simplices())
+    spanned = [s for v in keep for s in ambient._star[v] if s[0] == v and keep.issuperset(s)]
+    return len(spanned) == len(simplices) and all(s in simplices for s in spanned)
+
+
+@st.composite
+def fullness_cases(draw):
+    """An ambient complex, a candidate subcomplex, and whether it is full."""
+    spec, subset = draw(st.one_of(specs_with_subset(), spheres_with_subset()))
+    nerve = build_nerve(spec)
+    plain = SimplicialComplex(draw(st.permutations(nerve.vertices)), nerve.simplices())
+    view = nerve._view(tuple(subset))
+    kind = draw(st.sampled_from(["view", "view minus a simplex", "shuffled copy", "nerve", "unknown vertex"]))
+    if kind == "view":
+        return draw(st.sampled_from([nerve, plain])), view, True
+    if kind == "view minus a simplex" and view.simplices():
+        dropped = draw(st.sampled_from(view.simplices()))
+        return nerve, SimplicialComplex(view.vertices, [s for s in view.simplices() if s != dropped]), False
+    if kind == "shuffled copy":
+        return nerve, SimplicialComplex(draw(st.permutations(view.vertices)), view.simplices()), True
+    if kind == "nerve":  # Nerve.__eq__ declines a plain complex, so the comparison is reflected
+        return plain, induced_nerve(nerve, subset), True
+    extra = draw(st.sampled_from([[], [("zz",)]]))
+    return nerve, SimplicialComplex([*view.vertices, "zz"], [*view.simplices(), *extra]), False
+
+
+@settings(max_examples=300, deadline=None)
+@given(fullness_cases())
+def test_is_full_subcomplex_equals_star_reference(case):
+    ambient, sub, full = case
+    assert is_full_subcomplex(ambient, sub) == reference_is_full(ambient, sub) == full
+
+
 def test_trace_on_suspension_restricts_no_spec(monkeypatch):
     nerve = build_nerve(join_spec(cycle_spec(50, 2, prefix="c"), CoxeterSpec(["n", "s"], {})))
     target = ["n", *nerve.vertices[:10]]
@@ -1082,6 +1120,33 @@ def test_trace_on_suspension_restricts_no_spec(monkeypatch):
     # Each link and its fullness are read from the ambient stars: no complex, view or
     # link, is built (every complex is indexed by _index).
     assert calls == induced == built == Counter()
+
+
+def test_trace_on_suspension_reads_no_star():
+    nerve = build_nerve(suspension_spec(50))
+    assert recognize_sphere(nerve) is SphereKind.TWO_SPHERE  # the kind is held from here on
+    reads = Counter()
+
+    class CountingStar(Mapping):
+        def __init__(self, star):
+            self.star = star
+
+        def __getitem__(self, v):
+            reads[v] += 1
+            return self.star[v]
+
+        def __iter__(self):
+            reads["iter"] += 1
+            return iter(self.star)
+
+        def __len__(self):
+            return len(self.star)
+
+    nerve._star = CountingStar(nerve._star)
+    trace = trace_vanishing(nerve, ["n", *nerve.vertices[:10]])
+    # Each link is the removed vertex's remaining neighbors, full by the witness.
+    assert len(trace.steps) == 41 and reads == Counter()
+    assert nerve.has_simplex(("c0", "n")) and reads  # the counter does see the star
 
 
 class FiniteGroup(ValueError):
