@@ -88,9 +88,14 @@ def chi_orb_chain_sum(nerve: Nerve, *, chain_cap: int = 10 ** 7) -> Fraction:
     subsets ordered by inclusion, the empty set included as a poset
     element; a chain of k+1 elements has dimension k and stabilizer order
     |W_T| for its minimum T.  Every chain is enumerated literally; supersets
-    are read from stars as chains reach them, so chain_cap bounds the work.
+    are read from stars (the simplices at each vertex, listed here) as
+    chains reach them, so chain_cap bounds the work.
     """
     simplices = nerve.simplices()
+    stars: dict[str, list[tuple[str, ...]]] = {}
+    for s in simplices:
+        for v in s:
+            stars.setdefault(v, []).append(s)
     above: dict[tuple[str, ...], Sequence] = {(): simplices}  # every simplex is above the empty set
     total = Fraction(0)
     seen = 0
@@ -102,7 +107,7 @@ def chi_orb_chain_sum(nerve: Nerve, *, chain_cap: int = 10 ** 7) -> Fraction:
             raise CapExceeded(f"chain enumeration exceeds {chain_cap} chains")
         total += Fraction((-1) ** (length - 1), min_order)
         if last not in above:  # each proper superset lies in the star of every vertex of last
-            star = min((nerve._star[v] for v in last), key=len)
+            star = min((stars[v] for v in last), key=len)
             above[last] = [t for t in star if len(t) > len(last) and set(last).issubset(t)]
         for t in above[last]:
             extend(min_order, t, length + 1)

@@ -238,7 +238,8 @@ def components(
 
     Breadth-first search over the unvisited vertices; with ``complement`` the neighbors of u
     are those outside ``adjacent(u)``, so both cases run in O(V + E).  Components are sorted
-    tuples, listed by least vertex.
+    tuples, listed by least vertex.  Removing from a set does not shrink its table, and the
+    complement step walks the whole table, so there a fresh, smaller set replaces it.
     """
     remaining = set(vertices)
     comps = []
@@ -249,8 +250,13 @@ def components(
         comp = [start]
         for u in comp:  # comp grows while it is scanned: a breadth-first queue
             near = adjacent(u)
-            found = remaining.difference(near) if complement else remaining.intersection(near)
-            remaining -= found
+            if complement:
+                found = remaining.difference(near)
+                if found:
+                    remaining = remaining.difference(found)
+            else:
+                found = remaining.intersection(near)
+                remaining -= found
             comp += found
             if not remaining:  # the rest of the queue can find nothing
                 break

@@ -15,6 +15,7 @@ checked by face tracing plus Euler's formula, with no coordinates anywhere.
 from __future__ import annotations
 
 import bisect
+import collections
 import enum
 import itertools
 import weakref
@@ -33,71 +34,67 @@ class CapExceeded(RuntimeError):
 class SimplicialComplex:
     """Abstract simplicial complex: a vertex tuple plus simplices by dimension.
 
-    Simplices are stored as sorted vertex tuples, listed in canonical
-    (dimension, lexicographic) order so iteration is deterministic.  The
-    complex is indexed once: a neighbor map (the 1-skeleton adjacency) and a
-    star map (the simplices containing each vertex, in that order), so
-    neighbors, links, connectivity and restrictions to a vertex subset cost
-    time proportional to the simplices they touch, not to the whole complex.
-    Every constructor hands _index both maps: __init__, the one constructor
-    that takes unsorted simplices, builds them from the simplices; a full
-    subcomplex is a view (_view) that shares the ambient star and neighbors
-    of each closed vertex, one whose neighbors are all kept, and filters
-    the others' in order; and build_nerve fills a nerve's maps as it
-    enumerates.  All of them list simplices in canonical order, so equality
-    and hashing read _by_dim, and membership reads the stars.  A star list
-    or neighbor tuple is never mutated once its complex is built, so views
-    may share them.  The view is the one restriction to a vertex subset:
+    Simplices are stored as sorted vertex tuples, each dimension's level
+    listed in lexicographic order, so iteration is deterministic, equality
+    and hashing read the levels, and has_simplex bisects them.  Besides the
+    levels a complex holds one map, the neighbor tuples (its 1-skeleton
+    adjacency, each sorted), so neighbors and connectivity cost time
+    proportional to the edges they touch.  Every constructor hands _index
+    the levels and the neighbor map: __init__, the one constructor that
+    takes unsorted simplices, sorts them and reads the neighbors off the
+    edge level; a full subcomplex is a view (_view) that filters each
+    ambient level in order and shares the neighbor tuple of each closed
+    vertex, one whose neighbors are all kept; and build_nerve fills a
+    nerve's levels and neighbors as it enumerates.  A level or neighbor
+    tuple is never mutated once its complex is built, so views may share
+    them.  The view is the one restriction to a vertex subset:
     is_full_subcomplex compares a subcomplex with the view on its vertices.
     """
 
     def __init__(self, vertices: Iterable[str], simplices: Iterable[Simplex]):
         vertices = tuple(vertices)
-        index: dict[int, list[Simplex]] = {}
-        star: dict[str, list[Simplex]] = {v: [] for v in vertices}
-        for s in sorted({tuple(sorted(s)) for s in simplices} - {()}, key=lambda s: (len(s), s)):
-            index.setdefault(len(s) - 1, []).append(s)
-            for v in s:
-                star.setdefault(v, []).append(s)
-        # The edges at v come in lexicographic order, so its neighbors come out sorted.
-        near = {v: tuple(x for e in ss if len(e) == 2 for x in e if x != v) for v, ss in star.items()}
-        self._index(vertices, {d: tuple(index[d]) for d in sorted(index)}, (star, near))
+        ordered = sorted({tuple(sorted(s)) for s in simplices} - {()}, key=lambda s: (len(s), s))
+        by_dim = {n - 1: tuple(level) for n, level in itertools.groupby(ordered, len)}
+        # A vertex that only a simplex names is known too, as it is to link.
+        near: dict[str, list[str]] = {v: [] for v in itertools.chain(vertices, *ordered)}
+        for u, w in by_dim.get(1, ()):  # lexicographic, so each neighbor list comes out sorted
+            near[u].append(w)
+            near[w].append(u)
+        self._index(vertices, by_dim, {v: tuple(ns) for v, ns in near.items()})
 
     @classmethod
-    def _presorted(cls, vertices: tuple[str, ...], by_dim: dict, maps):
+    def _presorted(cls, vertices: tuple[str, ...], by_dim: dict, neighbors: dict):
         """The private constructor: simplices distinct, sorted, and lexicographic per dimension."""
         complex_ = cls.__new__(cls)
-        complex_._index(vertices, by_dim, maps)
+        complex_._index(vertices, by_dim, neighbors)
         return complex_
 
-    def _index(self, vertices, by_dim, maps) -> None:
-        """Store the simplices and the given star and neighbor maps."""
+    def _index(self, vertices, by_dim, neighbors) -> None:
+        """Store the levels and the given neighbor map."""
         self.vertices: tuple[str, ...] = vertices
         self._by_dim: dict[int, tuple[Simplex, ...]] = by_dim
-        self._star, self._neighbors = maps
+        self._neighbors: dict[str, tuple[str, ...]] = neighbors
         self._sphere = self._components = None  # held by recognize_sphere and skeleton_components
 
     def _view(self, vertices: tuple[str, ...], cls: type | None = None):
-        """The full subcomplex on some vertices, its maps shared or filtered in order from the ambient.
+        """The full subcomplex on some vertices, its levels and neighbors filtered in order from the ambient.
 
-        A closed vertex, one whose neighbors are all kept, has no simplex
-        reaching outside the kept set, so its star and neighbors are shared.
-        Each simplex is listed once, at its least vertex, so each dimension
-        comes out lexicographic, and a stable sort by length splits them.
+        Filtering keeps each level lexicographic, so nothing is sorted again.
+        Every nonempty level is kept, not only those below the first empty
+        one, since a complex need not be closed under faces.  A closed
+        vertex, one whose neighbors are all kept, shares its neighbor tuple.
         """
         keep = set(vertices)
-        star, neighbors = {}, {}
+        neighbors = {}
         for v in vertices:
             near = self._neighbors[v]
-            if keep.issuperset(near):
-                star[v], neighbors[v] = self._star[v], near
-            else:
-                star[v] = list(filter(keep.issuperset, self._star[v]))
-                neighbors[v] = tuple(filter(keep.__contains__, near))
-        simplices = [s for v in sorted(keep) for s in star[v] if s[0] == v]
-        simplices.sort(key=len)
-        by_dim = {n - 1: tuple(level) for n, level in itertools.groupby(simplices, len)}
-        return (cls or SimplicialComplex)._presorted(vertices, by_dim, (star, neighbors))
+            neighbors[v] = near if keep.issuperset(near) else tuple(filter(keep.__contains__, near))
+        by_dim = {}
+        for d, level in self._by_dim.items():
+            kept = tuple(filter(keep.issuperset, level))
+            if kept:
+                by_dim[d] = kept
+        return (cls or SimplicialComplex)._presorted(vertices, by_dim, neighbors)
 
     @property
     def dimension(self) -> int:
@@ -110,9 +107,11 @@ class SimplicialComplex:
         return tuple(s for group in self._by_dim.values() for s in group)  # dimensions ascend
 
     def has_simplex(self, s: Iterable[str]) -> bool:
-        """Is s a nonempty simplex?  It is looked for in the shortest star of its vertices."""
+        """Is s a nonempty simplex?  The level of its dimension is bisected."""
         s = tuple(sorted(s))
-        return bool(s) and s in min((self._star.get(v, ()) for v in s), key=len)
+        level = self._by_dim.get(len(s) - 1, ())
+        i = bisect.bisect_left(level, s)
+        return i < len(level) and level[i] == s
 
     @property
     def edges(self) -> tuple[Simplex, ...]:
@@ -157,9 +156,9 @@ class Nerve(SimplicialComplex):
     _chi = None  # held on the object by invariants.chi_orb
 
     @classmethod
-    def _assembled(cls, spec: CoxeterSpec, by_dim: dict, orders: dict[Simplex, int], maps) -> "Nerve":
-        """The nerve build_nerve enumerated, with its orders and both maps; the spec holds it weakly."""
-        nerve = cls._presorted(spec.vertices, by_dim, maps)
+    def _assembled(cls, spec: CoxeterSpec, by_dim: dict, orders: dict[Simplex, int], neighbors: dict) -> "Nerve":
+        """The nerve build_nerve enumerated, with its orders and neighbors; the spec holds it weakly."""
+        nerve = cls._presorted(spec.vertices, by_dim, neighbors)
         nerve.spec, nerve._orders = spec, orders
         spec._nerve = weakref.ref(nerve)
         return nerve
@@ -275,21 +274,25 @@ def validate_embedding(
     This is the one face-tracing entry point; a 1-skeleton has no 2-simplices
     to check, so on it this is the bare trace.  Each connected component is
     traced separately (disjoint pieces embed in disjoint disks); every
-    2-simplex must appear among its component's triangular faces.  Returns
+    2-simplex must appear among its component's triangular faces, so the
+    triangle level is split by the component of each least vertex.  Returns
     each component with its face walks.
     """
     if not isinstance(rot, RotationSystem):
         rot = RotationSystem.from_document(rot)
     if complex_.dimension > 2:
         raise ValueError("embedding witnesses only apply to complexes of dimension <= 2")
+    comps = complex_.skeleton_components()
+    where = {v: i for i, comp in enumerate(comps) for v in comp}
+    spanned: list[list[Simplex]] = [[] for _ in comps]
+    for t in complex_.triangles:
+        if t[0] in where:
+            spanned[where[t[0]]].append(t)
     out = []
-    for comp, faces in _traced_faces(complex_, rot):
+    for (comp, faces), simplices in zip(_traced_faces(complex_, rot), spanned):
         # A 3-walk has three distinct vertices (there are no loops), so it bounds a triangle.
         triangles = {frozenset(u for u, _ in face) for face in faces if len(face) == 3}
-        missing = [
-            t for v in comp for t in complex_._star[v]
-            if len(t) == 3 and t[0] == v and frozenset(t) not in triangles
-        ]
+        missing = [t for t in simplices if frozenset(t) not in triangles]
         if missing:
             raise NotSpherical(f"2-simplex {min(missing)} is not a face of the embedding")
         out.append((comp, faces))
@@ -320,9 +323,9 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
     the components of s it does not commute with (w alone doubles the
     order, and w with one vertex v is I2(m(v, w)), of order 2m).  Only the
     order of the matcher's (kind, rank, order, m) fields is kept.
-    Simplices come out in canonical order, so each is appended to its
-    vertices' stars as it is made, and the sorted labels list each vertex's
-    neighbors in order: the nerve is indexed as it is enumerated.
+    Simplices come out in canonical order, so each level is lexicographic
+    as it is made, and the sorted labels list each vertex's neighbors in
+    order: the nerve is indexed as it is enumerated.
     Raises CapExceeded past ``simplex_cap`` simplices.
 
     The spec keeps a weak reference to the nerve built last, so while a
@@ -333,13 +336,10 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
     if held is not None and len(held._orders) <= simplex_cap:
         return held
     labels = spec._labels
-    star: dict[str, list[Simplex]] = {v: [(v,)] for v in spec.vertices}
     lower: dict[str, list[str]] = {v: [] for v in spec.vertices}
     upper: dict[str, list[str]] = {v: [] for v in spec.vertices}
     for e in labels:  # sorted pairs, so each vertex meets its lower and its upper neighbors in order
         u, w = e
-        star[u].append(e)
-        star[w].append(e)
         upper[u].append(w)
         lower[w].append(u)
     vertices = sorted(spec.vertices)
@@ -395,8 +395,6 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
                 if len(orders) > simplex_cap:
                     raise CapExceeded(f"nerve exceeds {simplex_cap} simplices")
                 level.append(t)
-                for x in t:
-                    star[x].append(t)
                 rest = [x for x in candidates[i + 1:] if (w, x) in labels]
                 if rest:
                     nxt.append((t, rest, (*kept, comp)))
@@ -404,7 +402,7 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
         frontier = nxt
     by_dim = {d: level for d, level in enumerate(levels) if level}  # an empty level has none above it
     neighbors = {v: (*lower[v], *upper[v]) for v in spec.vertices}
-    return Nerve._assembled(spec, by_dim, orders, (star, neighbors))
+    return Nerve._assembled(spec, by_dim, orders, neighbors)
 
 
 def _straddling_pairs(spec: CoxeterSpec, A: set[str]):
@@ -439,8 +437,8 @@ def _witness(nerve: Nerve, A: VertexSubset) -> SubcomplexWitness:
     commuting neighbors; infinite pairs are not edges, so a straddling one
     does not disqualify and is only noted.  Straddling infinite pairs are
     counted in closed form (all pairs not inside A, minus the edges at
-    vertices outside A), and only the first four are enumerated for the
-    note.
+    vertices outside A), and only the first four, or all when fewer, are
+    enumerated for the note.
     """
     keep = set(A)
     near = {u: nerve.neighbors(u) for u in set(nerve.vertices) - keep}
@@ -449,7 +447,8 @@ def _witness(nerve: Nerve, A: VertexSubset) -> SubcomplexWitness:
     count = n * (n - 1) // 2 - a * (a - 1) // 2 - edges
     notes = ()
     if count:
-        shown = ", ".join(f"({u},{v})" for u, v in itertools.islice(_straddling_pairs(nerve.spec, keep), 4))
+        pairs = itertools.islice(_straddling_pairs(nerve.spec, keep), min(count, 4))
+        shown = ", ".join(f"({u},{v})" for u, v in pairs)
         more = "" if count <= 4 else f" and {count - 4} more"
         notes = (
             f"{count} infinite-label pair(s) not contained in the "
@@ -464,9 +463,9 @@ def induced_nerve(nerve: Nerve, subset) -> Nerve:
     Sphericity depends only on the induced labels, so the ambient simplices
     and orders inside the subset are exactly those of
     build_nerve(induced_subspec(nerve.spec, subset)); nothing is classified
-    again.  The result is a view of the ambient maps: closed vertices share
-    their stars, the others' are filtered in order, so a component's view
-    copies no star.  Every finite label is an edge of the nerve, so the
+    again.  The result is a view of the ambient: each level is filtered in
+    order, closed vertices share their neighbor tuples and the others' are
+    filtered.  Every finite label is an edge of the nerve, so the
     restricted spec takes its labels from the kept edges, and the orders
     are looked up once per kept simplex.
     """
@@ -492,10 +491,15 @@ def full_subcomplex(nerve: Nerve, subset) -> tuple[Nerve, SubcomplexWitness]:
 
 
 def link(complex_: SimplicialComplex, v: str) -> SimplicialComplex:
-    """The link of a vertex: all simplices T with v not in T and T + {v} a simplex."""
-    if v not in complex_._star:
+    """The link of a vertex: all simplices T with v not in T and T + {v} a simplex.
+
+    The simplices containing v are found by scanning the levels; a vertex
+    is known when the complex lists it or one of its simplices names it.
+    """
+    star = [s for level in complex_._by_dim.values() for s in level if v in s]
+    if not star and v not in complex_._neighbors:
         raise KeyError(f"{v!r} is not a vertex")
-    simplices = [tuple(x for x in s if x != v) for s in complex_._star[v] if len(s) > 1]
+    simplices = [tuple(x for x in s if x != v) for s in star if len(s) > 1]
     return SimplicialComplex(complex_.neighbors(v), simplices)
 
 
@@ -505,7 +509,7 @@ def is_full_subcomplex(ambient: SimplicialComplex, sub: SimplicialComplex) -> bo
     It is full exactly when it equals the ambient's view on its vertex tuple:
     _view is the one restriction of a complex to a vertex subset.
     """
-    known = all(v in ambient._star for v in sub.vertices)
+    known = all(v in ambient._neighbors for v in sub.vertices)
     return known and ambient._view(sub.vertices) == sub
 
 
@@ -564,11 +568,11 @@ def recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
     exactly two triangles, every vertex link a circle, and V - E + F = 2.
     Once every edge lies in two triangles, each vertex link is a 2-regular
     graph, and it is a circle exactly when the walk round it from one
-    neighbor takes as many steps as the vertex has neighbors; no link complex
-    is built, and the two other corners of each star triangle are read by
-    position.  Connectivity, the one check that searches the whole complex,
-    runs only once the local checks pass.  The kind is held on the complex,
-    so each is recognized once.
+    neighbor takes as many steps as the vertex has neighbors.  No link
+    complex is built: one pass over the triangle level joins, in the link of
+    each corner, the two other corners.  Connectivity, the one check that
+    searches the whole complex, runs only once the local checks pass.  The
+    kind is held on the complex, so each is recognized once.
     """
     if complex_._sphere is None:
         complex_._sphere = _recognize_sphere(complex_)
@@ -587,18 +591,17 @@ def _recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
         F = len(complex_.triangles)
         if V - E + F != 2:
             return SphereKind.NEITHER
-        # The link of v: its neighbors, joined by the opposite edges of its star
+        # The link of v: its neighbors, joined by the opposite edges of its
         # triangles.  The edge from v to a lies in two triangles exactly when a
         # has two link neighbors; once all do, the link is 2-regular.
+        links: dict[str, dict[str, list[str]]] = collections.defaultdict(dict)
+        for x, y, z in complex_.triangles:
+            for v, a, b in ((x, y, z), (y, x, z), (z, x, y)):
+                opposite = links[v]
+                opposite.setdefault(a, []).append(b)
+                opposite.setdefault(b, []).append(a)
         for v in complex_.vertices:
-            near = complex_.neighbors(v)
-            opposite: dict[str, list[str]] = {}
-            for s in complex_._star[v]:
-                if len(s) == 3:
-                    x, y, z = s
-                    a, b = (y, z) if x == v else (x, z) if y == v else (x, y)
-                    opposite.setdefault(a, []).append(b)
-                    opposite.setdefault(b, []).append(a)
+            near, opposite = complex_.neighbors(v), links[v]
             if not near or len(opposite) != len(near) or any(len(o) != 2 for o in opposite.values()):
                 return SphereKind.NEITHER
             prev, cur, steps = near[0], opposite[near[0]][0], 1

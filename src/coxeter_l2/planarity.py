@@ -283,7 +283,7 @@ def trace_vanishing(ambient: Nerve, target) -> ProofTrace:
     of the removed vertex, its neighbors not yet removed, and the
     decomposition justifying the transfer of vanishing.  Only the witness
     is needed of the target, so its induced nerve is never built and no
-    star is read.  The witness makes each link full in the ambient nerve:
+    level is read.  The witness makes each link full in the ambient nerve:
     every label at a removed vertex v is 2, so for T among v's neighbors,
     W of T + {v} is W_T x Z/2, and T + {v} is spherical exactly when T is.
     """

@@ -11,9 +11,12 @@ their preconditions; elsewhere complexes come from SimplicialComplex,
 build_nerve or induced_nerve.  The planarity pipeline and the CLI read a
 complex through its public methods, never through its private maps
 (_star, _by_dim, _neighbors, _orders), whose invariants the nerve module
-keeps.  No module imports numpy: floating point stays in the numeric
-oracles, which need only the standard library, so numpy is a test
-dependency and no `coxl2` run loads it, not even an `enumerate`.  No
+keeps.  A complex indexes its incidences once, as sorted levels and
+neighbor tuples: no module names a star attribute (_star), so a second
+index of the same incidences cannot creep back.  No module imports
+numpy: floating point stays in the numeric oracles, which need only the
+standard library, so numpy is a test dependency and no `coxl2` run loads
+it, not even an `enumerate`.  No
 module imports dataclasses either: the result records are NamedTuples, so
 importing the package and its CLI loads neither dataclasses nor the
 inspect, ast and tokenize modules it pulls in.  Betti
@@ -107,6 +110,17 @@ def test_pipeline_and_cli_read_no_private_complex_map():
             f"{name}:{node.lineno} reads {node.attr}"
             for node in ast.walk(ast.parse((SRC / name).read_text(), filename=name))
             if isinstance(node, ast.Attribute) and node.attr in private
+        ]
+    assert found == []
+
+
+def test_no_module_names_a_star_attribute():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [
+            f"{path.name}:{node.lineno} names {node.attr}"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and node.attr == "_star"
         ]
     assert found == []
 

@@ -178,14 +178,17 @@ def test_a_view_shares_only_the_maps_of_closed_vertices():
     spec = CoxeterSpec(["a", "b", "c", "d", "e"], {("a", "b"): 2, ("c", "d"): 3, ("d", "e"): 2})
     nerve = build_nerve(spec)
     component = induced_nerve(nerve, ["a", "b"])
-    assert all(component._star[v] is nerve._star[v] for v in "ab")
     assert all(component.neighbors(v) is nerve.neighbors(v) for v in "ab")
     assert all(component.spec.commuting(v) is spec.commuting(v) for v in "ab")
+    assert component.simplices() == (("a",), ("b",), ("a", "b"))
     view = induced_nerve(nerve, ["a", "b", "c", "d"])
-    assert all(view._star[v] is nerve._star[v] for v in "abc")
-    assert view._star["d"] is not nerve._star["d"] and view._star["d"] == [("d",), ("c", "d")]
+    assert all(view.neighbors(v) is nerve.neighbors(v) for v in "abc")
+    assert all(view.spec.commuting(v) is spec.commuting(v) for v in "abc")
     assert view.neighbors("d") == ("c",) and view.spec.commuting("d") == set()
-    assert nerve._star["d"] == [("d",), ("c", "d"), ("d", "e")] and spec.commuting("d") == {"e"}
+    assert nerve.neighbors("d") == ("c", "e") and spec.commuting("d") == {"e"}
+    # Each level is filtered in order from the ambient one.
+    assert view.simplices(0) == (("a",), ("b",), ("c",), ("d",))
+    assert view.edges == (("a", "b"), ("c", "d")) and nerve.edges == (("a", "b"), ("c", "d"), ("d", "e"))
 
 
 def witness_of(nerve, subset):

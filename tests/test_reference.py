@@ -193,8 +193,8 @@ def test_induced_nerve_view_equals_rebuilds(case):
     for other in (rebuilt, plain):
         assert view.vertices == other.vertices and view.counts() == other.counts()
         assert all(view.simplices(d) == other.simplices(d) for d in range(view.dimension + 1))
-        assert all(view.neighbors(v) == other.neighbors(v) for v in vertices)
-        assert all(view._star[v] == other._star[v] for v in vertices)
+        assert list(view._neighbors.items()) == list(other._neighbors.items())  # key order too
+        assert list(view._by_dim.items()) == list(other._by_dim.items())
         assert view.is_connected() == other.is_connected()
         assert recognize_sphere(view) is recognize_sphere(other)
     assert [view.order(s) for s in view.simplices()] == [rebuilt.order(s) for s in rebuilt.simplices()]
@@ -282,6 +282,49 @@ def test_components_helper_on_graphs_and_complements(n, pairs, complement):
         vertices, lambda u, v: (frozenset((u, v)) in edges) != complement
     )
     assert components(vertices, adjacent.__getitem__, complement=complement) == expected
+
+
+def frozen_components(vertices, adjacent, *, complement=False) -> list[tuple[str, ...]]:
+    """model.components as it was while both modes removed what they found with -=."""
+    remaining = set(vertices)
+    comps = []
+    for start in sorted(remaining):
+        if start not in remaining:
+            continue
+        remaining.discard(start)
+        comp = [start]
+        for u in comp:
+            near = adjacent(u)
+            found = remaining.difference(near) if complement else remaining.intersection(near)
+            remaining -= found
+            comp += found
+            if not remaining:
+                break
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
+@st.composite
+def graphs(draw):
+    """Vertices with a neighbor function: a random graph, or a suspension of a cycle in any vertex order."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 12))
+        vertices = [f"x{i}" for i in range(n)]
+        pairs = draw(st.sets(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)))) if n else set()
+        adjacent = {v: [w for e in pairs if v in e for w in e if w != v] for v in vertices}
+        return vertices, adjacent.__getitem__
+    poles = draw(st.sampled_from([("a", "b"), ("c1_", "c3_"), ("n", "s")]))
+    nerve = build_nerve(join_spec(cycle_spec(draw(st.integers(3, 40)), 2, prefix="c"), CoxeterSpec(poles, {})))
+    return draw(st.permutations(nerve.vertices)), nerve.neighbors
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs())
+def test_components_equal_frozen_search_in_both_modes(graph):
+    vertices, adjacent = graph
+    for complement in (False, True):
+        got = components(vertices, adjacent, complement=complement)
+        assert got == frozen_components(vertices, adjacent, complement=complement)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1060,7 +1103,8 @@ def test_cone_of_c200_searches_components_twice(monkeypatch):
     views = count_calls(monkeypatch, SimplicialComplex, ["_view"])
     cone_construction(nerve, rot)
     # The input once (the connectivity check holds it for the tracer) and the cone in
-    # recognize_sphere; each face's simplices and the witness are read from the stars.
+    # recognize_sphere; each face's simplices are read from the levels and the witness
+    # from the neighbors.
     assert searches == {"components": 2} and views == Counter()
 
 
@@ -1072,18 +1116,35 @@ def test_planar_rotation_searches_components_once(monkeypatch):
     assert searches == {"components": 1}
 
 
+def reference_star(vertices, simplices) -> dict[str, list[tuple[str, ...]]]:
+    """The simplices at each vertex, in the order given: the star map complexes once kept.
+
+    Its keys are the listed vertices, then those that only a simplex names.
+    """
+    star: dict[str, list[tuple[str, ...]]] = {v: [] for v in vertices}
+    for s in simplices:
+        for v in s:
+            star.setdefault(v, []).append(s)
+    return star
+
+
 def reference_is_full(ambient, sub) -> bool:
     """is_full_subcomplex as it was: the spanned simplices read off the ambient stars, compared as a set."""
-    if not all(v in ambient._star for v in sub.vertices):
+    star = reference_star(ambient.vertices, ambient.simplices())
+    if not all(v in star for v in sub.vertices):
         return False
     keep, simplices = set(sub.vertices), set(sub.simplices())
-    spanned = [s for v in keep for s in ambient._star[v] if s[0] == v and keep.issuperset(s)]
+    spanned = [s for v in keep for s in star[v] if s[0] == v and keep.issuperset(s)]
     return len(spanned) == len(simplices) and all(s in simplices for s in spanned)
 
 
 @st.composite
 def fullness_cases(draw):
     """An ambient complex, a candidate subcomplex, and whether it is full."""
+    if draw(st.booleans()):  # not closed under faces: a level may be empty below a nonempty one
+        faces = st.lists(st.sampled_from("abcde"), min_size=1, max_size=4, unique=True)
+        ambient = SimplicialComplex("abcde", draw(st.lists(faces, max_size=8)))
+        return ambient, ambient._view(tuple(draw(st.permutations("abcde"))[:draw(st.integers(0, 5))])), True
     spec, subset = draw(st.one_of(specs_with_subset(), spheres_with_subset()))
     nerve = build_nerve(spec)
     plain = SimplicialComplex(draw(st.permutations(nerve.vertices)), nerve.simplices())
@@ -1117,36 +1178,87 @@ def test_trace_on_suspension_restricts_no_spec(monkeypatch):
     built = count_calls(monkeypatch, SimplicialComplex, ["_view", "__init__", "_index"])
     trace = trace_vanishing(nerve, target)
     assert len(trace.steps) == len(nerve.vertices) - len(target) == 41
-    # Each link and its fullness are read from the ambient stars: no complex, view or
+    # Each link and its fullness are read from the ambient neighbors: no complex, view or
     # link, is built (every complex is indexed by _index).
     assert calls == induced == built == Counter()
 
 
-def test_trace_on_suspension_reads_no_star():
+def test_trace_on_suspension_reads_no_level():
     nerve = build_nerve(suspension_spec(50))
     assert recognize_sphere(nerve) is SphereKind.TWO_SPHERE  # the kind is held from here on
     reads = Counter()
 
-    class CountingStar(Mapping):
-        def __init__(self, star):
-            self.star = star
+    class CountingLevels(Mapping):
+        def __init__(self, levels):
+            self.levels = levels
 
-        def __getitem__(self, v):
-            reads[v] += 1
-            return self.star[v]
+        def __getitem__(self, d):
+            reads[d] += 1
+            return self.levels[d]
 
         def __iter__(self):
             reads["iter"] += 1
-            return iter(self.star)
+            return iter(self.levels)
 
         def __len__(self):
-            return len(self.star)
+            return len(self.levels)
 
-    nerve._star = CountingStar(nerve._star)
+    nerve._by_dim = CountingLevels(nerve._by_dim)
     trace = trace_vanishing(nerve, ["n", *nerve.vertices[:10]])
     # Each link is the removed vertex's remaining neighbors, full by the witness.
     assert len(trace.steps) == 41 and reads == Counter()
-    assert nerve.has_simplex(("c0", "n")) and reads  # the counter does see the star
+    assert nerve.has_simplex(("c0", "n")) and reads == {1: 1}  # the counter does see the levels
+
+
+def reference_link(complex_, v):
+    """link as it was: the simplices at v read off its star, the neighbors off its star's edges."""
+    star = reference_star(complex_.vertices, complex_.simplices())
+    if v not in star:
+        raise KeyError(f"{v!r} is not a vertex")
+    near = tuple(x for e in star[v] if len(e) == 2 for x in e if x != v)
+    return SimplicialComplex(near, [tuple(x for x in s if x != v) for s in star[v] if len(s) > 1])
+
+
+@st.composite
+def complexes_with_queries(draw):
+    """A complex, from unsorted and not face-closed input or from build_nerve, and vertex sets to ask about.
+
+    The queries mix its simplices (shuffled), other vertex sets, the empty set, a
+    vertex that only a simplex names and one the complex does not know.
+    """
+    if draw(st.booleans()):
+        pool = ["a", "b", "c", "d", "e", "f"]
+        vertices = draw(st.lists(st.sampled_from(pool[:5]), unique=True))  # f is never listed
+        shuffled = st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True)
+        complex_ = SimplicialComplex(vertices, draw(st.lists(shuffled, max_size=12)))
+    else:
+        spec = draw(st.one_of(specs(max_vertices=6), st.integers(3, 8).map(suspension_spec)))
+        complex_ = build_nerve(spec)
+        pool = list(spec.vertices) + ["f"]
+    named = sorted({v for s in complex_.simplices() for v in s} | set(complex_.vertices))
+    known = [list(draw(st.permutations(s))) for s in complex_.simplices()]
+    other = st.lists(st.sampled_from([*pool, "zz"]), max_size=4, unique=True)
+    sets = draw(st.lists(st.one_of(st.sampled_from(known or [[]]), other, st.just([])), max_size=8))
+    return complex_, sets, [*named, "f", "zz"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(complexes_with_queries())
+def test_has_simplex_and_link_equal_star_references(case):
+    complex_, sets, vertices = case
+    simplices = set(complex_.simplices())
+    for s in sets:
+        assert complex_.has_simplex(s) == (tuple(sorted(s)) in simplices)
+        assert complex_.has_simplex(iter(s)) == complex_.has_simplex(s)
+    for v in vertices:
+        try:
+            ref = reference_link(complex_, v)
+        except KeyError:
+            with pytest.raises(KeyError):
+                link(complex_, v)
+            continue
+        got = link(complex_, v)
+        assert got == ref and list(got._neighbors.items()) == list(ref._neighbors.items())
 
 
 class FiniteGroup(ValueError):
@@ -1680,9 +1792,21 @@ def test_assembled_cone_equals_rebuilt_cone(case):
         assert coned.vertices == other.vertices and coned.dimension == other.dimension
         assert all(coned.simplices(d) == other.simplices(d) for d in range(other.dimension + 1))
         assert coned._orders == other._orders
-        assert all(coned.neighbors(v) == other.neighbors(v) for v in other.vertices)
-        assert all(coned._star[v] == other._star[v] for v in other.vertices)
+        assert list(coned._neighbors.items()) == list(other._neighbors.items())  # key order too
+        assert list(coned._by_dim.items()) == list(other._by_dim.items())
     assert witness == ref_witness
+
+
+def test_witness_of_the_c200_cone_reads_only_its_straddling_pair(monkeypatch):
+    nerve = build_nerve(cycle_spec(200, 2))
+    rot = {v: list(nerve.neighbors(v)) for v in nerve.vertices}
+    calls = count_calls(monkeypatch, CoxeterSpec, ["label"])
+    coned, witness = cone_construction(nerve, rot)
+    # The one straddling pair is the two apexes, (c0,c1): once it is found the scan stops,
+    # instead of reading on through every later vertex for pairs that are not there.
+    assert 0 < calls["label"] <= 4
+    assert witness.notes == reference_witness_notes([("c0", "c1")])
+    assert witness.notes == reference_witness_notes(reference_infinite_pairs_outside(coned, nerve.vertices))
 
 
 def test_cone_of_c200_builds_and_matches_nothing(monkeypatch):
@@ -2172,15 +2296,10 @@ def test_r_fin_fires_exactly_on_spherical_systems(case):
 
 
 def reference_index(vertices, by_dim):
-    """The star and neighbor maps rebuilt from the simplices, as _index once built them."""
-    star: dict[str, list[tuple[str, ...]]] = {v: [] for v in vertices}
-    for group in by_dim.values():
-        for s in group:
-            for v in s:
-                star.setdefault(v, []).append(s)
+    """The neighbor map rebuilt from each vertex's star, as _index once built it."""
+    star = reference_star(vertices, [s for level in by_dim.values() for s in level])
     # The edges at v come in lexicographic order, so its neighbors come out sorted.
-    near = {v: tuple(x for e in ss if len(e) == 2 for x in e if x != v) for v, ss in star.items()}
-    return star, near
+    return {v: tuple(x for e in ss if len(e) == 2 for x in e if x != v) for v, ss in star.items()}
 
 
 def reference_build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
@@ -2288,7 +2407,6 @@ def test_build_nerve_equals_reindexing_reference(spec):
         # Key order and per-vertex order too: items are compared as lists.
         assert list(got._by_dim.items()) == list(ref._by_dim.items())
         assert list(got._orders.items()) == list(ref._orders.items())
-        assert list(got._star.items()) == list(ref._star.items())
         assert list(got._neighbors.items()) == list(ref._neighbors.items())
         assert got.simplices() == ref.simplices()
         # The reference also matched every two-vertex component: each edge whose label is
@@ -2337,9 +2455,9 @@ def test_built_nerve_is_indexed_with_its_maps(monkeypatch):
     given = []
     original = SimplicialComplex._index
 
-    def recording(self, vertices, by_dim, maps):
-        given.append((maps, reference_index(vertices, by_dim)))
-        original(self, vertices, by_dim, maps)
+    def recording(self, vertices, by_dim, neighbors):
+        given.append((by_dim, neighbors, reference_index(vertices, by_dim)))
+        original(self, vertices, by_dim, neighbors)
 
     monkeypatch.setattr(SimplicialComplex, "_index", recording)
     systems = (complete_graph_spec(5, 3), suspension_spec(20), CoxeterSpec(["b", "a"], {}))
@@ -2347,8 +2465,13 @@ def test_built_nerve_is_indexed_with_its_maps(monkeypatch):
     nerves[1]._view(nerves[1].vertices[::3])
     link(nerves[1], "n")
     SimplicialComplex(["c", "a"], [("c", "a", "b"), ("b",), ("a", "c")])  # b is not listed as a vertex
-    # Every constructor hands _index maps equal, in key order and per-vertex order, to a rebuild.
+    # Every constructor hands _index nonempty levels of distinct sorted simplices, ascending
+    # by dimension and lexicographic within each, and a neighbor map equal, in key order and
+    # per-vertex order, to a rebuild from the stars.
     assert len(given) == 6
-    for (star, near), (ref_star, ref_near) in given:
-        assert list(star.items()) == list(ref_star.items())
+    for by_dim, near, ref_near in given:
+        assert list(by_dim) == sorted(by_dim)
+        for d, level in by_dim.items():
+            assert level and list(level) == sorted(set(level))
+            assert all(len(s) == d + 1 and list(s) == sorted(set(s)) for s in level)
         assert list(near.items()) == list(ref_near.items())
