@@ -3,7 +3,7 @@
 Everything here is exact rational arithmetic; no operation produces a
 float.  Betti numbers are never computed spectrally: a small engine
 applies vanishing and product rules whose hypotheses can be verified
-combinatorially, records provenance for every entry it fills, and leaves
+combinatorially, records a cited step for every entry it fills, and leaves
 everything else Unknown.  The alternating-sum identity (Euler
 characteristic equals the alternating sum of l2-Betti numbers) both
 completes single missing entries and cross-checks every fully known
@@ -131,22 +131,32 @@ class RuleContext(NamedTuple):
     embedding: Mapping[str, tuple] | None = None
 
 
+class CitedStep(NamedTuple):
+    """One cited fact: the statement or rule id, what it was applied to, and the values it gives."""
+
+    statement: str
+    applied_to: str
+    values: dict
+
+    def to_document(self) -> dict:
+        return {"statement": self.statement, "applied_to": self.applied_to, "values": self.values}
+
+
 class BettiVector:
     """Per-dimension l2-Betti entries with provenance, and the chi_orb they sum to.
 
     Entries cover dimensions 0 .. dim(nerve)+1, the dimension of the group
     complex; ``get`` answers exact 0 above that range, where there are no
     chains at all.  A vector starts with every entry UNKNOWN and ``betti``
-    fills it rule by rule; entries no rule determines stay UNKNOWN.  The
-    provenance of an entry is the (rule id, detail) pair of the rule that
-    set it, or None.
+    fills it rule by rule; entries no rule determines stay UNKNOWN.  Each set
+    entry keeps one CitedStep (rule id, detail, beta_i), which certificates cite as it is.
     """
 
     def __init__(self, top: int, chi: Fraction):
         self.top = top
         self.chi = chi
         self._entries: list = [UNKNOWN] * (top + 1)
-        self._provenance: list = [None] * (top + 1)
+        self._steps: list = [None] * (top + 1)
 
     def _assign(self, i: int, value: Fraction, rule: str, detail: str):
         """Set entry i, or confirm it; a negative or conflicting value raises ContradictoryRules."""
@@ -165,11 +175,10 @@ class BettiVector:
         current = self._entries[i]
         if current is UNKNOWN:
             self._entries[i] = value
-            self._provenance[i] = (rule, detail)
+            self._steps[i] = CitedStep(rule, detail, {f"beta_{i}": _rational(value)})
         elif current != value:
             raise ContradictoryRules(
-                f"dimension {i}: '{': '.join(self._provenance[i])}' gave {current} "
-                f"but '{why}' gives {value}"
+                f"dimension {i}: '{self.provenance_for(i)}' gave {current} but '{why}' gives {value}"
             )
 
     def _stored(self, i: int) -> bool:
@@ -181,22 +190,15 @@ class BettiVector:
     def get(self, i: int):
         return self._entries[i] if self._stored(i) else Fraction(0)
 
-    def rule_for(self, i: int) -> str | None:
-        """The id of the rule that set entry i, such as "R-join"; None if none did."""
-        record = self._provenance[i] if self._stored(i) else None
-        return record and record[0]
-
-    def detail_for(self, i: int) -> str | None:
-        """What the rule that set entry i was applied to; None if no rule did."""
-        record = self._provenance[i] if self._stored(i) else None
-        return record and record[1]
+    def step(self, i: int) -> CitedStep | None:
+        """The step that set entry i, such as R-join on its factors; None if no rule did or i is above the top."""
+        return self._steps[i] if self._stored(i) else None
 
     def provenance_for(self, i: int) -> str:
         if not self._stored(i):
             return "beyond the top dimension: no chains"
-        if self._provenance[i] is None:
-            return "Unknown: no rule fired"
-        return ": ".join(self._provenance[i])
+        step = self._steps[i]
+        return "Unknown: no rule fired" if step is None else f"{step.statement}: {step.applied_to}"
 
     @property
     def fully_known(self) -> bool:

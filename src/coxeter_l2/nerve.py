@@ -218,11 +218,13 @@ class RotationSystem:
 
     @classmethod
     def from_document(cls, document: Mapping) -> "RotationSystem":
-        if not isinstance(document, Mapping) or not all(
-            isinstance(ns, (list, tuple)) for ns in document.values()
-        ):
+        if not isinstance(document, Mapping) or not all(isinstance(ns, (list, tuple)) for ns in document.values()):
             raise ValueError("rotation document must map vertex -> cyclic neighbor list")
-        return cls({str(v): [str(u) for u in ns] for v, ns in document.items()})
+        for v, ns in document.items():
+            for name in (v, *ns):  # names are strings, as in a system document
+                if not isinstance(name, str):
+                    raise ValueError(f"rotation at {v!r} names {name!r}, which is not a vertex string")
+        return cls(document)
 
 
 Walk = tuple[tuple[str, str], ...]
@@ -286,8 +288,9 @@ def validate_embedding(
     where = {v: i for i, comp in enumerate(comps) for v in comp}
     spanned: list[list[Simplex]] = [[] for _ in comps]
     for t in complex_.triangles:
-        if t[0] in where:
-            spanned[where[t[0]]].append(t)
+        if t[0] not in where:  # a 2-simplex on a vertex the complex does not list bounds no face
+            raise NotSpherical(f"2-simplex {t} is not a face of the embedding")
+        spanned[where[t[0]]].append(t)
     out = []
     for (comp, faces), simplices in zip(_traced_faces(complex_, rot), spanned):
         # A 3-walk has three distinct vertices (there are no loops), so it bounds a triangle.

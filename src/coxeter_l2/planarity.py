@@ -3,8 +3,8 @@
 Embeddings are witnessed by rotation systems and checked by face tracing
 (see coxeter_l2.nerve).  The non-planarity certificate reads a lower
 bound for the dimension-2 l2-Betti entry of a labelled complex off its
-Betti vector, citing the entries the engine set, and cites the vanishing
-statement a positive bound contradicts.  The left-right
+Betti vector, citing the engine's step for each entry as it is, and cites
+the vanishing statement a positive bound contradicts.  The left-right
 planarity test (de Fraysseix and Rosenstiehl, as written up by Brandes)
 acts as an independent planarity oracle for cross-validation; it returns a
 rotation system checked by face tracing, and a Kuratowski subgraph can be
@@ -33,7 +33,7 @@ from coxeter_l2.nerve import (
     recognize_sphere,
     validate_embedding,
 )
-from coxeter_l2.invariants import UNKNOWN, BettiVector, _rational, betti
+from coxeter_l2.invariants import UNKNOWN, CitedStep, _rational, betti
 
 # Stable statement identifiers cited by certificates and proof traces.
 STMT_CHI = "chi-orb"
@@ -48,7 +48,7 @@ CONE_PREFIX = "c"  # fresh cone vertices are c0, c1, ..., primed on a name clash
 
 
 class NonSimpleFaceBoundary(ValueError):
-    """A face boundary walk repeats a vertex; coning it is refused."""
+    """A face boundary walk is no simple cycle (fewer than 3 vertices, or a repeat); coning it is refused."""
 
 
 class HypothesisViolated(RuntimeError):
@@ -85,6 +85,8 @@ def cone_construction(
 
     boundaries = [tuple(u for u, _ in face) for face in faces]
     for boundary in boundaries:
+        if len(boundary) < 3:
+            raise NonSimpleFaceBoundary(f"face walk {list(boundary)} has fewer than 3 vertices")
         if len(set(boundary)) != len(boundary):
             raise NonSimpleFaceBoundary(f"face walk {list(boundary)} repeats a vertex")
 
@@ -106,15 +108,6 @@ def cone_construction(
     if not witness.right_angled_complement:
         raise NotSpherical("coned complex does not contain the input as expected")
     return coned, witness
-
-
-class CitedStep(NamedTuple):
-    statement: str
-    applied_to: str
-    values: dict
-
-    def to_document(self) -> dict:
-        return {"statement": self.statement, "applied_to": self.applied_to, "values": self.values}
 
 
 class Certificate(NamedTuple):
@@ -140,17 +133,12 @@ class Certificate(NamedTuple):
         return doc
 
 
-def _cited_entry(vector: BettiVector, i: int) -> CitedStep:
-    """Betti entry i, cited by the (rule id, detail) pair of the rule that set it."""
-    return CitedStep(vector.rule_for(i), vector.detail_for(i), {f"beta_{i}": _rational(vector.get(i))})
-
-
 def _certify_connected(nerve: Nerve) -> Certificate:
     """Certify a connected nerve of dimension <= 2 by reading its Betti vector.
 
     beta_0 = 1/|W| is positive exactly when W is finite (the empty system
-    too): inconclusive.  Otherwise the chain cites entries 0 and 2 as the
-    engine set them.  The bound is an exact positive beta_2, else
+    too): inconclusive.  Otherwise the chain cites the engine's steps for
+    entries 0 and 2 unchanged.  The bound is an exact positive beta_2, else
     max(chi_orb, 0): with beta_0 = 0 and no chains above dimension 3, the
     alternating-sum identity gives chi_orb <= beta_2, exact or not.
     """
@@ -159,11 +147,11 @@ def _certify_connected(nerve: Nerve) -> Certificate:
         return Certificate("Inconclusive", nerve.spec, Fraction(0), (), reason="FiniteGroup")
     chain = [
         CitedStep(STMT_CHI, f"nerve on {len(nerve.vertices)} vertices", {"chi_orb": _rational(vector.chi)}),
-        _cited_entry(vector, 0),
+        vector.step(0),
     ]
     bound = vector.get(2)
     if bound is not UNKNOWN and bound > 0:
-        chain.append(_cited_entry(vector, 2))
+        chain.append(vector.step(2))
     else:
         bound = max(vector.chi, Fraction(0))
         chain.append(

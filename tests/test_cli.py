@@ -307,6 +307,32 @@ def test_rotation_with_non_list_entry_is_an_error(docs, capsys, tmp_path, comman
     _one_line_error(code, err)
 
 
+@pytest.mark.parametrize("command", ["betti", "cone"])
+def test_rotation_with_a_non_string_neighbor_is_an_error(capsys, tmp_path, command):
+    # A triangle on the vertices "1", "2", "3", with its rotation written in numbers.
+    spec, rot = tmp_path / "triangle.json", tmp_path / "rot.json"
+    spec.write_text(json.dumps({"vertices": ["1", "2", "3"], "edges": [
+        {"u": "1", "v": "2", "m": 2}, {"u": "2", "v": "3", "m": 2}, {"u": "1", "v": "3", "m": 2},
+    ]}))
+    rot.write_text(json.dumps({"1": [2, 3], "2": [3, 1], "3": [1, 2]}))
+    code, out, err = run(capsys, [command, str(spec), "--embedding", str(rot)])
+    _one_line_error(code, err)
+    assert err == "error: rotation at '1' names 2, which is not a vertex string\n" and out == ""
+
+
+@pytest.mark.parametrize("vertices, edges, rotation, walk", [
+    (["a"], [], {"a": []}, "[]"),  # one vertex: its region's walk is empty
+    (["a", "b"], [{"u": "a", "v": "b", "m": 3}], {"a": ["b"], "b": ["a"]}, "['a', 'b']"),  # one edge
+])
+def test_cone_refuses_a_walk_of_fewer_than_three_vertices(capsys, tmp_path, vertices, edges, rotation, walk):
+    spec, rot = tmp_path / "spec.json", tmp_path / "rot.json"
+    spec.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+    rot.write_text(json.dumps(rotation))
+    code, out, err = run(capsys, ["cone", str(spec), "--embedding", str(rot)])
+    _one_line_error(code, err)
+    assert err == f"error: face walk {walk} has fewer than 3 vertices\n" and out == ""
+
+
 def test_edge_with_list_endpoint_is_an_error(capsys, tmp_path):
     doc = tmp_path / "listu.json"
     doc.write_text(json.dumps({"vertices": ["a", "b"], "edges": [{"u": ["a"], "v": "b", "m": 3}]}))
@@ -380,7 +406,8 @@ SPEC_DOCUMENTS = st.one_of(
         "edges": st.lists(EDGES, max_size=10),
     }),
 )
-ROTATION_DOCUMENTS = st.one_of(JSON, st.dictionaries(NAMES, st.lists(NAMES, max_size=4), max_size=6))
+NEIGHBORS = st.one_of(NAMES, st.integers(-3, 8), st.floats(), st.none(), st.lists(NAMES, max_size=2))
+ROTATION_DOCUMENTS = st.one_of(JSON, st.dictionaries(NAMES, st.lists(NEIGHBORS, max_size=4), max_size=6))
 
 
 def files(*documents):

@@ -22,7 +22,10 @@ importing the package and its CLI loads neither dataclasses nor the
 inspect, ast and tokenize modules it pulls in.  Betti
 rule ids are string constants of the invariants module alone: elsewhere a
 rule is cited as the engine recorded it, never named, so no other module
-can branch on one.
+can branch on one.  A cited fact has one record: exactly one class named
+CitedStep is defined under src/, in the invariants module, where each Betti
+entry keeps one; the certificate cites those steps as they are, so a
+second provenance format cannot come back.
 """
 
 import ast
@@ -137,6 +140,17 @@ def test_betti_rule_ids_are_constants_of_the_engine_alone():
             if isinstance(node, ast.Constant) and isinstance(node.value, str) and rule_id.fullmatch(node.value)
         ]
     assert found == []
+
+
+def test_one_cited_step_record():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef) and node.name == "CitedStep"
+    ]
+    assert len(found) == 1 and found[0].startswith("invariants.py:")
+    assert coxeter_l2.planarity.CitedStep is coxeter_l2.invariants.CitedStep
 
 
 def importers_of(package: str) -> list[str]:

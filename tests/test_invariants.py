@@ -18,6 +18,7 @@ from coxeter_l2.nerve import CapExceeded, SubcomplexWitness, build_nerve, full_s
 from coxeter_l2.invariants import (
     UNKNOWN,
     BettiVector,
+    CitedStep,
     ContradictoryRules,
     InvalidWitness,
     RuleContext,
@@ -138,15 +139,15 @@ def test_betti_three_points():
     vector = betti(build_nerve(points_spec(3)))
     assert tuple(vector.get(i) for i in range(3)) == (0, Fraction(1, 2), 0)
     assert vector.fully_known
-    assert vector.rule_for(0) == "R-b0"
-    assert vector.rule_for(1) == "R-atiyah"
+    assert vector.step(0).statement == "R-b0"
+    assert vector.step(1).statement == "R-atiyah"
 
 
 def test_betti_single_point_finite_group():
     vector = betti(build_nerve(points_spec(1)))
     assert vector.get(0) == Fraction(1, 2)
     assert vector.get(1) == 0
-    assert vector.rule_for(0) == "R-fin"
+    assert vector.step(0).statement == "R-fin"
 
 
 def test_betti_empty_nerve():
@@ -157,14 +158,13 @@ def test_betti_empty_nerve():
 def test_betti_k33_via_join():
     vector = betti(build_nerve(complete_bipartite_spec(3, 3)))
     assert vector.as_tuple() == (0, 0, Fraction(1, 4))
-    assert vector.rule_for(2) == "R-join"
-    assert vector.detail_for(2) == "{a0,a1,a2} * {b0,b1,b2}"
+    assert vector.step(2) == CitedStep("R-join", "{a0,a1,a2} * {b0,b1,b2}", {"beta_2": "1/4"})
     assert vector.provenance_for(2) == "R-join: {a0,a1,a2} * {b0,b1,b2}"
 
 
 def test_betti_readers_refuse_negative_dimensions_on_k33():
     vector = betti(build_nerve(complete_bipartite_spec(3, 3)))
-    for reader in (vector.get, vector.rule_for, vector.detail_for, vector.provenance_for):
+    for reader in (vector.get, vector.step, vector.provenance_for):
         with pytest.raises(IndexError, match="negative dimension"):
             reader(-1)
         assert reader(vector.top + 1) in (0, None, "beyond the top dimension: no chains")
@@ -174,19 +174,19 @@ def test_betti_two_sphere_vanishes():
     for spec in (octahedron_spec(), icosahedron_spec()):
         vector = betti(build_nerve(spec))
         assert vector.as_tuple() == (0, 0, 0, 0)
-        assert vector.rule_for(3) == "R-S2"
+        assert vector.step(3).statement == "R-S2"
 
 
 def test_betti_circle():
     vector = betti(build_nerve(cycle_spec(6, 2)))
     assert vector.as_tuple() == (0, Fraction(1, 2), 0)
-    assert vector.rule_for(2) == "R-S0/S1"
+    assert vector.step(2).statement == "R-S0/S1"
 
 
 def test_betti_two_points_is_s0():
     vector = betti(build_nerve(points_spec(2)))
     assert vector.as_tuple() == (0, 0)
-    assert vector.rule_for(1) == "R-S0/S1"
+    assert vector.step(1).statement == "R-S0/S1"
 
 
 def test_betti_k5_partially_unknown():
@@ -204,7 +204,7 @@ def test_betti_sub1_arc_of_hexagon():
     hexn = build_nerve(cycle_spec(6, 2))
     arc, witness = full_subcomplex(hexn, ["v0", "v1", "v2"])
     vector = betti(arc, RuleContext(witness=witness))
-    assert vector.rule_for(2) == "R-sub1"
+    assert vector.step(2).statement == "R-sub1"
     assert vector.as_tuple() == (0, 0, 0)
 
 
@@ -224,7 +224,7 @@ def test_betti_planar_witness_on_k4():
     nerve = build_nerve(spec)
     rot = {"0": ["1", "3", "2"], "1": ["0", "2", "3"], "2": ["0", "3", "1"], "3": ["0", "1", "2"]}
     vector = betti(nerve, RuleContext(embedding=rot))
-    assert vector.rule_for(2) == "R-planar"
+    assert vector.step(2).statement == "R-planar"
     assert vector.as_tuple() == (0, 0, 0)  # chi_orb(K4@3) = 1 - 2 + 1 = 0
 
 
@@ -269,7 +269,7 @@ def test_witness_with_a_forged_right_angled_flag_is_rejected():
     ambient = build_nerve(octahedron_spec({("x0", "y0"): 3}))
     target, witness = full_subcomplex(ambient, ["x1", "y0", "y1", "z0", "z1"])
     assert not witness.right_angled_complement
-    assert betti(target, RuleContext(witness=witness)).rule_for(2) != "R-sub2"
+    assert betti(target, RuleContext(witness=witness)).step(2).statement != "R-sub2"
     forged = SubcomplexWitness(ambient, witness.vertex_set, True)
     with pytest.raises(InvalidWitness, match="^witness right-angled flag does not match the ambient labels$"):
         betti(target, RuleContext(witness=forged))

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,8 @@ from coxeter_l2.catalog import (
 )
 from coxeter_l2.nerve import (
     CapExceeded,
+    NotSpherical,
+    RotationSystem,
     SimplicialComplex,
     SphereKind,
     build_nerve,
@@ -24,6 +27,7 @@ from coxeter_l2.nerve import (
     join2,
     link,
     recognize_sphere,
+    validate_embedding,
 )
 from coxeter_l2.planarity import cone_construction
 from coxeter_l2.spherical import classify, diagram_components
@@ -379,3 +383,22 @@ def test_link_fullness_under_right_angled_complement():
         b_nerve, _ = full_subcomplex(nerve, B)
         for v in extra:
             assert is_full_subcomplex(nerve, link(b_nerve, v))
+
+
+def test_an_embedding_must_face_a_2_simplex_on_an_unlisted_vertex():
+    # The complex lists b and c only; its 2-simplex {a,b,c} bounds no face of any rotation.
+    complex_ = SimplicialComplex(["b", "c"], [("b",), ("c",), ("b", "c"), ("a", "b", "c")])
+    with pytest.raises(NotSpherical, match=re.escape("2-simplex ('a', 'b', 'c') is not a face of the embedding")):
+        validate_embedding(complex_, {"b": ["c"], "c": ["b"]})
+
+
+@pytest.mark.parametrize("document, name", [
+    ({"1": [2, "3"], "2": ["3", "1"], "3": ["1", "2"]}, "2"),
+    ({"a": ["b", None], "b": ["a"]}, "None"),
+    ({"a": [["b"]], "b": ["a"]}, "['b']"),
+    ({"a": [1.5]}, "1.5"),
+    ({1: ["b"], "b": ["1"]}, "1"),
+])
+def test_a_rotation_document_names_only_strings(document, name):
+    with pytest.raises(ValueError, match=re.escape(f"names {name}, which is not a vertex string")):
+        RotationSystem.from_document(document)

@@ -353,14 +353,15 @@ def test_certify_k33_via_join():
     statements = [s.statement for s in cert.chain]
     assert "R-join" in statements
     assert statements[-1] == "planar-vanishing"
-    vector = betti(build_nerve(spec))  # the third step cites entry 2 as the engine set it
-    assert cert.chain[2] == (vector.rule_for(2), vector.detail_for(2), {"beta_2": "1/4"})
+    vector = betti(build_nerve(spec))  # the second and third steps cite entries 0 and 2 as the engine set them
+    assert cert.chain[1:3] == (vector.step(0), vector.step(2))
+    assert cert.chain[2].values == {"beta_2": "1/4"}
 
 
 def test_certify_a_join_with_beta_2_zero_cites_the_atiyah_bound():
     # R-join sets beta_2 = 0 here; a zero entry is no bound, so the Euler bound is cited
     spec = join_spec(CoxeterSpec(["a"], {}), points_spec(2))
-    assert betti(build_nerve(spec)).rule_for(2) == "R-join"
+    assert betti(build_nerve(spec)).step(2).statement == "R-join"
     cert = certify_nonplanar(spec)
     assert (cert.verdict, cert.bound, cert.reason) == ("Inconclusive", Fraction(0), "ObstructionSilent")
     assert [s.statement for s in cert.chain] == ["chi-orb", "R-b0", "atiyah-bound"]

@@ -18,6 +18,7 @@ from coxeter_l2 import (
     SphericalVerdict,
     SubcomplexWitness,
     TraceStep,
+    betti,
     build_nerve,
     certify_nonplanar,
     classify,
@@ -62,7 +63,7 @@ def samples() -> dict[type, list]:
         SphericalVerdict: verdicts,
         SubcomplexWitness: [witness],
         RuleContext: [RuleContext(), RuleContext(witness=witness), RuleContext(embedding={"a": ("b",)})],
-        CitedStep: [step for cert in certificates for step in cert.chain],
+        CitedStep: [step for cert in certificates for step in cert.chain] + list(map(betti(octahedron).step, range(4))),
         Certificate: certificates,
         TraceStep: list(trace.steps),
         ProofTrace: [trace],

@@ -49,6 +49,7 @@ from coxeter_l2.catalog import (
 from coxeter_l2.invariants import (
     UNKNOWN,
     BettiVector,
+    CitedStep,
     ContradictoryRules,
     InvalidWitness,
     RuleContext,
@@ -89,7 +90,6 @@ from coxeter_l2.nerve import (
 )
 from coxeter_l2.planarity import (
     Certificate,
-    CitedStep,
     NonSimpleFaceBoundary,
     brute_force_planar,
     certify_nonplanar,
@@ -1274,7 +1274,7 @@ class Beta2Bound:
     value: Fraction
     provenance: str
     vector: BettiVector
-    cited: tuple[str, str] | None  # the engine's (rule, detail) pair when the bound is its exact entry
+    cited: CitedStep | None  # the engine's entry-2 step when the bound is its exact entry
 
 
 def betti_lower_bound_dim2(nerve) -> Beta2Bound:
@@ -1298,7 +1298,7 @@ def betti_lower_bound_dim2(nerve) -> Beta2Bound:
     exact = vector.get(2)
     if exact is not UNKNOWN and exact > 0 and exact >= value:
         return Beta2Bound(
-            exact, f"exact entry: {vector.provenance_for(2)}", vector, (vector.rule_for(2), vector.detail_for(2))
+            exact, f"exact entry: {vector.provenance_for(2)}", vector, vector.step(2)
         )
     return Beta2Bound(value, provenance, vector, None)
 
@@ -1344,7 +1344,7 @@ def reference_certify(nerve) -> Certificate:
     bound = betti_lower_bound_dim2(nerve)
     value = _rational(bound.value)
     if bound.cited is not None:
-        chain.append(CitedStep(*bound.cited, {"beta_2": value}))
+        chain.append(CitedStep(bound.cited.statement, bound.cited.applied_to, {"beta_2": value}))
     else:
         chain.append(
             CitedStep(
@@ -2053,13 +2053,9 @@ class ReferenceBettiVector:
     def get(self, i):
         return Fraction(0) if i > self.top else self._entries[i]
 
-    def rule_for(self, i):
+    def step(self, i):
         record = self._provenance[i] if i <= self.top else None
-        return record and record[0]
-
-    def detail_for(self, i):
-        record = self._provenance[i] if i <= self.top else None
-        return record and record[1]
+        return record and CitedStep(*record, {f"beta_{i}": _rational(self._entries[i])})
 
     def provenance_for(self, i):
         if i > self.top:
@@ -2186,7 +2182,7 @@ def betti_outcome(engine, nerve, ctx):
     except (ContradictoryRules, InvalidWitness) as exc:
         return type(exc), str(exc)
     readers = [
-        (vector.get(i), vector.rule_for(i), vector.detail_for(i), vector.provenance_for(i))
+        (vector.get(i), vector.step(i), vector.provenance_for(i))
         for i in range(vector.top + 3)  # two dimensions past the top as well
     ]
     return vector.top, vector.chi, readers, vector.fully_known, repr(vector), vector.to_document()
@@ -2275,8 +2271,9 @@ def test_r_fin_reads_the_order_classify_gives():
     for spec, order in finite_systems():
         nerve, verdict = build_nerve(spec), classify(spec, spec.vertices)
         vector = betti(nerve)
-        assert verdict.spherical and verdict.order == order and vector.rule_for(0) == "R-fin"
-        assert vector.detail_for(0) == f"|W| = {verdict.order}" and vector.get(0) == Fraction(1, verdict.order)
+        assert verdict.spherical and verdict.order == order
+        assert vector.step(0) == CitedStep("R-fin", f"|W| = {order}", {"beta_0": f"1/{order}"})
+        assert vector.get(0) == Fraction(1, order)
         assert planarity._certify_connected(nerve).reason == "FiniteGroup"
         reason = "FiniteGroup" if nerve.dimension <= 2 else "DimensionTooHigh"
         assert certify_nonplanar(spec).reason == reason
@@ -2290,9 +2287,9 @@ def test_r_fin_fires_exactly_on_spherical_systems(case):
     for target in (nerve, induced_nerve(nerve, subset)):
         verdict = classify(target.spec, target.vertices)
         vector = betti(target)
-        assert (vector.rule_for(0) == "R-fin") is verdict.spherical
+        assert (vector.step(0).statement == "R-fin") is verdict.spherical
         if verdict.spherical:
-            assert vector.detail_for(0) == f"|W| = {verdict.order}"
+            assert vector.step(0).applied_to == f"|W| = {verdict.order}"
 
 
 def reference_index(vertices, by_dim):

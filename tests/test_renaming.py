@@ -5,16 +5,20 @@ one with one or two planted components (K5@3 or a right-angled K3,3), and
 right-angled joins of two.
 Each is renamed by a random bijection onto fresh names, listed in a random
 order, and chi_orb, the Betti tuple and the certificate must not change.
+Nor may the steps: each Betti entry's rule and values, and, per component,
+each certificate step's statement and values and the reason.  What a step
+was applied to names vertices, so it is left out.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from coxeter_l2.catalog import complete_bipartite_spec, complete_graph_spec
-from coxeter_l2.invariants import betti, chi_orb
+from coxeter_l2.invariants import CitedStep, betti, chi_orb
 from coxeter_l2.model import INFINITY, CoxeterSpec, induced_subspec
 from coxeter_l2.nerve import build_nerve, join_spec
 from coxeter_l2.planarity import certify_nonplanar
@@ -79,25 +83,51 @@ def renamed_systems(draw):
     return (spec, *draw(renamed(spec)))
 
 
+def cited(step) -> tuple | None:
+    """A step without the vertices it names: its statement and values."""
+    return step and (step.statement, step.values)
+
+
 def answers(spec: CoxeterSpec) -> tuple:
     nerve = build_nerve(spec)
+    vector = betti(nerve)
     cert = certify_nonplanar(spec)
-    return chi_orb(nerve), betti(nerve).as_tuple(), cert.verdict, cert.bound
+    steps = [cited(vector.step(i)) for i in range(vector.top + 1)]
+    return chi_orb(nerve), vector.as_tuple(), steps, cert.verdict, cert.bound, cert.reason
+
+
+def certificate_steps(spec: CoxeterSpec) -> tuple:
+    cert = certify_nonplanar(spec)
+    return cert.verdict, cert.bound, cert.reason, [cited(step) for step in cert.chain]
 
 
 @settings(max_examples=150, deadline=None)
 @given(renamed_systems())
 def test_answers_survive_renaming(case):
     spec, other, name = case
-    chi, vector, verdict, bound = answers(spec)
-    other_chi, other_vector, other_verdict, other_bound = answers(other)
-    assert (chi, vector, verdict, bound) == (other_chi, other_vector, other_verdict, other_bound)
+    assert answers(spec) == answers(other)
 
     # Per component, on its induced subsystem, the whole certificate survives.
     for comp in build_nerve(spec).skeleton_components():
-        cert = certify_nonplanar(induced_subspec(spec, comp))
-        other_cert = certify_nonplanar(induced_subspec(other, [name[v] for v in comp]))
-        assert (cert.verdict, cert.bound) == (other_cert.verdict, other_cert.bound)
+        other_comp = [name[v] for v in comp]
+        assert certificate_steps(induced_subspec(spec, comp)) == certificate_steps(induced_subspec(other, other_comp))
+
+
+@settings(max_examples=150, deadline=None)
+@given(renamed_systems())
+def test_a_certificate_cites_the_engine_steps_as_they_are(case):
+    spec, _, _ = case
+    nerve = build_nerve(spec)
+    for comp in nerve.skeleton_components():
+        sub = induced_subspec(spec, comp)
+        cert, vector = certify_nonplanar(sub), betti(build_nerve(sub))
+        if cert.chain:  # W is infinite: chi_orb, then entry 0, then entry 2 or the Euler bound
+            assert cert.chain[1] == vector.step(0)
+            if cert.chain[2].statement != "atiyah-bound":
+                assert cert.chain[2] == vector.step(2)
+        for step in (*cert.chain, *filter(None, map(vector.step, range(vector.top + 1)))):
+            document = json.loads(json.dumps(step.to_document()))
+            assert CitedStep(**document) == step
 
 
 def test_k5_beside_k33_cites_k5_under_either_name_order():
