@@ -191,29 +191,28 @@ class NotSpherical(ValueError):
 
 
 class RotationSystem:
-    """Cyclic neighbor orders at each vertex, the witness of an embedding."""
+    """Cyclic neighbor orders at each vertex, the witness of an embedding.
+
+    It keeps one successor map, (v, u) -> w where w follows u at v: its keys
+    are the declared directed edges, and it is what the face tracer walks.
+    """
 
     def __init__(self, rotations: Mapping[str, Iterable[str]]):
         self._rot = {v: tuple(ns) for v, ns in rotations.items()}
         for v, ns in self._rot.items():
             if len(set(ns)) != len(ns) or v in ns:
                 raise ValueError(f"rotation at {v!r} must list distinct neighbors, not {ns}")
-        self._index = {
-            v: {u: i for i, u in enumerate(ns)} for v, ns in self._rot.items()
-        }
+        self._next = {(v, u): w for v, ns in self._rot.items() for u, w in zip(ns, ns[1:] + ns[:1])}
 
     def next_after(self, v: str, u: str) -> str:
         """The neighbor following u in the cyclic order at v."""
-        ns = self._rot[v]
-        return ns[(self._index[v][u] + 1) % len(ns)]
+        return self._next[v, u]
 
     def check_against(self, skeleton: SimplicialComplex) -> None:
         """Require the rotations to cover exactly the skeleton's edge set."""
-        verts = set(skeleton.vertices)
-        if set(self._rot) != verts:
+        if set(self._rot) != set(skeleton.vertices):
             raise ValueError("rotation system must list every vertex exactly once")
-        declared = {(v, u) for v, ns in self._rot.items() for u in ns}
-        if declared != {(v, u) for v in skeleton.vertices for u in skeleton.neighbors(v)}:
+        if self._next.keys() != {(v, u) for v in skeleton.vertices for u in skeleton.neighbors(v)}:
             raise ValueError("rotations do not match the edge set of the complex")
 
     @classmethod
@@ -230,41 +229,49 @@ class RotationSystem:
 Walk = tuple[tuple[str, str], ...]
 
 
-def _traced_faces(complex_: SimplicialComplex, rot: RotationSystem):
+def _traced_faces(complex_: SimplicialComplex, rot: RotationSystem, triangles: Iterable[Simplex]):
     """Yield (component, its face walks) per component of the 1-skeleton, least vertex first.
 
-    From the directed edge (u, v) a walk continues along (v, w) where w
-    follows u in the rotation at v; the walks partition the directed edge
-    set, and each is filed under the component of its first vertex.  Every
-    walk starts at the least directed edge not yet used, which is the least
-    edge of its walk, so walks come out rotated to their minimum and in
-    sorted order.  A lone vertex bounds one region, the empty walk.  Each
-    component is yielded once it has V - E + F = 2, so the first component
+    The walks follow the rotation's successor map: from the directed edge
+    (u, v) a walk continues along (v, w) where w follows u at v.  They
+    partition the directed edges, and each is filed under the component of
+    its first vertex, as is each given 2-simplex under that of its least
+    vertex.  Every walk starts at the least key of the map not yet used,
+    which is the least edge of its walk, so walks come out rotated to their
+    minimum and in sorted order.  A lone vertex bounds one region, the
+    empty walk.  Each component is yielded once it has V - E + F = 2 and
+    each of its 2-simplices is a triangular face, so the first component
     that fails raises NotSpherical before any later one is looked at.
     """
     rot.check_against(complex_)
     comps = complex_.skeleton_components()
     where = {v: i for i, comp in enumerate(comps) for v in comp}
     walks: list[list[Walk]] = [[] for _ in comps]
-    used = set()
-    for start in sorted((a, b) for a in complex_.vertices for b in complex_.neighbors(a)):
-        if start in used:
-            continue
-        walk = []
-        cur = start
-        while True:
+    spanned: list[list[Simplex]] = [[] for _ in comps]
+    for t in triangles:
+        if t[0] not in where:  # a 2-simplex on a vertex the complex does not list bounds no face
+            raise NotSpherical(f"2-simplex {t} is not a face of the embedding")
+        spanned[where[t[0]]].append(t)
+    succ, used = rot._next, set()
+    for start in sorted(succ):
+        walk, cur = [], start
+        while cur not in used:  # the walk is a cycle of the successor permutation
             walk.append(cur)
             used.add(cur)
             u, v = cur
-            cur = (v, rot.next_after(v, u))
-            if cur == start:
-                break
-        walks[where[start[0]]].append(tuple(walk))
-    for comp, faces in zip(comps, walks):
+            cur = (v, succ[v, u])
+        if walk:
+            walks[where[start[0]]].append(tuple(walk))
+    for comp, faces, simplices in zip(comps, walks, spanned):
         faces = tuple(faces) or ((),)
         V, E, F = len(comp), sum(map(len, faces)) // 2, len(faces)
         if V - E + F != 2:
             raise NotSpherical(f"V - E + F = {V} - {E} + {F} != 2: rotation has positive genus")
+        # A 3-walk has three distinct vertices (there are no loops), so it bounds a triangle.
+        faced = {frozenset(u for u, _ in face) for face in faces if len(face) == 3} if simplices else ()
+        for t in simplices:  # lexicographic, so the least missing one is named
+            if frozenset(t) not in faced:
+                raise NotSpherical(f"2-simplex {t} is not a face of the embedding")
         yield comp, faces
 
 
@@ -275,31 +282,15 @@ def validate_embedding(
 
     This is the one face-tracing entry point; a 1-skeleton has no 2-simplices
     to check, so on it this is the bare trace.  Each connected component is
-    traced separately (disjoint pieces embed in disjoint disks); every
-    2-simplex must appear among its component's triangular faces, so the
-    triangle level is split by the component of each least vertex.  Returns
-    each component with its face walks.
+    traced separately (disjoint pieces embed in disjoint disks), and the
+    tracer checks that every 2-simplex is among its component's triangular
+    faces.  Returns each component with its face walks.
     """
     if not isinstance(rot, RotationSystem):
         rot = RotationSystem.from_document(rot)
     if complex_.dimension > 2:
         raise ValueError("embedding witnesses only apply to complexes of dimension <= 2")
-    comps = complex_.skeleton_components()
-    where = {v: i for i, comp in enumerate(comps) for v in comp}
-    spanned: list[list[Simplex]] = [[] for _ in comps]
-    for t in complex_.triangles:
-        if t[0] not in where:  # a 2-simplex on a vertex the complex does not list bounds no face
-            raise NotSpherical(f"2-simplex {t} is not a face of the embedding")
-        spanned[where[t[0]]].append(t)
-    out = []
-    for (comp, faces), simplices in zip(_traced_faces(complex_, rot), spanned):
-        # A 3-walk has three distinct vertices (there are no loops), so it bounds a triangle.
-        triangles = {frozenset(u for u, _ in face) for face in faces if len(face) == 3}
-        missing = [t for t in simplices if frozenset(t) not in triangles]
-        if missing:
-            raise NotSpherical(f"2-simplex {min(missing)} is not a face of the embedding")
-        out.append((comp, faces))
-    return out
+    return list(_traced_faces(complex_, rot, complex_.triangles))
 
 
 class SubcomplexWitness(NamedTuple):

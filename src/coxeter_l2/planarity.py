@@ -73,7 +73,8 @@ def cone_construction(
     induced labels; the result is still checked to be a 2-sphere whose
     complement of the input is right-angled.  The input's components are
     searched once: the connectivity check holds them on the nerve for the
-    face tracer.
+    face tracer.  A lone 2-simplex is refused: both its faces are filled,
+    and an apex on either side would span a spherical tetrahedron.
     """
     if not nerve.vertices:
         raise ValueError("cannot cone an empty complex")
@@ -91,6 +92,9 @@ def cone_construction(
             raise NonSimpleFaceBoundary(f"face walk {list(boundary)} repeats a vertex")
 
     to_cone = [b for b in boundaries if not (len(b) == 3 and nerve.has_simplex(b))]
+    if not to_cone and len(boundaries) == 2:  # both sides of one filled triangle
+        raise ValueError(f"cannot cone the lone 2-simplex {nerve.triangles[0]}: it bounds both faces, "
+                         "and a label-2 apex over it would span a spherical tetrahedron")
     taken = set(nerve.spec.vertices)
     apexes: dict[str, tuple[str, ...]] = {}
     for i, boundary in enumerate(to_cone):
@@ -315,19 +319,6 @@ def trace_vanishing(ambient: Nerve, target) -> ProofTrace:
     return ProofTrace(ambient, A, tuple(steps), conclusion, witness.notes)
 
 
-def _by_depth(n: int, src: list[int], depth: list[int]) -> list[list[int]]:
-    """Each vertex's out-edges in order of nesting depth, by one counting sort."""
-    low = min(depth, default=0)
-    buckets: list[list[int]] = [[] for _ in range(max(depth, default=0) - low + 1)]
-    for e, d in enumerate(depth):
-        buckets[d - low].append(e)
-    ordered: list[list[int]] = [[] for _ in range(n)]
-    for bucket in buckets:
-        for e in bucket:
-            ordered[src[e]].append(e)
-    return ordered
-
-
 def _lr_rotation(vertices: tuple[str, ...], neighbors) -> dict[str, list[str]] | None:
     """The left-right planarity test on one connected graph, with its embedding phase.
 
@@ -337,8 +328,10 @@ def _lr_rotation(vertices: tuple[str, ...], neighbors) -> dict[str, list[str]] |
     left and right intervals and fails when two intervals must share a side;
     the embedding phase resolves each edge's side and places every back edge
     beside the tree edge it returns through.  All three run on explicit
-    stacks in time linear in the edges.  Returns the cyclic neighbor order at
-    each vertex, or None when the graph is not planar.
+    stacks.  Each vertex's out-edges are sorted by nesting depth for the
+    testing DFS, and by signed depth for the embedding phase, so the whole
+    costs O(E log D) for the greatest degree D.  Returns the cyclic neighbor
+    order at each vertex, or None when the graph is not planar.
     """
     index = {v: i for i, v in enumerate(vertices)}
     adj = [[index[u] for u in neighbors(v)] for v in vertices]
@@ -392,7 +385,11 @@ def _lr_rotation(vertices: tuple[str, ...], neighbors) -> dict[str, list[str]] |
             settle(orient(v, w, height[w]))
     m = len(src)
     depth = [2 * lowpt[e] + (lowpt2[e] < height[src[e]]) for e in range(m)]
-    ordered = _by_depth(n, src, depth)
+    ordered: list[list[int]] = [[] for _ in range(n)]
+    for e, v in enumerate(src):  # in id order, which the stable sorts keep among ties
+        ordered[v].append(e)
+    for out in ordered:
+        out.sort(key=depth.__getitem__)
 
     # Phase 2: testing.  A conflict pair is [L.low, L.high, R.low, R.high]: two
     # intervals of return edges, each given by its lowest and highest edge and
@@ -510,7 +507,9 @@ def _lr_rotation(vertices: tuple[str, ...], neighbors) -> dict[str, list[str]] |
         for f in reversed(chain):
             side[f] *= side[ref[f]]
             ref[f] = None
-    ordered = _by_depth(n, src, [side[e] * depth[e] for e in range(m)])
+    signed = [side[e] * depth[e] for e in range(m)]
+    for out in ordered:  # edges of equal signed depth have equal depth, so they stay in id order
+        out.sort(key=signed.__getitem__)
     # The rotation at w is its parent, then its out-edges in that order; a back
     # edge returning to w through the child edge c sits beside c, before it
     # when on the left and after it when on the right, the later found nearer.
@@ -560,7 +559,7 @@ def planar_rotation(graph: SimplicialComplex) -> RotationSystem | None:
             return None
         rotations.update(order)
     rot = RotationSystem(rotations)
-    for _ in _traced_faces(graph, rot):
+    for _ in _traced_faces(graph, rot, ()):  # the 1-skeleton only: no 2-simplex is checked
         pass
     return rot
 

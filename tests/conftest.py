@@ -34,12 +34,13 @@ def _degree(edges: set, v: int) -> int:
 
 def random_planar_graph(
     rng: random.Random, max_vertices: int = 8, max_degree: int = 4
-) -> tuple[list[str], list[tuple[int, int]]]:
-    """A connected planar graph built by splitting faces of an embedded cycle.
+) -> tuple[list[str], list[tuple[int, int]], list[list[int]]]:
+    """A 2-connected planar graph built by splitting faces of an embedded cycle, with its faces.
 
     Faces are tracked as simple closed walks; every mutation (a chord
     splitting a face, or a new vertex joined to two face vertices) keeps
     each walk simple, so the face list stays a genuine sphere embedding.
+    The walks are consistently oriented: each directed edge lies on one.
     """
     n = rng.randint(3, min(5, max_vertices))
     cycle = list(range(n))
@@ -83,7 +84,7 @@ def random_planar_graph(
             faces.append(face[i : j + 1] + [w])
             faces.append(face[j:] + face[: i + 1] + [w])
     vertices = [f"v{i}" for i in range(count)]
-    return vertices, [tuple(sorted(e)) for e in sorted(edges, key=sorted)]
+    return vertices, [tuple(sorted(e)) for e in sorted(edges, key=sorted)], faces
 
 
 def random_planar_spec(
@@ -94,7 +95,7 @@ def random_planar_spec(
 ) -> CoxeterSpec:
     """A connected planar graph with random finite edge labels, W infinite."""
     while True:
-        vertices, edges = random_planar_graph(rng, max_vertices)
+        vertices, edges, _ = random_planar_graph(rng, max_vertices)
         for _ in range(8):
             edge_labels = {
                 (vertices[a], vertices[b]): rng.choice(labels) for a, b in edges

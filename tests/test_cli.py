@@ -333,6 +333,20 @@ def test_cone_refuses_a_walk_of_fewer_than_three_vertices(capsys, tmp_path, vert
     assert err == f"error: face walk {walk} has fewer than 3 vertices\n" and out == ""
 
 
+def test_cone_refuses_a_lone_2_simplex(capsys, tmp_path):
+    spec, rot = tmp_path / "triangle.json", tmp_path / "rot.json"
+    spec.write_text(json.dumps({"vertices": ["1", "2", "3"], "edges": [
+        {"u": "1", "v": "2", "m": 2}, {"u": "2", "v": "3", "m": 2}, {"u": "1", "v": "3", "m": 2},
+    ]}))
+    rot.write_text(json.dumps({"1": ["2", "3"], "2": ["3", "1"], "3": ["1", "2"]}))
+    code, out, err = run(capsys, ["cone", str(spec), "--embedding", str(rot)])
+    _one_line_error(code, err)
+    assert err == (
+        "error: cannot cone the lone 2-simplex ('1', '2', '3'): it bounds both faces, "
+        "and a label-2 apex over it would span a spherical tetrahedron\n"
+    ) and out == ""
+
+
 def test_edge_with_list_endpoint_is_an_error(capsys, tmp_path):
     doc = tmp_path / "listu.json"
     doc.write_text(json.dumps({"vertices": ["a", "b"], "edges": [{"u": ["a"], "v": "b", "m": 3}]}))

@@ -10,10 +10,12 @@ _assembled, _index, _view) are called only in the nerve module, which keeps
 their preconditions; elsewhere complexes come from SimplicialComplex,
 build_nerve or induced_nerve.  The planarity pipeline and the CLI read a
 complex through its public methods, never through its private maps
-(_star, _by_dim, _neighbors, _orders), whose invariants the nerve module
-keeps.  A complex indexes its incidences once, as sorted levels and
-neighbor tuples: no module names a star attribute (_star), so a second
-index of the same incidences cannot creep back.  No module imports
+(_star, _by_dim, _neighbors, _orders), and a rotation system likewise,
+never through its cyclic orders (_rot) or successor map (_next): the
+nerve module keeps the invariants of both.  A complex indexes its
+incidences once, as sorted levels and neighbor tuples: no module names a
+star attribute (_star), so a second index of the same incidences cannot
+creep back.  No module imports
 numpy: floating point stays in the numeric oracles, which need only the
 standard library, so numpy is a test dependency and no `coxl2` run loads
 it, not even an `enumerate`.  No
@@ -106,7 +108,7 @@ def test_complexes_are_constructed_only_in_nerve():
 
 
 def test_pipeline_and_cli_read_no_private_complex_map():
-    private = {"_star", "_by_dim", "_neighbors", "_orders"}
+    private = {"_star", "_by_dim", "_neighbors", "_orders", "_rot", "_next"}
     found = []
     for name in ("planarity.py", "cli.py"):
         found += [

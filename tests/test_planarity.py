@@ -27,6 +27,7 @@ from coxeter_l2.nerve import (
     recognize_sphere,
     validate_embedding,
 )
+from coxeter_l2 import planarity
 from coxeter_l2.invariants import betti, chi_orb
 from coxeter_l2.planarity import (
     Certificate,
@@ -317,6 +318,19 @@ def test_cone_rejects_nonsimple_face():
     }
     with pytest.raises(NonSimpleFaceBoundary):
         cone_construction(nerve, rot)
+
+
+def test_cone_refuses_a_lone_2_simplex(monkeypatch):
+    # Both face walks bound the one filled triangle, so nothing would be coned; an apex
+    # over either side would span a spherical tetrahedron.  The refusal comes before any build.
+    nerve = build_nerve(CoxeterSpec(["1", "2", "3"], {("1", "2"): 2, ("2", "3"): 2, ("1", "3"): 2}))
+    monkeypatch.setattr(planarity, "build_nerve", None)
+    message = (
+        "cannot cone the lone 2-simplex ('1', '2', '3'): it bounds both faces, "
+        "and a label-2 apex over it would span a spherical tetrahedron"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cone_construction(nerve, {"1": ["2", "3"], "2": ["3", "1"], "3": ["1", "2"]})
 
 
 def test_cone_rejects_disconnected():

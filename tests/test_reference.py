@@ -1096,6 +1096,16 @@ def test_validate_embedding_on_c200_searches_components_once(monkeypatch):
     assert searches == {"components": 1}  # held on the nerve
 
 
+def test_tracing_the_c200_nerve_calls_no_next_after(monkeypatch):
+    # The tracer walks the rotation's successor map itself, not one method call per directed edge.
+    nerve = build_nerve(cycle_spec(200, 2))
+    rot = RotationSystem({v: list(nerve.neighbors(v)) for v in nerve.vertices})
+    calls = count_calls(monkeypatch, RotationSystem, ["next_after"])
+    validate_embedding(nerve, rot)
+    cone_construction(nerve, rot)
+    assert calls == Counter()
+
+
 def test_cone_of_c200_searches_components_twice(monkeypatch):
     nerve = build_nerve(cycle_spec(200, 2))
     rot = {v: list(nerve.neighbors(v)) for v in nerve.vertices}
@@ -1711,7 +1721,7 @@ def test_parse_spec_reports_the_same_first_fault(doc):
 
 
 def reference_cone_construction(nerve, rot):
-    """cone_construction as it was: the coned spec's nerve built from scratch."""
+    """cone_construction as it was, the coned spec's nerve built from scratch, and a lone 2-simplex refused."""
     rot = RotationSystem.from_document(rot) if isinstance(rot, dict) else rot
     if not nerve.vertices:
         raise ValueError("cannot cone an empty complex")
@@ -1728,6 +1738,11 @@ def reference_cone_construction(nerve, rot):
         face for face in faceset.faces
         if not (len(face) == 3 and nerve.has_simplex([u for u, _ in face]))
     ]
+    if nerve.counts() == (3, 3, 1):
+        raise ValueError(
+            f"cannot cone the lone 2-simplex {nerve.triangles[0]}: it bounds both faces, and a "
+            "label-2 apex over it would span a spherical tetrahedron"
+        )
     taken, vertices = set(nerve.spec.vertices), list(nerve.spec.vertices)
     labels = {(u, v): m for u, v, m in nerve.spec.finite_edges()}
     for i, face in enumerate(to_cone):
@@ -1762,7 +1777,7 @@ def coning_inputs(draw):
         spec = labelled_cycle(n, draw(st.lists(st.sampled_from([2, 3, 4, 6]), min_size=n, max_size=n)))
         nerve = build_nerve(spec)
         return nerve, {v: list(nerve.neighbors(v)) for v in nerve.vertices}
-    vertices, edges = random_planar_graph(draw(st.randoms(use_true_random=False)), max_vertices=9)
+    vertices, edges, _ = random_planar_graph(draw(st.randoms(use_true_random=False)), max_vertices=9)
     labels = {(vertices[a], vertices[b]): draw(st.sampled_from([2, 2, 3, 4, 5])) for a, b in edges}
     nerve = build_nerve(CoxeterSpec(vertices, labels))
     return nerve, planar_rotation(nerve)

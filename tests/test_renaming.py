@@ -8,6 +8,10 @@ order, and chi_orb, the Betti tuple and the certificate must not change.
 Nor may the steps: each Betti entry's rule and values, and, per component,
 each certificate step's statement and values and the reason.  What a step
 was applied to names vertices, so it is left out.
+
+Cones are renamed too: a random 2-connected planar graph with the rotation
+read off its faces is renamed together with that rotation, and neither the
+cone's shape and witness nor the planarity oracle's verdict may change.
 """
 
 from __future__ import annotations
@@ -20,8 +24,10 @@ from hypothesis import given, settings, strategies as st
 from coxeter_l2.catalog import complete_bipartite_spec, complete_graph_spec
 from coxeter_l2.invariants import CitedStep, betti, chi_orb
 from coxeter_l2.model import INFINITY, CoxeterSpec, induced_subspec
-from coxeter_l2.nerve import build_nerve, join_spec
-from coxeter_l2.planarity import certify_nonplanar
+from coxeter_l2.nerve import SimplicialComplex, build_nerve, join_spec, validate_embedding
+from coxeter_l2.planarity import certify_nonplanar, cone_construction, planar_rotation
+
+from conftest import random_planar_graph
 
 LABELS = (2, 3, 4, 5, 6, INFINITY)
 
@@ -138,3 +144,46 @@ def test_k5_beside_k33_cites_k5_under_either_name_order():
         cert = certify_nonplanar(side_by_side(k5, k33))
         assert (cert.verdict, cert.bound) == ("NotPlanar", Fraction(1, 6))
         assert cert.notes[-1] == f"witnessing component: {{{','.join(k5.vertices)}}}"
+
+
+@st.composite
+def embedded_planar_systems(draw) -> tuple[CoxeterSpec, dict[str, list[str]]]:
+    """A random 2-connected planar graph with labels drawn from 2, 2, 3, 4, 5, and the rotation read off its faces.
+
+    A face walk through u, v, w turns from u to w at v, so w follows u in the rotation at v.
+    """
+    vertices, edges, faces = random_planar_graph(draw(st.randoms(use_true_random=False)), max_vertices=9)
+    labels = {(vertices[a], vertices[b]): draw(st.sampled_from([2, 2, 3, 4, 5])) for a, b in edges}
+    follows = {(v, face[i - 1]): face[(i + 1) % len(face)] for face in faces for i, v in enumerate(face)}
+    rotation = {}
+    for v, name in enumerate(vertices):
+        first = next(u for x, u in follows if x == v)
+        order, u = [first], follows[v, first]
+        while u != first:
+            order.append(u)
+            u = follows[v, u]
+        rotation[name] = [vertices[u] for u in order]
+    skeleton = SimplicialComplex(vertices, [(vertices[a], vertices[b]) for a, b in edges])
+    validate_embedding(skeleton, rotation)  # the rotation embeds the graph, whatever its labels fill
+    return CoxeterSpec(vertices, labels), rotation
+
+
+def cone_answers(spec: CoxeterSpec, rotation: dict[str, list[str]]) -> tuple:
+    """The cone's apex count, counts, right-angled flag and number of notes, or the error's type."""
+    nerve = build_nerve(spec)
+    verdict = planar_rotation(nerve) is not None
+    try:
+        coned, witness = cone_construction(nerve, rotation)
+    except ValueError as exc:  # a chord, or a filled 3-cycle that bounds no face
+        return verdict, type(exc)
+    apexes = len(coned.vertices) - len(nerve.vertices)
+    return verdict, apexes, coned.counts(), witness.right_angled_complement, len(witness.notes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cones_survive_renaming(data):
+    spec, rotation = data.draw(embedded_planar_systems())
+    other, name = data.draw(renamed(spec))
+    other_rotation = {name[v]: [name[u] for u in ns] for v, ns in rotation.items()}
+    assert cone_answers(spec, rotation) == cone_answers(other, other_rotation)
