@@ -35,10 +35,10 @@ from coxeter_l2.enumeration import enumerate_order
 
 def _load_json(path: str):
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))  # JSON text is UTF-8
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 

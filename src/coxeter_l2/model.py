@@ -63,16 +63,32 @@ class CoxeterSpec:
     __slots__ = ("vertices", "_labels", "_commuting", "_nerve", "__weakref__")
 
     def __init__(self, vertices: Iterable[str], labels: Mapping[tuple[str, str], int] | None = None):
-        self._fill(tuple(vertices), ((u, v, m) for (u, v), m in (labels or {}).items()))
+        self._fill(tuple(vertices), (labels or {}).items())
 
-    def _fill(self, vertices: tuple[str, ...], triples: Iterable[tuple[str, str, Label]]) -> None:
-        """Validate the vertices and the (u, v, m) label triples once, then store them."""
+    def _fill(self, vertices: tuple[str, ...], edges: Iterable, records: bool = False) -> None:
+        """Validate the vertices and the edges in one loop, then store them.
+
+        An edge is a ((u, v), m) label item, or with ``records`` a document's
+        {u, v, m} record, whose shape is checked just before its label, so
+        faults come out in record order.  A plain dict record skips the
+        abstract Mapping test; any other record type still takes it.
+        """
         for v in vertices:
             if not isinstance(v, str):
                 raise MalformedDocument(f"vertex {v!r} is not a string")
         vertex_set = frozenset(vertices)
         given: dict[tuple[str, str], Label] = {}  # INFINITY is kept until the end, for conflicts
-        for u, v, m in triples:
+        infinite = False
+        for rec in edges:
+            if not records:
+                (u, v), m = rec
+            else:
+                shaped = type(rec) is dict or isinstance(rec, Mapping)
+                if not shaped or "u" not in rec or "v" not in rec or "m" not in rec:
+                    raise MalformedDocument(f"edge record {rec!r} must have fields u, v, m")
+                u, v, m = rec["u"], rec["v"], rec["m"]
+                if not isinstance(u, str) or not isinstance(v, str):
+                    raise MalformedDocument(f"edge endpoints {u!r}, {v!r} must be vertex strings")
             if u == v:
                 raise MalformedDocument(f"edge ({u!r}, {v!r}) is a self-loop")
             if u not in vertex_set or v not in vertex_set:
@@ -82,6 +98,7 @@ class CoxeterSpec:
                     m = INFINITY
                 elif m != INFINITY and (not isinstance(m, int) or isinstance(m, bool)):
                     raise LabelOutOfRange(f"label m({u},{v}) = {m!r} is neither an integer nor 'inf'")
+                infinite = infinite or m == INFINITY
             if m < 2:  # never true of INFINITY
                 raise LabelOutOfRange(f"label m({u},{v}) = {m} is below 2")
             key = (u, v) if u < v else (v, u)
@@ -98,9 +115,10 @@ class CoxeterSpec:
                     raise DuplicateVertex(f"duplicate vertex {v!r}")
                 seen.add(v)
         self.vertices = vertices
-        self._labels = dict(sorted((key, m) for key, m in given.items() if m != INFINITY))
+        labels = sorted(given.items())
+        self._labels = dict(labels if not infinite else [(key, m) for key, m in labels if m != INFINITY])
         self._commuting: dict[str, set[str]] = {v: set() for v in vertices}
-        for (u, v), m in self._labels.items():
+        for (u, v), m in labels:
             if m == 2:
                 self._commuting[u].add(v)
                 self._commuting[v].add(u)
@@ -189,14 +207,15 @@ def parse_spec(document) -> CoxeterSpec:
     ``edges``, a list of ``{"u":, "v":, "m":}`` records where ``m`` is an
     integer >= 2 or the string ``"inf"``.  An ``"inf"`` edge is equivalent
     to omitting the pair.  Only the document's shape is checked here; each
-    record, once its shape is checked, goes to the label validator of
-    CoxeterSpec, so every label is checked once and faults are reported in
-    record order.
+    record goes to the validator of CoxeterSpec, whose one loop checks its
+    shape and then its label, so every label is checked once and faults are
+    reported in record order.  Undecodable bytes are malformed JSON like
+    any other fault of the text.
     """
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise MalformedDocument(f"not valid JSON: {exc}") from exc
     if not isinstance(document, Mapping):
         raise MalformedDocument("document must be a JSON object")
@@ -209,19 +228,8 @@ def parse_spec(document) -> CoxeterSpec:
     if not isinstance(edges, list):
         raise MalformedDocument("'edges' must be a list of {u, v, m} records")
     spec = CoxeterSpec.__new__(CoxeterSpec)
-    spec._fill(tuple(vertices), _edge_triples(edges))
+    spec._fill(tuple(vertices), edges, records=True)
     return spec
-
-
-def _edge_triples(edges: list):
-    """Yield (u, v, m) per edge record, checking only its shape."""
-    for rec in edges:
-        if not isinstance(rec, Mapping) or "u" not in rec or "v" not in rec or "m" not in rec:
-            raise MalformedDocument(f"edge record {rec!r} must have fields u, v, m")
-        u, v, m = rec["u"], rec["v"], rec["m"]
-        if not isinstance(u, str) or not isinstance(v, str):
-            raise MalformedDocument(f"edge endpoints {u!r}, {v!r} must be vertex strings")
-        yield u, v, m
 
 
 def induced_subspec(spec: CoxeterSpec, subset: Iterable[str]) -> CoxeterSpec:

@@ -312,11 +312,13 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
     order 2m (A1 x A1 when m = 2), so no edge is classified.  Each larger
     spherical set s + w grows s by a common finite neighbor w above its
     maximum; since subsets of spherical sets are spherical, this pruning is
-    exhaustive.  Each frontier set carries its diagram components with their
-    orders, so s + w is classified by matching one component: w merged with
-    the components of s it does not commute with (w alone doubles the
-    order, and w with one vertex v is I2(m(v, w)), of order 2m).  Only the
-    order of the matcher's (kind, rank, order, m) fields is kept.
+    exhaustive.  An edge's such neighbors are the intersection of the sets
+    of finite neighbors above its two ends.  Each frontier set carries its
+    diagram components with their orders, so s + w is classified by
+    matching one component: w merged with the components of s it does not
+    commute with (w alone doubles the order, and w with one vertex v is
+    I2(m(v, w)), of order 2m).  Only the order of the matcher's (kind,
+    rank, order, m) fields is kept.
     Simplices come out in canonical order, so each level is lexicographic
     as it is made, and the sorted labels list each vertex's neighbors in
     order: the nerve is indexed as it is enumerated.
@@ -345,19 +347,22 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
 
     # A frontier entry: a simplex with candidates, its common finite neighbors
     # above its maximum (sorted), and its diagram components as (vertices, order).
-    # A candidate x after w exceeds it, so (w, x) is finite when it is labelled.
-    # An edge's candidates are read off the shorter of its ends' upper neighbor
-    # lists: scanning u's alone costs a vertex of degree d about d^2 / 2 tests
-    # when it sorts before most of its neighbors, as a pole can on a suspension.
+    # An edge's candidates are the intersection of its ends' sets of finite
+    # neighbors above them.  The intersection walks the smaller set, so a pole
+    # that sorts before its d neighbors costs O(d), not d^2 / 2, over its edges.
+    # Past the edges, a candidate x after w exceeds it, so (w, x) is finite when
+    # it is labelled.
+    above = {v: set(up) for v, up in upper.items() if up}
     frontier = []
     for u in vertices:
         up = upper[u]
-        for i, w in enumerate(up):
-            if len(up) - i - 1 <= len(upper[w]):
-                candidates = [x for x in up[i + 1:] if (w, x) in labels]
-            else:
-                candidates = [x for x in upper[w] if (u, x) in labels]
-            if candidates:
+        if len(up) < 2:  # a vertex with fewer than two upper neighbors starts no triangle
+            continue
+        mine = above[u]
+        for w in up:
+            common = mine.intersection(above.get(w, ()))
+            if common:
+                candidates = sorted(common)
                 m = labels[(u, w)]
                 comps = (((u,), 2), ((w,), 2)) if m == 2 else (((u, w), 2 * m),)
                 frontier.append(((u, w), candidates, comps))

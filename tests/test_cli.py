@@ -79,6 +79,14 @@ def test_missing_file_exit_one(capsys):
     assert "error" in err
 
 
+def test_undecodable_file_is_named(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"vertices": ["\xff"]}')
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path} is not valid JSON: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_nerve_structured(docs, capsys):
     code, out, _ = run(capsys, ["--format", "structured", "nerve", docs["octahedron.json"]])
     assert code == 0

@@ -68,9 +68,6 @@ def test_inf_edge_equivalent_to_omission():
 # Invalid documents with the error parse_spec reports first.  Several carry
 # more than one fault: edge records are checked in order before the vertex
 # list is checked for empty names and duplicates.
-# Invalid documents with the error parse_spec reports first.  Several carry
-# more than one fault: edge records are checked in order before the vertex
-# list is checked for empty names and duplicates.
 INVALID_DOCUMENTS = [
     ("not json {", MalformedDocument),
     ({"edges": []}, MalformedDocument),
@@ -138,6 +135,11 @@ INVALID_DOCUMENTS = [
 def test_invalid_documents_rejected(doc, error):
     with pytest.raises(error):
         parse_spec(doc)
+
+
+def test_undecodable_bytes_are_malformed():
+    with pytest.raises(MalformedDocument, match="^not valid JSON: 'utf-8' codec can't decode byte 0xff"):
+        parse_spec(b'{"vertices": ["\xff"]}')
 
 
 def test_duplicate_edge_with_same_label_tolerated():
