@@ -65,16 +65,16 @@ def chi_orb(nerve: Nerve) -> Fraction:
     """Orbihedral Euler characteristic, as the collapsed sum over spherical subsets.
 
     Each spherical subset T (the empty set included) contributes
-    (-1)^|T| / |W_T|; the empty set contributes +1.  The orders of each
-    dimension are tallied at once, with the sign of its simplices' size,
-    and the signed counts are summed over the lcm of the orders, so there is
-    one exact division; the nerve holds the value.  Equality with the
-    literal chain-level sum is the job of chi_orb_chain_sum.
+    (-1)^|T| / |W_T|; the empty set contributes +1.  The nerve's tuple of
+    orders for each dimension is tallied at once, with the sign of its
+    simplices' size, and the signed counts are summed over the lcm of the
+    orders, so there is one exact division; the nerve holds the value.
+    Equality with the literal chain-level sum is the job of chi_orb_chain_sum.
     """
     if nerve._chi is None:
         weight, odd = Counter({1: 1}), Counter()  # the empty set: +1 / 1
-        for d, level in nerve._by_dim.items():  # a d-simplex has d + 1 vertices
-            (odd if d % 2 == 0 else weight).update(map(nerve._orders.__getitem__, level))
+        for d, orders in nerve._orders.items():  # a d-simplex has d + 1 vertices
+            (odd if d % 2 == 0 else weight).update(orders)
         weight.subtract(odd)
         lcm = math.lcm(*weight)
         nerve._chi = Fraction(sum(w * (lcm // order) for order, w in weight.items()), lcm)

@@ -115,10 +115,12 @@ class CoxeterSpec:
                     raise DuplicateVertex(f"duplicate vertex {v!r}")
                 seen.add(v)
         self.vertices = vertices
-        labels = sorted(given.items())
-        self._labels = dict(labels if not infinite else [(key, m) for key, m in labels if m != INFINITY])
+        if infinite:
+            self._labels = {key: given[key] for key in sorted(given) if given[key] != INFINITY}
+        else:
+            self._labels = {key: given[key] for key in sorted(given)}
         self._commuting: dict[str, set[str]] = {v: set() for v in vertices}
-        for (u, v), m in labels:
+        for (u, v), m in given.items():  # the order a commuting set is filled in does not matter
             if m == 2:
                 self._commuting[u].add(v)
                 self._commuting[v].add(u)

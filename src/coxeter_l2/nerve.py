@@ -83,18 +83,24 @@ class SimplicialComplex:
         Every nonempty level is kept, not only those below the first empty
         one, since a complex need not be closed under faces.  A closed
         vertex, one whose neighbors are all kept, shares its neighbor tuple.
+        Each level is tested once, into a mask; a nerve view (cls Nerve)
+        filters the ambient's orders of that level by the same mask.
         """
         keep = set(vertices)
         neighbors = {}
         for v in vertices:
             near = self._neighbors[v]
             neighbors[v] = near if keep.issuperset(near) else tuple(filter(keep.__contains__, near))
-        by_dim = {}
+        by_dim, masks = {}, {}
         for d, level in self._by_dim.items():
-            kept = tuple(filter(keep.issuperset, level))
+            mask = list(map(keep.issuperset, level))
+            kept = tuple(itertools.compress(level, mask))
             if kept:
-                by_dim[d] = kept
-        return (cls or SimplicialComplex)._presorted(vertices, by_dim, neighbors)
+                by_dim[d], masks[d] = kept, mask
+        view = (cls or SimplicialComplex)._presorted(vertices, by_dim, neighbors)
+        if isinstance(view, Nerve):
+            view._orders = {d: tuple(itertools.compress(self._orders[d], mask)) for d, mask in masks.items()}
+        return view
 
     @property
     def dimension(self) -> int:
@@ -106,12 +112,15 @@ class SimplicialComplex:
             return self._by_dim.get(dim, ())
         return tuple(s for group in self._by_dim.values() for s in group)  # dimensions ascend
 
-    def has_simplex(self, s: Iterable[str]) -> bool:
-        """Is s a nonempty simplex?  The level of its dimension is bisected."""
-        s = tuple(sorted(s))
+    def _find(self, s: Simplex) -> int:
+        """The index of a sorted tuple in the level of its dimension, bisected; -1 if it is no simplex."""
         level = self._by_dim.get(len(s) - 1, ())
         i = bisect.bisect_left(level, s)
-        return i < len(level) and level[i] == s
+        return i if i < len(level) and level[i] == s else -1
+
+    def has_simplex(self, s: Iterable[str]) -> bool:
+        """Is s a nonempty simplex?"""
+        return self._find(tuple(sorted(s))) >= 0
 
     @property
     def edges(self) -> tuple[Simplex, ...]:
@@ -151,12 +160,17 @@ class SimplicialComplex:
 
 
 class Nerve(SimplicialComplex):
-    """The nerve of a Coxeter system, with subgroup orders per simplex."""
+    """The nerve of a Coxeter system, with subgroup orders per simplex.
+
+    The orders are one tuple of ints per level, aligned index for index
+    with it: _orders[d][i] is the order of _by_dim[d][i].  No map is keyed
+    by simplex.
+    """
 
     _chi = None  # held on the object by invariants.chi_orb
 
     @classmethod
-    def _assembled(cls, spec: CoxeterSpec, by_dim: dict, orders: dict[Simplex, int], neighbors: dict) -> "Nerve":
+    def _assembled(cls, spec: CoxeterSpec, by_dim: dict, orders: dict, neighbors: dict) -> "Nerve":
         """The nerve build_nerve enumerated, with its orders and neighbors; the spec holds it weakly."""
         nerve = cls._presorted(spec.vertices, by_dim, neighbors)
         nerve.spec, nerve._orders = spec, orders
@@ -164,9 +178,14 @@ class Nerve(SimplicialComplex):
         return nerve
 
     def order(self, simplex: Iterable[str]) -> int:
-        """|W_T| for a simplex T; the empty simplex has order 1."""
+        """|W_T| for a simplex T, found as has_simplex finds it, else KeyError; the empty simplex has order 1."""
         s = tuple(sorted(simplex))
-        return self._orders[s] if s else 1  # KeyError for a non-simplex
+        if not s:
+            return 1
+        i = self._find(s)
+        if i < 0:
+            raise KeyError(s)
+        return self._orders[len(s) - 1][i]
 
     def to_document(self) -> dict:
         return {
@@ -314,22 +333,25 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
     maximum; since subsets of spherical sets are spherical, this pruning is
     exhaustive.  An edge's such neighbors are the intersection of the sets
     of finite neighbors above its two ends.  Each frontier set carries its
-    diagram components with their orders, so s + w is classified by
+    order and its diagram components with their orders, so s + w is
+    classified with one set test when w commutes with all of s (w is a
+    component of its own, and the order doubles), and otherwise by
     matching one component: w merged with the components of s it does not
-    commute with (w alone doubles the order, and w with one vertex v is
-    I2(m(v, w)), of order 2m).  Only the order of the matcher's (kind,
-    rank, order, m) fields is kept.
+    commute with (w with one vertex v is I2(m(v, w)), of order 2m).  Only
+    the order of the matcher's (kind, rank, order, m) fields is kept.
     Simplices come out in canonical order, so each level is lexicographic
-    as it is made, and the sorted labels list each vertex's neighbors in
-    order: the nerve is indexed as it is enumerated.
-    Raises CapExceeded past ``simplex_cap`` simplices.
+    as it is made, its orders are appended alongside, and the sorted labels
+    list each vertex's neighbors in order: the nerve is indexed as it is
+    enumerated.  Raises CapExceeded past ``simplex_cap`` simplices, counted
+    as they are made.
 
     The spec keeps a weak reference to the nerve built last, so while a
     caller holds that nerve, building it again (as certify_nonplanar does)
-    returns it instead, unless it has more than ``simplex_cap`` simplices.
+    returns it instead, unless its levels hold more than ``simplex_cap``
+    simplices.
     """
     held = spec._nerve and spec._nerve()
-    if held is not None and len(held._orders) <= simplex_cap:
+    if held is not None and sum(map(len, held._by_dim.values())) <= simplex_cap:
         return held
     labels = spec._labels
     lower: dict[str, list[str]] = {v: [] for v in spec.vertices}
@@ -339,14 +361,17 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
         upper[u].append(w)
         lower[w].append(u)
     vertices = sorted(spec.vertices)
-    orders = dict.fromkeys([(v,) for v in vertices], 2)
-    levels = [tuple(orders), tuple(labels)]
-    orders.update(zip(labels, [2 * m for m in labels.values()]))
-    if len(orders) > simplex_cap:
+    levels = [  # (simplices, their orders) per dimension
+        (tuple([(v,) for v in vertices]), (2,) * len(vertices)),
+        (tuple(labels), tuple([2 * m for m in labels.values()])),
+    ]
+    count = len(vertices) + len(labels)
+    if count > simplex_cap:
         raise CapExceeded(f"nerve exceeds {simplex_cap} simplices")
 
     # A frontier entry: a simplex with candidates, its common finite neighbors
-    # above its maximum (sorted), and its diagram components as (vertices, order).
+    # above its maximum (sorted), its diagram components as (vertices, order),
+    # and its order, their product.
     # An edge's candidates are the intersection of its ends' sets of finite
     # neighbors above them.  The intersection walks the smaller set, so a pole
     # that sorts before its d neighbors costs O(d), not d^2 / 2, over its edges.
@@ -365,43 +390,47 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
                 candidates = sorted(common)
                 m = labels[(u, w)]
                 comps = (((u,), 2), ((w,), 2)) if m == 2 else (((u, w), 2 * m),)
-                frontier.append(((u, w), candidates, comps))
+                frontier.append(((u, w), candidates, comps, 2 * m))
     while frontier:
-        level, nxt = [], []
-        for s, candidates, comps in frontier:
+        level, orders, nxt = [], [], []
+        for s, candidates, comps, order in frontier:
+            last = len(candidates) - 1
             for i, w in enumerate(candidates):
                 commuting = spec.commuting(w)
-                merged, kept, order = [w], [], 1
-                for comp in comps:
-                    if commuting.issuperset(comp[0]):
-                        kept.append(comp)
-                        order *= comp[1]
-                    else:
-                        merged += comp[0]
-                if len(merged) == 1:
-                    comp = ((w,), 2)
-                elif len(merged) == 2:  # I2(m): the other vertex sorts before w, and their label is finite
-                    key = (merged[1], w)
-                    comp = (key, 2 * labels[key])
+                if commuting.issuperset(s):  # every component is kept, and w is one of its own
+                    kept, kept_order, comp = comps, order, ((w,), 2)
                 else:
-                    key = tuple(sorted(merged))
-                    match = _match_component(spec, key)
-                    if match is None:
-                        continue
-                    comp = (key, match[2])
+                    merged, kept, kept_order = [w], [], 1
+                    for comp in comps:
+                        if commuting.issuperset(comp[0]):
+                            kept.append(comp)
+                            kept_order *= comp[1]
+                        else:
+                            merged += comp[0]
+                    if len(merged) == 2:  # I2(m): the other vertex sorts before w, and their label is finite
+                        key = (merged[1], w)
+                        comp = (key, 2 * labels[key])
+                    else:
+                        key = tuple(sorted(merged))
+                        match = _match_component(spec, key)
+                        if match is None:
+                            continue
+                        comp = (key, match[2])
                 t = s + (w,)
-                orders[t] = order * comp[1]
-                if len(orders) > simplex_cap:
+                count += 1
+                if count > simplex_cap:
                     raise CapExceeded(f"nerve exceeds {simplex_cap} simplices")
                 level.append(t)
-                rest = [x for x in candidates[i + 1:] if (w, x) in labels]
-                if rest:
-                    nxt.append((t, rest, (*kept, comp)))
-        levels.append(tuple(level))
+                orders.append(kept_order * comp[1])
+                if i < last:
+                    rest = [x for x in candidates[i + 1:] if (w, x) in labels]
+                    if rest:
+                        nxt.append((t, rest, (*kept, comp), orders[-1]))
+        levels.append((tuple(level), tuple(orders)))
         frontier = nxt
-    by_dim = {d: level for d, level in enumerate(levels) if level}  # an empty level has none above it
+    by_dim = {d: level for d, (level, _) in enumerate(levels) if level}  # an empty level has none above it
     neighbors = {v: (*lower[v], *upper[v]) for v in spec.vertices}
-    return Nerve._assembled(spec, by_dim, orders, neighbors)
+    return Nerve._assembled(spec, by_dim, {d: levels[d][1] for d in by_dim}, neighbors)
 
 
 def _straddling_pairs(spec: CoxeterSpec, A: set[str]):
@@ -462,18 +491,15 @@ def induced_nerve(nerve: Nerve, subset) -> Nerve:
     Sphericity depends only on the induced labels, so the ambient simplices
     and orders inside the subset are exactly those of
     build_nerve(induced_subspec(nerve.spec, subset)); nothing is classified
-    again.  The result is a view of the ambient: each level is filtered in
-    order, closed vertices share their neighbor tuples and the others' are
-    filtered.  Every finite label is an edge of the nerve, so the
-    restricted spec takes its labels from the kept edges, and the orders
-    are looked up once per kept simplex.
+    again.  The result is a view of the ambient: each level and its orders
+    are filtered in order by one mask, closed vertices share their neighbor
+    tuples and the others' are filtered.  Every finite label is an edge of
+    the nerve, so the restricted spec takes its labels from the kept edges.
     """
     keep = set(nerve.spec.check_subset(subset))
     vertices = tuple(v for v in nerve.vertices if v in keep)
     sub = nerve._view(vertices, Nerve)
     sub.spec = nerve.spec._restrict(vertices, keep, sub.edges)
-    simplices = sub.simplices()
-    sub._orders = dict(zip(simplices, map(nerve._orders.__getitem__, simplices)))
     return sub
 
 
@@ -564,14 +590,17 @@ def recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
 
     Circle: connected, pure 1-dimensional, every vertex of degree 2 (a
     single cycle).  TwoSphere: connected, pure 2-dimensional, every edge in
-    exactly two triangles, every vertex link a circle, and V - E + F = 2.
-    Once every edge lies in two triangles, each vertex link is a 2-regular
-    graph, and it is a circle exactly when the walk round it from one
-    neighbor takes as many steps as the vertex has neighbors.  No link
-    complex is built: one pass over the triangle level joins, in the link of
-    each corner, the two other corners.  Connectivity, the one check that
-    searches the whole complex, runs only once the local checks pass.  The
-    kind is held on the complex, so each is recognized once.
+    exactly two triangles and every edge of a triangle an edge of the
+    complex, every vertex link a circle, and V - E + F = 2.  No link
+    complex is built: one pass over the triangle level maps each edge of a
+    triangle to the triangle's third corner.  An edge lies in two triangles
+    exactly when it has two entries, and once every edge does and the map's
+    keys are the edges, the link of v is the 2-regular graph on its
+    neighbors where a is joined to the entries of the edge va.  It is a
+    circle exactly when the walk round it from one neighbor takes as many
+    steps as v has neighbors.  Connectivity, the one check that searches
+    the whole complex, runs only once the local checks pass.  The kind is
+    held on the complex, so each is recognized once.
     """
     if complex_._sphere is None:
         complex_._sphere = _recognize_sphere(complex_)
@@ -585,27 +614,29 @@ def _recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
         circle = len(degrees) >= 3 and set(degrees) == {2} and complex_.is_connected()
         return SphereKind.CIRCLE if circle else SphereKind.NEITHER
     if dim == 2:
+        edges = complex_.edges
         V = len(complex_.vertices)
-        E = len(complex_.edges)
+        E = len(edges)
         F = len(complex_.triangles)
         if V - E + F != 2:
             return SphereKind.NEITHER
-        # The link of v: its neighbors, joined by the opposite edges of its
-        # triangles.  The edge from v to a lies in two triangles exactly when a
-        # has two link neighbors; once all do, the link is 2-regular.
-        links: dict[str, dict[str, list[str]]] = collections.defaultdict(dict)
+        opposite: dict[Simplex, list[str]] = collections.defaultdict(list)
         for x, y, z in complex_.triangles:
-            for v, a, b in ((x, y, z), (y, x, z), (z, x, y)):
-                opposite = links[v]
-                opposite.setdefault(a, []).append(b)
-                opposite.setdefault(b, []).append(a)
+            opposite[x, y].append(z)
+            opposite[x, z].append(y)
+            opposite[y, z].append(x)
+        # The keys are the E edges, and each has two entries.
+        if len(opposite) != E or any(len(opposite.get(e, ())) != 2 for e in edges):
+            return SphereKind.NEITHER
         for v in complex_.vertices:
-            near, opposite = complex_.neighbors(v), links[v]
-            if not near or len(opposite) != len(near) or any(len(o) != 2 for o in opposite.values()):
+            near = complex_.neighbors(v)
+            if not near:
                 return SphereKind.NEITHER
-            prev, cur, steps = near[0], opposite[near[0]][0], 1
-            while cur != near[0]:  # step on to the link neighbor of cur that is not prev
-                prev, cur, steps = cur, opposite[cur][opposite[cur][0] == prev], steps + 1
+            start = near[0]
+            prev, cur, steps = start, opposite[(v, start) if v < start else (start, v)][0], 1
+            while cur != start:  # step on to the link neighbor of cur that is not prev
+                ends = opposite[(v, cur) if v < cur else (cur, v)]
+                prev, cur, steps = cur, ends[ends[0] == prev], steps + 1
             if steps != len(near):
                 return SphereKind.NEITHER
         return SphereKind.TWO_SPHERE if complex_.is_connected() else SphereKind.NEITHER

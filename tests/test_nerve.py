@@ -63,10 +63,36 @@ def test_octahedron_refuses_a_label_on_an_antipodal_pair():
 
 
 def test_nerve_orders_match_classifier():
-    nerve = build_nerve(complete_graph_spec(4, 3))
-    for s in nerve.simplices():
-        assert nerve.order(s) == classify(nerve.spec, s).order
-    assert nerve.order(()) == 1
+    # Built nerves, induced_nerve views and a cone_construction output.
+    rng = random.Random(37)
+    nerves = [build_nerve(complete_graph_spec(4, 3)), build_nerve(octahedron_spec())]
+    nerves += [build_nerve(random_spec(rng, max_vertices=7, labels=(2, 3, 4, 5, INFINITY))) for _ in range(30)]
+    nerves += [induced_nerve(nerve, [v for v in nerve.vertices if rng.random() < 0.6]) for nerve in nerves]
+    square = build_nerve(cycle_spec(4, 2))
+    nerves.append(cone_construction(square, {v: list(square.neighbors(v)) for v in square.vertices})[0])
+    for nerve in nerves:
+        for s in nerve.simplices():
+            assert nerve.order(s) == classify(nerve.spec, s).order
+            assert nerve.order(reversed(s)) == nerve.order(s)  # any vertex order names the simplex
+        assert nerve.order(()) == 1
+
+
+def test_order_of_a_non_simplex_is_a_key_error():
+    nerve = build_nerve(octahedron_spec())  # x0 x1 is an antipodal pair, so no edge
+    view = induced_nerve(nerve, ["x0", "y0", "y1"])
+    cases = [
+        (nerve, ("x0", "y0", "z0", "z1")),  # no level of dimension 3
+        (nerve, ("x0", "x1")),  # a pair that is no edge
+        (nerve, ("w",)),  # an unknown vertex
+        (nerve, ("w", "x0")),
+        (view, ("x0", "z0")),  # a simplex of the ambient outside the view
+        (view, ("z0",)),
+    ]
+    for complex_, s in cases:
+        assert not complex_.has_simplex(s)
+        with pytest.raises(KeyError):
+            complex_.order(s)
+    assert view.order(("y0", "x0")) == nerve.order(("x0", "y0")) == 4
 
 
 def test_simplex_cap():

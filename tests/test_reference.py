@@ -569,6 +569,26 @@ def test_recognize_sphere_equals_link_reference(complex_):
     assert recognize_sphere(complex_) is reference_recognize_sphere(complex_)
 
 
+@st.composite
+def spheres_with_swapped_edges(draw):
+    """A subdivided sphere with one to three edges swapped for as many non-edges, so that
+    V - E + F = 2 still holds and the complex is no longer closed under faces."""
+    vertices, triangles = draw(subdivided_spheres().filter(lambda case: len(case[0]) > 4))
+    closed = closure(vertices, triangles)
+    non_edges = [p for p in combinations(vertices, 2) if not closed.has_simplex(p)]
+    k = draw(st.integers(1, min(3, len(non_edges))))
+    removed = draw(st.permutations(closed.edges))[:k]
+    added = draw(st.permutations(non_edges))[:k]
+    return SimplicialComplex(vertices, [s for s in closed.simplices() if s not in removed] + added)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spheres_with_swapped_edges())
+def test_recognize_sphere_rejects_swapped_edges(complex_):
+    assert recognize_sphere(complex_) is SphereKind.NEITHER
+    assert reference_recognize_sphere(complex_) is SphereKind.NEITHER
+
+
 def test_recognize_sphere_rejects_pinched_octahedra():
     pinched = two_octahedra_glued_at_both_poles()
     V, E, F = len(pinched.vertices), len(pinched.edges), len(pinched.triangles)
@@ -591,6 +611,24 @@ def test_recognize_sphere_rejects_spheres_with_pendant_pieces():
         pieces = closure(list(octahedron.vertices), triangles + extra_triangles)
         vertices = sorted({v for s in pieces.simplices() for v in s} | {v for e in extra_edges for v in e})
         complex_ = SimplicialComplex(vertices, list(pieces.simplices()) + extra_edges + [(v,) for v in vertices])
+        V, E, F = len(complex_.vertices), len(complex_.edges), len(complex_.triangles)
+        assert complex_.is_connected() and V - E + F == 2
+        assert recognize_sphere(complex_) is SphereKind.NEITHER
+        assert reference_recognize_sphere(complex_) is SphereKind.NEITHER
+
+
+def test_recognize_sphere_rejects_triangles_on_non_edges():
+    # An octahedron with poles n, s over the square x0 x1 x2 x3, its edge level changed under
+    # its triangles; each keeps V - E + F = 2, so only the edge check can reject it.
+    square = [f"x{i}" for i in range(4)]
+    triangles = [(pole, square[i], square[(i + 1) % 4]) for pole in "ns" for i in range(4)]
+    octahedron = closure(["n", "s"] + square, triangles)
+    for removed, added in (
+        ([("x0", "x1"), ("x2", "x3")], [("x0", "x2"), ("x1", "x3")]),  # every link keeps its size
+        ([("n", "x0")], [("n", "s")]),  # n's neighbors are no longer its link's vertices
+    ):
+        simplices = [t for t in octahedron.simplices() if t not in removed] + added
+        complex_ = SimplicialComplex(octahedron.vertices, simplices)
         V, E, F = len(complex_.vertices), len(complex_.edges), len(complex_.triangles)
         assert complex_.is_connected() and V - E + F == 2
         assert recognize_sphere(complex_) is SphereKind.NEITHER
@@ -686,11 +724,9 @@ def test_suspension_is_recognized_and_summed_once(monkeypatch):
         return recognize(complex_)
 
     class CountingOrders(dict):
-        def __getitem__(self, simplex):  # a chi sum reads the order of every simplex
-            # This triangle lies in no join factor and outside the half view below,
-            # so its order is read by nothing else.
-            calls["chi_sum"] += simplex == ("c0", "c1", "s")
-            return super().__getitem__(simplex)
+        def items(self):  # a chi sum reads every level's orders; a view reads its levels one by one
+            calls["chi_sum"] += 1
+            return super().items()
 
     monkeypatch.setattr(nerve_module, "_recognize_sphere", counting_recognize)
     count_whole_set_classifications(monkeypatch, calls, nerve.vertices)
@@ -2318,9 +2354,13 @@ def reference_index(vertices, by_dim):
 
 
 def reference_build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
-    """build_nerve as it was: every edge through the matcher, the maps rebuilt by reference_index."""
+    """build_nerve as it was: every edge through the matcher, the maps rebuilt by reference_index.
+
+    Its orders, kept by simplex while it enumerates, are handed over as one
+    tuple per level, as a nerve keeps them.
+    """
     held = spec._nerve and spec._nerve()
-    if held is not None and len(held._orders) <= simplex_cap:
+    if held is not None and sum(map(len, held._by_dim.values())) <= simplex_cap:
         return held
     by_dim: list[tuple[tuple[str, ...], ...]] = []
     finite_adj: dict[str, set[str]] = {v: set() for v in spec.vertices}
@@ -2363,7 +2403,7 @@ def reference_build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> N
         frontier = nxt
     by_dim = dict(enumerate(by_dim))
     nerve = Nerve._presorted(spec.vertices, by_dim, reference_index(spec.vertices, by_dim))
-    nerve.spec, nerve._orders = spec, orders
+    nerve.spec, nerve._orders = spec, {d: tuple(map(orders.__getitem__, level)) for d, level in by_dim.items()}
     spec._nerve = weakref.ref(nerve)
     return nerve
 
@@ -2471,6 +2511,22 @@ def test_suspension_poles_cost_no_quadratic_scan(poles):
     assert nerve.counts() == (402, 1200, 800) and calls["hash"] <= 10 * sum(nerve.counts())
 
 
+def test_suspension_extensions_take_one_commuting_test_each():
+    spec = fresh_spec(suspension_spec(400))
+    calls = Counter()
+
+    class CountingSet(set):
+        def issuperset(self, other):
+            calls["issuperset"] += 1
+            return set.issuperset(self, other)
+
+    spec._commuting = {v: CountingSet(near) for v, near in spec._commuting.items()}
+    nerve = build_nerve(spec)
+    # Each triangle extends a cycle edge by a pole, which commutes with the whole edge: one
+    # test of the edge per candidate, not one per component of it (1,600).
+    assert nerve.counts() == (402, 1200, 800) and calls["issuperset"] == 800
+
+
 def test_built_nerve_is_indexed_with_its_maps(monkeypatch):
     given = []
     original = SimplicialComplex._index
@@ -2480,18 +2536,29 @@ def test_built_nerve_is_indexed_with_its_maps(monkeypatch):
         original(self, vertices, by_dim, neighbors)
 
     monkeypatch.setattr(SimplicialComplex, "_index", recording)
-    systems = (complete_graph_spec(5, 3), suspension_spec(20), CoxeterSpec(["b", "a"], {}))
+    systems = (complete_graph_spec(5, 3), suspension_spec(20), CoxeterSpec(["b", "a"], {}), CoxeterSpec([], {}))
     nerves = [build_nerve(spec) for spec in systems]
     nerves[1]._view(nerves[1].vertices[::3])
     link(nerves[1], "n")
     SimplicialComplex(["c", "a"], [("c", "a", "b"), ("b",), ("a", "c")])  # b is not listed as a vertex
+    nerves += [induced_nerve(nerves[1], nerves[1].vertices[::3]), induced_nerve(nerves[0], [])]
+    nerves.append(cone_construction(build_nerve(complete_graph_spec(4, 3)), K4_ROTATION)[0])
     # Every constructor hands _index nonempty levels of distinct sorted simplices, ascending
     # by dimension and lexicographic within each, and a neighbor map equal, in key order and
     # per-vertex order, to a rebuild from the stars.
-    assert len(given) == 6
+    assert len(given) == 11
     for by_dim, near, ref_near in given:
         assert list(by_dim) == sorted(by_dim)
         for d, level in by_dim.items():
             assert level and list(level) == sorted(set(level))
             assert all(len(s) == d + 1 and list(s) == sorted(set(s)) for s in level)
         assert list(near.items()) == list(ref_near.items())
+    # Every nerve constructor (build_nerve, induced_nerve and cone_construction, which builds)
+    # hands over one order per simplex, level by level, as a tuple of ints.
+    for nerve in nerves:
+        assert list(nerve._orders) == list(nerve._by_dim)
+        for d, level in nerve._by_dim.items():
+            orders = nerve._orders[d]
+            assert type(orders) is tuple and len(orders) == len(level)
+            assert all(type(order) is int for order in orders)
+            assert list(orders) == [classify(nerve.spec, s).order for s in level]
