@@ -72,10 +72,6 @@ from coxeter_l2.planarity import (
 )
 from coxeter_l2.enumeration import (
     NumericCollision,
-    IndeterminateNumeric,
-    cosine_matrix_test,
-    spherical_by_cosine,
-    reflection_generators,
     enumerate_order,
     verify_classification,
 )
@@ -132,10 +128,6 @@ __all__ = [
     "kuratowski_subgraph",
     "kuratowski_type",
     "NumericCollision",
-    "IndeterminateNumeric",
-    "cosine_matrix_test",
-    "spherical_by_cosine",
-    "reflection_generators",
     "enumerate_order",
     "verify_classification",
 ]

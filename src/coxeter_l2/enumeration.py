@@ -1,12 +1,10 @@
-"""Numeric oracles on the cosine form: positive definiteness and brute-force order.
+"""Numeric oracle: the order of a subgroup by brute-force enumeration.
 
-The cosine test checks the leading minors of the matrix c_st =
--cos(pi / m_st), each the running product of the pivots of Gaussian
-elimination.  Enumeration acts on row vectors by the reflections in the
-same form, each kept as its one row off the identity.  With s_0 < ... <
-s_{n-1} the sorted subset and T_k = {s_0, ..., s_k}, the row vector e_k
-lies in the closed fundamental chamber of W_{T_k}, on the walls of
-T_{k-1}, so its stabiliser is the parabolic subgroup W_{T_{k-1}} and its
+Enumeration acts on row vectors by the reflections in the cosine form
+c_st = -cos(pi / m_st), each kept as its one row off the identity.  With
+s_0 < ... < s_{n-1} the sorted subset and T_k = {s_0, ..., s_k}, the row
+vector e_k lies in the closed fundamental chamber of W_{T_k}, on the walls
+of T_{k-1}, so its stabiliser is the parabolic subgroup W_{T_{k-1}} and its
 orbit has [W_{T_k} : W_{T_{k-1}}] points; the order is the product of
 these indices (Humphreys, Reflection Groups and Coxeter Groups, 1.10 and
 5.13).  Each orbit is walked breadth-first by length: y g_s is formed only
@@ -17,8 +15,8 @@ alpha_k-coefficient of the root w(alpha_t), and a nonzero root
 coefficient has magnitude at least 1 (Brink and Howlett, Math. Ann. 296,
 1993), so a computed coordinate within 1/4 of zero reads as exactly 0,
 and one in [1/4, 1/2), or large enough for rounding to reach that band,
-raises NumericCollision.  These are desk-scale numerical oracles, not
-proofs.
+raises NumericCollision.  This is the package's one floating-point
+module: a desk-scale numerical oracle, not a proof.
 """
 
 from __future__ import annotations
@@ -28,22 +26,15 @@ import math
 from coxeter_l2.model import INFINITY, CoxeterSpec
 from coxeter_l2.spherical import classify
 
-_Matrix = tuple[tuple[float, ...], ...]
-
 _ZERO = 0.25  # a computed coordinate this close to zero is exactly 0
 _MARGIN = 0.5  # nonzero exact coordinates have magnitude at least 1
 _LARGEST = 2.0 ** 30  # past this, rounding could carry a coordinate across the margin
 _CONSTRUCTION_TOL = 1e-8
-_COSINE_EPS = 1e-9  # a leading minor within this of zero is indeterminate
-_COSINE_MAX_RANK = 12
+_INFINITE_CAP = 20000  # a non-spherical verdict holds when enumeration passes this many elements
 
 
 class NumericCollision(ArithmeticError):
     """A computed root coefficient is neither near 0 nor safely past the margin."""
-
-
-class IndeterminateNumeric(ArithmeticError):
-    """A principal minor fell within tolerance of zero; fall back to classify."""
 
 
 def _labels(spec: CoxeterSpec, T: tuple[str, ...]) -> list[list]:
@@ -54,46 +45,6 @@ def _labels(spec: CoxeterSpec, T: tuple[str, ...]) -> list[list]:
 def _cosine(m) -> float:
     """The cosine form at label m: -1 at an infinite label, 1.0 on the diagonal."""
     return -1.0 if m == INFINITY else -math.cos(math.pi / m)
-
-
-def cosine_matrix_test(spec: CoxeterSpec, subset) -> bool:
-    """Numeric finiteness check: is the cosine matrix positive definite?
-
-    True iff every leading principal minor exceeds the fixed tolerance
-    _COSINE_EPS; raises IndeterminateNumeric when a minor lands within
-    +/-_COSINE_EPS of zero, in which case the caller should fall back to
-    classify.  Subsets above rank _COSINE_MAX_RANK raise ValueError.
-    Elimination stops at the first minor that is not positive, so every
-    pivot it divides by is positive.
-    """
-    T = spec.check_subset(subset)
-    n = len(T)
-    if n > _COSINE_MAX_RANK:
-        raise ValueError(f"subset rank {n} exceeds the numeric bound {_COSINE_MAX_RANK}")
-    C = [[_cosine(m) for m in row] for row in _labels(spec, T)]
-    minor = 1.0
-    for k, row in enumerate(C):
-        minor *= row[k]
-        if abs(minor) <= _COSINE_EPS:
-            raise IndeterminateNumeric(
-                f"leading {k + 1}x{k + 1} minor {minor:.3e} within {_COSINE_EPS} of zero"
-            )
-        if minor < 0:
-            return False
-        for below in C[k + 1:]:
-            factor = below[k] / row[k]
-            for j in range(k + 1, n):
-                below[j] -= factor * row[j]
-    return True
-
-
-def spherical_by_cosine(spec: CoxeterSpec, subset) -> bool:
-    """Cosine test with indeterminate cases, an infinite label among them, adjudicated by classify."""
-    T = spec.check_subset(subset)
-    try:
-        return cosine_matrix_test(spec, T)
-    except IndeterminateNumeric:
-        return classify(spec, T).spherical
 
 
 def _close(y: list[float], s: int, atol: float) -> bool:
@@ -132,14 +83,6 @@ def _reflection_rows(T: tuple[str, ...], labels: list[list]) -> list[tuple[float
                 if not _close(y, start, 1e-6):
                     raise ArithmeticError(f"product of {T[i]}, {T[j]} does not have order {m}")
     return rows
-
-
-def reflection_generators(spec: CoxeterSpec, subset) -> tuple[tuple[str, ...], tuple[_Matrix, ...]]:
-    """Reflection matrices for the induced subsystem: matrix s is the identity with row s set to r_s."""
-    T = spec.check_subset(subset)
-    eye = [tuple(float(r == t) for t in range(len(T))) for r in range(len(T))]
-    rows = _reflection_rows(T, _labels(spec, T))
-    return T, tuple(tuple(row if r == s else eye[r] for r in range(len(T))) for s, row in enumerate(rows))
 
 
 def _exact(v: float) -> float:
@@ -221,12 +164,12 @@ def enumerate_order(spec: CoxeterSpec, subset, cap: int = 10 ** 6) -> int | None
     return _order(_reflection_rows(T, labels), cap)
 
 
-def verify_classification(spec: CoxeterSpec, subset, *, infinite_cap: int = 20000) -> bool:
+def verify_classification(spec: CoxeterSpec, subset) -> bool:
     """Cross-check the diagram classifier against brute-force enumeration.
 
     A spherical verdict must reproduce its order exactly under a cap of
     twice the claimed order (refused past the 10^6 budget); a non-spherical
-    verdict must fail to close under ``infinite_cap``.
+    verdict must fail to close within _INFINITE_CAP elements.
     """
     T = spec.check_subset(subset)
     verdict = classify(spec, T)
@@ -235,4 +178,4 @@ def verify_classification(spec: CoxeterSpec, subset, *, infinite_cap: int = 2000
         if cap > 10 ** 6:
             raise ValueError(f"claimed order {verdict.order} exceeds the oracle budget")
         return enumerate_order(spec, T, cap=cap) == verdict.order
-    return enumerate_order(spec, T, cap=infinite_cap) is None
+    return enumerate_order(spec, T, cap=_INFINITE_CAP) is None

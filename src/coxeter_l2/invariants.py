@@ -30,6 +30,8 @@ from coxeter_l2.nerve import (
 )
 from coxeter_l2.spherical import diagram_components
 
+_CHAIN_CAP = 10 ** 7  # the chain-sum oracle refuses a nerve with more chains than this
+
 
 def _rational(q: Fraction) -> str:
     """A rational in document form, always as p/q."""
@@ -81,7 +83,7 @@ def chi_orb(nerve: Nerve) -> Fraction:
     return nerve._chi
 
 
-def chi_orb_chain_sum(nerve: Nerve, *, chain_cap: int = 10 ** 7) -> Fraction:
+def chi_orb_chain_sum(nerve: Nerve) -> Fraction:
     """Independent oracle: the chain-level Euler characteristic sum.
 
     Simplices of the fundamental chamber are the chains of spherical
@@ -89,7 +91,7 @@ def chi_orb_chain_sum(nerve: Nerve, *, chain_cap: int = 10 ** 7) -> Fraction:
     element; a chain of k+1 elements has dimension k and stabilizer order
     |W_T| for its minimum T.  Every chain is enumerated literally; supersets
     are read from stars (the simplices at each vertex, listed here) as
-    chains reach them, so chain_cap bounds the work.
+    chains reach them, so _CHAIN_CAP bounds the work.
     """
     simplices = nerve.simplices()
     stars: dict[str, list[tuple[str, ...]]] = {}
@@ -103,8 +105,8 @@ def chi_orb_chain_sum(nerve: Nerve, *, chain_cap: int = 10 ** 7) -> Fraction:
     def extend(min_order: int, last: tuple[str, ...], length: int):
         nonlocal total, seen
         seen += 1
-        if seen > chain_cap:
-            raise CapExceeded(f"chain enumeration exceeds {chain_cap} chains")
+        if seen > _CHAIN_CAP:
+            raise CapExceeded(f"chain enumeration exceeds {_CHAIN_CAP} chains")
         total += Fraction((-1) ** (length - 1), min_order)
         if last not in above:  # each proper superset lies in the star of every vertex of last
             star = min((stars[v] for v in last), key=len)

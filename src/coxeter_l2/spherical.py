@@ -5,8 +5,10 @@ Finiteness is decided exactly by matching each connected component of the
 Coxeter diagram (edges are pairs with label >= 3 or infinity; label-2
 pairs commute and disconnect the diagram) against the classification of
 irreducible finite reflection groups, in exact integer arithmetic.  The
-numeric cross-checks (the cosine-matrix test and enumeration of the
-reflection representation) live in coxeter_l2.enumeration.
+package's one numeric cross-check, enumeration of the reflection
+representation, lives in coxeter_l2.enumeration; the test suite also
+checks every verdict it draws against positive definiteness of the cosine
+matrix.
 """
 
 from __future__ import annotations

@@ -1,15 +1,26 @@
-"""Shared generators for randomized suites.
+"""Shared generators for randomized suites, and the cosine oracle for classify.
 
 Random systems are drawn with seeded Random instances so every run sees
 the same instances; the planar generator keeps an explicit face list while
 it mutates the graph, so its outputs are planar by construction and the
 left-right planarity test confirms them independently.
+
+A subset is spherical exactly when its cosine matrix c_st = -cos(pi / m_st)
+is positive definite (Humphreys, Reflection Groups and Coxeter Groups,
+6.4), that is when every leading minor is positive.  The numeric test
+reads each minor with numpy's determinant; a minor within 1e-9 of zero is
+indeterminate, which no spherical subset of rank and labels at most 12
+gives.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
+import numpy as np
+
+from coxeter_l2 import enumeration
 from coxeter_l2.model import INFINITY, CoxeterSpec
 from coxeter_l2.spherical import classify
 
@@ -26,6 +37,53 @@ def random_spec(rng: random.Random, max_vertices: int = 6, labels=DEFAULT_LABELS
             if m != INFINITY:
                 edge_labels[(vertices[i], vertices[j])] = m
     return CoxeterSpec(vertices, edge_labels)
+
+
+class IndeterminateCosine(ArithmeticError):
+    """A leading minor of the cosine matrix fell within 1e-9 of zero."""
+
+
+def reference_cosine_matrix_test(spec, subset) -> bool:
+    """Is the cosine matrix positive definite?  Each leading minor from numpy's determinant."""
+    T = spec.check_subset(subset)
+    n = len(T)
+    if n > 12:
+        raise ValueError(f"subset rank {n} exceeds the numeric bound 12")
+    rows = [[-1.0 if (m := spec.label(u, v)) == INFINITY else -math.cos(math.pi / m) for v in T] for u in T]
+    C = np.reshape(np.array(rows, dtype=float), (n, n))
+    for k in range(1, n + 1):
+        minor = float(np.linalg.det(C[:k, :k]))
+        if abs(minor) <= 1e-9:
+            raise IndeterminateCosine(f"leading {k}x{k} minor {minor:.3e} within 1e-09 of zero")
+        if minor < 0:
+            return False
+    return True
+
+
+def check_classify_by_cosine(spec, subset) -> bool | None:
+    """Strict cross-check: the cosine test's answer, None when indeterminate, checked against classify.
+
+    A determinate answer must equal classify's verdict, and an
+    indeterminate one needs a non-spherical verdict; classify never decides
+    what the cosine test leaves open.
+    """
+    spherical = classify(spec, subset).spherical
+    try:
+        answer = reference_cosine_matrix_test(spec, subset)
+    except IndeterminateCosine:
+        assert not spherical
+        return None
+    assert answer is spherical
+    return answer
+
+
+def reflection_matrices(spec):
+    """The sorted vertices and the enumerator's reflections: g_s is the identity with row s set to r_s."""
+    T = spec.check_subset(spec.vertices)
+    gens = np.array([np.eye(len(T)) for _ in T])
+    for s, row in enumerate(enumeration._reflection_rows(T, enumeration._labels(spec, T))):
+        gens[s, s] = row
+    return T, gens
 
 
 def _degree(edges: set, v: int) -> int:

@@ -10,13 +10,10 @@ import pytest
 from coxeter_l2 import enumeration
 from coxeter_l2.model import CoxeterSpec
 from coxeter_l2.catalog import complete_graph_spec, path_spec
-from coxeter_l2.enumeration import (
-    NumericCollision,
-    enumerate_order,
-    reflection_generators,
-    verify_classification,
-)
+from coxeter_l2.enumeration import NumericCollision, enumerate_order, verify_classification
 from coxeter_l2.spherical import classify
+
+from conftest import reflection_matrices
 
 
 def test_dihedral_order_six():
@@ -51,8 +48,7 @@ def test_empty_subset_is_trivial_group():
 
 def test_generators_are_involutions_with_braid_orders():
     spec = path_spec([3, 4, 3])
-    T, gens = reflection_generators(spec, spec.vertices)
-    gens = np.array(gens)
+    T, gens = reflection_matrices(spec)
     eye = np.eye(len(T))
     for g in gens:
         assert np.allclose(g @ g, eye, atol=1e-9)
@@ -66,9 +62,8 @@ def test_generators_are_involutions_with_braid_orders():
 
 def test_generators_skip_the_braid_check_of_an_infinite_pair():
     spec = CoxeterSpec(["a", "b", "c"], {("a", "b"): 3})  # (a,c) and (b,c) are infinite
-    T, gens = reflection_generators(spec, spec.vertices)
+    T, gens = reflection_matrices(spec)
     assert T == ("a", "b", "c")
-    gens = np.array(gens)
     eye = np.eye(3)
     assert all(np.allclose(g @ g, eye, atol=1e-9) for g in gens)
     assert np.allclose(np.linalg.matrix_power(gens[0] @ gens[1], 3), eye, atol=1e-6)
@@ -137,7 +132,7 @@ def test_affine_triangle_exceeds_the_default_cap():
 
 def test_verify_non_spherical():
     spec = complete_graph_spec(3, 3)
-    assert verify_classification(spec, spec.vertices, infinite_cap=2000)
+    assert verify_classification(spec, spec.vertices)
 
 
 def test_verify_random_subsets():
@@ -146,7 +141,7 @@ def test_verify_random_subsets():
     for _ in range(10):
         size = rng.randint(0, 3)
         subset = rng.sample(list(k5.vertices), size)
-        assert verify_classification(k5, subset, infinite_cap=3000)
+        assert verify_classification(k5, subset)
 
 
 def test_verify_refuses_a_cap_past_the_budget_without_enumerating(monkeypatch):
@@ -250,7 +245,7 @@ def test_construction_names_the_first_generator_that_is_not_an_involution(monkey
     monkeypatch.setattr(CoxeterSpec, "label", skewed)
     spec = path_spec([3, 4, 3])
     with pytest.raises(ArithmeticError, match="^generator v2 is not an involution$"):
-        reflection_generators(spec, spec.vertices)
+        enumerate_order(spec, spec.vertices)
 
 
 @pytest.mark.parametrize("m, first", [(3, "v0, v1"), (4, "v1, v2"), (2, "v0, v2")])
@@ -263,7 +258,7 @@ def test_construction_names_the_first_pair_of_wrong_order(monkeypatch, m, first)
     monkeypatch.setattr(enumeration, "math", types.SimpleNamespace(pi=math.pi, cos=cos))
     spec = path_spec([3, 4, 3])
     with pytest.raises(ArithmeticError, match=f"^product of {first} does not have order {m}$"):
-        reflection_generators(spec, spec.vertices)
+        enumerate_order(spec, spec.vertices)
 
 
 def test_a_dihedral_pair_past_the_cap_returns_none_at_once():

@@ -27,7 +27,12 @@ rule is cited as the engine recorded it, never named, so no other module
 can branch on one.  A cited fact has one record: exactly one class named
 CitedStep is defined under src/, in the invariants module, where each Betti
 entry keeps one; the certificate cites those steps as they are, so a
-second provenance format cannot come back.
+second provenance format cannot come back.  Every exported name is used in
+the package, its demos or its benchmark, but for a short allowlist, each
+entry with its reason, so code that only tests call does not stay in the
+package.  Floating point stays in the enumeration oracle: no other module
+has a float constant, a float() call or math.cos, sin, pi or sqrt, and
+math.inf appears only as model.INFINITY.
 """
 
 import ast
@@ -39,7 +44,8 @@ from pathlib import Path
 
 import coxeter_l2
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "coxeter_l2"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "coxeter_l2"
 
 
 def test_no_import_inside_a_function():
@@ -87,6 +93,50 @@ def test_all_lists_exactly_the_imported_names():
     ]
     assert len(coxeter_l2.__all__) == len(set(coxeter_l2.__all__))
     assert sorted(coxeter_l2.__all__) == sorted(imported)
+
+
+# Exported names with no use in src/, demos/ or bench/, each kept for a reason.
+UNUSED_EXPORTS = {
+    "link": "the subcomplex calculus that README documents",
+    "is_full_subcomplex": "the subcomplex calculus that README documents",
+    "kuratowski_subgraph": "kept for two-sided planarity verdicts (ROADMAP item 7)",
+    "kuratowski_type": "kept for two-sided planarity verdicts (ROADMAP item 7)",
+}
+
+
+def test_every_export_has_a_use_outside_the_tests():
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    paths += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(coxeter_l2.__all__) - used) == sorted(UNUSED_EXPORTS)
+
+
+FLOAT_MATH = {"cos", "sin", "pi", "sqrt", "inf"}
+
+
+def test_floating_point_stays_in_enumeration():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "enumeration.py":
+            continue
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Constant) and isinstance(node.value, float)
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+                or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "math" and node.attr in FLOAT_MATH
+                or isinstance(node, ast.ImportFrom) and node.module == "math"
+                and any(alias.name in FLOAT_MATH for alias in node.names)
+            ):
+                found.append(f"{path.name}: {lines[node.lineno - 1].strip()}")
+    assert found == ["model.py: INFINITY = math.inf"]
 
 
 def test_complexes_are_constructed_only_in_nerve():

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from coxeter_l2 import invariants
 from coxeter_l2.model import CoxeterSpec, INFINITY
 from coxeter_l2.catalog import (
     complete_bipartite_spec,
@@ -101,20 +102,22 @@ def test_chain_sum_k5():
     assert chi_orb_chain_sum(nerve) == chi_orb(nerve) == Fraction(1, 6)
 
 
-def test_chain_sum_cap():
+def test_chain_sum_cap(monkeypatch):
     from coxeter_l2.nerve import CapExceeded
 
     nerve = build_nerve(complete_graph_spec(5, 3))
+    monkeypatch.setattr(invariants, "_CHAIN_CAP", 10)
     with pytest.raises(CapExceeded):
-        chi_orb_chain_sum(nerve, chain_cap=10)
+        chi_orb_chain_sum(nerve)
 
 
-def test_chain_cap_bounds_the_work():
+def test_chain_cap_bounds_the_work(monkeypatch):
     # The suspension of C2000 has 12,002 simplices; comparing every pair of them took seconds.
     nerve = build_nerve(join_spec(cycle_spec(2000, 2, prefix="c"), CoxeterSpec(["n", "s"], {})))
+    monkeypatch.setattr(invariants, "_CHAIN_CAP", 1000)
     start = time.perf_counter()
     with pytest.raises(CapExceeded, match="^chain enumeration exceeds 1000 chains$"):
-        chi_orb_chain_sum(nerve, chain_cap=1000)
+        chi_orb_chain_sum(nerve)
     assert time.perf_counter() - start < 1
 
 

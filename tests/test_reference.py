@@ -10,8 +10,7 @@ provenance text is parsed, the component matcher that reads labels through
 label() and returns a record, document parsing that checked every label
 before the constructor checked it again, coning by rebuilding the coned
 spec's nerve, the enumeration closure that formed each layer's
-products with einsum and keyed them one row at a time, the cosine test
-that took each leading minor with numpy's determinant, the Betti
+products with einsum and keyed them one row at a time, the Betti
 engine that filled a separate builder and summed the finished vector again,
 the right-angled-complement flag and straddling pairs that each scanned
 the labels on their own before one witness scan replaced them, the
@@ -100,7 +99,7 @@ from coxeter_l2.planarity import (
 )
 from coxeter_l2.spherical import FiniteTypeComponent, SphericalVerdict, classify, diagram_components
 
-from conftest import random_planar_graph, random_spec
+from conftest import check_classify_by_cosine, random_planar_graph, random_spec, reflection_matrices
 
 LABELS = st.sampled_from([2, 3, 4, 5, 6, INFINITY])
 
@@ -2051,30 +2050,13 @@ def enumeration_systems(draw):
 @settings(max_examples=80, deadline=None)
 @given(enumeration_systems(), st.integers(1, 3000))
 def test_closure_equals_einsum_reference(spec, cap):
-    _, gens = enumeration.reflection_generators(spec, spec.vertices)
+    _, gens = reflection_matrices(spec)
     rows = [g[s] for s, g in enumerate(gens)]
-    assert enumeration._order(rows, cap) == reference_closure_size(np.asarray(gens), cap, 0.25)
+    assert enumeration._order(rows, cap) == reference_closure_size(gens, cap, 0.25)
     verdict = classify(spec, spec.vertices)
     if verdict.spherical and verdict.order <= 3000:
         assert enumeration._order(rows, verdict.order - 1) is None
         assert enumeration._order(rows, verdict.order) == verdict.order
-
-
-def reference_cosine_matrix_test(spec, subset) -> bool:
-    """The cosine test as it was: each leading minor from numpy's determinant."""
-    T = spec.check_subset(subset)
-    n = len(T)
-    if n > 12:
-        raise ValueError(f"subset rank {n} exceeds the numeric bound 12")
-    rows = [[-1.0 if (m := spec.label(u, v)) == INFINITY else -math.cos(math.pi / m) for v in T] for u in T]
-    C = np.reshape(np.array(rows, dtype=float), (n, n))
-    for k in range(1, n + 1):
-        minor = float(np.linalg.det(C[:k, :k]))
-        if abs(minor) <= 1e-9:
-            raise enumeration.IndeterminateNumeric(f"leading {k}x{k} minor {minor:.3e} within 1e-09 of zero")
-        if minor < 0:
-            return False
-    return True
 
 
 @st.composite
@@ -2089,13 +2071,8 @@ def cosine_systems(draw):
 @settings(max_examples=300, deadline=None)
 @given(cosine_systems())
 def test_cosine_test_equals_determinant_reference(spec):
-    def outcome(test):
-        try:
-            return test(spec, spec.vertices)
-        except enumeration.IndeterminateNumeric:
-            return "indeterminate"
-
-    assert outcome(enumeration.cosine_matrix_test) == outcome(reference_cosine_matrix_test)
+    # classify against the determinant test of positive definiteness, with no fallback to classify
+    check_classify_by_cosine(spec, spec.vertices)
 
 
 class ReferenceBettiVector:

@@ -1,4 +1,3 @@
-import math
 import random
 from itertools import combinations
 
@@ -10,10 +9,9 @@ from coxeter_l2.catalog import (
     complete_graph_spec,
     path_spec,
 )
-from coxeter_l2.enumeration import IndeterminateNumeric, cosine_matrix_test, spherical_by_cosine
 from coxeter_l2.spherical import classify, diagram_components
 
-from conftest import random_spec
+from conftest import IndeterminateCosine, check_classify_by_cosine, random_spec, reference_cosine_matrix_test
 
 
 def test_components_complete_graph_of_threes():
@@ -175,42 +173,64 @@ def test_infinite_label_in_subset_never_spherical():
     assert not classify(spec, ["a", "b"]).spherical
 
 
-def test_cosine_dihedral_minors():
-    # 2x2 determinant 1 - cos^2(pi/3) = 3/4, hand value.
-    spec = path_spec([3])
-    assert cosine_matrix_test(spec, spec.vertices) is True
-    got = 1 - math.cos(math.pi / 3) ** 2
-    assert abs(got - 0.75) < 1e-12
-
-
 def test_cosine_infinite_pair_indeterminate_then_false():
     spec = CoxeterSpec(["a", "b"], {})
-    with pytest.raises(IndeterminateNumeric):
-        cosine_matrix_test(spec, ["a", "b"])
-    assert spherical_by_cosine(spec, ["a", "b"]) is False
+    with pytest.raises(IndeterminateCosine):
+        reference_cosine_matrix_test(spec, ["a", "b"])
+    assert check_classify_by_cosine(spec, ["a", "b"]) is None
 
 
 def test_cosine_euclidean_triangle_resolved_false():
     # The (3,3,3) cosine matrix has zero determinant exactly; the numeric
-    # kernel flags it and the exact classifier adjudicates.
+    # test flags it, and classify must call it non-spherical.
     spec = complete_graph_spec(3, 3)
-    with pytest.raises(IndeterminateNumeric):
-        cosine_matrix_test(spec, spec.vertices)
-    assert spherical_by_cosine(spec, spec.vertices) is False
-
-
-def test_cosine_rank_bound():
-    spec = complete_graph_spec(13, 2)
-    with pytest.raises(ValueError):
-        cosine_matrix_test(spec, spec.vertices)
+    with pytest.raises(IndeterminateCosine):
+        reference_cosine_matrix_test(spec, spec.vertices)
+    assert check_classify_by_cosine(spec, spec.vertices) is None
 
 
 def test_classify_agrees_with_cosine_oracle():
     rng = random.Random(7)
     for _ in range(300):
         spec = random_spec(rng, max_vertices=6, labels=(2, 3, 4, 5, 6, INFINITY))
-        want = classify(spec, spec.vertices).spherical
-        assert spherical_by_cosine(spec, spec.vertices) is want
+        check_classify_by_cosine(spec, spec.vertices)
+
+
+def _path(n, last=3):
+    """The bonds of a path on diagram vertices 0..n-1, the last one labelled last."""
+    return [(i, i + 1) for i in range(n - 2)] + [(n - 2, n - 1, last)]
+
+
+# Irreducible finite types as (rank, diagram bonds, label 3 unless given), and one product of rank 12.
+MARGIN_TYPES = {
+    "A12": (12, _path(12)),
+    "B12": (12, _path(12, 4)),
+    "D12": (12, _path(11) + [(9, 11)]),
+    "E6": (6, _path(5) + [(2, 5)]),
+    "E7": (7, _path(6) + [(2, 6)]),
+    "E8": (8, _path(7) + [(2, 7)]),
+    "F4": (4, [(0, 1), (1, 2, 4), (2, 3)]),
+    "H3": (3, [(0, 1, 5), (1, 2)]),
+    "H4": (4, [(0, 1, 5), (1, 2), (2, 3)]),
+    "I2(12)": (2, [(0, 1, 12)]),
+    "E8xH4": (12, _path(7) + [(2, 7), (8, 9, 5), (9, 10), (10, 11)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MARGIN_TYPES))
+def test_cosine_margin_holds_on_finite_types(name):
+    # The leading minors follow the sorted vertex names, and the random suites,
+    # mostly label 2, rarely draw these diagrams: each must stay determinate and
+    # positive with its names in diagram order and under renamings.
+    rank, bonds = MARGIN_TYPES[name]
+    rng = random.Random(name)
+    namings = [[f"v{i:02d}" for i in range(rank)]]
+    namings += [[f"w{i:02d}" for i in rng.sample(range(100), rank)] for _ in range(5)]
+    for names in namings:
+        labels = dict.fromkeys(combinations(names, 2), 2)
+        labels.update({(names[bond[0]], names[bond[1]]): bond[2] if len(bond) == 3 else 3 for bond in bonds})
+        spec = CoxeterSpec(names, labels)
+        assert check_classify_by_cosine(spec, spec.vertices) is True
 
 
 def test_order_multiplicative_over_components():
