@@ -67,8 +67,6 @@ from coxeter_l2.planarity import (
     trace_vanishing,
     brute_force_planar,
     planar_rotation,
-    kuratowski_subgraph,
-    kuratowski_type,
 )
 from coxeter_l2.enumeration import (
     NumericCollision,
@@ -125,8 +123,6 @@ __all__ = [
     "trace_vanishing",
     "brute_force_planar",
     "planar_rotation",
-    "kuratowski_subgraph",
-    "kuratowski_type",
     "NumericCollision",
     "enumerate_order",
     "verify_classification",

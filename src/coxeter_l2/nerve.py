@@ -26,6 +26,8 @@ from coxeter_l2.spherical import _match_component
 
 Simplex = tuple[str, ...]
 
+_SIMPLEX_CAP = 10 ** 6  # build_nerve refuses a nerve with more simplices than this
+
 
 class CapExceeded(RuntimeError):
     """Enumeration grew past its configured cap."""
@@ -134,8 +136,16 @@ class SimplicialComplex:
         return self._neighbors.get(v, ())
 
     def is_connected(self) -> bool:
-        """Connectivity of the 1-skeleton (a complex with one vertex is connected)."""
-        return len(self.skeleton_components()) <= 1
+        """Connectivity of the 1-skeleton on every vertex the complex knows (one vertex is connected).
+
+        The held components start from the listed vertices; a vertex that
+        only a simplex names and that they do not reach calls for a search
+        from every known vertex.
+        """
+        comps = self.skeleton_components()
+        if sum(map(len, comps)) < len(self._neighbors):
+            comps = components(self._neighbors, self.neighbors)
+        return len(comps) <= 1
 
     def skeleton_components(self) -> tuple[tuple[str, ...], ...]:
         """Components of the 1-skeleton, listed by least vertex; searched once and held."""
@@ -222,10 +232,6 @@ class RotationSystem:
             if len(set(ns)) != len(ns) or v in ns:
                 raise ValueError(f"rotation at {v!r} must list distinct neighbors, not {ns}")
         self._next = {(v, u): w for v, ns in self._rot.items() for u, w in zip(ns, ns[1:] + ns[:1])}
-
-    def next_after(self, v: str, u: str) -> str:
-        """The neighbor following u in the cyclic order at v."""
-        return self._next[v, u]
 
     def check_against(self, skeleton: SimplicialComplex) -> None:
         """Require the rotations to cover exactly the skeleton's edge set."""
@@ -324,7 +330,7 @@ class SubcomplexWitness(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
+def build_nerve(spec: CoxeterSpec) -> Nerve:
     """Enumerate all nonempty spherical subsets by incremental clique extension.
 
     The edges are the sorted finite labels themselves: m spans I2(m), of
@@ -342,16 +348,15 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
     Simplices come out in canonical order, so each level is lexicographic
     as it is made, its orders are appended alongside, and the sorted labels
     list each vertex's neighbors in order: the nerve is indexed as it is
-    enumerated.  Raises CapExceeded past ``simplex_cap`` simplices, counted
+    enumerated.  Raises CapExceeded past _SIMPLEX_CAP simplices, counted
     as they are made.
 
     The spec keeps a weak reference to the nerve built last, so while a
     caller holds that nerve, building it again (as certify_nonplanar does)
-    returns it instead, unless its levels hold more than ``simplex_cap``
-    simplices.
+    returns it as it is: it was built under the same cap.
     """
     held = spec._nerve and spec._nerve()
-    if held is not None and sum(map(len, held._by_dim.values())) <= simplex_cap:
+    if held is not None:
         return held
     labels = spec._labels
     lower: dict[str, list[str]] = {v: [] for v in spec.vertices}
@@ -366,8 +371,8 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
         (tuple(labels), tuple([2 * m for m in labels.values()])),
     ]
     count = len(vertices) + len(labels)
-    if count > simplex_cap:
-        raise CapExceeded(f"nerve exceeds {simplex_cap} simplices")
+    if count > _SIMPLEX_CAP:
+        raise CapExceeded(f"nerve exceeds {_SIMPLEX_CAP} simplices")
 
     # A frontier entry: a simplex with candidates, its common finite neighbors
     # above its maximum (sorted), its diagram components as (vertices, order),
@@ -418,8 +423,8 @@ def build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
                         comp = (key, match[2])
                 t = s + (w,)
                 count += 1
-                if count > simplex_cap:
-                    raise CapExceeded(f"nerve exceeds {simplex_cap} simplices")
+                if count > _SIMPLEX_CAP:
+                    raise CapExceeded(f"nerve exceeds {_SIMPLEX_CAP} simplices")
                 level.append(t)
                 orders.append(kept_order * comp[1])
                 if i < last:
@@ -599,8 +604,9 @@ def recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
     neighbors where a is joined to the entries of the edge va.  It is a
     circle exactly when the walk round it from one neighbor takes as many
     steps as v has neighbors.  Connectivity, the one check that searches
-    the whole complex, runs only once the local checks pass.  The kind is
-    held on the complex, so each is recognized once.
+    the whole complex, runs only once the local checks pass.  Every vertex
+    the complex knows counts, listed or named only by a simplex.  The kind
+    is held on the complex, so each is recognized once.
     """
     if complex_._sphere is None:
         complex_._sphere = _recognize_sphere(complex_)
@@ -609,13 +615,14 @@ def recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
 
 def _recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
     dim = complex_.dimension
+    known = complex_._neighbors  # every vertex the complex lists or one of its simplices names
     if dim == 1:
-        degrees = [len(complex_.neighbors(v)) for v in complex_.vertices]
+        degrees = list(map(len, known.values()))
         circle = len(degrees) >= 3 and set(degrees) == {2} and complex_.is_connected()
         return SphereKind.CIRCLE if circle else SphereKind.NEITHER
     if dim == 2:
         edges = complex_.edges
-        V = len(complex_.vertices)
+        V = len(known)
         E = len(edges)
         F = len(complex_.triangles)
         if V - E + F != 2:
@@ -628,8 +635,7 @@ def _recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
         # The keys are the E edges, and each has two entries.
         if len(opposite) != E or any(len(opposite.get(e, ())) != 2 for e in edges):
             return SphereKind.NEITHER
-        for v in complex_.vertices:
-            near = complex_.neighbors(v)
+        for v, near in known.items():
             if not near:
                 return SphereKind.NEITHER
             start = near[0]

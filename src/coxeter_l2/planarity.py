@@ -7,8 +7,7 @@ Betti vector, citing the engine's step for each entry as it is, and cites
 the vanishing statement a positive bound contradicts.  The left-right
 planarity test (de Fraysseix and Rosenstiehl, as written up by Brandes)
 acts as an independent planarity oracle for cross-validation; it returns a
-rotation system checked by face tracing, and a Kuratowski subgraph can be
-extracted for the non-planar answer.
+rotation system checked by face tracing.
 """
 
 from __future__ import annotations
@@ -572,55 +571,3 @@ def brute_force_planar(graph: SimplicialComplex) -> bool:
     """
     return planar_rotation(graph) is not None
 
-
-def kuratowski_subgraph(graph: SimplicialComplex) -> SimplicialComplex | None:
-    """A minimal non-planar subgraph of the 1-skeleton, or None when it is planar.
-
-    Each edge in turn is deleted when the graph without it is still
-    non-planar.  Every proper subgraph of what remains is planar, so by
-    Kuratowski's theorem it subdivides K5 or K3,3 (see kuratowski_type).
-    Costs one left-right test per edge.
-    """
-    if planar_rotation(graph) is not None:
-        return None
-    edges = list(graph.edges)
-    kept: list[tuple[str, ...]] = []
-    for i, e in enumerate(edges):
-        if planar_rotation(SimplicialComplex(graph.vertices, kept + edges[i + 1:])) is not None:
-            kept.append(e)
-    vertices = sorted({v for e in kept for v in e})
-    return SimplicialComplex(vertices, [(v,) for v in vertices] + kept)
-
-
-def kuratowski_type(graph: SimplicialComplex) -> str | None:
-    """Which of K5 and K3,3 the graph subdivides, isolated vertices aside; None if neither.
-
-    Smoothing replaces each path through degree-2 vertices by one edge
-    between its end vertices; the smoothed graph must be simple and equal
-    to K5 or K3,3.
-    """
-    degree = {v: len(graph.neighbors(v)) for v in graph.vertices if graph.neighbors(v)}
-    branch = [v for v, d in degree.items() if d != 2]
-    smoothed = set()
-    walked = 0
-    for b in branch:
-        for step in graph.neighbors(b):
-            prev, cur = b, step
-            walked += 1
-            while degree[cur] == 2:
-                prev, cur = cur, next(x for x in graph.neighbors(cur) if x != prev)
-                walked += 1
-            if cur == b:
-                return None
-            smoothed.add(frozenset((b, cur)))
-    # Each path is walked once from each end: no parallel paths, and no cycle
-    # of degree-2 vertices left untouched.
-    if 2 * len(smoothed) != sum(degree[b] for b in branch) or walked != 2 * len(graph.edges):
-        return None
-    if len(branch) == 5 and len(smoothed) == 10:
-        return "K5"
-    if len(branch) == 6 and len(smoothed) == 9 and all(degree[b] == 3 for b in branch):
-        near = {v for e in smoothed if branch[0] in e for v in e} - {branch[0]}
-        if all(len(e & near) == 1 for e in smoothed):
-            return "K3,3"
-    return None

@@ -1,4 +1,4 @@
-"""Shared generators for randomized suites, and the cosine oracle for classify.
+"""Shared generators for randomized suites, the cosine oracle for classify, and Kuratowski subgraphs.
 
 Random systems are drawn with seeded Random instances so every run sees
 the same instances; the planar generator keeps an explicit face list while
@@ -11,6 +11,12 @@ is positive definite (Humphreys, Reflection Groups and Coxeter Groups,
 reads each minor with numpy's determinant; a minor within 1e-9 of zero is
 indeterminate, which no spherical subset of rank and labels at most 12
 gives.
+
+A minimal non-planar subgraph, found by deleting edges while the rest
+stays non-planar, subdivides K5 or K3,3 by Kuratowski's theorem; the
+smoothing test names which.  Neither is a library operation: the package
+proves non-planarity through l2-Betti numbers and decides planarity with
+the left-right test.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ import numpy as np
 
 from coxeter_l2 import enumeration
 from coxeter_l2.model import INFINITY, CoxeterSpec
+from coxeter_l2.nerve import SimplicialComplex
+from coxeter_l2.planarity import planar_rotation
 from coxeter_l2.spherical import classify
 
 DEFAULT_LABELS = (2, 3, 4, 5, INFINITY)
@@ -161,3 +169,56 @@ def random_planar_spec(
             spec = CoxeterSpec(vertices, edge_labels)
             if not require_infinite or not classify(spec, spec.vertices).spherical:
                 return spec
+
+
+def kuratowski_subgraph(graph: SimplicialComplex) -> SimplicialComplex | None:
+    """A minimal non-planar subgraph of the 1-skeleton, or None when it is planar.
+
+    Each edge in turn is deleted when the graph without it is still
+    non-planar.  Every proper subgraph of what remains is planar, so by
+    Kuratowski's theorem it subdivides K5 or K3,3 (see kuratowski_type).
+    Costs one left-right test per edge.
+    """
+    if planar_rotation(graph) is not None:
+        return None
+    edges = list(graph.edges)
+    kept: list[tuple[str, ...]] = []
+    for i, e in enumerate(edges):
+        if planar_rotation(SimplicialComplex(graph.vertices, kept + edges[i + 1:])) is not None:
+            kept.append(e)
+    vertices = sorted({v for e in kept for v in e})
+    return SimplicialComplex(vertices, [(v,) for v in vertices] + kept)
+
+
+def kuratowski_type(graph: SimplicialComplex) -> str | None:
+    """Which of K5 and K3,3 the graph subdivides, isolated vertices aside; None if neither.
+
+    Smoothing replaces each path through degree-2 vertices by one edge
+    between its end vertices; the smoothed graph must be simple and equal
+    to K5 or K3,3.
+    """
+    degree = {v: len(graph.neighbors(v)) for v in graph.vertices if graph.neighbors(v)}
+    branch = [v for v, d in degree.items() if d != 2]
+    smoothed = set()
+    walked = 0
+    for b in branch:
+        for step in graph.neighbors(b):
+            prev, cur = b, step
+            walked += 1
+            while degree[cur] == 2:
+                prev, cur = cur, next(x for x in graph.neighbors(cur) if x != prev)
+                walked += 1
+            if cur == b:
+                return None
+            smoothed.add(frozenset((b, cur)))
+    # Each path is walked once from each end: no parallel paths, and no cycle
+    # of degree-2 vertices left untouched.
+    if 2 * len(smoothed) != sum(degree[b] for b in branch) or walked != 2 * len(graph.edges):
+        return None
+    if len(branch) == 5 and len(smoothed) == 10:
+        return "K5"
+    if len(branch) == 6 and len(smoothed) == 9 and all(degree[b] == 3 for b in branch):
+        near = {v for e in smoothed if branch[0] in e for v in e} - {branch[0]}
+        if all(len(e & near) == 1 for e in smoothed):
+            return "K3,3"
+    return None

@@ -192,6 +192,14 @@ def test_betti_with_embedding(docs, capsys, tmp_path):
     assert "R-planar" in out
 
 
+@pytest.mark.parametrize("command", ["nerve", "chi", "betti", "certify"])
+def test_nerve_past_the_cap_is_an_error(command, capsys, monkeypatch):
+    k5 = Path(__file__).resolve().parent.parent / "demos" / "data" / "k5.json"
+    monkeypatch.setattr(coxeter_l2.nerve, "_SIMPLEX_CAP", 10)  # K5@3 has 5 vertices and 10 edges
+    code, out, err = run(capsys, [command, str(k5)])
+    assert (code, out, err) == (1, "", "error: nerve exceeds 10 simplices\n")
+
+
 def test_certify_k5(docs, capsys, tmp_path):
     out_path = tmp_path / "cert.json"
     code, out, _ = run(capsys, ["certify", docs["k5.json"], "--out", str(out_path)])

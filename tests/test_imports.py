@@ -30,9 +30,12 @@ entry keeps one; the certificate cites those steps as they are, so a
 second provenance format cannot come back.  Every exported name is used in
 the package, its demos or its benchmark, but for a short allowlist, each
 entry with its reason, so code that only tests call does not stay in the
-package.  Floating point stays in the enumeration oracle: no other module
-has a float constant, a float() call or math.cos, sin, pi or sqrt, and
-math.inf appears only as model.INFINITY.
+package.  The same holds for every public function, method and property
+defined under src/, exported or not: a method or property is used where
+an attribute of its name is read, a function also where its bare name is,
+and its own def does not count.  Floating point stays in the enumeration
+oracle: no other module has a float constant, a float() call or math.cos,
+sin, pi or sqrt, and math.inf appears only as model.INFINITY.
 """
 
 import ast
@@ -99,22 +102,53 @@ def test_all_lists_exactly_the_imported_names():
 UNUSED_EXPORTS = {
     "link": "the subcomplex calculus that README documents",
     "is_full_subcomplex": "the subcomplex calculus that README documents",
-    "kuratowski_subgraph": "kept for two-sided planarity verdicts (ROADMAP item 7)",
-    "kuratowski_type": "kept for two-sided planarity verdicts (ROADMAP item 7)",
 }
 
 
-def test_every_export_has_a_use_outside_the_tests():
+def uses_outside_the_tests() -> tuple[set[str], set[str]]:
+    """The names read, and the attributes named, in src/ (but for __init__'s imports), demos/ and bench/."""
     paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
     paths += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-    used = set()
+    names, attributes = set(), set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    assert sorted(set(coxeter_l2.__all__) - used) == sorted(UNUSED_EXPORTS)
+                attributes.add(node.attr)
+    return names, attributes
+
+
+def test_every_export_has_a_use_outside_the_tests():
+    names, attributes = uses_outside_the_tests()
+    assert sorted(set(coxeter_l2.__all__) - names - attributes) == sorted(UNUSED_EXPORTS)
+
+
+# Public functions, methods and properties with no use in src/, demos/ or bench/, each kept for a reason.
+UNUSED_DEFINITIONS = {
+    "link": "the subcomplex calculus that README documents",
+    "is_full_subcomplex": "the subcomplex calculus that README documents",
+    "_Parser.error": "argparse calls it",
+}
+
+
+def test_every_public_definition_has_a_use_outside_the_tests():
+    # A method or property is used only as an attribute; a function also by its bare name.
+    names, attributes = uses_outside_the_tests()
+    anywhere = names | attributes
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {id(item): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for item in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name.startswith("_"):
+                continue
+            if id(node) in owner:
+                if node.name not in attributes:
+                    unused.append(f"{owner[id(node)]}.{node.name}")
+            elif node.name not in anywhere:
+                unused.append(node.name)
+    assert sorted(unused) == sorted(UNUSED_DEFINITIONS)
 
 
 FLOAT_MATH = {"cos", "sin", "pi", "sqrt", "inf"}

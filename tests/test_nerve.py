@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coxeter_l2 import nerve as nerve_module
 from coxeter_l2.model import CoxeterSpec, INFINITY, induced_subspec
 from coxeter_l2.catalog import (
     complete_bipartite_spec,
@@ -95,9 +96,10 @@ def test_order_of_a_non_simplex_is_a_key_error():
     assert view.order(("y0", "x0")) == nerve.order(("x0", "y0")) == 4
 
 
-def test_simplex_cap():
+def test_simplex_cap(monkeypatch):
+    monkeypatch.setattr(nerve_module, "_SIMPLEX_CAP", 10)
     with pytest.raises(CapExceeded):
-        build_nerve(complete_graph_spec(6, 2), simplex_cap=10)
+        build_nerve(complete_graph_spec(6, 2))
 
 
 def test_downward_closure_random():
@@ -333,6 +335,16 @@ def test_recognize_sphere_examples():
     assert recognize_sphere(build_nerve(complete_graph_spec(3, 2))) is SphereKind.NEITHER
     # but an empty 3-cycle is the smallest circle
     assert recognize_sphere(build_nerve(complete_graph_spec(3, 3))) is SphereKind.CIRCLE
+
+
+def test_recognize_sphere_counts_a_vertex_only_a_simplex_names():
+    for spec, kind in ((octahedron_spec(), SphereKind.TWO_SPHERE), (cycle_spec(5, 2), SphereKind.CIRCLE)):
+        nerve = build_nerve(spec)
+        assert recognize_sphere(nerve) is kind
+        for vertices in (nerve.vertices, (*nerve.vertices, "w")):  # "w" named by a simplex, then listed too
+            extra = SimplicialComplex(vertices, [*nerve.simplices(), ("w",)])
+            assert recognize_sphere(extra) is SphereKind.NEITHER
+            assert not extra.is_connected()
 
 
 def test_two_sphere_links_are_circles():

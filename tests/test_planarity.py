@@ -36,13 +36,11 @@ from coxeter_l2.planarity import (
     brute_force_planar,
     certify_nonplanar,
     cone_construction,
-    kuratowski_subgraph,
-    kuratowski_type,
     planar_rotation,
     trace_vanishing,
 )
 
-from conftest import random_planar_spec
+from conftest import kuratowski_subgraph, kuratowski_type, random_planar_spec
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -71,8 +69,8 @@ def test_rotation_system_validation():
     with pytest.raises(ValueError):
         RotationSystem({"a": ["a"]})
     rot = RotationSystem(K4_ROT)
-    assert rot.next_after("v0", "v1") == "v3"
-    assert rot.next_after("v0", "v2") == "v1"  # cyclic wrap
+    assert rot._next["v0", "v1"] == "v3"
+    assert rot._next["v0", "v2"] == "v1"  # cyclic wrap
     skel = skeleton_of(complete_graph_spec(4, 3))
     rot.check_against(skel)
     with pytest.raises(ValueError):

@@ -742,21 +742,14 @@ def test_suspension_is_recognized_and_summed_once(monkeypatch):
     assert calls == {"recognize": 1, "chi_sum": 1}  # and nothing classifies the whole vertex set
 
 
-def test_cap_below_held_nerve_still_raises():
-    spec = complete_graph_spec(5, 3)
-    nerve = build_nerve(spec)
-    size = len(nerve.simplices())
-    with pytest.raises(CapExceeded):
-        build_nerve(spec, simplex_cap=size - 1)
-    assert build_nerve(spec, simplex_cap=size) is nerve
-
-
-def test_cap_counts_every_simplex_of_a_fresh_build():
+def test_cap_counts_every_simplex_of_a_fresh_build(monkeypatch):
     size = len(build_nerve(complete_graph_spec(5, 3)).simplices())
-    assert len(build_nerve(complete_graph_spec(5, 3), simplex_cap=size).simplices()) == size
+    monkeypatch.setattr(nerve_module, "_SIMPLEX_CAP", size)
+    assert len(build_nerve(complete_graph_spec(5, 3)).simplices()) == size
     for cap in (size - 1, 4, 0):  # the last simplex, and caps below the vertex count
+        monkeypatch.setattr(nerve_module, "_SIMPLEX_CAP", cap)
         with pytest.raises(CapExceeded, match=f"^nerve exceeds {cap} simplices$"):
-            build_nerve(complete_graph_spec(5, 3), simplex_cap=cap)
+            build_nerve(complete_graph_spec(5, 3))
 
 
 def _exhaustive_planar(graph) -> bool:
@@ -907,7 +900,7 @@ def _reference_faces(skeleton, rot):
             walk.append(cur)
             remaining.discard(cur)
             u, v = cur
-            cur = (v, rot.next_after(v, u))
+            cur = (v, rot._next[v, u])
             if cur == start:
                 break
         faces.append(min(tuple(walk[i:] + walk[:i]) for i in range(len(walk))))
@@ -977,7 +970,7 @@ def reference_faces_from_rotation(skeleton, rot) -> FaceSet:
             walk.append(cur)
             used.add(cur)
             u, v = cur
-            cur = (v, rot.next_after(v, u))
+            cur = (v, rot._next[v, u])
             if cur == start:
                 break
         faces.append(tuple(walk))
@@ -1130,16 +1123,6 @@ def test_validate_embedding_on_c200_searches_components_once(monkeypatch):
     assert searches == {"components": 1} and views == built == Counter()
     validate_embedding(nerve, rot)
     assert searches == {"components": 1}  # held on the nerve
-
-
-def test_tracing_the_c200_nerve_calls_no_next_after(monkeypatch):
-    # The tracer walks the rotation's successor map itself, not one method call per directed edge.
-    nerve = build_nerve(cycle_spec(200, 2))
-    rot = RotationSystem({v: list(nerve.neighbors(v)) for v in nerve.vertices})
-    calls = count_calls(monkeypatch, RotationSystem, ["next_after"])
-    validate_embedding(nerve, rot)
-    cone_construction(nerve, rot)
-    assert calls == Counter()
 
 
 def test_cone_of_c200_searches_components_twice(monkeypatch):
@@ -2330,15 +2313,17 @@ def reference_index(vertices, by_dim):
     return {v: tuple(x for e in ss if len(e) == 2 for x in e if x != v) for v, ss in star.items()}
 
 
-def reference_build_nerve(spec: CoxeterSpec, *, simplex_cap: int = 10 ** 6) -> Nerve:
+def reference_build_nerve(spec: CoxeterSpec) -> Nerve:
     """build_nerve as it was: every edge through the matcher, the maps rebuilt by reference_index.
 
     Its orders, kept by simplex while it enumerates, are handed over as one
-    tuple per level, as a nerve keeps them.
+    tuple per level, as a nerve keeps them.  It reads its cap from the
+    nerve module, as build_nerve does.
     """
     held = spec._nerve and spec._nerve()
-    if held is not None and sum(map(len, held._by_dim.values())) <= simplex_cap:
+    if held is not None:
         return held
+    simplex_cap = nerve_module._SIMPLEX_CAP
     by_dim: list[tuple[tuple[str, ...], ...]] = []
     finite_adj: dict[str, set[str]] = {v: set() for v in spec.vertices}
     for u, v, _ in spec.finite_edges():
@@ -2413,16 +2398,17 @@ def counting_matcher(match, calls: Counter):
 
 
 def nerve_outcome(build, module, spec, cap):
-    """The nerve or the CapExceeded message, with the matcher calls the build made through module."""
+    """The nerve or the CapExceeded message under cap, with the matcher calls the build made through module."""
     calls = Counter()
-    original = module._match_component
+    original, original_cap = module._match_component, nerve_module._SIMPLEX_CAP
     module._match_component = counting_matcher(original, calls)
+    nerve_module._SIMPLEX_CAP = cap
     try:
-        return build(fresh_spec(spec), simplex_cap=cap), calls
+        return build(fresh_spec(spec)), calls
     except CapExceeded as exc:
         return str(exc), None
     finally:
-        module._match_component = original
+        module._match_component, nerve_module._SIMPLEX_CAP = original, original_cap
 
 
 @settings(max_examples=300, deadline=None)
