@@ -42,10 +42,7 @@ def main():
         values = ", ".join(f"{k} = {v}" for k, v in step.values.items())
         print(f"  cite {step.statement}: {step.applied_to}  [{values}]")
 
-    skeleton = SimplicialComplex(
-        spec.vertices,
-        [(v,) for v in spec.vertices] + [(u, v) for u, v, _ in spec.finite_edges()],
-    )
+    skeleton = SimplicialComplex(spec.vertices, [(u, v) for u, v, _ in spec.finite_edges()])
     print(f"\nclassical cross-check (left-right planarity test): "
           f"planar = {planar_rotation(skeleton) is not None}")
 

@@ -51,7 +51,12 @@ def _load_rotation(path: str) -> RotationSystem:
 
 
 def _subset(arg: str) -> list[str]:
-    return [part.strip() for part in arg.split(",") if part.strip()]
+    names, seen = [part.strip() for part in arg.split(",") if part.strip()], set()
+    for name in names:  # a subset names each vertex once, as a document lists it
+        if name in seen:
+            raise ValueError(f"--subset names {name!r} twice")
+        seen.add(name)
+    return names
 
 
 def _emit(args, text_lines: list[str], document: dict) -> None:
@@ -236,10 +241,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_planar_oracle(args) -> int:
     spec = _load_spec(args.spec)
-    skeleton = SimplicialComplex(
-        spec.vertices,
-        [(v,) for v in spec.vertices] + [(u, v) for u, v, _ in spec.finite_edges()],
-    )
+    skeleton = SimplicialComplex(spec.vertices, [(u, v) for u, v, _ in spec.finite_edges()])
     verdict = planar_rotation(skeleton) is not None
     _emit(args, [f"planar: {'true' if verdict else 'false'}"], {"planar": verdict})
     return 0

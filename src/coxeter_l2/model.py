@@ -54,9 +54,10 @@ class CoxeterSpec:
     any unstored pair and 1 on the diagonal.  Vertex identifiers are opaque
     strings; lexicographic order on them is the canonical order used for
     subsets, components and serialization.  The constructor and parse_spec
-    share one validator (_fill): both take a label as an integer >= 2,
-    INFINITY or "inf", and both reject the same labels, conflicting pairs
-    such as 2 against INFINITY included, with the same first error.  Vertex
+    share one validator (_fill): the constructor takes a label as an integer
+    >= 2, INFINITY or "inf", a document only as an int >= 2 or "inf" (so
+    no float, not even one that overflows to infinity), and both reject
+    conflicting pairs such as 2 against INFINITY with the same first error.  Vertex
     membership reads the commuting map's keys; the hash is computed on demand.
     """
 
@@ -96,7 +97,7 @@ class CoxeterSpec:
             if type(m) is not int:  # a plain int needs only its bound
                 if m == "inf":  # the document spelling, accepted by both entry points
                     m = INFINITY
-                elif m != INFINITY and (not isinstance(m, int) or isinstance(m, bool)):
+                elif records or m != INFINITY and (not isinstance(m, int) or isinstance(m, bool)):
                     raise LabelOutOfRange(f"label m({u},{v}) = {m!r} is neither an integer nor 'inf'")
                 infinite = infinite or m == INFINITY
             if m < 2:  # never true of INFINITY

@@ -26,7 +26,7 @@ from coxeter_l2.spherical import _match_component
 
 Simplex = tuple[str, ...]
 
-_SIMPLEX_CAP = 10 ** 6  # build_nerve refuses a nerve with more simplices than this
+_SIMPLEX_CAP = 10 ** 6  # build_nerve and SimplicialComplex refuse a complex with more simplices than this
 
 
 class CapExceeded(RuntimeError):
@@ -35,6 +35,14 @@ class CapExceeded(RuntimeError):
 
 class SimplicialComplex:
     """Abstract simplicial complex: a vertex tuple plus simplices by dimension.
+
+    A complex lists each of its vertices once and is closed under faces:
+    __init__ refuses a repeated vertex, or a simplex on a vertex it does not
+    list, with a ValueError that names the vertex, and adds every face of
+    each given simplex and the 0-simplex of each vertex, so level 0 and the
+    vertex tuple agree.  A simplex is a vertex set: a name it repeats counts
+    once.  The closure counts toward _SIMPLEX_CAP, checked before the faces
+    of each simplex are built.
 
     Simplices are stored as sorted vertex tuples, each dimension's level
     listed in lexicographic order, so iteration is deterministic, equality
@@ -55,10 +63,29 @@ class SimplicialComplex:
 
     def __init__(self, vertices: Iterable[str], simplices: Iterable[Simplex]):
         vertices = tuple(vertices)
-        ordered = sorted({tuple(sorted(s)) for s in simplices} - {()}, key=lambda s: (len(s), s))
+        listed = set(vertices)
+        if len(listed) < len(vertices):
+            repeated = next(v for v, n in collections.Counter(vertices).items() if n > 1)
+            raise ValueError(f"vertex {repeated!r} is listed twice")
+        given = set()
+        for s in simplices:
+            s = tuple(sorted(set(s)))
+            if not listed.issuperset(s):
+                raise ValueError(f"simplex {s} names {min(set(s) - listed)!r}, which is not a listed vertex")
+            given.add(s)
+        # Largest first, so a face of a simplex already closed adds nothing.  Both bounds
+        # are lower bounds on the closure's size, so neither refuses a complex under the cap.
+        closed = {(v,) for v in vertices}
+        for s in sorted(given, key=len, reverse=True):
+            if s not in closed:  # its 0-simplices are there already
+                if max(len(closed), 2 ** len(s) - 1) > _SIMPLEX_CAP:
+                    raise CapExceeded(f"complex exceeds {_SIMPLEX_CAP} simplices")
+                closed.update(f for k in range(2, len(s) + 1) for f in itertools.combinations(s, k))
+        if len(closed) > _SIMPLEX_CAP:
+            raise CapExceeded(f"complex exceeds {_SIMPLEX_CAP} simplices")
+        ordered = sorted(closed, key=lambda s: (len(s), s))
         by_dim = {n - 1: tuple(level) for n, level in itertools.groupby(ordered, len)}
-        # A vertex that only a simplex names is known too, as it is to link.
-        near: dict[str, list[str]] = {v: [] for v in itertools.chain(vertices, *ordered)}
+        near: dict[str, list[str]] = {v: [] for v in vertices}
         for u, w in by_dim.get(1, ()):  # lexicographic, so each neighbor list comes out sorted
             near[u].append(w)
             near[w].append(u)
@@ -66,7 +93,7 @@ class SimplicialComplex:
 
     @classmethod
     def _presorted(cls, vertices: tuple[str, ...], by_dim: dict, neighbors: dict):
-        """The private constructor: simplices distinct, sorted, and lexicographic per dimension."""
+        """The private constructor: simplices distinct, sorted, lexicographic per dimension and closed under faces."""
         complex_ = cls.__new__(cls)
         complex_._index(vertices, by_dim, neighbors)
         return complex_
@@ -81,10 +108,9 @@ class SimplicialComplex:
     def _view(self, vertices: tuple[str, ...], cls: type | None = None):
         """The full subcomplex on some vertices, its levels and neighbors filtered in order from the ambient.
 
-        Filtering keeps each level lexicographic, so nothing is sorted again.
-        Every nonempty level is kept, not only those below the first empty
-        one, since a complex need not be closed under faces.  A closed
-        vertex, one whose neighbors are all kept, shares its neighbor tuple.
+        Filtering keeps each level lexicographic, so nothing is sorted again,
+        and keeps the view closed under faces.  A closed vertex, one whose
+        neighbors are all kept, shares its neighbor tuple.
         Each level is tested once, into a mask; a nerve view (cls Nerve)
         filters the ambient's orders of that level by the same mask.
         """
@@ -136,16 +162,8 @@ class SimplicialComplex:
         return self._neighbors.get(v, ())
 
     def is_connected(self) -> bool:
-        """Connectivity of the 1-skeleton on every vertex the complex knows (one vertex is connected).
-
-        The held components start from the listed vertices; a vertex that
-        only a simplex names and that they do not reach calls for a search
-        from every known vertex.
-        """
-        comps = self.skeleton_components()
-        if sum(map(len, comps)) < len(self._neighbors):
-            comps = components(self._neighbors, self.neighbors)
-        return len(comps) <= 1
+        """Connectivity of the 1-skeleton (one vertex, or none, is connected)."""
+        return len(self.skeleton_components()) <= 1
 
     def skeleton_components(self) -> tuple[tuple[str, ...], ...]:
         """Components of the 1-skeleton, listed by least vertex; searched once and held."""
@@ -274,8 +292,6 @@ def _traced_faces(complex_: SimplicialComplex, rot: RotationSystem, triangles: I
     walks: list[list[Walk]] = [[] for _ in comps]
     spanned: list[list[Simplex]] = [[] for _ in comps]
     for t in triangles:
-        if t[0] not in where:  # a 2-simplex on a vertex the complex does not list bounds no face
-            raise NotSpherical(f"2-simplex {t} is not a face of the embedding")
         spanned[where[t[0]]].append(t)
     succ, used = rot._next, set()
     for start in sorted(succ):
@@ -523,14 +539,12 @@ def full_subcomplex(nerve: Nerve, subset) -> tuple[Nerve, SubcomplexWitness]:
 def link(complex_: SimplicialComplex, v: str) -> SimplicialComplex:
     """The link of a vertex: all simplices T with v not in T and T + {v} a simplex.
 
-    The simplices containing v are found by scanning the levels; a vertex
-    is known when the complex lists it or one of its simplices names it.
+    The simplices containing v are found by scanning the levels.
     """
-    star = [s for level in complex_._by_dim.values() for s in level if v in s]
-    if not star and v not in complex_._neighbors:
+    if v not in complex_._neighbors:
         raise KeyError(f"{v!r} is not a vertex")
-    simplices = [tuple(x for x in s if x != v) for s in star if len(s) > 1]
-    return SimplicialComplex(complex_.neighbors(v), simplices)
+    star = [s for level in complex_._by_dim.values() for s in level if v in s]
+    return SimplicialComplex(complex_.neighbors(v), [tuple(x for x in s if x != v) for s in star if len(s) > 1])
 
 
 def is_full_subcomplex(ambient: SimplicialComplex, sub: SimplicialComplex) -> bool:
@@ -595,18 +609,16 @@ def recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
 
     Circle: connected, pure 1-dimensional, every vertex of degree 2 (a
     single cycle).  TwoSphere: connected, pure 2-dimensional, every edge in
-    exactly two triangles and every edge of a triangle an edge of the
-    complex, every vertex link a circle, and V - E + F = 2.  No link
-    complex is built: one pass over the triangle level maps each edge of a
-    triangle to the triangle's third corner.  An edge lies in two triangles
-    exactly when it has two entries, and once every edge does and the map's
-    keys are the edges, the link of v is the 2-regular graph on its
-    neighbors where a is joined to the entries of the edge va.  It is a
-    circle exactly when the walk round it from one neighbor takes as many
-    steps as v has neighbors.  Connectivity, the one check that searches
-    the whole complex, runs only once the local checks pass.  Every vertex
-    the complex knows counts, listed or named only by a simplex.  The kind
-    is held on the complex, so each is recognized once.
+    exactly two triangles, every vertex link a circle, and V - E + F = 2.
+    No link complex is built: one pass over the triangle level maps each
+    edge of a triangle to the triangle's third corner.  An edge lies in two
+    triangles exactly when it has two entries, and once every edge does
+    (the map's keys are edges, since a complex is closed under faces), the
+    link of v is the 2-regular graph on its neighbors where a is joined to
+    the entries of the edge va.  It is a circle exactly when the walk round
+    it from one neighbor takes as many steps as v has neighbors.  Connectivity, the one check that searches
+    the whole complex, runs only once the local checks pass.  The kind is
+    held on the complex, so each is recognized once.
     """
     if complex_._sphere is None:
         complex_._sphere = _recognize_sphere(complex_)
@@ -615,15 +627,14 @@ def recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
 
 def _recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
     dim = complex_.dimension
-    known = complex_._neighbors  # every vertex the complex lists or one of its simplices names
+    neighbors = complex_._neighbors  # keyed by the vertices
     if dim == 1:
-        degrees = list(map(len, known.values()))
+        degrees = list(map(len, neighbors.values()))
         circle = len(degrees) >= 3 and set(degrees) == {2} and complex_.is_connected()
         return SphereKind.CIRCLE if circle else SphereKind.NEITHER
     if dim == 2:
-        edges = complex_.edges
-        V = len(known)
-        E = len(edges)
+        V = len(complex_.vertices)
+        E = len(complex_.edges)
         F = len(complex_.triangles)
         if V - E + F != 2:
             return SphereKind.NEITHER
@@ -632,10 +643,10 @@ def _recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
             opposite[x, y].append(z)
             opposite[x, z].append(y)
             opposite[y, z].append(x)
-        # The keys are the E edges, and each has two entries.
-        if len(opposite) != E or any(len(opposite.get(e, ())) != 2 for e in edges):
+        # The keys, edges of triangles, are all E edges, and each has two entries.
+        if len(opposite) != E or any(len(ends) != 2 for ends in opposite.values()):
             return SphereKind.NEITHER
-        for v, near in known.items():
+        for v, near in neighbors.items():
             if not near:
                 return SphereKind.NEITHER
             start = near[0]

@@ -187,7 +187,7 @@ def kuratowski_subgraph(graph: SimplicialComplex) -> SimplicialComplex | None:
         if planar_rotation(SimplicialComplex(graph.vertices, kept + edges[i + 1:])) is not None:
             kept.append(e)
     vertices = sorted({v for e in kept for v in e})
-    return SimplicialComplex(vertices, [(v,) for v in vertices] + kept)
+    return SimplicialComplex(vertices, kept)
 
 
 def kuratowski_type(graph: SimplicialComplex) -> str | None:

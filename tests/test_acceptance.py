@@ -46,10 +46,7 @@ from conftest import random_planar_spec, random_spec
 
 
 def skeleton_of(spec):
-    return SimplicialComplex(
-        spec.vertices,
-        [(v,) for v in spec.vertices] + [(u, v) for u, v, _ in spec.finite_edges()],
-    )
+    return SimplicialComplex(spec.vertices, [(u, v) for u, v, _ in spec.finite_edges()])
 
 
 def test_criterion_1_chi_k5():

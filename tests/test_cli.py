@@ -104,6 +104,14 @@ def test_classify(docs, capsys):
     assert "spherical: false" in out
 
 
+@pytest.mark.parametrize("command", ["classify", "betti", "trace", "enumerate"])
+def test_a_repeated_subset_name_is_an_error(docs, capsys, command):
+    document = docs["octahedron.json" if command == "trace" else "k5.json"]
+    vertex = "x0" if command == "trace" else "v0"
+    code, out, err = run(capsys, [command, document, "--subset", f"{vertex},{vertex[0]}1, {vertex}"])
+    assert (code, out, err) == (1, "", f"error: --subset names {vertex!r} twice\n")
+
+
 def test_chi_text(docs, capsys):
     code, out, _ = run(capsys, ["chi", docs["hexagon.json"]])
     assert code == 0

@@ -5,7 +5,11 @@ modules; keeping imports at the top keeps the module graph acyclic and
 visible.  A functools cache keeps every key it has seen alive for the life
 of the process; reuse belongs on the objects that own it, held weakly.
 The package exports exactly what its __init__ imports, so a deleted name
-cannot linger in __all__.  The private constructors (_presorted,
+cannot linger in __all__.  Outside the nerve module, no file of src/,
+demos/ or bench/ reads a complex's levels, neighbor map or orders, or
+calls _presorted or _view, but for chi_orb's read of the orders: the
+nerve module alone keeps a complex listing its vertices and closed under
+faces.  The private constructors (_presorted,
 _assembled, _index, _view) are called only in the nerve module, which keeps
 their preconditions; elsewhere complexes come from SimplicialComplex,
 build_nerve or induced_nerve.  The planarity pipeline and the CLI read a
@@ -189,6 +193,29 @@ def test_complexes_are_constructed_only_in_nerve():
             )
             found += [f"{path.name}:{node.lineno} references {name}" for name in names if name in private]
     assert found == []
+
+
+# The one read of a complex's private maps outside the nerve module, with its reason.
+ALLOWED_PRIVATE_READS = {
+    "invariants.py: chi_orb reads _orders": "the Euler sum tallies each level's orders at once",
+}
+
+
+def test_only_the_nerve_module_reads_the_complex_invariant():
+    # A complex lists every vertex and is closed under faces; code that reads its maps or
+    # builds one without __init__ must keep that, so it stays in the module that checks it.
+    private = {"_by_dim", "_neighbors", "_presorted", "_view", "_orders"}
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "nerve.py"]
+    paths += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    found = set()
+    for path in paths:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            where = getattr(top, "name", "module level")
+            found |= {
+                f"{path.name}: {where} reads {node.attr}"
+                for node in ast.walk(top) if isinstance(node, ast.Attribute) and node.attr in private
+            }
+    assert sorted(found) == sorted(ALLOWED_PRIVATE_READS)
 
 
 def test_pipeline_and_cli_read_no_private_complex_map():

@@ -383,11 +383,7 @@ def test_witness_vector_consistent_with_intrinsic():
         nerve = build_nerve(spec)
         if nerve.dimension > 2:
             continue
-        skel = SimplicialComplex(
-            spec.vertices,
-            [(v,) for v in spec.vertices]
-            + [(u, v) for u, v, _ in spec.finite_edges()],
-        )
+        skel = SimplicialComplex(spec.vertices, [(u, v) for u, v, _ in spec.finite_edges()])
         rot = planar_rotation(skel)
         if rot is None:
             continue

@@ -128,6 +128,9 @@ INVALID_DOCUMENTS = [
         },
         ConflictingLabel,
     ),
+    # a JSON number that overflows to infinity, and the non-standard token, are no "inf"
+    ('{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "m": 1e400}]}', LabelOutOfRange),
+    ('{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "m": Infinity}]}', LabelOutOfRange),
 ]
 
 

@@ -147,7 +147,7 @@ def test_construction_paths_agree_on_equality_hash_and_membership():
         plain_view = nerve._view(view.vertices)
         assert plain == plain_view == view and hash(plain) == hash(plain_view)
         assert SimplicialComplex.__hash__(view) == hash(plain)
-        if simplices:
+        if view.dimension > 0:  # a top simplex is maximal, so the closure does not put it back
             assert SimplicialComplex(view.vertices, view.simplices()[:-1]) != plain
         for complex_ in (view, rebuilt, plain, plain_view):
             for k in range(len(spec.vertices) + 1):
@@ -157,6 +157,134 @@ def test_construction_paths_agree_on_equality_hash_and_membership():
             assert not complex_.has_simplex(())
             assert not complex_.has_simplex(("nowhere",))
             assert not complex_.has_simplex((*subset[:1], "nowhere"))
+
+
+def set_closure(vertices, simplices) -> set:
+    """The closure by its set definition: each nonempty subset of a given simplex, and each vertex."""
+    faces = {(v,) for v in vertices}
+    for s in simplices:
+        s = sorted(set(s))
+        faces |= {f for k in range(1, len(s) + 1) for f in combinations(s, k)}
+    return faces
+
+
+def set_link(closed: set, v: str) -> set:
+    return {tuple(x for x in s if x != v) for s in closed if v in s and len(s) > 1}
+
+
+def set_connected(vertices, closed: set) -> bool:
+    reached, edges = set(vertices[:1]), [s for s in closed if len(s) == 2]
+    while True:
+        more = {x for e in edges if reached.intersection(e) for x in e} - reached
+        if not more:
+            return reached == set(vertices)
+        reached |= more
+
+
+def set_sphere_kind(vertices, closed: set) -> SphereKind:
+    """Circle or 2-sphere by the definitions, every link built as a set and recognized in turn."""
+    dim = max(map(len, closed), default=0) - 1
+    edges = [s for s in closed if len(s) == 2]
+    triangles = [s for s in closed if len(s) == 3]
+    if dim == 1 and len(vertices) >= 3 and set_connected(vertices, closed):
+        if all(sum(v in e for e in edges) == 2 for v in vertices):
+            return SphereKind.CIRCLE
+    if dim == 2 and len(vertices) - len(edges) + len(triangles) == 2 and set_connected(vertices, closed):
+        if all(sum(set(e) < set(t) for t in triangles) == 2 for e in edges) and all(
+            set_sphere_kind(sorted({x for s in set_link(closed, v) for x in s}), set_link(closed, v))
+            is SphereKind.CIRCLE
+            for v in vertices
+        ):
+            return SphereKind.TWO_SPHERE
+    return SphereKind.NEITHER
+
+
+@st.composite
+def vertices_and_simplices(draw):
+    """Up to seven listed vertices and some simplices on them, unsorted, repeats and faces left out."""
+    vertices = draw(st.permutations("abcdefg"))[:draw(st.integers(0, 7))]
+    if not vertices:
+        return vertices, draw(st.lists(st.just(()), max_size=2))
+    return vertices, draw(st.lists(st.lists(st.sampled_from(vertices), min_size=1, max_size=5), max_size=10))
+
+
+@st.composite
+def spheres_and_damaged_spheres(draw):
+    """A circle or 2-sphere nerve's maximal simplices, perhaps with one dropped or a simplex added."""
+    nerve = build_nerve(draw(st.sampled_from([cycle_spec(5, 2), octahedron_spec(), icosahedron_spec()])))
+    vertices, top = list(nerve.vertices), list(nerve.simplices(nerve.dimension))
+    damage = draw(st.sampled_from(["none", "drop", "add"]))
+    if damage == "drop":
+        top.remove(draw(st.sampled_from(top)))
+    elif damage == "add":
+        top.append(tuple(draw(st.permutations(vertices))[:draw(st.integers(2, 3))]))
+    return vertices, top
+
+
+@settings(max_examples=200, deadline=None)
+@given(vertices_and_simplices())
+def test_the_constructor_closes_as_the_set_definition_does(case):
+    vertices, simplices = case
+    complex_ = SimplicialComplex(vertices, simplices)
+    closed = set_closure(vertices, simplices)
+    assert complex_.vertices == tuple(vertices) and set(complex_.simplices()) == closed
+    assert complex_.simplices(0) == tuple(sorted((v,) for v in vertices))
+    for d in range(complex_.dimension + 1):
+        assert list(complex_.simplices(d)) == sorted(s for s in closed if len(s) == d + 1)
+    for v in vertices:
+        assert complex_.neighbors(v) == tuple(sorted(x for e in closed if len(e) == 2 and v in e for x in e if x != v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(vertices_and_simplices(), spheres_and_damaged_spheres()), st.data())
+def test_sphere_link_and_fullness_equal_their_set_definitions(case, data):
+    vertices, simplices = case
+    complex_ = SimplicialComplex(vertices, simplices)
+    closed = set_closure(vertices, simplices)
+    assert recognize_sphere(complex_) is set_sphere_kind(vertices, closed)
+    for v in vertices:
+        got = link(complex_, v)
+        assert set(got.vertices) == {x for s in set_link(closed, v) for x in s}
+        assert set(got.simplices()) == set_link(closed, v)
+    with pytest.raises(KeyError):
+        link(complex_, "zz")
+    # A candidate on some vertices, perhaps one the ambient lacks, with its spanned simplices or others.
+    subset = data.draw(st.permutations([*vertices, "zz"]))[:data.draw(st.integers(0, len(vertices) + 1))]
+    spanned = [s for s in closed if set(s) <= set(subset)]
+    drawn = st.lists(st.lists(st.sampled_from(subset), min_size=1, max_size=3), max_size=6) if subset else st.just([])
+    sub = SimplicialComplex(subset, data.draw(st.one_of(st.just(spanned), drawn)))
+    full = set(subset) <= set(vertices) and set(sub.simplices()) == {s for s in closed if set(s) <= set(subset)}
+    assert is_full_subcomplex(complex_, sub) == full
+
+
+def test_an_edge_on_an_unlisted_vertex_is_refused():
+    # It could reach neither planar_rotation nor validate_embedding, which would mishandle it.
+    with pytest.raises(ValueError, match=re.escape("simplex ('c', 'w') names 'w', which is not a listed vertex")):
+        SimplicialComplex(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c"), ("c", "w")])
+
+
+def test_a_repeated_vertex_is_refused():
+    with pytest.raises(ValueError, match="vertex 'a' is listed twice"):
+        SimplicialComplex(["a", "a", "b"], [("a", "b")])
+    with pytest.raises(ValueError, match="vertex 'b' is listed twice"):
+        SimplicialComplex(["b", "a", "c", "a", "b"], [])
+
+
+def test_the_closure_counts_toward_the_simplex_cap(monkeypatch):
+    # A 30-vertex simplex has 2**30 - 1 faces: it is refused before any is built.
+    vertices = [f"v{i:02}" for i in range(30)]
+    with pytest.raises(CapExceeded, match="complex exceeds 1000000 simplices"):
+        SimplicialComplex(vertices, [vertices])
+    # Two 4-simplices on a common 3-face close to 31 + 31 - 15 = 47 simplices.
+    simplices = [("a", "b", "c", "d", "e"), ("a", "b", "c", "d", "f")]
+    monkeypatch.setattr(nerve_module, "_SIMPLEX_CAP", 47)
+    assert sum(SimplicialComplex("abcdef", simplices).counts()) == 47
+    monkeypatch.setattr(nerve_module, "_SIMPLEX_CAP", 46)
+    with pytest.raises(CapExceeded):
+        SimplicialComplex("abcdef", simplices)
+    monkeypatch.setattr(nerve_module, "_SIMPLEX_CAP", 30)  # one 4-simplex alone is past it
+    with pytest.raises(CapExceeded):
+        SimplicialComplex("abcdef", simplices[:1])
 
 
 @st.composite
@@ -337,14 +465,15 @@ def test_recognize_sphere_examples():
     assert recognize_sphere(build_nerve(complete_graph_spec(3, 3))) is SphereKind.CIRCLE
 
 
-def test_recognize_sphere_counts_a_vertex_only_a_simplex_names():
+def test_a_lone_vertex_breaks_a_sphere_and_an_unlisted_one_is_refused():
     for spec, kind in ((octahedron_spec(), SphereKind.TWO_SPHERE), (cycle_spec(5, 2), SphereKind.CIRCLE)):
         nerve = build_nerve(spec)
         assert recognize_sphere(nerve) is kind
-        for vertices in (nerve.vertices, (*nerve.vertices, "w")):  # "w" named by a simplex, then listed too
-            extra = SimplicialComplex(vertices, [*nerve.simplices(), ("w",)])
-            assert recognize_sphere(extra) is SphereKind.NEITHER
-            assert not extra.is_connected()
+        with pytest.raises(ValueError, match="names 'w', which is not a listed vertex"):
+            SimplicialComplex(nerve.vertices, [*nerve.simplices(), ("w",)])
+        extra = SimplicialComplex((*nerve.vertices, "w"), nerve.simplices())  # "w" gets its 0-simplex
+        assert extra.has_simplex(("w",)) and recognize_sphere(extra) is SphereKind.NEITHER
+        assert not extra.is_connected()
 
 
 def test_two_sphere_links_are_circles():
@@ -423,11 +552,10 @@ def test_link_fullness_under_right_angled_complement():
             assert is_full_subcomplex(nerve, link(b_nerve, v))
 
 
-def test_an_embedding_must_face_a_2_simplex_on_an_unlisted_vertex():
-    # The complex lists b and c only; its 2-simplex {a,b,c} bounds no face of any rotation.
-    complex_ = SimplicialComplex(["b", "c"], [("b",), ("c",), ("b", "c"), ("a", "b", "c")])
-    with pytest.raises(NotSpherical, match=re.escape("2-simplex ('a', 'b', 'c') is not a face of the embedding")):
-        validate_embedding(complex_, {"b": ["c"], "c": ["b"]})
+def test_a_2_simplex_on_an_unlisted_vertex_is_refused_before_any_embedding():
+    # The complex would list b and c only, so no rotation could face its 2-simplex {a,b,c}.
+    with pytest.raises(ValueError, match=re.escape("simplex ('a', 'b', 'c') names 'a', which is not a listed vertex")):
+        SimplicialComplex(["b", "c"], [("b",), ("c",), ("b", "c"), ("a", "b", "c")])
 
 
 @pytest.mark.parametrize("document, name", [

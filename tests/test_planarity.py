@@ -53,10 +53,7 @@ K4_ROT = {
 
 
 def skeleton_of(spec):
-    return SimplicialComplex(
-        spec.vertices,
-        [(v,) for v in spec.vertices] + [(u, v) for u, v, _ in spec.finite_edges()],
-    )
+    return SimplicialComplex(spec.vertices, [(u, v) for u, v, _ in spec.finite_edges()])
 
 
 def cycle_rotation(nerve):
@@ -184,7 +181,7 @@ def subdivide(spec, edges, chords=()):
         pairs.remove((u, v))
         pairs += [(u, f"s{i}"), (f"s{i}", v)]
     pairs += [(f"s{i}", f"s{j}") for i, j in chords]
-    return SimplicialComplex(vertices, [(v,) for v in vertices] + pairs)
+    return SimplicialComplex(vertices, pairs)
 
 
 def assert_minimal_nonplanar(graph, sub):

@@ -487,12 +487,6 @@ def reference_recognize_sphere(complex_) -> SphereKind:
     return SphereKind.NEITHER
 
 
-def closure(vertices, triangles) -> SimplicialComplex:
-    """The complex generated by some triangles, with every vertex as a 0-simplex."""
-    faces = {tuple(sorted(f)) for t in triangles for k in (1, 2, 3) for f in combinations(t, k)}
-    return SimplicialComplex(vertices, faces | {(v,) for v in vertices})
-
-
 @st.composite
 def subdivided_spheres(draw):
     """A tetrahedron boundary under random stellar subdivisions of triangles and edges."""
@@ -535,7 +529,7 @@ def sphere_like_complexes(draw):
         rename = {x: {c: a, d: b}.get(x, f"y{x}") for x in other_vertices}
         vertices += [rename[x] for x in other_vertices if x not in (c, d)]
         triangles += [tuple(rename[x] for x in t) for t in other_triangles]
-    return closure(vertices, triangles)
+    return SimplicialComplex(vertices, triangles)
 
 
 def two_octahedra_glued_at_both_poles() -> SimplicialComplex:
@@ -543,7 +537,7 @@ def two_octahedra_glued_at_both_poles() -> SimplicialComplex:
         (pole, f"{side}{i}", f"{side}{(i + 1) % 4}")
         for side in "ab" for pole in "ns" for i in range(4)
     ]
-    return closure(["n", "s"] + [f"{side}{i}" for side in "ab" for i in range(4)], triangles)
+    return SimplicialComplex(["n", "s"] + [f"{side}{i}" for side in "ab" for i in range(4)], triangles)
 
 
 SPHERE_FIXTURES = [
@@ -570,10 +564,10 @@ def test_recognize_sphere_equals_link_reference(complex_):
 
 @st.composite
 def spheres_with_swapped_edges(draw):
-    """A subdivided sphere with one to three edges swapped for as many non-edges, so that
-    V - E + F = 2 still holds and the complex is no longer closed under faces."""
+    """A subdivided sphere with one to three edges swapped for as many non-edges.  The
+    constructor puts the removed edges back, so V - E + F falls below 2."""
     vertices, triangles = draw(subdivided_spheres().filter(lambda case: len(case[0]) > 4))
-    closed = closure(vertices, triangles)
+    closed = SimplicialComplex(vertices, triangles)
     non_edges = [p for p in combinations(vertices, 2) if not closed.has_simplex(p)]
     k = draw(st.integers(1, min(3, len(non_edges))))
     removed = draw(st.permutations(closed.edges))[:k]
@@ -584,6 +578,8 @@ def spheres_with_swapped_edges(draw):
 @settings(max_examples=100, deadline=None)
 @given(spheres_with_swapped_edges())
 def test_recognize_sphere_rejects_swapped_edges(complex_):
+    V, E, F = len(complex_.vertices), len(complex_.edges), len(complex_.triangles)
+    assert V - E + F < 2
     assert recognize_sphere(complex_) is SphereKind.NEITHER
     assert reference_recognize_sphere(complex_) is SphereKind.NEITHER
 
@@ -607,9 +603,8 @@ def test_recognize_sphere_rejects_spheres_with_pendant_pieces():
         ([("x0", "y0", "q")], []),  # a flap on an edge, which then lies in three triangles
     ]
     for extra_triangles, extra_edges in cases:
-        pieces = closure(list(octahedron.vertices), triangles + extra_triangles)
-        vertices = sorted({v for s in pieces.simplices() for v in s} | {v for e in extra_edges for v in e})
-        complex_ = SimplicialComplex(vertices, list(pieces.simplices()) + extra_edges + [(v,) for v in vertices])
+        vertices = sorted({v for s in triangles + extra_triangles + extra_edges for v in s})
+        complex_ = SimplicialComplex(vertices, triangles + extra_triangles + extra_edges)
         V, E, F = len(complex_.vertices), len(complex_.edges), len(complex_.triangles)
         assert complex_.is_connected() and V - E + F == 2
         assert recognize_sphere(complex_) is SphereKind.NEITHER
@@ -617,19 +612,21 @@ def test_recognize_sphere_rejects_spheres_with_pendant_pieces():
 
 
 def test_recognize_sphere_rejects_triangles_on_non_edges():
-    # An octahedron with poles n, s over the square x0 x1 x2 x3, its edge level changed under
-    # its triangles; each keeps V - E + F = 2, so only the edge check can reject it.
+    # An octahedron with poles n, s over the square x0 x1 x2 x3, some edges under its triangles
+    # swapped for non-edges.  The constructor puts the removed edges back, so each complex is
+    # the octahedron with the non-edges added, and V - E + F falls below 2.
     square = [f"x{i}" for i in range(4)]
     triangles = [(pole, square[i], square[(i + 1) % 4]) for pole in "ns" for i in range(4)]
-    octahedron = closure(["n", "s"] + square, triangles)
+    octahedron = SimplicialComplex(["n", "s"] + square, triangles)
     for removed, added in (
-        ([("x0", "x1"), ("x2", "x3")], [("x0", "x2"), ("x1", "x3")]),  # every link keeps its size
-        ([("n", "x0")], [("n", "s")]),  # n's neighbors are no longer its link's vertices
+        ([("x0", "x1"), ("x2", "x3")], [("x0", "x2"), ("x1", "x3")]),
+        ([("n", "x0")], [("n", "s")]),
     ):
         simplices = [t for t in octahedron.simplices() if t not in removed] + added
         complex_ = SimplicialComplex(octahedron.vertices, simplices)
+        assert complex_ == SimplicialComplex(octahedron.vertices, [*octahedron.simplices(), *added])
         V, E, F = len(complex_.vertices), len(complex_.edges), len(complex_.triangles)
-        assert complex_.is_connected() and V - E + F == 2
+        assert complex_.is_connected() and V - E + F == 2 - len(added)
         assert recognize_sphere(complex_) is SphereKind.NEITHER
         assert reference_recognize_sphere(complex_) is SphereKind.NEITHER
 
@@ -646,9 +643,9 @@ SIX_VERTEX_PROJECTIVE_PLANE = [
 def test_recognize_sphere_rejects_disconnected_pieces_with_circle_links():
     octahedron = build_nerve(octahedron_spec())
     torus_vertices = [f"t{i}" for i in range(7)]
-    beside_torus = closure(list(octahedron.vertices) + torus_vertices, list(octahedron.triangles) + SEVEN_VERTEX_TORUS)
+    beside_torus = SimplicialComplex(list(octahedron.vertices) + torus_vertices, list(octahedron.triangles) + SEVEN_VERTEX_TORUS)
     # A projective plane and a lone vertex: Euler's formula holds, and the lone vertex has no link.
-    beside_point = closure([f"p{i}" for i in range(1, 7)] + ["z"], SIX_VERTEX_PROJECTIVE_PLANE)
+    beside_point = SimplicialComplex([f"p{i}" for i in range(1, 7)] + ["z"], SIX_VERTEX_PROJECTIVE_PLANE)
     for complex_ in (beside_torus, beside_point):
         V, E, F = len(complex_.vertices), len(complex_.edges), len(complex_.triangles)
         assert not complex_.is_connected() and V - E + F == 2
@@ -658,7 +655,7 @@ def test_recognize_sphere_rejects_disconnected_pieces_with_circle_links():
 
 
 def test_recognize_sphere_searches_components_last(monkeypatch):
-    torus = closure([f"t{i}" for i in range(7)], SEVEN_VERTEX_TORUS)  # V - E + F = 0
+    torus = SimplicialComplex([f"t{i}" for i in range(7)], SEVEN_VERTEX_TORUS)  # V - E + F = 0
     calls = Counter()
     original = SimplicialComplex.skeleton_components
 
@@ -841,7 +838,7 @@ def small_graphs(draw):
     for e in extra:
         if e not in edges and (e[1], e[0]) not in edges and _systems(edges + [e]) <= SEARCH_LIMIT:
             edges.append(e)
-    return SimplicialComplex(vertices, [(v,) for v in vertices] + edges)
+    return SimplicialComplex(vertices, edges)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1037,7 +1034,7 @@ def rotated_complexes(draw):
         edges += [(piece[draw(st.integers(0, i - 1))], piece[i]) for i in range(1, size)]  # a tree
         pairs = list(combinations(piece, 2))
         edges += draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []
-    graph = SimplicialComplex(names, [(v,) for v in names] + edges)
+    graph = SimplicialComplex(names, edges)
     kind = draw(st.sampled_from(["random", "planar", "random-missing", "planar-missing"]))
     rot = planar_rotation(graph) if kind.startswith("planar") else None
     if rot is None:
@@ -1086,7 +1083,7 @@ def separated_bipyramid_beside_twisted_k4(first: str) -> tuple[SimplicialComplex
     k4 = [f"{other}{i}" for i in range(4)]
     edges = list(combinations(pyr[:3], 2)) + [(p, q) for p in pyr[3:] for q in pyr[:3]]
     edges += list(combinations(k4, 2))
-    graph = SimplicialComplex(pyr + k4, [(v,) for v in pyr + k4] + edges)
+    graph = SimplicialComplex(pyr + k4, edges)
     rotations = dict(planar_rotation(graph._view(tuple(pyr)))._rot)
     twisted = {0: (1, 2, 3), 1: (0, 3, 2), 2: (0, 1, 3), 3: (0, 1, 2)}  # V - E + F = 4 - 6 + 2
     rotations.update({k4[v]: [k4[u] for u in ns] for v, ns in twisted.items()})
@@ -1146,14 +1143,11 @@ def test_planar_rotation_searches_components_once(monkeypatch):
 
 
 def reference_star(vertices, simplices) -> dict[str, list[tuple[str, ...]]]:
-    """The simplices at each vertex, in the order given: the star map complexes once kept.
-
-    Its keys are the listed vertices, then those that only a simplex names.
-    """
+    """The simplices at each vertex, in the order given: the star map complexes once kept."""
     star: dict[str, list[tuple[str, ...]]] = {v: [] for v in vertices}
     for s in simplices:
         for v in s:
-            star.setdefault(v, []).append(s)
+            star[v].append(s)
     return star
 
 
@@ -1170,7 +1164,7 @@ def reference_is_full(ambient, sub) -> bool:
 @st.composite
 def fullness_cases(draw):
     """An ambient complex, a candidate subcomplex, and whether it is full."""
-    if draw(st.booleans()):  # not closed under faces: a level may be empty below a nonempty one
+    if draw(st.booleans()):  # unsorted faces, which the constructor closes
         faces = st.lists(st.sampled_from("abcde"), min_size=1, max_size=4, unique=True)
         ambient = SimplicialComplex("abcde", draw(st.lists(faces, max_size=8)))
         return ambient, ambient._view(tuple(draw(st.permutations("abcde"))[:draw(st.integers(0, 5))])), True
@@ -1181,15 +1175,16 @@ def fullness_cases(draw):
     kind = draw(st.sampled_from(["view", "view minus a simplex", "shuffled copy", "nerve", "unknown vertex"]))
     if kind == "view":
         return draw(st.sampled_from([nerve, plain])), view, True
-    if kind == "view minus a simplex" and view.simplices():
-        dropped = draw(st.sampled_from(view.simplices()))
+    # A maximal simplex of dimension >= 1: the closure would put back any other.
+    maximal = [s for s in view.simplices() if len(s) > 1 and not any(set(s) < set(t) for t in view.simplices(len(s)))]
+    if kind == "view minus a simplex" and maximal:
+        dropped = draw(st.sampled_from(maximal))
         return nerve, SimplicialComplex(view.vertices, [s for s in view.simplices() if s != dropped]), False
     if kind == "shuffled copy":
         return nerve, SimplicialComplex(draw(st.permutations(view.vertices)), view.simplices()), True
     if kind == "nerve":  # Nerve.__eq__ declines a plain complex, so the comparison is reflected
         return plain, induced_nerve(nerve, subset), True
-    extra = draw(st.sampled_from([[], [("zz",)]]))
-    return nerve, SimplicialComplex([*view.vertices, "zz"], [*view.simplices(), *extra]), False
+    return nerve, SimplicialComplex([*view.vertices, "zz"], view.simplices()), False
 
 
 @settings(max_examples=300, deadline=None)
@@ -1250,21 +1245,21 @@ def reference_link(complex_, v):
 
 @st.composite
 def complexes_with_queries(draw):
-    """A complex, from unsorted and not face-closed input or from build_nerve, and vertex sets to ask about.
+    """A complex, from unsorted input that the constructor closes or from build_nerve, and vertex sets to ask about.
 
-    The queries mix its simplices (shuffled), other vertex sets, the empty set, a
-    vertex that only a simplex names and one the complex does not know.
+    The queries mix its simplices (shuffled), other vertex sets, the empty set, and
+    vertices the complex does not know.
     """
     if draw(st.booleans()):
         pool = ["a", "b", "c", "d", "e", "f"]
         vertices = draw(st.lists(st.sampled_from(pool[:5]), unique=True))  # f is never listed
-        shuffled = st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True)
+        shuffled = st.lists(st.sampled_from(vertices), min_size=1, max_size=4, unique=True) if vertices else st.just(())
         complex_ = SimplicialComplex(vertices, draw(st.lists(shuffled, max_size=12)))
     else:
         spec = draw(st.one_of(specs(max_vertices=6), st.integers(3, 8).map(suspension_spec)))
         complex_ = build_nerve(spec)
         pool = list(spec.vertices) + ["f"]
-    named = sorted({v for s in complex_.simplices() for v in s} | set(complex_.vertices))
+    named = sorted(complex_.vertices)
     known = [list(draw(st.permutations(s))) for s in complex_.simplices()]
     other = st.lists(st.sampled_from([*pool, "zz"]), max_size=4, unique=True)
     sets = draw(st.lists(st.one_of(st.sampled_from(known or [[]]), other, st.just([])), max_size=8))
@@ -2503,7 +2498,7 @@ def test_built_nerve_is_indexed_with_its_maps(monkeypatch):
     nerves = [build_nerve(spec) for spec in systems]
     nerves[1]._view(nerves[1].vertices[::3])
     link(nerves[1], "n")
-    SimplicialComplex(["c", "a"], [("c", "a", "b"), ("b",), ("a", "c")])  # b is not listed as a vertex
+    SimplicialComplex(["c", "a", "b"], [("c", "a", "b"), ("a", "c")])  # closed by the constructor
     nerves += [induced_nerve(nerves[1], nerves[1].vertices[::3]), induced_nerve(nerves[0], [])]
     nerves.append(cone_construction(build_nerve(complete_graph_spec(4, 3)), K4_ROTATION)[0])
     # Every constructor hands _index nonempty levels of distinct sorted simplices, ascending
