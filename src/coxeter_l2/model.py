@@ -56,7 +56,7 @@ class CoxeterSpec:
     subsets, components and serialization.  The constructor and parse_spec
     share one validator (_fill): the constructor takes a label as an integer
     >= 2, INFINITY or "inf", a document only as an int >= 2 or "inf" (so
-    no float, not even one that overflows to infinity), and both reject
+    no float; one that overflows to infinity has its own message), and both reject
     conflicting pairs such as 2 against INFINITY with the same first error.  Vertex
     membership reads the commuting map's keys; the hash is computed on demand.
     """
@@ -97,6 +97,11 @@ class CoxeterSpec:
             if type(m) is not int:  # a plain int needs only its bound
                 if m == "inf":  # the document spelling, accepted by both entry points
                     m = INFINITY
+                elif records and m == INFINITY:  # json.loads reads 1e400 and Infinity as this float
+                    raise LabelOutOfRange(
+                        f"label m({u},{v}) is an infinite JSON number, not an integer;"
+                        " an infinite label is written 'inf'"
+                    )
                 elif records or m != INFINITY and (not isinstance(m, int) or isinstance(m, bool)):
                     raise LabelOutOfRange(f"label m({u},{v}) = {m!r} is neither an integer nor 'inf'")
                 infinite = infinite or m == INFINITY
@@ -249,12 +254,15 @@ def components(
 
     Breadth-first search over the unvisited vertices; with ``complement`` the neighbors of u
     are those outside ``adjacent(u)``, so both cases run in O(V + E).  Components are sorted
-    tuples, listed by least vertex.  Removing from a set does not shrink its table, and the
-    complement step walks the whole table, so there a fresh, smaller set replaces it.
+    tuples, listed by least vertex.  The input is sorted once; a component that covers it
+    all is that sorted tuple, and only smaller components are sorted again.  Removing from a
+    set does not shrink its table, and the complement step walks the whole table, so there a
+    fresh, smaller set replaces it.
     """
     remaining = set(vertices)
+    order = sorted(remaining)
     comps = []
-    for start in sorted(remaining):
+    for start in order:
         if start not in remaining:
             continue
         remaining.discard(start)
@@ -271,5 +279,7 @@ def components(
             comp += found
             if not remaining:  # the rest of the queue can find nothing
                 break
+        if len(comp) == len(order):
+            return [tuple(order)]
         comps.append(tuple(sorted(comp)))
     return comps

@@ -108,27 +108,34 @@ class SimplicialComplex:
     def _view(self, vertices: tuple[str, ...], cls: type | None = None):
         """The full subcomplex on some vertices, its levels and neighbors filtered in order from the ambient.
 
-        Filtering keeps each level lexicographic, so nothing is sorted again,
-        and keeps the view closed under faces.  A closed vertex, one whose
-        neighbors are all kept, shares its neighbor tuple.
-        Each level is tested once, into a mask; a nerve view (cls Nerve)
-        filters the ambient's orders of that level by the same mask.
+        A closed vertex, one whose neighbors are all kept, shares its
+        neighbor tuple; the levels are filtered by _filtered.
         """
         keep = set(vertices)
         neighbors = {}
         for v in vertices:
             near = self._neighbors[v]
             neighbors[v] = near if keep.issuperset(near) else tuple(filter(keep.__contains__, near))
+        return self._filtered(vertices, keep, neighbors, cls or SimplicialComplex)
+
+    def _filtered(self, vertices: tuple[str, ...], keep: set[str], neighbors: dict, cls: type):
+        """The cls complex on vertices (the set keep) with the given neighbor map, each ambient level filtered in order.
+
+        Filtering keeps each level lexicographic, so nothing is sorted again,
+        and keeps the result closed under faces.  Each level is tested once,
+        into a mask; a nerve (cls Nerve) filters the ambient's orders of
+        that level by the same mask.
+        """
         by_dim, masks = {}, {}
         for d, level in self._by_dim.items():
             mask = list(map(keep.issuperset, level))
             kept = tuple(itertools.compress(level, mask))
             if kept:
                 by_dim[d], masks[d] = kept, mask
-        view = (cls or SimplicialComplex)._presorted(vertices, by_dim, neighbors)
-        if isinstance(view, Nerve):
-            view._orders = {d: tuple(itertools.compress(self._orders[d], mask)) for d, mask in masks.items()}
-        return view
+        sub = cls._presorted(vertices, by_dim, neighbors)
+        if isinstance(sub, Nerve):
+            sub._orders = {d: tuple(itertools.compress(self._orders[d], mask)) for d, mask in masks.items()}
+        return sub
 
     @property
     def dimension(self) -> int:
@@ -521,6 +528,25 @@ def induced_nerve(nerve: Nerve, subset) -> Nerve:
     vertices = tuple(v for v in nerve.vertices if v in keep)
     sub = nerve._view(vertices, Nerve)
     sub.spec = nerve.spec._restrict(vertices, keep, sub.edges)
+    return sub
+
+
+def _component_nerve(nerve: Nerve, comp: VertexSubset) -> Nerve:
+    """induced_nerve on a component of the nerve's 1-skeleton, sharing the nerve's maps.
+
+    A skeleton component is closed under adjacency, and each commuting pair
+    is an edge, so every kept vertex keeps its whole neighbor tuple and
+    commuting set: both are the nerve's own, not filtered copies.  The
+    component needs no check_subset, the labels are read off the kept edge
+    level, and the component is held as the result's one skeleton component.
+    """
+    keep = set(comp)
+    vertices = tuple(filter(keep.__contains__, nerve.vertices))
+    sub = nerve._filtered(vertices, keep, {v: nerve._neighbors[v] for v in vertices}, Nerve)
+    spec, labels = nerve.spec, nerve.spec._labels
+    commuting = {v: spec.commuting(v) for v in vertices}
+    sub.spec = CoxeterSpec._trusted(vertices, {e: labels[e] for e in sub.edges}, commuting)
+    sub._components = (comp,)
     return sub
 
 

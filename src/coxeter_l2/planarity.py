@@ -24,11 +24,11 @@ from coxeter_l2.nerve import (
     SimplicialComplex,
     SphereKind,
     SubcomplexWitness,
+    _component_nerve,
     _disjoint_rename,
     _traced_faces,
     _witness,
     build_nerve,
-    induced_nerve,
     recognize_sphere,
     validate_embedding,
 )
@@ -184,7 +184,9 @@ def certify_nonplanar(spec: CoxeterSpec) -> Certificate:
     The verdict is one-directional: NotPlanar when a positive lower bound
     for the dimension-2 Betti entry is derived, Inconclusive otherwise
     (never "Planar").  Disconnected subjects are certified per component,
-    each on its sub-nerve filtered from the subject's nerve; one non-planar
+    each on its sub-nerve filtered from the subject's nerve, which shares
+    the subject's neighbor tuples and commuting sets and holds its
+    component, so it is neither checked nor searched again; one non-planar
     component suffices.  Components are certified smallest first, and the
     first size that certifies cites its largest bound (the first such
     component on a tie), so the bound does not depend on vertex names.
@@ -210,7 +212,7 @@ def certify_nonplanar(spec: CoxeterSpec) -> Certificate:
         for comp in sorted(components, key=len):  # stable: component order within a size
             if witness is not None and len(comp) > len(witness[0]):
                 break
-            sub_cert = _certify_connected(induced_nerve(nerve, comp))
+            sub_cert = _certify_connected(_component_nerve(nerve, comp))
             if sub_cert.verdict != "NotPlanar":
                 notes.append(f"component {{{','.join(comp)}}}: {sub_cert.reason or 'ObstructionSilent'}")
             elif witness is None or sub_cert.bound > witness[1].bound:

@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from coxeter_l2.model import CoxeterSpec, VertexSubset, components
+from coxeter_l2.model import INFINITY, CoxeterSpec, VertexSubset, components
 
 _E_ORDERS = {6: 51840, 7: 2903040, 8: 696729600}
-_H_ORDERS = {3: 120, 4: 14400}
+_RANK_3 = {(2, 3, 3): ("A", 3, 24, None), (2, 3, 4): ("B", 3, 48, None), (2, 3, 5): ("H3", 3, 120, None)}
 
 
 class FiniteTypeComponent(NamedTuple):
@@ -71,6 +71,11 @@ def _match_component(spec: CoxeterSpec, comp: VertexSubset) -> tuple | None:
     being the dihedral label for kind "I2" and None otherwise, or None when
     the component is infinite.  Labels are read from the spec's validated
     label dict: a sorted pair has a finite label exactly when it is stored.
+    Rank 3 is read from the three labels alone: a connected triple is
+    spherical exactly when one pair commutes and the other two labels are
+    {3, 3}, {3, 4} or {3, 5} (A3, B3, H3); every other triple, one with an
+    infinite pair or with no commuting pair included, is infinite.  Higher
+    ranks walk the diagram tree.
     """
     n = len(comp)
     labels = spec._labels
@@ -81,8 +86,12 @@ def _match_component(spec: CoxeterSpec, comp: VertexSubset) -> tuple | None:
         if m is None:
             return None  # an infinite pair
         return ("A", 2, 6, None) if m == 3 else ("B", 2, 8, None) if m == 4 else ("I2", 2, 2 * m, m)
+    if n == 3:
+        u, v, w = comp
+        triple = sorted((labels.get((u, v), INFINITY), labels.get((u, w), INFINITY), labels.get((v, w), INFINITY)))
+        return _RANK_3.get(tuple(triple))
 
-    # Rank >= 3: the diagram must be a tree with no infinite pair, and the
+    # Rank >= 4: the diagram must be a tree with no infinite pair, and the
     # tree must be a path or have a single 3-valent branch; anything else is
     # infinite.
     members = set(comp)
@@ -146,8 +155,8 @@ def _match_component(spec: CoxeterSpec, comp: VertexSubset) -> tuple | None:
         if n == 4 and pos == 1:
             return ("F4", 4, 1152, None)
         return None
-    if m == 5 and at_end and n in _H_ORDERS:
-        return (f"H{n}", n, _H_ORDERS[n], None)
+    if m == 5 and at_end and n == 4:
+        return ("H4", 4, 14400, None)
     return None
 
 

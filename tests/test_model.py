@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from coxeter_l2.model import (
     LabelOutOfRange,
     MalformedDocument,
     UnknownVertex,
+    components,
     induced_subspec,
     parse_spec,
 )
@@ -138,6 +140,17 @@ INVALID_DOCUMENTS = [
 def test_invalid_documents_rejected(doc, error):
     with pytest.raises(error):
         parse_spec(doc)
+
+
+@pytest.mark.parametrize("number", ["1e400", "Infinity"])
+def test_an_infinite_json_number_is_named_as_one(number):
+    # json.loads reads both as the float inf; the message says so instead of printing "inf".
+    doc = '{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "m": %s}]}' % number
+    message = "label m(a,b) is an infinite JSON number, not an integer; an infinite label is written 'inf'"
+    with pytest.raises(LabelOutOfRange) as raised:
+        parse_spec(doc)
+    assert str(raised.value) == message
+    assert CoxeterSpec(["a", "b"], {("a", "b"): INFINITY}).label("a", "b") == INFINITY  # the constructor takes it
 
 
 def test_undecodable_bytes_are_malformed():
@@ -290,3 +303,45 @@ def test_constructor_checks_labels_as_documents_are_checked():
     for vertices, error in [(["a", "a"], DuplicateVertex), (["a", ""], MalformedDocument), (["a", 3], MalformedDocument)]:
         with pytest.raises(error):
             CoxeterSpec(vertices, {})
+
+
+def set_components(vertices, adjacent) -> list[tuple[str, ...]]:
+    """Components by their set definition: each vertex's is grown until no vertex adjacent to it is left out."""
+    vertices = set(vertices)
+    found = set()
+    for v in vertices:
+        comp, more = set(), {v}
+        while more:
+            comp |= more
+            more = {w for w in vertices - comp if any(adjacent(u, w) for u in comp)}
+        found.add(tuple(sorted(comp)))
+    return sorted(found)  # disjoint sorted tuples, so by least vertex
+
+
+@st.composite
+def graphs_with_input(draw):
+    """A random graph's neighbor sets, and some of its vertices in a random order.
+
+    The neighbor sets reach outside the chosen vertices, as a commuting set reaches outside a subset.
+    """
+    names = [f"v{i}" for i in range(draw(st.integers(0, 9)))]
+    near = {v: set() for v in names}
+    for u, w in combinations(names, 2):
+        if draw(st.booleans()):
+            near[u].add(w)
+            near[w].add(u)
+    return near, draw(st.permutations(names))[:draw(st.integers(0, len(names)))]
+
+
+@settings(max_examples=300)
+@given(graphs_with_input(), st.booleans())
+def test_components_equal_their_set_definition(case, complement):
+    near, given = case
+
+    def adjacent(u, w):
+        return (u != w and w not in near[u]) if complement else w in near[u]
+
+    found = components(given, near.__getitem__, complement=complement)
+    assert found == set_components(given, adjacent)
+    if len(found) == 1:  # the input, sorted once
+        assert found == [tuple(sorted(given))]

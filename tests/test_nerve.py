@@ -36,6 +36,36 @@ from coxeter_l2.spherical import classify, diagram_components
 from conftest import random_spec
 
 
+@st.composite
+def disjoint_unions(draw):
+    """One to three random systems on disjoint names with no finite label between them, listed in a random order."""
+    vertices, labels = [], {}
+    for prefix in "abc"[:draw(st.integers(1, 3))]:
+        names = [f"{prefix}{i}" for i in range(draw(st.integers(1, 5)))]
+        vertices += names
+        for pair in combinations(names, 2):
+            m = draw(st.sampled_from([2, 3, 4, 5, 6, INFINITY]))
+            if m != INFINITY:
+                labels[pair] = m
+    return CoxeterSpec(draw(st.permutations(vertices)), labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(disjoint_unions())
+def test_component_split_is_the_induced_nerve_on_the_subjects_maps(spec):
+    nerve = build_nerve(spec)
+    for comp in nerve.skeleton_components():
+        split, induced = nerve_module._component_nerve(nerve, comp), induced_nerve(nerve, comp)
+        assert split._components == (comp,)  # held, so never searched again
+        assert split.vertices == induced.vertices and split.spec == induced.spec
+        assert split._by_dim == induced._by_dim and split._orders == induced._orders
+        assert split._neighbors == induced._neighbors
+        assert split.spec._commuting == induced.spec._commuting
+        assert split.skeleton_components() == induced.skeleton_components()
+        for v in split.vertices:  # the subject's own objects, shared
+            assert split.neighbors(v) is nerve.neighbors(v) and split.spec.commuting(v) is spec.commuting(v)
+
+
 def test_k5_nerve_is_one_dimensional():
     nerve = build_nerve(complete_graph_spec(5, 3))
     assert nerve.counts() == (5, 10)

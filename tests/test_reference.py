@@ -1142,6 +1142,28 @@ def test_planar_rotation_searches_components_once(monkeypatch):
     assert searches == {"components": 1}
 
 
+def test_certifying_a_disconnected_subject_checks_and_searches_no_component(monkeypatch):
+    cycle, k5 = cycle_spec(4, 2, prefix="c"), complete_graph_spec(5, 3, prefix="p")
+    labels = {(u, v): m for u, v, m in (*k5.finite_edges(), *cycle.finite_edges())}
+    spec = CoxeterSpec((*k5.vertices, *cycle.vertices), labels)
+    nerve = build_nerve(spec)  # held by the spec while the test holds it, with no search made yet
+    checked = Counter()
+    check_subset = CoxeterSpec.check_subset
+
+    def counting(self, subset):
+        checked["subject" if self is spec else "component"] += 1
+        return check_subset(self, subset)
+
+    monkeypatch.setattr(CoxeterSpec, "check_subset", counting)
+    searches = count_calls(monkeypatch, nerve_module, ["components"])
+    cert = certify_nonplanar(spec)
+    assert cert.verdict == "NotPlanar" and cert.bound == Fraction(1, 6)
+    # The subject's components are split off without a check; the circle's sphere test finds
+    # its component held, so the subject's own search is the only one.
+    assert checked["subject"] == 0 and searches == {"components": 1}
+    assert nerve.skeleton_components() == (cycle.vertices, k5.vertices)  # by least vertex
+
+
 def reference_star(vertices, simplices) -> dict[str, list[tuple[str, ...]]]:
     """The simplices at each vertex, in the order given: the star map complexes once kept."""
     star: dict[str, list[tuple[str, ...]]] = {v: [] for v in vertices}
@@ -1198,13 +1220,14 @@ def test_trace_on_suspension_restricts_no_spec(monkeypatch):
     nerve = build_nerve(join_spec(cycle_spec(50, 2, prefix="c"), CoxeterSpec(["n", "s"], {})))
     target = ["n", *nerve.vertices[:10]]
     calls = count_calls(monkeypatch, CoxeterSpec, ["_restrict"])
-    induced = count_calls(monkeypatch, planarity, ["induced_nerve"])
+    induced = count_calls(monkeypatch, nerve_module, ["induced_nerve"])
+    split = count_calls(monkeypatch, planarity, ["_component_nerve"])
     built = count_calls(monkeypatch, SimplicialComplex, ["_view", "__init__", "_index"])
     trace = trace_vanishing(nerve, target)
     assert len(trace.steps) == len(nerve.vertices) - len(target) == 41
     # Each link and its fullness are read from the ambient neighbors: no complex, view or
     # link, is built (every complex is indexed by _index).
-    assert calls == induced == built == Counter()
+    assert calls == induced == split == built == Counter()
 
 
 def test_trace_on_suspension_reads_no_level():
@@ -1581,6 +1604,25 @@ def test_classify_equals_record_matcher(case):
     verdict, ref = classify(spec, subset), reference_classify(spec, subset)
     assert verdict == ref  # spherical, order, and kind, rank, order, m per component
     assert [c.name for c in verdict.components] == [c.name for c in ref.components]
+
+
+def test_rank_3_is_read_from_the_labels_as_the_tree_walk_reads_it():
+    # Every labelling of a triple's three pairs from {2, ..., 7, inf}; the connected ones are matched.
+    labels = (2, 3, 4, 5, 6, 7, INFINITY)
+    comp = ("a", "b", "c")
+    kinds = Counter()
+    for given in product(labels, repeat=3):
+        pairs = dict(zip(combinations(comp, 2), given))
+        spec = CoxeterSpec(["c", "a", "b"], {p: m for p, m in pairs.items() if m != INFINITY})
+        verdict, ref = classify(spec, spec.vertices), reference_classify(spec, spec.vertices)
+        assert verdict == ref
+        assert [c.name for c in verdict.components] == [c.name for c in ref.components]
+        if given.count(2) <= 1:  # diagram-connected
+            match, record = spherical_module._match_component(spec, comp), reference_match_component(spec, comp)
+            assert match == (record and (record.kind, record.rank, record.order, record.m))
+            kinds[match and match[0]] += 1
+    # A commuting pair beside {3, 3} (three places), {3, 4} or {3, 5} (six each); the rest is infinite.
+    assert kinds == {"A": 3, "B": 6, "H3": 6, None: 6 ** 3 + 3 * 6 ** 2 - 15}
 
 
 def reference_parse_spec(document) -> CoxeterSpec:
