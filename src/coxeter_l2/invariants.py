@@ -17,7 +17,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from coxeter_l2.model import induced_subspec
+from coxeter_l2.model import UnknownVertex, induced_subspec
 from coxeter_l2.nerve import (
     CapExceeded,
     Nerve,
@@ -31,6 +31,7 @@ from coxeter_l2.nerve import (
 from coxeter_l2.spherical import diagram_components
 
 _CHAIN_CAP = 10 ** 7  # the chain-sum oracle refuses a nerve with more chains than this
+_ZERO = Fraction(0)
 
 
 def _rational(q: Fraction) -> str:
@@ -161,17 +162,15 @@ class BettiVector:
         self._steps: list = [None] * (top + 1)
 
     def _assign(self, i: int, value: Fraction, rule: str, detail: str):
-        """Set entry i, or confirm it; a negative or conflicting value raises ContradictoryRules."""
-        value = Fraction(value)
-        why = f"{rule}: {detail}"
+        """Set entry i to a Fraction, or confirm it; a negative or conflicting value raises ContradictoryRules."""
         if value < 0:
             raise ContradictoryRules(
-                f"rule '{why}' assigned negative value {value} to dimension {i}"
+                f"rule '{rule}: {detail}' assigned negative value {value} to dimension {i}"
             )
         if i > self.top:
             if value != 0:
                 raise ContradictoryRules(
-                    f"rule '{why}' assigned {value} beyond the top dimension {self.top}"
+                    f"rule '{rule}: {detail}' assigned {value} beyond the top dimension {self.top}"
                 )
             return
         current = self._entries[i]
@@ -180,7 +179,7 @@ class BettiVector:
             self._steps[i] = CitedStep(rule, detail, {f"beta_{i}": _rational(value)})
         elif current != value:
             raise ContradictoryRules(
-                f"dimension {i}: '{self.provenance_for(i)}' gave {current} but '{why}' gives {value}"
+                f"dimension {i}: '{self.provenance_for(i)}' gave {current} but '{rule}: {detail}' gives {value}"
             )
 
     def _stored(self, i: int) -> bool:
@@ -190,7 +189,7 @@ class BettiVector:
         return i <= self.top
 
     def get(self, i: int):
-        return self._entries[i] if self._stored(i) else Fraction(0)
+        return self._entries[i] if self._stored(i) else _ZERO
 
     def step(self, i: int) -> CitedStep | None:
         """The step that set entry i, such as R-join on its factors; None if no rule did or i is above the top."""
@@ -227,8 +226,12 @@ def _validate_witness(nerve: Nerve, witness: SubcomplexWitness) -> None:
     target_set = set(nerve.vertices)
     if set(witness.vertex_set) != target_set:
         raise InvalidWitness("witness vertex set does not match the target nerve")
+    try:
+        induced = induced_subspec(witness.ambient.spec, witness.vertex_set)
+    except UnknownVertex as exc:
+        raise InvalidWitness(f"witness ambient lacks a target vertex: {exc}") from exc
     # The vertex sets agree, so the labels decide; the target may list its vertices in any order.
-    if induced_subspec(witness.ambient.spec, witness.vertex_set).finite_edges() != nerve.spec.finite_edges():
+    if induced.finite_edges() != nerve.spec.finite_edges():
         raise InvalidWitness("target is not the induced subsystem of the witness ambient")
     if witness.right_angled_complement != _right_angled_outside(witness.ambient, target_set):
         raise InvalidWitness("witness right-angled flag does not match the ambient labels")
@@ -245,8 +248,17 @@ def betti(nerve: Nerve, ctx: RuleContext | None = None) -> BettiVector:
     characteristic, and a fully known vector must sum to it.  Conflicting assignments raise
     ContradictoryRules.  R-fin reads the nerve: W is finite exactly when its
     whole vertex set is a simplex (the empty system included), and the
-    nerve holds its order.  R-join takes its factors from diagram_components.
+    nerve holds its order.  R-join takes its factors from diagram_components;
+    each factor is diagram-connected by construction, so its own R-join
+    cannot fire, and its vector is evaluated without searching its diagram
+    again.  Zero terms are skipped in the join's convolution and in the
+    alternating sum, and every vanishing entry is one shared zero.
     """
+    return _betti(nerve, ctx, diagram_connected=False)
+
+
+def _betti(nerve: Nerve, ctx: RuleContext | None, diagram_connected: bool) -> BettiVector:
+    """betti, told whether the nerve's diagram is known to be connected, as a join factor's is."""
     top = nerve.dimension + 1
     chi = chi_orb(nerve)
     vector = BettiVector(top, chi)
@@ -256,31 +268,31 @@ def betti(nerve: Nerve, ctx: RuleContext | None = None) -> BettiVector:
         order = nerve.order(nerve.vertices)
         vector._assign(0, Fraction(1, order), "R-fin", f"|W| = {order}")
         for i in range(1, top + 1):
-            vector._assign(i, Fraction(0), "R-fin", f"|W| = {order}")
+            vector._assign(i, _ZERO, "R-fin", f"|W| = {order}")
     else:
-        vector._assign(0, Fraction(0), "R-b0", "W infinite")
+        vector._assign(0, _ZERO, "R-b0", "W infinite")
 
     # R-S0/S1 and R-S2: sphere nerves.
     kind = recognize_sphere(nerve)
     is_s0 = len(nerve.vertices) == 2 and not nerve.edges
     if kind is SphereKind.CIRCLE or is_s0:
         which = "circle" if kind is SphereKind.CIRCLE else "two points"
-        vector._assign(top, Fraction(0), "R-S0/S1", f"nerve is {which}, top entry vanishes")
+        vector._assign(top, _ZERO, "R-S0/S1", f"nerve is {which}, top entry vanishes")
     if kind is SphereKind.TWO_SPHERE:
         for i in range(top + 1):
-            vector._assign(i, Fraction(0), "R-S2", "2-sphere nerve, all entries vanish")
+            vector._assign(i, _ZERO, "R-S2", "2-sphere nerve, all entries vanish")
 
     if ctx is not None and ctx.witness is not None:
         _validate_witness(nerve, ctx.witness)
         ambient_kind = recognize_sphere(ctx.witness.ambient)
         if ambient_kind is SphereKind.CIRCLE:
             for i in range(2, top + 1):
-                vector._assign(i, Fraction(0), "R-sub1", "full subcomplex of a circle nerve")
+                vector._assign(i, _ZERO, "R-sub1", "full subcomplex of a circle nerve")
         if ambient_kind is SphereKind.TWO_SPHERE and ctx.witness.right_angled_complement:
             for i in range(2, top + 1):
                 vector._assign(
                     i,
-                    Fraction(0),
+                    _ZERO,
                     "R-sub2",
                     "full subcomplex with right-angled complement in a 2-sphere nerve",
                 )
@@ -290,20 +302,21 @@ def betti(nerve: Nerve, ctx: RuleContext | None = None) -> BettiVector:
             validate_embedding(nerve, ctx.embedding)
         except Exception as exc:
             raise InvalidWitness(f"embedding witness rejected: {exc}") from exc
-        vector._assign(2, Fraction(0), "R-planar", "sphere-embedding witness")
+        vector._assign(2, _ZERO, "R-planar", "sphere-embedding witness")
 
     # R-join: Kunneth over a right-angled join, once factor vectors are known.
-    factors = diagram_components(nerve.spec, nerve.vertices)
+    factors = () if diagram_connected else diagram_components(nerve.spec, nerve.vertices)
     if len(factors) >= 2:
-        factor_vectors = [betti(induced_nerve(nerve, f)) for f in factors]
+        factor_vectors = [_betti(induced_nerve(nerve, f), None, diagram_connected=True) for f in factors]
         if all(v.fully_known for v in factor_vectors):
             conv = [Fraction(1)]
             for v in factor_vectors:
-                cur = [v.get(i) for i in range(v.top + 1)]
-                nxt = [Fraction(0)] * (len(conv) + len(cur) - 1)
+                nxt = [_ZERO] * (len(conv) + v.top)
                 for i, a in enumerate(conv):
-                    for j, c in enumerate(cur):
-                        nxt[i + j] += a * c
+                    if a:
+                        for j, c in enumerate(v._entries):
+                            if c:
+                                nxt[i + j] += a * c
                 conv = nxt
             desc = " * ".join("{" + ",".join(f) + "}" for f in factors)
             for k, value in enumerate(conv):
@@ -311,13 +324,16 @@ def betti(nerve: Nerve, ctx: RuleContext | None = None) -> BettiVector:
 
     # R-atiyah: the alternating sum of the known entries completes a single
     # missing entry, and must equal chi_orb when none is missing.
-    missing = [i for i, e in enumerate(vector._entries) if e is UNKNOWN]
-    partial = sum(
-        ((-1) ** j * e for j, e in enumerate(vector._entries) if e is not UNKNOWN), Fraction(0)
-    )
+    missing, partial = [], _ZERO
+    for j, e in enumerate(vector._entries):
+        if e is UNKNOWN:
+            missing.append(j)
+        elif e:
+            partial = partial - e if j % 2 else partial + e
     if len(missing) == 1:
         i = missing[0]
-        vector._assign(i, (-1) ** i * (chi - partial), "R-atiyah", f"completion against chi_orb = {chi}")
+        completion = partial - chi if i % 2 else chi - partial
+        vector._assign(i, completion, "R-atiyah", f"completion against chi_orb = {chi}")
     elif not missing and partial != chi:
         raise ContradictoryRules(
             f"fully known vector {vector} has alternating sum {partial} != chi_orb = {chi}"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable, Iterable, Mapping
+from itertools import chain
 
 INFINITY = math.inf
 
@@ -72,14 +73,21 @@ class CoxeterSpec:
         An edge is a ((u, v), m) label item, or with ``records`` a document's
         {u, v, m} record, whose shape is checked just before its label, so
         faults come out in record order.  A plain dict record skips the
-        abstract Mapping test; any other record type still takes it.
+        abstract Mapping test; any other record type still takes it.  The
+        commuting sets are filled as each edge passes.  Edges that arrive in
+        strictly increasing canonical (u, v) order, as every document
+        to_document writes does, are already the sorted label map, so
+        ``given`` is kept as it is; one tuple comparison per edge tells.  Any
+        other order, a repeated pair or an "inf" label is sorted.
         """
         for v in vertices:
             if not isinstance(v, str):
                 raise MalformedDocument(f"vertex {v!r} is not a string")
         vertex_set = frozenset(vertices)
         given: dict[tuple[str, str], Label] = {}  # INFINITY is kept until the end, for conflicts
+        commuting: dict[str, set[str]] = {v: set() for v in vertices}
         infinite = False
+        ordered, last = True, ()  # () sorts before every pair
         for rec in edges:
             if not records:
                 (u, v), m = rec
@@ -110,6 +118,11 @@ class CoxeterSpec:
             key = (u, v) if u < v else (v, u)
             if given.setdefault(key, m) != m:  # INFINITY prints as inf
                 raise ConflictingLabel(f"edge {key} listed with labels {given[key]} and {m}")
+            if ordered:
+                ordered, last = last < key, key
+            if m == 2:
+                commuting[u].add(v)
+                commuting[v].add(u)
         # Empty and repeated names come after any label fault, as parse_spec always had; the
         # scan for the first one runs only when there is one.
         if len(vertex_set) < len(vertices) or "" in vertex_set:
@@ -123,13 +136,11 @@ class CoxeterSpec:
         self.vertices = vertices
         if infinite:
             self._labels = {key: given[key] for key in sorted(given) if given[key] != INFINITY}
+        elif ordered:
+            self._labels = given
         else:
             self._labels = {key: given[key] for key in sorted(given)}
-        self._commuting: dict[str, set[str]] = {v: set() for v in vertices}
-        for (u, v), m in given.items():  # the order a commuting set is filled in does not matter
-            if m == 2:
-                self._commuting[u].add(v)
-                self._commuting[v].add(u)
+        self._commuting = commuting
         self._nerve = None  # a weak reference to the nerve built last, set by build_nerve
 
     @classmethod
@@ -179,12 +190,21 @@ class CoxeterSpec:
         return self._commuting[v]
 
     def check_subset(self, subset: Iterable[str]) -> VertexSubset:
-        """Canonicalize a vertex subset (sorted, deduplicated), validating membership."""
-        given = set(subset)
-        if not self._commuting.keys() >= given:
-            unknown = min(given - self._commuting.keys())  # the least one
+        """Canonicalize a vertex subset (sorted, deduplicated), validating membership.
+
+        A str or bytes is refused, not read as a collection of one-letter
+        names.  A subset that repeats no name sorts the sequence it was given,
+        so a presorted one, such as a result of this method, sorts in one
+        linear pass; only one with a repeat sorts its set.
+        """
+        if isinstance(subset, (str, bytes)):
+            raise ValueError(f"a vertex subset is a collection of names, not the string {subset!r}")
+        given = tuple(subset)
+        members = set(given)
+        if not self._commuting.keys() >= members:
+            unknown = min(members - self._commuting.keys())  # the least one
             raise UnknownVertex(f"{unknown!r} is not a vertex of this system")
-        return tuple(sorted(given))
+        return tuple(sorted(given if len(members) == len(given) else members))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -254,31 +274,37 @@ def components(
 
     Breadth-first search over the unvisited vertices; with ``complement`` the neighbors of u
     are those outside ``adjacent(u)``, so both cases run in O(V + E).  Components are sorted
-    tuples, listed by least vertex.  The input is sorted once; a component that covers it
-    all is that sorted tuple, and only smaller components are sorted again.  Removing from a
-    set does not shrink its table, and the complement step walks the whole table, so there a
-    fresh, smaller set replaces it.
+    tuples, listed by least vertex.  The input is sorted once, as the sequence given, so a
+    presorted input sorts in one linear pass (a repeated vertex is skipped as visited); a
+    component that covers an input with no repeat is that sorted tuple, and only smaller
+    components are sorted again.  The plain
+    search takes one breadth-first level per step: the unvisited neighbors of the whole
+    frontier, two sets per level rather than per vertex.  The complement step keeps a
+    per-vertex queue; removing from a set does not shrink its table, and that step walks the
+    whole table, so there a fresh, smaller set replaces it.
     """
-    remaining = set(vertices)
-    order = sorted(remaining)
+    order = sorted(vertices)
+    remaining = set(order)
     comps = []
     for start in order:
         if start not in remaining:
             continue
         remaining.discard(start)
         comp = [start]
-        for u in comp:  # comp grows while it is scanned: a breadth-first queue
-            near = adjacent(u)
-            if complement:
-                found = remaining.difference(near)
+        if complement:
+            for u in comp:  # comp grows while it is scanned: a breadth-first queue
+                found = remaining.difference(adjacent(u))
                 if found:
                     remaining = remaining.difference(found)
-            else:
-                found = remaining.intersection(near)
-                remaining -= found
-            comp += found
-            if not remaining:  # the rest of the queue can find nothing
-                break
+                comp += found
+                if not remaining:  # the rest of the queue can find nothing
+                    break
+        else:
+            frontier = comp
+            while frontier and remaining:
+                frontier = remaining.intersection(chain.from_iterable(map(adjacent, frontier)))
+                remaining -= frontier
+                comp += frontier
         if len(comp) == len(order):
             return [tuple(order)]
         comps.append(tuple(sorted(comp)))

@@ -643,8 +643,9 @@ def recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
     link of v is the 2-regular graph on its neighbors where a is joined to
     the entries of the edge va.  It is a circle exactly when the walk round
     it from one neighbor takes as many steps as v has neighbors.  Connectivity, the one check that searches
-    the whole complex, runs only once the local checks pass.  The kind is
-    held on the complex, so each is recognized once.
+    the whole complex, runs only once the local checks pass, and only for a
+    2-sphere: a circle is recognized by one walk (see _recognize_sphere).
+    The kind is held on the complex, so each is recognized once.
     """
     if complex_._sphere is None:
         complex_._sphere = _recognize_sphere(complex_)
@@ -652,12 +653,24 @@ def recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
 
 
 def _recognize_sphere(complex_: SimplicialComplex) -> SphereKind:
+    """The kind of a complex, unheld.
+
+    In dimension 1 no component search runs: once every degree is 2, the
+    walk from one vertex that never steps back goes once round that
+    vertex's cycle, so the complex is a circle exactly when the walk covers
+    all V vertices; any other cycle would be a second component.
+    """
     dim = complex_.dimension
     neighbors = complex_._neighbors  # keyed by the vertices
     if dim == 1:
-        degrees = list(map(len, neighbors.values()))
-        circle = len(degrees) >= 3 and set(degrees) == {2} and complex_.is_connected()
-        return SphereKind.CIRCLE if circle else SphereKind.NEITHER
+        if set(map(len, neighbors.values())) != {2}:
+            return SphereKind.NEITHER
+        start = complex_.vertices[0]
+        prev, cur, steps = start, neighbors[start][0], 1
+        while cur != start:
+            a, b = neighbors[cur]
+            prev, cur, steps = cur, b if a == prev else a, steps + 1
+        return SphereKind.CIRCLE if steps == len(neighbors) else SphereKind.NEITHER
     if dim == 2:
         V = len(complex_.vertices)
         E = len(complex_.edges)

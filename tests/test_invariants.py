@@ -254,6 +254,13 @@ def test_witness_on_a_target_with_other_labels_is_rejected():
         betti(target, RuleContext(witness=witness))
 
 
+def test_a_witness_naming_a_vertex_its_ambient_lacks_is_invalid():
+    target = build_nerve(CoxeterSpec(["zz", "yy"], {}))
+    witness = SubcomplexWitness(build_nerve(octahedron_spec()), ("yy", "zz"), True)
+    with pytest.raises(InvalidWitness, match="^witness ambient lacks a target vertex: 'yy' is not a vertex"):
+        betti(target, RuleContext(witness=witness))
+
+
 @pytest.mark.parametrize("order", [["y0", "x0", "x1", "y1"], ["y1", "y0", "x1", "x0"]])
 def test_witness_accepts_a_target_listing_its_vertices_in_another_order(order):
     octa = octahedron_spec()

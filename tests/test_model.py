@@ -18,6 +18,9 @@ from coxeter_l2.model import (
     parse_spec,
 )
 from coxeter_l2.catalog import complete_bipartite_spec, complete_graph_spec
+from coxeter_l2.nerve import build_nerve, full_subcomplex
+from coxeter_l2.planarity import trace_vanishing
+from coxeter_l2.spherical import classify
 
 from conftest import random_spec
 
@@ -345,3 +348,63 @@ def test_components_equal_their_set_definition(case, complement):
     assert found == set_components(given, adjacent)
     if len(found) == 1:  # the input, sorted once
         assert found == [tuple(sorted(given))]
+
+
+@settings(max_examples=200)
+@given(graphs_with_input(), st.booleans())
+def test_check_subset_and_components_read_every_input_form_alike(case, complement):
+    near, given = case
+    spec = CoxeterSpec(list(near), {})
+    expected = components(given, near.__getitem__, complement=complement)
+    forms = (sorted, lambda g: sorted(g, reverse=True), iter, lambda g: g + g[::2])  # g[::2] repeats some
+    for form in forms:
+        assert spec.check_subset(form(given)) == tuple(sorted(set(given)))
+        assert components(form(given), near.__getitem__, complement=complement) == expected
+
+
+@pytest.mark.parametrize("subset", ["ab", b"ab"], ids=["str", "bytes"])
+def test_a_string_is_refused_as_a_vertex_subset(subset):
+    spec = CoxeterSpec(["a", "b", "c"], {("a", "b"): 3, ("b", "c"): 3})
+    nerve = build_nerve(spec)
+    for call, target in ((classify, spec), (full_subcomplex, nerve), (trace_vanishing, nerve)):
+        with pytest.raises(ValueError, match="^a vertex subset is a collection of names, not the string") as info:
+            call(target, subset)
+        assert type(info.value) is ValueError and "\n" not in str(info.value)
+    assert [c.name for c in classify(spec, ["a", "b"]).components] == ["A2"]
+
+
+@st.composite
+def record_variants(draw):
+    """A vertex list, and one system's edge records in canonical (u, v) order (either end first),
+    reversed, shuffled, with one record repeated, and with an "inf" record for a pair left out."""
+    names = draw(st.lists(st.text("abc", min_size=1, max_size=3), unique=True, max_size=7))
+    records, absent = [], []
+    for u, v in combinations(sorted(names), 2):
+        m = draw(st.sampled_from([None, 2, 2, 3, 4, 7]))
+        if m is None:
+            absent.append((u, v))
+        else:
+            records.append({"u": u, "v": v, "m": m} if draw(st.booleans()) else {"u": v, "v": u, "m": m})
+    variants = {"canonical": records, "reversed": records[::-1], "shuffled": draw(st.permutations(records))}
+    if records:
+        i, k = draw(st.integers(0, len(records) - 1)), draw(st.integers(0, len(records)))
+        variants["repeated"] = records[:k] + [records[i]] + records[k:]
+    if absent:
+        (u, v), k = draw(st.sampled_from(absent)), draw(st.integers(0, len(records)))
+        variants["inf"] = records[:k] + [{"u": u, "v": v, "m": "inf"}] + records[k:]
+    return draw(st.permutations(names)), variants
+
+
+@settings(max_examples=200)
+@given(record_variants())
+def test_parse_spec_reads_records_in_any_order_alike(case):
+    vertices, variants = case
+    canonical = parse_spec({"vertices": vertices, "edges": variants["canonical"]})
+    assert list(canonical._labels) == sorted(canonical._labels)
+    near = {v: {w for w in vertices if canonical.label(v, w) == 2} for v in vertices}
+    for edges in variants.values():
+        spec = parse_spec({"vertices": vertices, "edges": edges})
+        assert list(spec._labels) == list(canonical._labels)
+        assert spec.finite_edges() == canonical.finite_edges()
+        assert {v: spec.commuting(v) for v in vertices} == near
+        assert spec.to_document() == canonical.to_document()

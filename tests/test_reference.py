@@ -670,6 +670,43 @@ def test_recognize_sphere_searches_components_last(monkeypatch):
     assert calls == {"components": 1}  # a sphere is still checked to be connected
 
 
+@st.composite
+def unions_of_cycles(draw):
+    """One to three disjoint cycles, each through its names in a random order, listed in a shuffled vertex order."""
+    lengths = draw(st.lists(st.integers(3, 12), min_size=1, max_size=3))
+    vertices, edges = [], []
+    for k, n in enumerate(lengths):
+        cycle = draw(st.permutations([f"c{k}_{i}" for i in range(n)]))
+        vertices += cycle
+        edges += [(cycle[i], cycle[(i + 1) % n]) for i in range(n)]
+    return len(lengths), SimplicialComplex(draw(st.permutations(vertices)), edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unions_of_cycles())
+def test_recognize_sphere_walks_cycles_as_the_reference_searches(case):
+    count, complex_ = case
+    expected = SphereKind.CIRCLE if count == 1 else SphereKind.NEITHER  # 2-regular but not connected
+    assert recognize_sphere(complex_) is expected
+    assert reference_recognize_sphere(complex_) is expected
+
+
+def test_recognize_sphere_walks_a_circle_without_a_search(monkeypatch):
+    searches = count_calls(monkeypatch, SimplicialComplex, ["skeleton_components"])
+    for n in range(5, 41):
+        assert recognize_sphere(build_nerve(cycle_spec(n, 2))) is SphereKind.CIRCLE
+    assert searches == Counter()
+
+
+def test_betti_on_a_join_searches_its_diagram_once(monkeypatch):
+    nerve = build_nerve(octahedron_spec())  # the right-angled join of three pairs
+    searches = count_calls(monkeypatch, invariants, ["diagram_components"])
+    vector = betti(nerve)
+    assert vector.as_tuple() == (0, 0, 0, 0) and vector.step(0).statement == "R-b0"
+    # Each factor is diagram-connected by construction, so its own vector searches nothing.
+    assert searches == {"diagram_components": 1}
+
+
 def test_recognize_sphere_builds_no_complex(monkeypatch):
     nerve = build_nerve(join_spec(cycle_spec(400, 2, prefix="c"), CoxeterSpec(["n", "s"], {})))
     built = Counter()
@@ -1158,8 +1195,8 @@ def test_certifying_a_disconnected_subject_checks_and_searches_no_component(monk
     searches = count_calls(monkeypatch, nerve_module, ["components"])
     cert = certify_nonplanar(spec)
     assert cert.verdict == "NotPlanar" and cert.bound == Fraction(1, 6)
-    # The subject's components are split off without a check; the circle's sphere test finds
-    # its component held, so the subject's own search is the only one.
+    # The subject's components are split off without a check; the circle's sphere test walks
+    # its cycle, so the subject's own search is the only one.
     assert checked["subject"] == 0 and searches == {"components": 1}
     assert nerve.skeleton_components() == (cycle.vertices, k5.vertices)  # by least vertex
 
