@@ -22,7 +22,6 @@ from coxeter_l2.model import (
     LabelOutOfRange,
     UnknownVertex,
     parse_spec,
-    induced_subspec,
 )
 from coxeter_l2.spherical import (
     FiniteTypeComponent,
@@ -86,7 +85,6 @@ __all__ = [
     "LabelOutOfRange",
     "UnknownVertex",
     "parse_spec",
-    "induced_subspec",
     "FiniteTypeComponent",
     "SphericalVerdict",
     "diagram_components",

@@ -17,14 +17,15 @@ from collections import Counter
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from coxeter_l2.model import UnknownVertex, induced_subspec
+from coxeter_l2.model import UnknownVertex
 from coxeter_l2.nerve import (
     CapExceeded,
     Nerve,
     SphereKind,
     SubcomplexWitness,
+    _is_induced,
+    _join_factor,
     _right_angled_outside,
-    induced_nerve,
     recognize_sphere,
     validate_embedding,
 )
@@ -223,15 +224,22 @@ class BettiVector:
 
 
 def _validate_witness(nerve: Nerve, witness: SubcomplexWitness) -> None:
+    """Check a subcomplex witness against its target, or raise InvalidWitness.
+
+    In order: the vertex sets must match; the ambient's check_subset
+    refuses a string and names the least target vertex the ambient lacks;
+    _is_induced reads the target's labels against the ambient's edge
+    level, building no subsystem; and the right-angled flag must match the
+    ambient's labels.  The target may list its vertices in any order.
+    """
     target_set = set(nerve.vertices)
     if set(witness.vertex_set) != target_set:
         raise InvalidWitness("witness vertex set does not match the target nerve")
     try:
-        induced = induced_subspec(witness.ambient.spec, witness.vertex_set)
+        witness.ambient.spec.check_subset(witness.vertex_set)
     except UnknownVertex as exc:
         raise InvalidWitness(f"witness ambient lacks a target vertex: {exc}") from exc
-    # The vertex sets agree, so the labels decide; the target may list its vertices in any order.
-    if induced.finite_edges() != nerve.spec.finite_edges():
+    if not _is_induced(witness.ambient, target_set, nerve.spec):
         raise InvalidWitness("target is not the induced subsystem of the witness ambient")
     if witness.right_angled_complement != _right_angled_outside(witness.ambient, target_set):
         raise InvalidWitness("witness right-angled flag does not match the ambient labels")
@@ -248,10 +256,13 @@ def betti(nerve: Nerve, ctx: RuleContext | None = None) -> BettiVector:
     characteristic, and a fully known vector must sum to it.  Conflicting assignments raise
     ContradictoryRules.  R-fin reads the nerve: W is finite exactly when its
     whole vertex set is a simplex (the empty system included), and the
-    nerve holds its order.  R-join takes its factors from diagram_components;
-    each factor is diagram-connected by construction, so its own R-join
-    cannot fire, and its vector is evaluated without searching its diagram
-    again.  Zero terms are skipped in the join's convolution and in the
+    nerve holds its order.  A witness is checked by _validate_witness, which
+    reads the target's labels against the ambient's edge level.  R-join
+    takes its factors from diagram_components; each factor is
+    diagram-connected by construction, so its own R-join cannot fire, and
+    its vector is evaluated without searching its diagram again, on a view
+    of the nerve that carries the factor's orders but no spec
+    (_join_factor).  Zero terms are skipped in the join's convolution and in the
     alternating sum, and every vanishing entry is one shared zero.
     """
     return _betti(nerve, ctx, diagram_connected=False)
@@ -307,7 +318,7 @@ def _betti(nerve: Nerve, ctx: RuleContext | None, diagram_connected: bool) -> Be
     # R-join: Kunneth over a right-angled join, once factor vectors are known.
     factors = () if diagram_connected else diagram_components(nerve.spec, nerve.vertices)
     if len(factors) >= 2:
-        factor_vectors = [_betti(induced_nerve(nerve, f), None, diagram_connected=True) for f in factors]
+        factor_vectors = [_betti(_join_factor(nerve, f), None, diagram_connected=True) for f in factors]
         if all(v.fully_known for v in factor_vectors):
             conv = [Fraction(1)]
             for v in factor_vectors:

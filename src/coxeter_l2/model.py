@@ -1,4 +1,4 @@
-"""Coxeter matrix data model, document parsing and induced sub-systems.
+"""Coxeter matrix data model and document parsing.
 
 A system is described by a finite ordered vertex set and a symmetric label
 map on unordered vertex pairs.  Labels are integers >= 2 or infinity; the
@@ -258,13 +258,6 @@ def parse_spec(document) -> CoxeterSpec:
     spec = CoxeterSpec.__new__(CoxeterSpec)
     spec._fill(tuple(vertices), edges, records=True)
     return spec
-
-
-def induced_subspec(spec: CoxeterSpec, subset: Iterable[str]) -> CoxeterSpec:
-    """Restrict a system to a vertex subset, preserving labels and vertex order."""
-    keep = set(spec.check_subset(subset))
-    pairs = [p for p in spec._labels if keep.issuperset(p)]
-    return spec._restrict(tuple(v for v in spec.vertices if v in keep), keep, pairs)
 
 
 def components(

@@ -124,10 +124,14 @@ class SimplicialComplex:
         Filtering keeps each level lexicographic, so nothing is sorted again,
         and keeps the result closed under faces.  Each level is tested once,
         into a mask; a nerve (cls Nerve) filters the ambient's orders of
-        that level by the same mask.
+        that level by the same mask.  Levels ascend, and a d-simplex has
+        d + 1 vertices, so the filter stops at the first level whose
+        dimension is at least the number of vertices kept.
         """
         by_dim, masks = {}, {}
         for d, level in self._by_dim.items():
+            if d >= len(vertices):
+                break
             mask = list(map(keep.issuperset, level))
             kept = tuple(itertools.compress(level, mask))
             if kept:
@@ -517,12 +521,12 @@ def induced_nerve(nerve: Nerve, subset) -> Nerve:
     """The nerve of the induced subsystem, filtered from the ambient nerve.
 
     Sphericity depends only on the induced labels, so the ambient simplices
-    and orders inside the subset are exactly those of
-    build_nerve(induced_subspec(nerve.spec, subset)); nothing is classified
-    again.  The result is a view of the ambient: each level and its orders
-    are filtered in order by one mask, closed vertices share their neighbor
-    tuples and the others' are filtered.  Every finite label is an edge of
-    the nerve, so the restricted spec takes its labels from the kept edges.
+    and orders inside the subset are exactly those of the subsystem's own
+    nerve; nothing is classified again.  The result is a view of the
+    ambient: each level and its orders are filtered in order by one mask,
+    closed vertices share their neighbor tuples and the others' are
+    filtered.  Every finite label is an edge of the nerve, so the
+    restricted spec takes its labels from the kept edges.
     """
     keep = set(nerve.spec.check_subset(subset))
     vertices = tuple(v for v in nerve.vertices if v in keep)
@@ -548,6 +552,33 @@ def _component_nerve(nerve: Nerve, comp: VertexSubset) -> Nerve:
     sub.spec = CoxeterSpec._trusted(vertices, {e: labels[e] for e in sub.edges}, commuting)
     sub._components = (comp,)
     return sub
+
+
+def _join_factor(nerve: Nerve, factor: VertexSubset) -> Nerve:
+    """The view on an R-join factor, a diagram component of the nerve's spec: levels and orders, but no spec.
+
+    The factor comes from diagram_components, checked and sorted, so no
+    check_subset runs, and the view lists its vertices in that order.  The
+    Betti engine reads only a factor's levels, orders, neighbors and
+    vertices, so no restricted spec is built: spec is None, and a rule that
+    reads it fails at once.
+    """
+    sub = nerve._view(factor, Nerve)
+    sub.spec = None
+    return sub
+
+
+def _is_induced(ambient: Nerve, keep: set[str], spec: CoxeterSpec) -> bool:
+    """Is spec, a system on keep, the ambient's subsystem on keep, a set of ambient vertices?
+
+    Every finite label is an edge of the nerve, so the ambient's labels
+    inside keep are its edges there, counted off the kept vertices'
+    neighbor tuples.  spec is the subsystem exactly when it has as many
+    labels and each equals the ambient's; no subsystem is built.
+    """
+    near = itertools.chain.from_iterable(map(ambient._neighbors.__getitem__, keep))
+    inside = sum(map(keep.__contains__, near))  # each edge twice
+    return inside == 2 * len(spec._labels) and spec._labels.items() <= ambient.spec._labels.items()
 
 
 def full_subcomplex(nerve: Nerve, subset) -> tuple[Nerve, SubcomplexWitness]:

@@ -1,4 +1,4 @@
-"""Shared generators for randomized suites, the cosine oracle for classify, and Kuratowski subgraphs.
+"""Shared generators for randomized suites, induced subsystems, the cosine oracle for classify, and Kuratowski subgraphs.
 
 Random systems are drawn with seeded Random instances so every run sees
 the same instances; the planar generator keeps an explicit face list while
@@ -17,12 +17,18 @@ stays non-planar, subdivides K5 or K3,3 by Kuratowski's theorem; the
 smoothing test names which.  Neither is a library operation: the package
 proves non-planarity through l2-Betti numbers and decides planarity with
 the left-right test.
+
+The induced subsystem on a vertex subset is the reference that restricted
+nerves and witness checks are held to; the package itself restricts a nerve
+(induced_nerve) and reads a witness's labels off the ambient nerve, and
+builds no subsystem on its own.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -33,6 +39,13 @@ from coxeter_l2.planarity import planar_rotation
 from coxeter_l2.spherical import classify
 
 DEFAULT_LABELS = (2, 3, 4, 5, INFINITY)
+
+
+def induced_subspec(spec: CoxeterSpec, subset: Iterable[str]) -> CoxeterSpec:
+    """Restrict a system to a vertex subset, preserving labels and vertex order."""
+    keep = set(spec.check_subset(subset))
+    pairs = [p for p in spec._labels if keep.issuperset(p)]
+    return spec._restrict(tuple(v for v in spec.vertices if v in keep), keep, pairs)
 
 
 def random_spec(rng: random.Random, max_vertices: int = 6, labels=DEFAULT_LABELS) -> CoxeterSpec:

@@ -22,6 +22,8 @@ from coxeter_l2.catalog import (
     octahedron_spec,
 )
 
+from conftest import induced_subspec
+
 
 @pytest.fixture
 def docs(tmp_path):
@@ -151,8 +153,6 @@ def test_betti_with_the_empty_subset(docs, capsys):
 
 
 def test_betti_with_ambient(docs, capsys, tmp_path):
-    from coxeter_l2.model import induced_subspec
-
     arc = induced_subspec(cycle_spec(6, 2), ["v0", "v1", "v2"])
     p = tmp_path / "arc.json"
     p.write_text(json.dumps(arc.to_document()))

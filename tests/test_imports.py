@@ -12,7 +12,10 @@ nerve module alone keeps a complex listing its vertices and closed under
 faces.  The private constructors (_presorted,
 _assembled, _index, _view) are called only in the nerve module, which keeps
 their preconditions; elsewhere complexes come from SimplicialComplex,
-build_nerve or induced_nerve.  The planarity pipeline and the CLI read a
+build_nerve or induced_nerve.  The Betti engine builds no system: the
+invariants module names none of induced_subspec, _restrict, _trusted and
+CoxeterSpec, so it reads restrictions and witnesses off the nerve and
+cannot start re-deriving specs.  The planarity pipeline and the CLI read a
 complex through its public methods, never through its private maps
 (_star, _by_dim, _neighbors, _orders), and a rotation system likewise,
 never through its cyclic orders (_rot) or successor map (_next): the
@@ -177,22 +180,33 @@ def test_floating_point_stays_in_enumeration():
     assert found == ["model.py: INFINITY = math.inf"]
 
 
+def references(path: Path, banned: set[str]) -> list[str]:
+    """The file:line of each attribute, name or imported name in banned that the file references."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        names = (
+            [node.attr] if isinstance(node, ast.Attribute)
+            else [node.id] if isinstance(node, ast.Name)
+            else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else []
+        )
+        found += [f"{path.name}:{node.lineno} references {name}" for name in names if name in banned]
+    return found
+
+
 def test_complexes_are_constructed_only_in_nerve():
     # The private constructors trust their callers for sorted simplices and matching maps.
     private = {"_presorted", "_assembled", "_index", "_view"}
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "nerve.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            names = (
-                [node.attr] if isinstance(node, ast.Attribute)
-                else [node.id] if isinstance(node, ast.Name)
-                else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
-                else []
-            )
-            found += [f"{path.name}:{node.lineno} references {name}" for name in names if name in private]
+        if path.name != "nerve.py":
+            found += references(path, private)
     assert found == []
+
+
+def test_the_betti_engine_builds_no_spec():
+    # Join factors and witnesses are read off the nerve; a spec built here would re-derive them.
+    assert references(SRC / "invariants.py", {"induced_subspec", "_restrict", "_trusted", "CoxeterSpec"}) == []
 
 
 # The one read of a complex's private maps outside the nerve module, with its reason.

@@ -14,7 +14,6 @@ from coxeter_l2.model import (
     MalformedDocument,
     UnknownVertex,
     components,
-    induced_subspec,
     parse_spec,
 )
 from coxeter_l2.catalog import complete_bipartite_spec, complete_graph_spec
@@ -22,7 +21,7 @@ from coxeter_l2.nerve import build_nerve, full_subcomplex
 from coxeter_l2.planarity import trace_vanishing
 from coxeter_l2.spherical import classify
 
-from conftest import random_spec
+from conftest import induced_subspec, random_spec
 
 
 def k5_document():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxeter_l2 import nerve as nerve_module
-from coxeter_l2.model import CoxeterSpec, INFINITY, induced_subspec
+from coxeter_l2.model import CoxeterSpec, INFINITY
 from coxeter_l2.catalog import (
     complete_bipartite_spec,
     complete_graph_spec,
@@ -33,7 +33,7 @@ from coxeter_l2.nerve import (
 from coxeter_l2.planarity import cone_construction
 from coxeter_l2.spherical import classify, diagram_components
 
-from conftest import random_spec
+from conftest import induced_subspec, random_spec
 
 
 @st.composite

@@ -68,7 +68,6 @@ from coxeter_l2.model import (
     MalformedDocument,
     UnknownVertex,
     components,
-    induced_subspec,
     parse_spec,
 )
 from coxeter_l2.nerve import (
@@ -99,7 +98,7 @@ from coxeter_l2.planarity import (
 )
 from coxeter_l2.spherical import FiniteTypeComponent, SphericalVerdict, classify, diagram_components
 
-from conftest import check_classify_by_cosine, random_planar_graph, random_spec, reflection_matrices
+from conftest import check_classify_by_cosine, induced_subspec, random_planar_graph, random_spec, reflection_matrices
 
 LABELS = st.sampled_from([2, 3, 4, 5, 6, INFINITY])
 
@@ -705,6 +704,26 @@ def test_betti_on_a_join_searches_its_diagram_once(monkeypatch):
     assert vector.as_tuple() == (0, 0, 0, 0) and vector.step(0).statement == "R-b0"
     # Each factor is diagram-connected by construction, so its own vector searches nothing.
     assert searches == {"diagram_components": 1}
+
+
+def test_betti_on_a_join_restricts_no_spec(monkeypatch):
+    # Each R-join factor is a view of the nerve that carries its orders but no spec.
+    nerves = [build_nerve(suspension_spec(n)) for n in (5, 50)] + [build_nerve(octahedron_spec())]
+    restricted = count_calls(monkeypatch, CoxeterSpec, ["_restrict"])
+    for nerve in nerves:
+        vector = betti(nerve)
+        assert vector.as_tuple() == (0, 0, 0, 0) and vector.step(1).statement == "R-S2"
+    assert restricted == Counter()
+
+
+def test_betti_under_a_witness_builds_no_spec(monkeypatch):
+    nerve = build_nerve(suspension_spec(50))
+    sub, witness = full_subcomplex(nerve, ["n", *(f"c{i}" for i in range(25))])
+    # _fill validates every new system; _restrict builds every restricted one, induced_subspec's too.
+    built = count_calls(monkeypatch, CoxeterSpec, ["_restrict", "_fill"])
+    vector = betti(sub, RuleContext(witness=witness))
+    assert vector.step(2).statement == "R-sub2" and vector.as_tuple()[2:] == (0, 0)
+    assert built == Counter()
 
 
 def test_recognize_sphere_builds_no_complex(monkeypatch):
@@ -2200,6 +2219,21 @@ class ReferenceBuilder:
         return ReferenceBettiVector(self.top, self.entries, self.provenance, chi)
 
 
+def reference_validate_witness(nerve, witness):
+    """_validate_witness as it was: the induced subsystem built, then both label lists compared."""
+    target_set = set(nerve.vertices)
+    if set(witness.vertex_set) != target_set:
+        raise InvalidWitness("witness vertex set does not match the target nerve")
+    try:
+        induced = induced_subspec(witness.ambient.spec, witness.vertex_set)
+    except UnknownVertex as exc:
+        raise InvalidWitness(f"witness ambient lacks a target vertex: {exc}") from exc
+    if induced.finite_edges() != nerve.spec.finite_edges():
+        raise InvalidWitness("target is not the induced subsystem of the witness ambient")
+    if witness.right_angled_complement != reference_has_right_angled_complement(witness.ambient, target_set):
+        raise InvalidWitness("witness right-angled flag does not match the ambient labels")
+
+
 def reference_betti(nerve, ctx=None):
     """betti as it was: a builder, a completion sum, then the finished vector summed again."""
     top = nerve.dimension + 1
@@ -2222,7 +2256,7 @@ def reference_betti(nerve, ctx=None):
         for i in range(top + 1):
             b.assign(i, Fraction(0), "R-S2", "2-sphere nerve, all entries vanish")
     if ctx is not None and ctx.witness is not None:
-        _validate_witness(nerve, ctx.witness)
+        reference_validate_witness(nerve, ctx.witness)
         ambient_kind = recognize_sphere(ctx.witness.ambient)
         if ambient_kind is SphereKind.CIRCLE:
             for i in range(2, top + 1):
@@ -2335,6 +2369,114 @@ def test_betti_equals_builder_reference(case):
     if shift is not None:
         nerve._chi = chi_orb(nerve) + shift  # both engines read the held value
     assert betti_outcome(betti, nerve, ctx) == betti_outcome(reference_betti, nerve, ctx)
+
+
+FORGERIES = [None, "vertex set", "ambient", "changed", "added", "dropped", "flag", "string"]
+
+
+@st.composite
+def forged_witnesses(draw):
+    """A target nerve and its subcomplex witness, true or forged one way.
+
+    The ambient is a random system or a 2-sphere, its vertices sometimes
+    renamed to single letters, so that a string spelling the target's
+    vertices has their set.  The forgeries: a vertex set one vertex off, an
+    ambient that lacks one or more target vertices, one target label
+    changed, added or dropped, a flipped right-angled flag, and the vertex
+    set given as a string.  A rebuilt target lists its vertices in a drawn
+    order.
+    """
+    spec = draw(st.one_of(specs(), st.sampled_from([octahedron_spec(), icosahedron_spec(), suspension_spec(5)])))
+    if draw(st.booleans()):
+        name = dict(zip(spec.vertices, "abcdefghijklmnopqrstuvwxyz"))
+        spec = CoxeterSpec([name[v] for v in spec.vertices], {(name[u], name[v]): m for u, v, m in spec.finite_edges()})
+    nerve = build_nerve(spec)
+    subset = draw(st.lists(st.sampled_from(spec.vertices), unique=True)) if spec.vertices else []
+    target, witness = full_subcomplex(nerve, subset)
+    labels = {(u, v): m for u, v, m in target.spec.finite_edges()}
+    unlabelled = [p for p in combinations(witness.vertex_set, 2) if p not in labels]
+    forgery = draw(st.sampled_from(FORGERIES))
+    if forgery == "vertex set" and spec.vertices:
+        v = draw(st.sampled_from(spec.vertices))
+        witness = witness._replace(vertex_set=tuple(sorted(set(witness.vertex_set) ^ {v})))
+    elif forgery == "ambient" and witness.vertex_set:
+        lacking = draw(st.lists(st.sampled_from(witness.vertex_set), min_size=1, unique=True))
+        witness = witness._replace(ambient=induced_nerve(nerve, [v for v in spec.vertices if v not in lacking]))
+    elif forgery in ("changed", "dropped") and labels:
+        pair = draw(st.sampled_from(sorted(labels)))
+        m = labels.pop(pair)
+        if forgery == "changed":
+            labels[pair] = draw(st.sampled_from([k for k in (2, 3, 4, 5, 6) if k != m]))
+    elif forgery == "added" and unlabelled:
+        labels[draw(st.sampled_from(unlabelled))] = draw(st.sampled_from([2, 3, 4, 5, 6]))
+    elif forgery == "flag":
+        witness = witness._replace(right_angled_complement=not witness.right_angled_complement)
+    elif forgery == "string":
+        witness = witness._replace(vertex_set="".join(witness.vertex_set))
+    if forgery in ("changed", "dropped", "added") or draw(st.booleans()):
+        target = build_nerve(CoxeterSpec(draw(st.permutations(target.vertices)), labels))
+    return target, witness
+
+
+def witness_outcome(check, target, witness):
+    """None when the check accepts the witness, else the type and message of what it raised."""
+    try:
+        check(target, witness)
+    except ValueError as exc:  # InvalidWitness, or check_subset refusing a string
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(forged_witnesses())
+def test_witness_check_equals_the_induced_subsystem_reference(case):
+    target, witness = case
+    assert witness_outcome(_validate_witness, target, witness) == witness_outcome(
+        reference_validate_witness, target, witness
+    )
+
+
+@st.composite
+def join_factor_specs(draw):
+    """One factor of a right-angled join: a random system, K5@3, a finite one, a circle or two points.
+
+    Random systems and K5@3 give factors with Unknown entries, so R-join
+    does not fire on every join.
+    """
+    kind = draw(st.sampled_from(["random", "K5", "finite", "circle", "points"]))
+    if kind == "random":
+        return draw(specs(max_vertices=5))
+    if kind == "K5":
+        return complete_graph_spec(5, 3)
+    if kind == "finite":
+        types = draw(st.lists(st.sampled_from(["A1", "I2(6)", "B3", "H3", "A4"]), min_size=1, max_size=2))
+        return product_spec(types, [f"f{i}" for i in range(sum(FINITE_TYPES[t][0] for t in types))])
+    if kind == "circle":
+        n = draw(st.integers(3, 7))
+        return labelled_cycle(n, draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n)))
+    return CoxeterSpec(["p", "q"], {})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(join_factor_specs(), min_size=2, max_size=3))
+def test_betti_on_a_join_equals_the_reference_on_induced_factors(factors):
+    spec = factors[0]
+    for factor in factors[1:]:
+        spec = join_spec(spec, factor)
+    nerve = build_nerve(spec)
+    vector, ref = betti(nerve), reference_betti(nerve)
+    assert vector.as_tuple() == tuple(ref.get(i) for i in range(ref.top + 1))
+    assert [vector.step(i) for i in range(vector.top + 3)] == [ref.step(i) for i in range(ref.top + 3)]
+    for factor in diagram_components(spec, nerve.vertices):
+        view, induced = nerve_module._join_factor(nerve, factor), induced_nerve(nerve, factor)
+        assert view.spec is None and view.vertices == factor == tuple(sorted(induced.vertices))
+        assert view.simplices() == induced.simplices()
+        assert all(view.neighbors(v) == induced.neighbors(v) for v in factor)
+        assert list(map(view.order, view.simplices())) == list(map(induced.order, induced.simplices()))
+        assert (
+            invariants._betti(view, None, diagram_connected=True).to_document()
+            == invariants._betti(induced, None, diagram_connected=True).to_document()
+        )
 
 
 def finite_systems():

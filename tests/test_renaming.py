@@ -23,11 +23,11 @@ from hypothesis import given, settings, strategies as st
 
 from coxeter_l2.catalog import complete_bipartite_spec, complete_graph_spec
 from coxeter_l2.invariants import CitedStep, betti, chi_orb
-from coxeter_l2.model import INFINITY, CoxeterSpec, induced_subspec
+from coxeter_l2.model import INFINITY, CoxeterSpec
 from coxeter_l2.nerve import SimplicialComplex, build_nerve, join_spec, validate_embedding
 from coxeter_l2.planarity import certify_nonplanar, cone_construction, planar_rotation
 
-from conftest import random_planar_graph
+from conftest import induced_subspec, random_planar_graph
 
 LABELS = (2, 3, 4, 5, 6, INFINITY)
 
